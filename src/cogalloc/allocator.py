@@ -78,6 +78,48 @@ class AllocationResult:
         return sum(1 for flag in self.active if flag)
 
 
+def user_arrays(sus: Sequence[SecondaryUser], params: SystemParams) -> tuple:
+    """Design-independent per-user columns (r0, r1, margin, buffers, pay):
+    idle and interfered rates, price margin b_i - a_i, backlog in bits,
+    and pay rate a_i."""
+    return (
+        np.array([rate_idle(su, params) for su in sus]),
+        np.array([rate_interfered(su, params) for su in sus]),
+        np.array([su.earn_rate - su.pay_rate for su in sus]),
+        np.array([float(su.buffer_bits) for su in sus]),
+        np.array([su.pay_rate for su in sus]),
+    )
+
+
+def opportunity_weights(
+    design: SensingDesign,
+    geom: SensingGeometry,
+    params: SystemParams,
+    l_active: int,
+) -> tuple:
+    """(P(H0)(1-P_FA), P(H1)(1-P_D)) with ``l_active`` reporting users: the
+    factors on the idle and interfered rates in the effective rate."""
+    return (
+        params.p_h0 * (1.0 - global_pfa(design, l_active)),
+        params.p_h1 * (1.0 - global_pd(design, geom, l_active)),
+    )
+
+
+def time_bound_arrays(rates, margin, buffers, cost: float) -> tuple:
+    """Break-even lower and buffer-clearing upper time bounds, elementwise
+    (any broadcastable shapes). A never-profitable user (margin <= 0)
+    gets an infinite lower bound.
+
+    A zero effective rate divides by zero and gives inf/inf bounds (nan
+    upper with an empty buffer). Every caller rejects such a user, since
+    ``lower < upper`` is false, so the division warnings are silenced.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lowers = np.where(margin > 0.0, cost / (rates * margin), np.inf)
+        uppers = buffers / rates
+    return lowers, uppers
+
+
 class _Workspace:
     """Per-call arrays for one (user list, design, geometry, params)."""
 
@@ -91,25 +133,18 @@ class _Workspace:
         self.design = design
         self.geom = geom
         self.params = params
-        self.r0 = np.array([rate_idle(su, params) for su in self.sus])
-        self.r1 = np.array([rate_interfered(su, params) for su in self.sus])
-        self.margin = np.array([su.earn_rate - su.pay_rate for su in self.sus])
-        self.buffers = np.array([float(su.buffer_bits) for su in self.sus])
-        self.pay = np.array([su.pay_rate for su in self.sus])
+        self.r0, self.r1, self.margin, self.buffers, self.pay = user_arrays(
+            self.sus, params
+        )
         self.ids = np.array([su.id for su in self.sus])
         self.cost = params.sensing_cost
         self._weights: dict = {}
         self._budget: dict = {}
 
     def weights(self, l_active: int) -> tuple:
-        # (P(H0)(1-P_FA), P(H1)(1-P_D)) at this cardinality.
         got = self._weights.get(l_active)
         if got is None:
-            got = (
-                self.params.p_h0 * (1.0 - global_pfa(self.design, l_active)),
-                self.params.p_h1
-                * (1.0 - global_pd(self.design, self.geom, l_active)),
-            )
+            got = opportunity_weights(self.design, self.geom, self.params, l_active)
             self._weights[l_active] = got
         return got
 
@@ -132,13 +167,14 @@ class _Workspace:
         q0, q1 = self.weights(len(idx))
         rates = q0 * self.r0[members] + q1 * self.r1[members]
         margin = self.margin[members]
-        with np.errstate(divide="ignore"):
-            lowers = np.where(margin > 0.0, self.cost / (rates * margin), np.inf)
+        lowers, uppers = time_bound_arrays(
+            rates, margin, self.buffers[members], self.cost
+        )
         return _SetEval(
             idx=idx,
             rates=rates,
             lowers=lowers,
-            uppers=self.buffers[members] / rates,
+            uppers=uppers,
             priorities=rates * self.pay[members],
             t_prime=self.budget(len(idx)),
             margin=margin,
@@ -351,9 +387,7 @@ def _exchange_core(ws: _Workspace, kept: tuple, excluded: tuple) -> tuple:
     l_active = len(kept)
     q0, q1 = ws.weights(l_active)
     rates = q0 * ws.r0 + q1 * ws.r1
-    with np.errstate(divide="ignore"):
-        lb_keys = np.where(ws.margin > 0.0, ws.cost / (rates * ws.margin), np.inf)
-    ub_keys = ws.buffers / rates
+    lb_keys, ub_keys = time_bound_arrays(rates, ws.margin, ws.buffers, ws.cost)
     pay_keys = rates * ws.pay
 
     by_ub = (_ordered_desc(ws, kept, ub_keys), _ordered_desc(ws, excluded, ub_keys))

@@ -599,11 +599,12 @@ def cmd_compare_nonjoint(cfg: RunConfig, out_dir: Path, jobs: int = 1) -> int:
         ],
         rows,
     )
-    agg = []
-    for key, mean_joint, _, n in _mean_rows(rows, value_col=2):
-        mean_nj = next(r[1] for r in _mean_rows(rows, value_col=3) if r[0] == key)
-        mean_neg = next(r[1] for r in _mean_rows(rows, value_col=5) if r[0] == key)
-        agg.append((key, mean_joint, mean_nj, mean_neg, n))
+    means_nj = {key: mean for key, mean, _, _ in _mean_rows(rows, value_col=3)}
+    means_neg = {key: mean for key, mean, _, _ in _mean_rows(rows, value_col=5)}
+    agg = [
+        (key, mean_joint, means_nj[key], means_neg[key], n)
+        for key, mean_joint, _, n in _mean_rows(rows, value_col=2)
+    ]
     _write_csv(
         out_dir / "compare_nonjoint_mean.csv",
         "compare_nonjoint_mean",

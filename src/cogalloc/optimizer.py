@@ -17,9 +17,17 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
+import numpy as np
 from scipy.special import digamma, gammaln
 
-from .allocator import AllocationResult, greedy_topup, select_and_allocate
+from .allocator import (
+    AllocationResult,
+    greedy_topup,
+    opportunity_weights,
+    select_and_allocate,
+    time_bound_arrays,
+    user_arrays,
+)
 from .economics import (
     SecondaryUser,
     SystemParams,
@@ -140,6 +148,21 @@ def exhaustive_oracle(
     directly, inner linear program solved by the (provably optimal)
     greedy fill.
 
+    Work that depends only on the subset size L is done once per size:
+    the admissible designs (k <= L and fused detection at L meeting the
+    floor), their opportunity weights, and every profitable user's rate,
+    bounds and priority under each of them, as design x user arrays.
+    Each subset then scores all admissible designs in one block. A design
+    is infeasible for the subset when a member has zero effective rate
+    or a lower bound above its upper bound, or when the lower bounds
+    overflow T'(L); the rest get the greedy fill, vectorised over
+    designs. Sums over members run one member at a time in member order,
+    as Python's ``sum`` does, so every value is bitwise reproducible.
+
+    The winner maximises (utility, -pfa, -k) with a strict comparison,
+    so among equal keys the candidate first in (size ascending,
+    ``itertools.combinations`` order) wins.
+
     Raises
     ------
     ValueError
@@ -150,52 +173,97 @@ def exhaustive_oracle(
             f"exhaustive oracle capped at {max_users} users, got {len(all_sus)}"
         )
     start = time.perf_counter()
-    cost = params.sensing_cost
     profitable = [su for su in all_sus if su.earn_rate > su.pay_rate]
+    r0, r1, margin, buffers, pay = user_arrays(profitable, params)
     best_key = None
     best: Optional[tuple] = None
-    for size in range(1, len(profitable) + 1):
-        t_prime = effective_time(params, size)
-        if t_prime <= 0.0:
-            continue
-        for subset in itertools.combinations(profitable, size):
-            for k in grid.k_values:
-                if k > size:
+    # Designs ruled out for a subset carry inf/nan through the block
+    # arithmetic; they are masked out, not warned about.
+    with np.errstate(all="ignore"):
+        for size in range(1, len(profitable) + 1):
+            t_prime = effective_time(params, size)
+            if t_prime <= 0.0:
+                continue
+            # Ordered by (pfa, k), so the first utility maximum of a block
+            # also wins the tie-break.
+            designs = [
+                SensingDesign(pfa, k)
+                for pfa in grid.pfa_values
+                for k in sorted(grid.k_values)
+                if k <= size
+            ]
+            designs = [
+                d for d in designs if global_pd(d, geom, size) >= params.zeta
+            ]
+            if not designs:
+                continue
+            weights = np.array(
+                [opportunity_weights(d, geom, params, size) for d in designs]
+            )
+            rates = weights[:, :1] * r0 + weights[:, 1:] * r1
+            lowers, uppers = time_bound_arrays(
+                rates, margin, buffers, params.sensing_cost
+            )
+            prios = rates * pay
+            # A user whose bounds cross rules the design out for every
+            # subset holding it, as does a zero-rate user (infinite lower
+            # bound): an infinite lower bound overflows any budget.
+            table = np.stack(
+                (
+                    np.where(lowers > uppers, np.inf, lowers),
+                    uppers - lowers,
+                    prios,
+                    # Each user's place in the design's fill order (priority
+                    # descending, ties to the lower index); within a subset
+                    # these ranks order the members the same way.
+                    np.argsort(np.argsort(-prios, axis=1, kind="stable"), axis=1),
+                )
+            )
+            rows = np.arange(len(designs))[:, None]
+            for members in itertools.combinations(range(len(profitable)), size):
+                lo, gap, prio, rank = table.take(members, axis=2)
+                lo_sum = np.add.accumulate(lo, axis=1)[:, -1]
+                fits = lo_sum <= t_prime
+                if not fits.any():
                     continue
-                for pfa in grid.pfa_values:
-                    design = SensingDesign(pfa_local=pfa, k_threshold=k)
-                    if global_pd(design, geom, size) < params.zeta:
-                        continue
-                    rates = [
-                        effective_rate(su, design, geom, params, size)
-                        for su in subset
-                    ]
-                    lowers = [
-                        cost / (r * (su.earn_rate - su.pay_rate))
-                        for su, r in zip(subset, rates)
-                    ]
-                    uppers = [su.buffer_bits / r for su, r in zip(subset, rates)]
-                    if any(lo > up for lo, up in zip(lowers, uppers)):
-                        continue
-                    if sum(lowers) > t_prime:
-                        continue
-                    prios = [r * su.pay_rate for su, r in zip(subset, rates)]
-                    times = greedy_topup(lowers, uppers, prios, t_prime)
-                    utility = sum(p * t for p, t in zip(prios, times))
-                    key = (utility, -pfa, -k)
-                    if best_key is None or key > best_key:
-                        best_key = key
-                        best = (design, subset, times, rates, prios, lowers)
+                # Greedy fill in priority order. ``left`` is the budget left
+                # before each member: a gap below it is granted in full, the
+                # first that is not takes what is left, and from there on
+                # ``left`` is <= 0 so the rest get nothing.
+                order = rank.argsort(axis=1)
+                gap = gap[rows, order]
+                left = np.subtract.accumulate(
+                    np.column_stack((t_prime - lo_sum, gap)), axis=1
+                )[:, :-1]
+                times = lo.copy()
+                times[rows, order] += np.maximum(np.minimum(gap, left), 0.0)
+                utility = np.where(
+                    fits, np.add.accumulate(prio * times, axis=1)[:, -1], -np.inf
+                )
+                d = int(utility.argmax())
+                design = designs[d]
+                key = (float(utility[d]), -design.pfa_local, -design.k_threshold)
+                if best_key is None or key > best_key:
+                    best_key = key
+                    best = (
+                        design,
+                        members,
+                        times[d].tolist(),
+                        rates[d, members].tolist(),
+                        prio[d].tolist(),
+                        lo[d].tolist(),
+                    )
     elapsed = time.perf_counter() - start
     if best is None:
         return _infeasible_outcome(len(all_sus), None, elapsed)
-    design, subset, times, rates, prios, lowers = best
+    design, members, times, rates, prios, lowers = best
     index = {su.id: i for i, su in enumerate(all_sus)}
     m = len(all_sus)
     active = [False] * m
     t_full = [0.0] * m
     su_utils = [0.0] * m
-    for su, t, r, lo in zip(subset, times, rates, lowers):
+    for j, t, r, lo in zip(members, times, rates, lowers):
+        su = profitable[j]
         i = index[su.id]
         active[i] = True
         t_full[i] = t

@@ -4,7 +4,9 @@ Every oracle here deliberately avoids the library's own code path for the
 quantity it checks: Gaussian tails come from adaptive quadrature of the
 density, fused probabilities from explicit enumeration of decision
 vectors, the inner allocation LP from scipy's linprog, and the selection
-optimum from exhaustive subset enumeration at a fixed design.
+optimum from exhaustive subset enumeration at a fixed design. The
+design-batched exhaustive oracle is checked against the scalar oracle it
+replaced, kept here.
 """
 
 from __future__ import annotations
@@ -17,12 +19,18 @@ from scipy.integrate import quad
 from scipy.optimize import linprog
 
 from cogalloc import (
+    AllocationResult,
     DesignGrid,
+    OptimizationOutcome,
     SecondaryUser,
+    SensingDesign,
     default_system_params,
     effective_rate,
     effective_time,
+    global_pd,
+    greedy_topup,
 )
+from cogalloc.optimizer import _infeasible_outcome
 
 
 def normal_tail_quad(x: float) -> float:
@@ -112,8 +120,6 @@ def greedy_fill_oracle(lowers, uppers, priorities, budget):
 def subset_oracle_fixed_design(all_sus, design, geom, params) -> float:
     """Best fusion-center utility at one fixed design over every subset,
     every feasibility check done from scratch."""
-    from cogalloc.sensing import global_pd
-
     cost = params.sensing_cost
     candidates = [su for su in all_sus if su.earn_rate > su.pay_rate]
     best = 0.0
@@ -147,3 +153,70 @@ def nine_point_grid(m: int) -> DesignGrid:
 
 def table_params(**overrides):
     return default_system_params(**overrides)
+
+
+def scalar_exhaustive_oracle(all_sus, geom, params, grid):
+    """The exhaustive oracle written one (subset, design) at a time with
+    the scalar rate, bound and greedy-fill code: the reference the
+    design-batched :func:`cogalloc.exhaustive_oracle` must reproduce bit
+    for bit. A zero-rate member makes the pair infeasible."""
+    cost = params.sensing_cost
+    profitable = [su for su in all_sus if su.earn_rate > su.pay_rate]
+    best_key = None
+    best = None
+    for size in range(1, len(profitable) + 1):
+        t_prime = effective_time(params, size)
+        if t_prime <= 0.0:
+            continue
+        for subset in itertools.combinations(profitable, size):
+            for k in grid.k_values:
+                if k > size:
+                    continue
+                for pfa in grid.pfa_values:
+                    design = SensingDesign(pfa_local=pfa, k_threshold=k)
+                    if global_pd(design, geom, size) < params.zeta:
+                        continue
+                    rates = [
+                        effective_rate(su, design, geom, params, size)
+                        for su in subset
+                    ]
+                    if any(r == 0.0 for r in rates):
+                        continue
+                    lowers = [
+                        cost / (r * (su.earn_rate - su.pay_rate))
+                        for su, r in zip(subset, rates)
+                    ]
+                    uppers = [su.buffer_bits / r for su, r in zip(subset, rates)]
+                    if any(lo > up for lo, up in zip(lowers, uppers)):
+                        continue
+                    if sum(lowers) > t_prime:
+                        continue
+                    prios = [r * su.pay_rate for su, r in zip(subset, rates)]
+                    times = greedy_topup(lowers, uppers, prios, t_prime)
+                    utility = sum(p * t for p, t in zip(prios, times))
+                    key = (utility, -pfa, -k)
+                    if best_key is None or key > best_key:
+                        best_key = key
+                        best = (design, subset, times, rates, prios, lowers)
+    if best is None:
+        return _infeasible_outcome(len(all_sus), None, 0.0)
+    design, subset, times, rates, prios, lowers = best
+    index = {su.id: i for i, su in enumerate(all_sus)}
+    m = len(all_sus)
+    active = [False] * m
+    t_full = [0.0] * m
+    su_utils = [0.0] * m
+    for su, t, r, lo in zip(subset, times, rates, lowers):
+        i = index[su.id]
+        active[i] = True
+        t_full[i] = t
+        su_utils[i] = r * (su.earn_rate - su.pay_rate) * (t - lo)
+    alloc = AllocationResult(
+        active=tuple(active),
+        times=tuple(t_full),
+        fc_utility=sum(p * t for p, t in zip(prios, times)),
+        su_utilities=tuple(su_utils),
+        case=None,
+        feasible=True,
+    )
+    return OptimizationOutcome(design, alloc, None, 0.0)

@@ -8,6 +8,7 @@ import itertools
 import math
 
 import numpy as np
+import pytest
 
 import cogalloc as cg
 from cogalloc import (
@@ -35,6 +36,8 @@ from helpers import (
     lp_time_allocation,
     make_users,
 )
+
+pytestmark = pytest.mark.acceptance
 
 ZETAS = (0.6, 0.7, 0.8, 0.9, 0.95)
 

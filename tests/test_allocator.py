@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from cogalloc import (
     AllocationResult,
     CaseLabel,
+    DesignGrid,
     SecondaryUser,
     SensingDesign,
     classify_case,
@@ -17,6 +19,7 @@ from cogalloc import (
     effective_time,
     exchange_search,
     greedy_topup,
+    joint_optimize,
     reduce_feasible_set,
     select_and_allocate,
     waterfill_allocate,
@@ -296,6 +299,20 @@ class TestSelectAndAllocate:
         else:
             assert alloc.feasible
             assert alloc.fc_utility == pytest.approx(oracle, rel=1e-9)
+
+    def test_zero_rate_users_raise_no_warning(self):
+        # On the default M=20 grid the high-pfa designs drive some
+        # effective rates to exactly 0; those users get inf bounds and are
+        # filtered out silently. The values are those the search gave
+        # before the division was put under errstate.
+        params = default_system_params()
+        sus = make_users(0, 20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = DesignGrid.uniform(20)
+            outcome = joint_optimize(sus, params.geometry(), params, grid)
+        assert outcome.fc_utility == 58.58482794032329
+        assert outcome.best_design == SensingDesign(0.1, 4)
 
     @pytest.mark.parametrize("seed", range(30))
     def test_budget_and_box_safety(self, seed):

@@ -163,6 +163,26 @@ class TestSubcommands:
             assert fields[4] == "0"  # joint never leaves a user negative
             assert int(fields[5]) >= 0
 
+    def test_compare_nonjoint_mean_bytes_pinned(self, tmp_path):
+        # Three sweep points: the aggregate must keep the exact bytes the
+        # per-key aggregation produced.
+        payload = {
+            "experiment": {"sweep": "zeta", "values": [0.6, 0.7, 0.8]},
+            "trials": 3,
+            "seed": 77,
+            "users": {"count": 5, "buffer_bits": 20000},
+        }
+        cfg = load_config(_cfg(tmp_path, payload))
+        assert cmd_compare_nonjoint(cfg, tmp_path) == EXIT_OK
+        assert (tmp_path / "compare_nonjoint_mean.csv").read_bytes() == (
+            b"# schema=cogalloc.compare_nonjoint_mean.v1\r\n"
+            b"sweep_value,mean_joint_utility,mean_nonjoint_utility,"
+            b"mean_nonjoint_negative_count,n\r\n"
+            b"0.6,56.503758425702706,55.87206332400808,4.0,3\r\n"
+            b"0.7,57.20345564897614,57.2034643365478,4.0,3\r\n"
+            b"0.8,55.03380089214574,55.03380980860908,4.0,3\r\n"
+        )
+
     def test_simulate_emits_rows_and_trace(self, tmp_path):
         payload = {
             "experiment": {"sweep": "p_h0", "values": [0.7, 0.9], "n_frames": 30},

@@ -1,6 +1,7 @@
 """Grid search, exhaustive oracle, non-joint baseline, and the probe."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,9 +22,9 @@ from cogalloc import (
     time_lower_bound,
 )
 from cogalloc.optimizer import binom_term, probe_utility, smooth_binom_tail
-from cogalloc.sensing import local_pd
+from cogalloc.sensing import global_pd, local_pd
 
-from helpers import make_users
+from helpers import make_users, scalar_exhaustive_oracle
 
 
 class TestDesignGrid:
@@ -121,18 +122,7 @@ class TestExhaustiveOracle:
     @pytest.mark.parametrize("seed", range(25))
     def test_dominates_joint_everywhere(self, seed):
         # Heterogeneous costs allowed: the oracle scans a superset.
-        rng = np.random.default_rng(seed)
-        params = default_system_params(zeta=float(rng.uniform(0.6, 0.9)))
-        sus = [
-            SecondaryUser(
-                id=i,
-                gain_to_fc=float(rng.exponential(1.0)),
-                buffer_bits=int(rng.integers(100, 2000)),
-                pay_rate=float(rng.uniform(0.05, 0.3)),
-                earn_rate=float(rng.uniform(2.0, 12.0)),
-            )
-            for i in range(5)
-        ]
+        params, sus = _heterogeneous_instance(seed)
         geom = params.geometry()
         grid = DesignGrid.uniform(5)
         oracle = exhaustive_oracle(sus, geom, params, grid)
@@ -153,6 +143,137 @@ class TestExhaustiveOracle:
             assert joint.fc_utility == pytest.approx(oracle.fc_utility, rel=1e-9)
         else:
             assert not joint.feasible
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_zero_rate_designs_are_infeasible(self, seed):
+        # At pfa 0.99 both opportunity weights round to 0, so every user's
+        # effective rate is 0 at that design: the oracle must skip it, as
+        # the allocator does, without dividing by zero.
+        params = default_system_params()
+        geom = params.geometry()
+        grid = DesignGrid(pfa_values=(0.5, 0.99), k_values=tuple(range(1, 10)))
+        sus = make_users(seed, 9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            oracle = exhaustive_oracle(sus, geom, params, grid)
+            joint = joint_optimize(sus, geom, params, grid)
+        assert oracle.feasible
+        assert oracle.fc_utility == pytest.approx(joint.fc_utility, rel=1e-9)
+        assert oracle.best_design == joint.best_design
+
+
+def _heterogeneous_instance(seed):
+    rng = np.random.default_rng(seed)
+    params = default_system_params(zeta=float(rng.uniform(0.6, 0.9)))
+    sus = [
+        SecondaryUser(
+            id=i,
+            gain_to_fc=float(rng.exponential(1.0)),
+            buffer_bits=int(rng.integers(100, 2000)),
+            pay_rate=float(rng.uniform(0.05, 0.3)),
+            earn_rate=float(rng.uniform(2.0, 12.0)),
+        )
+        for i in range(5)
+    ]
+    return params, sus
+
+
+def _assert_same_as_scalar_oracle(sus, params, grid):
+    geom = params.geometry()
+    got = exhaustive_oracle(sus, geom, params, grid)
+    want = scalar_exhaustive_oracle(sus, geom, params, grid)
+    assert got.best_design == want.best_design
+    assert got.best_allocation.active == want.best_allocation.active
+    assert got.best_allocation.times == want.best_allocation.times
+    assert got.best_allocation.su_utilities == want.best_allocation.su_utilities
+    assert got.fc_utility == want.fc_utility
+    assert got.feasible == want.feasible
+    return got
+
+
+class TestOracleMatchesScalarReference:
+    """The design-batched oracle reproduces the one-pair-at-a-time scalar
+    oracle exactly (no tolerance): same design, set, times, utilities."""
+
+    @pytest.mark.parametrize(
+        "buffer_bits,earn_rate",
+        # Buffers that mostly fit the budget; buffers that contest it, so
+        # the fill stops part-way; and a thin price margin, whose lower
+        # bounds are a sizeable share of the budget, so the order of the
+        # member sums shows in the last bits.
+        [(1000, 10.0), (20000, 10.0), (20000, 0.1001)],
+    )
+    @pytest.mark.parametrize(
+        "m,zeta,seed",
+        [(m, zeta, seed) for m in (3, 5, 7) for zeta in (0.6, 0.8) for seed in range(3)]
+        + [(9, 0.7, 0), (9, 0.9, 1)],
+    )
+    def test_identical_costs(self, m, zeta, seed, buffer_bits, earn_rate):
+        params = default_system_params(zeta=zeta)
+        sus = make_users(
+            seed * 17 + m, m, buffer_bits=buffer_bits, earn_rate=earn_rate
+        )
+        _assert_same_as_scalar_oracle(sus, params, DesignGrid.uniform(m))
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_heterogeneous_prices(self, seed):
+        params, sus = _heterogeneous_instance(seed)
+        _assert_same_as_scalar_oracle(sus, params, DesignGrid.uniform(5))
+
+    def test_equal_priorities_fill_in_index_order(self, params):
+        # Users sharing a gain share a priority at every design; with a
+        # contested budget the fill order among them decides who gets
+        # the remainder.
+        sus = [
+            SecondaryUser(
+                id=i, gain_to_fc=g, buffer_bits=20000, pay_rate=0.1, earn_rate=10.0
+            )
+            for i, g in enumerate((0.7, 1.5, 0.7, 0.7, 1.5))
+        ]
+        _assert_same_as_scalar_oracle(sus, params, DesignGrid.uniform(5))
+
+    def test_flat_surface_tie_break(self, params, geom):
+        # Users who pay nothing make every feasible (set, design) pair
+        # worth exactly 0, so the (pfa, k) tie-break alone picks the design.
+        sus = [
+            SecondaryUser(
+                id=i, gain_to_fc=g, buffer_bits=800, pay_rate=0.0, earn_rate=5.0
+            )
+            for i, g in enumerate((0.4, 1.3, 0.9, 2.2))
+        ]
+        grid = DesignGrid.uniform(4)
+        got = _assert_same_as_scalar_oracle(sus, params, grid)
+        assert got.feasible and got.fc_utility == 0.0
+        admissible = [
+            (pfa, k)
+            for pfa in grid.pfa_values
+            for k in grid.k_values
+            for size in range(k, 5)
+            if global_pd(SensingDesign(pfa, k), geom, size) >= params.zeta
+        ]
+        assert len(set(admissible)) > 1
+        design = got.best_design
+        assert (design.pfa_local, design.k_threshold) == min(admissible)
+
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_tiny_instances(self, params, m):
+        grid = DesignGrid.uniform(max(m, 1))
+        _assert_same_as_scalar_oracle(make_users(m + 3, m), params, grid)
+
+    def test_user_with_crossed_bounds_is_never_served(self, params):
+        # Its buffer is worth less than the sensing cost (lower bound above
+        # the upper bound at every design).
+        marginal = SecondaryUser(
+            id=9, gain_to_fc=1.0, buffer_bits=10, pay_rate=0.1, earn_rate=0.1004
+        )
+        sus = make_users(7, 3, buffer_bits=20000) + [marginal]
+        got = _assert_same_as_scalar_oracle(sus, params, DesignGrid.uniform(4))
+        assert got.feasible and not got.best_allocation.active[3]
+
+    def test_no_profitable_user(self, params):
+        sus = make_users(12, 4, pay_rate=5.0, earn_rate=5.0)
+        got = _assert_same_as_scalar_oracle(sus, params, DesignGrid.uniform(4))
+        assert not got.feasible
 
 
 class TestNonJointBaseline:
