@@ -35,7 +35,6 @@ from .economics import (
     fc_utility,
     rate_idle,
     rate_interfered,
-    rate_interfered_quadrature,
     su_utility,
     time_bounds,
     time_lower_bound,
@@ -122,7 +121,6 @@ __all__ = [
     "quasiconcavity_probe",
     "rate_idle",
     "rate_interfered",
-    "rate_interfered_quadrature",
     "reduce_feasible_set",
     "run_episode",
     "sample_exponential_gain",

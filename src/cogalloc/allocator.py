@@ -6,10 +6,13 @@ and buffer-clearing bounds, prunes users that can never be served
 profitably, water-fills the contested-time case, and walks an
 elimination/exchange search over candidate active sets.
 
-Internally the users of one call live in a small numpy workspace (idle
-and interfered rates, margins, backlogs) and candidate sets are index
-tuples into it, so evaluating a set at any cardinality is a handful of
-vector operations.
+Internally the users of one call live in a :class:`UserTable`: their
+idle and interfered rates, margins, backlogs and the budget at every
+set size are built once and shared by every design, and each design's
+rates, bounds and priorities at a set size are computed once for all
+users. Candidate sets are index tuples into the table, so evaluating a
+set is a handful of gathers. Candidates are compared by utility alone;
+an :class:`AllocationResult` is built only for the set that is returned.
 
 Tie-breaking everywhere (argmax/argmin over users, exchange orderings on
 equal keys) is by lowest user id, so results are bit-reproducible.
@@ -19,7 +22,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -28,6 +30,7 @@ import numpy as np
 from .economics import (
     SecondaryUser,
     SystemParams,
+    effective_time,
     rate_idle,
     rate_interfered,
 )
@@ -120,17 +123,27 @@ def time_bound_arrays(rates, margin, buffers, cost: float) -> tuple:
     return lowers, uppers
 
 
-class _Workspace:
-    """Per-call arrays for one (user list, design, geometry, params)."""
+class UserTable:
+    """One call's users, geometry and params, shared across designs.
+
+    The design-independent columns (rates, margins, backlogs, pay rates,
+    ids) and the budget T'(L) for every set size are built once. Each design's effective rates, time bounds and
+    priorities at a set size L are computed for all users on first use
+    and cached per (design, L).
+    """
 
     __slots__ = (
-        "sus", "design", "geom", "params", "r0", "r1", "margin", "buffers",
-        "pay", "ids", "cost", "_weights", "_budget",
+        "sus", "geom", "params", "r0", "r1", "margin", "buffers", "pay", "ids",
+        "cost", "budgets", "_levels", "_screens",
     )
 
-    def __init__(self, sus, design, geom, params):
+    def __init__(
+        self,
+        sus: Sequence[SecondaryUser],
+        geom: SensingGeometry,
+        params: SystemParams,
+    ):
         self.sus = list(sus)
-        self.design = design
         self.geom = geom
         self.params = params
         self.r0, self.r1, self.margin, self.buffers, self.pay = user_arrays(
@@ -138,78 +151,81 @@ class _Workspace:
         )
         self.ids = np.array([su.id for su in self.sus])
         self.cost = params.sensing_cost
-        self._weights: dict = {}
-        self._budget: dict = {}
+        self.budgets = [effective_time(params, l) for l in range(len(self.sus) + 1)]
+        self._levels: dict = {}
+        self._screens: dict = {}
 
-    def weights(self, l_active: int) -> tuple:
-        got = self._weights.get(l_active)
+    def level(self, design: SensingDesign, l_active: int) -> tuple:
+        """(rates, lowers, uppers, priorities) of every user at ``design``
+        with ``l_active`` reporting users."""
+        key = (design.pfa_local, design.k_threshold, l_active)
+        got = self._levels.get(key)
         if got is None:
-            got = opportunity_weights(self.design, self.geom, self.params, l_active)
-            self._weights[l_active] = got
-        return got
-
-    def budget(self, l_active: int) -> float:
-        got = self._budget.get(l_active)
-        if got is None:
-            p = self.params
-            got = (
-                p.frame_duration
-                - p.tau2
-                - p.n_samples * p.sample_interval
-                - p.tau5
-                - l_active * p.tau_r_prime
+            q0, q1 = opportunity_weights(design, self.geom, self.params, l_active)
+            rates = q0 * self.r0 + q1 * self.r1
+            lowers, uppers = time_bound_arrays(
+                rates, self.margin, self.buffers, self.cost
             )
-            self._budget[l_active] = got
+            got = (rates, lowers, uppers, rates * self.pay)
+            self._levels[key] = got
         return got
 
-    def evaluate(self, idx: tuple) -> "_SetEval":
-        members = np.fromiter(idx, dtype=np.intp, count=len(idx))
-        q0, q1 = self.weights(len(idx))
-        rates = q0 * self.r0[members] + q1 * self.r1[members]
-        margin = self.margin[members]
-        lowers, uppers = time_bound_arrays(
-            rates, margin, self.buffers[members], self.cost
-        )
+    def screen(self, design: SensingDesign) -> Optional[tuple]:
+        """(reduced set, minimum viable set size l_lb) at ``design``, or
+        None when the design admits no feasible set: a vote threshold
+        above the reduced set's size, or a detection floor no size up to
+        it reaches. Cached per design."""
+        key = (design.pfa_local, design.k_threshold)
+        if key in self._screens:
+            return self._screens[key]
+        got = None
+        if design.k_threshold <= len(self.sus):
+            reduced = _reduced(self, design)
+            if design.k_threshold <= len(reduced):
+                zeta = self.params.zeta
+                l_lb = min_active_users(design, self.geom, zeta, len(reduced))
+                if l_lb is not None:
+                    got = (reduced, l_lb)
+        self._screens[key] = got
+        return got
+
+    def evaluate(self, design: SensingDesign, idx: tuple) -> "_SetEval":
+        members = np.array(idx, dtype=np.intp)
+        rates, lowers, uppers, prios = self.level(design, len(idx))
         return _SetEval(
-            idx=idx,
-            rates=rates,
-            lowers=lowers,
-            uppers=uppers,
-            priorities=rates * self.pay[members],
-            t_prime=self.budget(len(idx)),
-            margin=margin,
+            idx,
+            members,
+            rates[members],
+            lowers[members],
+            uppers[members],
+            prios[members],
+            self.budgets[len(idx)],
         )
 
 
-@dataclass
 class _SetEval:
-    """Bounds, priorities, and budget for one candidate set at its own size."""
+    """Bounds, priorities, budget and budget case of one candidate set
+    (``idx``, positions in its table) at its own size."""
 
-    idx: tuple
-    rates: np.ndarray
-    lowers: np.ndarray
-    uppers: np.ndarray
-    priorities: np.ndarray
-    t_prime: float
-    margin: np.ndarray
+    __slots__ = (
+        "idx", "members", "rates", "lowers", "uppers", "priorities", "t_prime",
+        "case",
+    )
 
-    @property
-    def case(self) -> CaseLabel:
-        if float(self.uppers.sum()) <= self.t_prime + TIME_TOL:
-            return CaseLabel.CASE1
-        if float(self.lowers.sum()) <= self.t_prime + TIME_TOL:
-            return CaseLabel.CASE2
-        return CaseLabel.CASE3
-
-
-def _workspace(sus, design, geom, params) -> _Workspace:
-    return _Workspace(sus, design, geom, params)
-
-
-def _evaluate_set(sus, design, geom, params) -> _SetEval:
-    # Bounds/priorities of a standalone user list at its own cardinality.
-    ws = _Workspace(sus, design, geom, params)
-    return ws.evaluate(tuple(range(len(sus))))
+    def __init__(self, idx, members, rates, lowers, uppers, priorities, t_prime):
+        self.idx = idx
+        self.members = members
+        self.rates = rates
+        self.lowers = lowers
+        self.uppers = uppers
+        self.priorities = priorities
+        self.t_prime = t_prime
+        if float(uppers.sum()) <= t_prime + TIME_TOL:
+            self.case = CaseLabel.CASE1
+        elif float(lowers.sum()) <= t_prime + TIME_TOL:
+            self.case = CaseLabel.CASE2
+        else:
+            self.case = CaseLabel.CASE3
 
 
 def classify_case(
@@ -237,8 +253,13 @@ def classify_case(
         )
     if any(su.earn_rate <= su.pay_rate for su in sus):
         raise ValueError("never-profitable user present; reduce the set first")
-    ws = _workspace(sus, design, geom, params)
-    return ws.evaluate(tuple(range(len(sus)))).case
+    return UserTable(sus, geom, params).evaluate(design, tuple(range(len(sus)))).case
+
+
+def _reduced(table: UserTable, design: SensingDesign) -> tuple:
+    # Positions whose bounds are well ordered at the full set size.
+    _, lowers, uppers, _ = table.level(design, len(table.sus))
+    return tuple(np.flatnonzero(lowers < uppers).tolist())
 
 
 def reduce_feasible_set(
@@ -255,9 +276,8 @@ def reduce_feasible_set(
     """
     if not all_sus:
         return []
-    ws = _workspace(all_sus, design, geom, params)
-    ev = ws.evaluate(tuple(range(len(all_sus))))
-    return [su for su, lo, up in zip(all_sus, ev.lowers, ev.uppers) if lo < up]
+    table = UserTable(all_sus, geom, params)
+    return [table.sus[i] for i in _reduced(table, design)]
 
 
 def greedy_topup(
@@ -286,61 +306,76 @@ def greedy_topup(
 
 
 def _topup_times(ev: _SetEval) -> np.ndarray:
-    times = ev.lowers.copy()
-    remaining = ev.t_prime - float(times.sum())
-    order = sorted(range(len(times)), key=lambda i: (-ev.priorities[i], i))
-    for i in order:
+    # greedy_topup on a set's arrays, with the lower bounds summed by numpy.
+    times = ev.lowers.tolist()
+    gaps = (ev.uppers - ev.lowers).tolist()
+    remaining = ev.t_prime - float(ev.lowers.sum())
+    for i in np.argsort(-ev.priorities, kind="stable").tolist():
         if remaining <= 0.0:
             break
-        grant = min(ev.uppers[i] - ev.lowers[i], remaining)
+        grant = min(gaps[i], remaining)
         times[i] += grant
         remaining -= grant
-    return times
+    return np.array(times)
 
 
-def _result_for_times(
-    ws: _Workspace, ev: _SetEval, times: np.ndarray, case: CaseLabel
-) -> AllocationResult:
-    # R t (b-a) - cost == R (b-a) (t - LB); the excess form is exactly
-    # zero at the break-even grant instead of rounding to +-1e-19.
-    su_utils = ev.rates * ev.margin * (times - ev.lowers)
-    return AllocationResult(
-        active=tuple(True for _ in ev.idx),
-        times=tuple(float(t) for t in times),
-        fc_utility=float(np.dot(ev.priorities, times)),
-        su_utilities=tuple(float(u) for u in su_utils),
-        case=case,
-        feasible=True,
-    )
-
-
-def _allocate_at_upper(ws: _Workspace, ev: _SetEval) -> AllocationResult:
-    # Serving everyone their buffer-clearing bound earns exactly the
-    # buffered value sum(pay_i * B_i); computing it in that closed form
-    # keeps the utility bitwise identical across designs, so flat-surface
-    # ties resolve by the documented (pfa, k) order.
-    members = np.fromiter(ev.idx, dtype=np.intp, count=len(ev.idx))
-    su_utils = ev.rates * ev.margin * (ev.uppers - ev.lowers)
-    return AllocationResult(
-        active=tuple(True for _ in ev.idx),
-        times=tuple(float(t) for t in ev.uppers),
-        fc_utility=float(np.dot(ws.pay[members], ws.buffers[members])),
-        su_utilities=tuple(float(u) for u in su_utils),
-        case=CaseLabel.CASE1,
-        feasible=True,
-    )
-
-
-def _evaluate_candidate(ws: _Workspace, idx: tuple) -> Optional[AllocationResult]:
-    # Case-1 scores at upper bounds, Case-2 via water-filling, Case-3 is
-    # discarded (returns None).
-    ev = ws.evaluate(idx)
-    case = ev.case
-    if case is CaseLabel.CASE1:
-        return _allocate_at_upper(ws, ev)
-    if case is CaseLabel.CASE2:
-        return _result_for_times(ws, ev, _topup_times(ev), CaseLabel.CASE2)
+def _score(table: UserTable, ev: _SetEval) -> Optional[tuple]:
+    # (utility, evaluation, times): Case-1 serves everyone at their upper bounds,
+    # Case-2 water-fills, Case-3 is discarded (None). A Case-1 set earns
+    # exactly its buffered value sum(pay_i * B_i); computing it in that
+    # closed form keeps the utility bitwise identical across designs, so
+    # flat-surface ties resolve by the documented (pfa, k) order.
+    if ev.case is CaseLabel.CASE1:
+        utility = np.dot(table.pay[ev.members], table.buffers[ev.members])
+        return float(utility), ev, ev.uppers
+    if ev.case is CaseLabel.CASE2:
+        times = _topup_times(ev)
+        return float(np.dot(ev.priorities, times)), ev, times
     return None
+
+
+def _better(best: Optional[tuple], candidate: Optional[tuple]) -> Optional[tuple]:
+    # The strictly higher-utility scored candidate; ties keep ``best``.
+    if candidate is not None and (best is None or candidate[0] > best[0]):
+        return candidate
+    return best
+
+
+def _result(
+    table: UserTable, scored: tuple, m: int, positions: Sequence[int]
+) -> AllocationResult:
+    # The allocation of a scored set over ``m`` users, member j placed at
+    # positions[j]. R t (b-a) - cost == R (b-a) (t - LB); the excess form
+    # is exactly zero at the break-even grant instead of rounding to
+    # +-1e-19.
+    utility, ev, times = scored
+    su_utils = ev.rates * table.margin[ev.members] * (times - ev.lowers)
+    active = [False] * m
+    t_full = [0.0] * m
+    u_full = [0.0] * m
+    for i, t, u in zip(positions, times.tolist(), su_utils.tolist()):
+        active[i] = True
+        t_full[i] = t
+        u_full[i] = u
+    return AllocationResult(
+        active=tuple(active),
+        times=tuple(t_full),
+        fc_utility=utility,
+        su_utilities=tuple(u_full),
+        case=ev.case,
+        feasible=True,
+    )
+
+
+def _infeasible(m: int, case: Optional[CaseLabel]) -> AllocationResult:
+    return AllocationResult(
+        active=(False,) * m,
+        times=(0.0,) * m,
+        fc_utility=0.0,
+        su_utilities=(0.0,) * m,
+        case=case,
+        feasible=False,
+    )
 
 
 def waterfill_allocate(
@@ -357,46 +392,45 @@ def waterfill_allocate(
     ValueError
         If the set is not in the contested-time case.
     """
-    ws = _workspace(sus, design, geom, params)
-    ev = ws.evaluate(tuple(range(len(sus))))
+    table = UserTable(sus, geom, params)
+    ev = table.evaluate(design, tuple(range(len(sus))))
     if ev.case is not CaseLabel.CASE2:
         raise ValueError(f"water-filling requires Case-2, set is {ev.case}")
-    return _result_for_times(ws, ev, _topup_times(ev), CaseLabel.CASE2)
+    return _result(table, _score(table, ev), len(sus), ev.idx)
 
 
-def _ordered_desc(ws: _Workspace, idx: Sequence[int], keys: np.ndarray) -> list:
+def _ordered_desc(table: UserTable, idx: Sequence[int], keys: np.ndarray) -> list:
     # Descending by key, ties by lowest user id.
-    return sorted(idx, key=lambda i: (-keys[i], ws.ids[i]))
+    members = np.array(idx, dtype=np.intp)
+    return members[np.lexsort((table.ids[members], -keys[members]))].tolist()
 
 
-def _exchange_core(ws: _Workspace, kept: tuple, excluded: tuple) -> tuple:
-    best_idx = kept
-    best_alloc = _evaluate_candidate(ws, kept)
-    best_utility = best_alloc.fc_utility if best_alloc is not None else -math.inf
+def _exchange_core(
+    table: UserTable, design: SensingDesign, kept: tuple, excluded: tuple
+) -> Optional[tuple]:
+    # The best scored same-cardinality set, the kept set included; None
+    # when no candidate is feasible.
+    best = _score(table, table.evaluate(design, kept))
+    if not excluded or not kept:
+        return best
 
     def consider(candidate: tuple) -> None:
-        nonlocal best_idx, best_alloc, best_utility
-        alloc = _evaluate_candidate(ws, candidate)
-        if alloc is not None and alloc.fc_utility > best_utility:
-            best_idx, best_alloc, best_utility = candidate, alloc, alloc.fc_utility
+        nonlocal best
+        best = _better(best, _score(table, table.evaluate(design, candidate)))
 
-    if not excluded or not kept:
-        return best_idx, best_alloc
+    def case(candidate: tuple) -> CaseLabel:
+        return table.evaluate(design, candidate).case
 
     # Orderings are taken at the current candidate cardinality |kept|.
-    l_active = len(kept)
-    q0, q1 = ws.weights(l_active)
-    rates = q0 * ws.r0 + q1 * ws.r1
-    lb_keys, ub_keys = time_bound_arrays(rates, ws.margin, ws.buffers, ws.cost)
-    pay_keys = rates * ws.pay
+    _, lb_keys, ub_keys, pay_keys = table.level(design, len(kept))
 
-    by_ub = (_ordered_desc(ws, kept, ub_keys), _ordered_desc(ws, excluded, ub_keys))
-    by_lb = (_ordered_desc(ws, kept, lb_keys), _ordered_desc(ws, excluded, lb_keys))
-    by_buf = (
-        _ordered_desc(ws, kept, ws.buffers),
-        _ordered_desc(ws, excluded, ws.buffers),
-    )
-    by_pay = (_ordered_desc(ws, kept, pay_keys), _ordered_desc(ws, excluded, pay_keys))
+    def ordered(keys: np.ndarray) -> tuple:
+        return (_ordered_desc(table, kept, keys), _ordered_desc(table, excluded, keys))
+
+    by_ub = ordered(ub_keys)
+    by_lb = ordered(lb_keys)
+    by_buf = ordered(table.buffers)
+    by_pay = ordered(pay_keys)
 
     def swap(ordering: tuple, n: int, last_out: bool) -> tuple:
         kept_sorted, ex_sorted = ordering
@@ -412,29 +446,22 @@ def _exchange_core(ws: _Workspace, kept: tuple, excluded: tuple) -> tuple:
         g2 = swap(by_ub, n, last_out=False)
         g3 = swap(by_lb, n, last_out=True)
         g4 = swap(by_lb, n, last_out=False)
-        g5 = swap(by_buf, n, last_out=True)
-        g6 = swap(by_pay, n, last_out=True)
 
-        if (
-            ws.evaluate(g1).case is CaseLabel.CASE1
-            and ws.evaluate(g2).case is CaseLabel.CASE1
-        ):
-            consider(g5)
+        if case(g1) is CaseLabel.CASE1 and case(g2) is CaseLabel.CASE1:
+            consider(swap(by_buf, n, last_out=True))
             continue
-        if (
-            ws.evaluate(g3).case is CaseLabel.CASE2
-            and ws.evaluate(g4).case is CaseLabel.CASE2
-        ):
-            consider(g6)
+        g4_case = case(g4)
+        if case(g3) is CaseLabel.CASE2 and g4_case is CaseLabel.CASE2:
+            consider(swap(by_pay, n, last_out=True))
             break
-        if ws.evaluate(g4).case is CaseLabel.CASE3:
+        if g4_case is CaseLabel.CASE3:
             break
         for out_combo in itertools.combinations(kept, n):
             rest = [i for i in kept if i not in out_combo]
             for in_combo in itertools.combinations(excluded, n):
                 consider(tuple(sorted(rest + list(in_combo))))
 
-    return best_idx, best_alloc
+    return best
 
 
 def exchange_search(
@@ -458,49 +485,85 @@ def exchange_search(
     -------
     (tuple of SecondaryUser, AllocationResult)
         The best same-cardinality set found and its allocation (aligned
-        to the returned set, sorted by user id).
+        to the returned set, sorted by user id); the allocation is None
+        when no candidate is feasible.
     """
     kept = sorted(kept, key=lambda su: su.id)
     excluded = sorted(excluded, key=lambda su: su.id)
     if {su.id for su in kept} & {su.id for su in excluded}:
         raise ValueError("kept and excluded sets overlap")
     pool = kept + excluded
-    ws = _workspace(pool, design, geom, params)
+    table = UserTable(pool, geom, params)
     kept_idx = tuple(range(len(kept)))
     ex_idx = tuple(range(len(kept), len(pool)))
-    best_idx, best_alloc = _exchange_core(ws, kept_idx, ex_idx)
-    return tuple(pool[i] for i in best_idx), best_alloc
+    best = _exchange_core(table, design, kept_idx, ex_idx)
+    if best is None:
+        return tuple(kept), None
+    idx = best[1].idx
+    alloc = _result(table, best, len(idx), range(len(idx)))
+    return tuple(pool[i] for i in idx), alloc
 
 
-def _expand(
-    all_sus: Sequence[SecondaryUser],
-    positions: Sequence[int],
-    alloc: Optional[AllocationResult],
-    case: Optional[CaseLabel],
-    feasible: bool,
-) -> AllocationResult:
-    # Map a subset-aligned allocation back onto the full input ordering;
-    # ``positions`` are indices into all_sus.
-    m = len(all_sus)
-    active = [False] * m
-    times = [0.0] * m
-    su_utils = [0.0] * m
-    fc = 0.0
-    if alloc is not None:
-        for j, i in enumerate(positions):
-            active[i] = True
-            times[i] = alloc.times[j]
-            su_utils[i] = alloc.su_utilities[j]
-        fc = alloc.fc_utility
-        case = alloc.case
-    return AllocationResult(
-        active=tuple(active),
-        times=tuple(times),
-        fc_utility=fc,
-        su_utilities=tuple(su_utils),
-        case=case,
-        feasible=feasible,
+def utility_bound(table: UserTable, design: SensingDesign) -> Optional[float]:
+    """Upper bound on the utility :func:`select_and_allocate` finds at
+    ``design``, or None when the design is infeasible before any search.
+
+    With R the reduced set and l_lb the minimum viable set size, the bound
+    is min(sum_{i in R} a_i B_i, (T'(l_lb) + TIME_TOL) max_{i in R}
+    R_i(l_lb) a_i). Every candidate set is a subset of R of size
+    L >= l_lb; its grants satisfy t_i <= B_i / R_i(L) and sum to at most
+    T'(L) + TIME_TOL; and the fused tails grow with L, so R_i(L) <=
+    R_i(l_lb) and T'(L) <= T'(l_lb). Exact up to rounding in the sums.
+    """
+    screened = table.screen(design)
+    if screened is None:
+        return None
+    reduced, l_lb = screened
+    members = np.array(reduced, dtype=np.intp)
+    prios = table.level(design, l_lb)[3]
+    return min(
+        float((table.pay[members] * table.buffers[members]).sum()),
+        (table.budgets[l_lb] + TIME_TOL) * float(prios[members].max()),
     )
+
+
+def _select(
+    table: UserTable, design: SensingDesign, reduced: tuple, l_lb: int
+) -> Optional[tuple]:
+    # The elimination walk with a global best-so-far contested-time
+    # incumbent; the scored winner, or None when every set it reaches at
+    # the minimum size overflows the budget.
+    ev = table.evaluate(design, reduced)
+    if ev.case is CaseLabel.CASE1 or len(reduced) == l_lb:
+        return _score(table, ev)
+
+    current = reduced
+    incumbent: Optional[tuple] = None
+    while len(current) > l_lb:
+        if ev.case is CaseLabel.CASE2:
+            incumbent = _better(incumbent, _score(table, ev))
+        # Drop the user paying the least per second at this set size.
+        j = int(np.lexsort((table.ids[ev.members], ev.priorities))[0])
+        current = current[:j] + current[j + 1 :]
+        ev = table.evaluate(design, current)
+
+        if ev.case is CaseLabel.CASE1:
+            excluded = tuple(i for i in reduced if i not in current)
+            star = _exchange_core(table, design, current, excluded)
+            if star[1].case is CaseLabel.CASE1:
+                return _better(star, incumbent)
+            # Contested-time winner: adopt it and keep eliminating.
+            ev = star[1]
+            current = ev.idx
+            incumbent = _better(incumbent, star)
+
+        if len(current) == l_lb:
+            final = _score(table, ev)
+            if final is not None:
+                return _better(final, incumbent)
+            return incumbent
+
+    return incumbent
 
 
 def select_and_allocate(
@@ -508,6 +571,7 @@ def select_and_allocate(
     design: SensingDesign,
     geom: SensingGeometry,
     params: SystemParams,
+    table: Optional[UserTable] = None,
 ) -> AllocationResult:
     """Full selection + allocation at a fixed sensing design.
 
@@ -517,85 +581,22 @@ def select_and_allocate(
     abundant case to trigger the exchange refinement, and keeps the best
     contested-time incumbent seen anywhere along the way.
 
-    Infeasibility (detection floor unreachable, or lower bounds that
-    overflow the budget at the minimum viable set size) is reported via
-    ``feasible=False``, never an exception.
+    Infeasibility (a vote threshold above the number of users, detection
+    floor unreachable, or lower bounds that overflow the budget at the
+    minimum viable set size) is reported via ``feasible=False``, never an
+    exception.
+
+    ``table`` is a :class:`UserTable` of exactly these users, geometry
+    and params, for a caller that searches many designs (built here when
+    omitted).
     """
-    m = len(all_sus)
-    infeasible = _expand(all_sus, (), None, None, False)
-    if m == 0:
-        return infeasible
-    ws = _workspace(all_sus, design, geom, params)
-    full = ws.evaluate(tuple(range(m)))
-    reduced = tuple(i for i in range(m) if full.lowers[i] < full.uppers[i])
-    if not reduced or design.k_threshold > len(reduced):
-        return infeasible
-    l_lb = min_active_users(design, geom, params.zeta, len(reduced))
-    if l_lb is None or len(reduced) < l_lb:
-        return infeasible
-
-    def finish(idx, alloc):
-        return _expand(all_sus, idx, alloc, alloc.case, True)
-
-    ev = ws.evaluate(reduced)
-    if ev.case is CaseLabel.CASE1:
-        return finish(reduced, _allocate_at_upper(ws, ev))
-    if len(reduced) == l_lb:
-        if ev.case is CaseLabel.CASE2:
-            return finish(
-                reduced, _result_for_times(ws, ev, _topup_times(ev), CaseLabel.CASE2)
-            )
-        return _expand(all_sus, (), None, CaseLabel.CASE3, False)
-
-    # Elimination loop with a global best-so-far contested-time incumbent.
-    current = reduced
-    incumbent_idx: Optional[tuple] = None
-    incumbent: Optional[AllocationResult] = None
-
-    def note_incumbent(idx, alloc):
-        nonlocal incumbent_idx, incumbent
-        if incumbent is None or alloc.fc_utility > incumbent.fc_utility:
-            incumbent_idx, incumbent = idx, alloc
-
-    while len(current) > l_lb:
-        if ev.case is CaseLabel.CASE2:
-            note_incumbent(
-                current, _result_for_times(ws, ev, _topup_times(ev), CaseLabel.CASE2)
-            )
-        # Drop the user paying the least per second at this set size.
-        j = min(
-            range(len(current)),
-            key=lambda i: (ev.priorities[i], ws.ids[current[i]]),
-        )
-        current = current[:j] + current[j + 1 :]
-        ev = ws.evaluate(current)
-
-        if ev.case is CaseLabel.CASE1:
-            excluded = tuple(i for i in reduced if i not in current)
-            star_idx, star_alloc = _exchange_core(ws, current, excluded)
-            if star_alloc.case is CaseLabel.CASE1:
-                if incumbent is not None and incumbent.fc_utility > star_alloc.fc_utility:
-                    return finish(incumbent_idx, incumbent)
-                return finish(star_idx, star_alloc)
-            # Contested-time winner: adopt it and keep eliminating.
-            current = star_idx
-            ev = ws.evaluate(current)
-            note_incumbent(star_idx, star_alloc)
-
-        if len(current) == l_lb:
-            final: Optional[AllocationResult] = None
-            if ev.case is CaseLabel.CASE1:
-                final = _allocate_at_upper(ws, ev)
-            elif ev.case is CaseLabel.CASE2:
-                final = _result_for_times(ws, ev, _topup_times(ev), CaseLabel.CASE2)
-            if final is not None:
-                if incumbent is not None and incumbent.fc_utility > final.fc_utility:
-                    return finish(incumbent_idx, incumbent)
-                return finish(current, final)
-            if incumbent is not None:
-                return finish(incumbent_idx, incumbent)
-            return _expand(all_sus, (), None, CaseLabel.CASE3, False)
-
-    if incumbent is not None:
-        return finish(incumbent_idx, incumbent)
-    return _expand(all_sus, (), None, CaseLabel.CASE3, False)
+    if table is None:
+        table = UserTable(all_sus, geom, params)
+    m = len(table.sus)
+    screened = table.screen(design)
+    if screened is None:
+        return _infeasible(m, None)
+    best = _select(table, design, *screened)
+    if best is None:
+        return _infeasible(m, CaseLabel.CASE3)
+    return _result(table, best, m, best[1].idx)

@@ -188,6 +188,32 @@ def effective_config(raw: dict) -> dict:
     }
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# Each sweep value must pass the rule of the base field it replaces.
+_SWEEP_RULES = {
+    "zeta": ("a number in (0, 1)", lambda v: _is_number(v) and 0.0 < v < 1.0),
+    "p_h0": ("a number in (0, 1)", lambda v: _is_number(v) and 0.0 < v < 1.0),
+    "gamma_db": ("a number", _is_number),
+    "m": ("an integer >= 1", lambda v: _is_number(v) and isinstance(v, int) and v >= 1),
+    "buffer_bits": ("a number >= 0", lambda v: _is_number(v) and v >= 0),
+}
+
+
+def _sweep_value_errors(sweep: str, values: tuple) -> list:
+    rule = _SWEEP_RULES.get(sweep)
+    if rule is None:
+        return []
+    what, ok = rule
+    return [
+        f"experiment.values[{i}] for sweep {sweep!r} must be {what}, got {v!r}"
+        for i, v in enumerate(values)
+        if not ok(v)
+    ]
+
+
 def parse_config(raw: dict) -> RunConfig:
     """Validate a raw config dict into a :class:`RunConfig`.
 
@@ -269,6 +295,7 @@ def parse_config(raw: dict) -> RunConfig:
             sweep_values = ()
         else:
             sweep_values = tuple(values)
+            errors.extend(_sweep_value_errors(sweep, sweep_values))
     if exp["n_frames"] < 1:
         errors.append("experiment.n_frames must be >= 1")
     if eff["trials"] < 1:

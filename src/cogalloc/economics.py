@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-import numpy as np
-from scipy.integrate import quad
 from scipy.special import exp1
 
 from .sensing import SensingDesign, SensingGeometry, global_pd, global_pfa
@@ -220,53 +218,6 @@ def rate_interfered(su: SecondaryUser, params: SystemParams) -> float:
     return _rate_interfered_cached(
         su.gain_to_fc, params.p_st, params.p_pt, params.noise_power, params.bandwidth
     )
-
-
-@lru_cache(maxsize=8)
-def _laggauss(order: int):
-    return np.polynomial.laguerre.laggauss(order)
-
-
-def rate_interfered_quadrature(
-    su: SecondaryUser, params: SystemParams, rel_tol: float = 1e-8
-) -> float:
-    """Quadrature route for the interfered rate: 128-node Gauss-Laguerre,
-    validated against a 64-node rule, with adaptive integration as the
-    fallback when the two disagree beyond ``rel_tol``.
-
-    Kept as an independent verification path for :func:`rate_interfered`.
-
-    Raises
-    ------
-    ArithmeticError
-        If the adaptive fallback cannot reach the requested tolerance.
-    """
-    a = su.gain_to_fc * params.p_st
-    b = params.p_pt
-    n0 = params.noise_power
-
-    def integrand(x: float) -> float:
-        return math.log2(1.0 + a / (x * b + n0))
-
-    estimates = []
-    for order in (128, 64):
-        nodes, weights = _laggauss(order)
-        estimates.append(float(weights @ np.log2(1.0 + a / (nodes * b + n0))))
-    if abs(estimates[0] - estimates[1]) <= rel_tol * abs(estimates[0]):
-        return params.bandwidth * estimates[0]
-    value, err = quad(
-        lambda x: math.exp(-x) * integrand(x),
-        0.0,
-        np.inf,
-        limit=500,
-        epsabs=1e-13,
-        epsrel=1e-11,
-    )
-    if err > max(rel_tol * abs(value), 1e-13):
-        raise ArithmeticError(
-            f"interfered-rate quadrature did not converge: value={value}, err={err}"
-        )
-    return params.bandwidth * value
 
 
 def effective_rate(

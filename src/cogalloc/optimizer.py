@@ -22,11 +22,13 @@ from scipy.special import digamma, gammaln
 
 from .allocator import (
     AllocationResult,
+    UserTable,
     greedy_topup,
     opportunity_weights,
     select_and_allocate,
     time_bound_arrays,
     user_arrays,
+    utility_bound,
 )
 from .economics import (
     SecondaryUser,
@@ -101,6 +103,11 @@ def _infeasible_outcome(m: int, surface, elapsed: float) -> OptimizationOutcome:
     return OptimizationOutcome(None, empty, surface, elapsed)
 
 
+#: Relative slack on a design's utility bound before the grid search
+#: skips the design; it covers rounding in the utility and bound sums.
+BOUND_SLACK = 1e-9
+
+
 def joint_optimize(
     all_sus: Sequence[SecondaryUser],
     geom: SensingGeometry,
@@ -113,15 +120,38 @@ def joint_optimize(
     Feasible ties break toward the smallest false-alarm value, then the
     smallest vote threshold. Returns an all-infeasible outcome when no
     grid point admits a feasible allocation.
+
+    The users' design-independent columns are built once per call (one
+    :class:`~cogalloc.allocator.UserTable`). Once a feasible incumbent
+    exists, a design is searched only if its utility can reach it. With
+    R the design's reduced set and l_lb its minimum viable set size, the
+    design's utility is at most
+    U_max = min(sum_{i in R} a_i B_i, T'(l_lb) max_{i in R} R_i(l_lb) a_i)
+    (see :func:`~cogalloc.allocator.utility_bound`, which adds the budget
+    check's TIME_TOL to T'): every candidate set lies in R and has
+    L >= l_lb users; each grant is at most B_i / R_i(L) and the grants
+    sum to at most T'(L); the fused tails grow with L, so
+    R_i(L) <= R_i(l_lb) and T'(L) <= T'(l_lb). The design is skipped when
+    U_max * (1 + BOUND_SLACK) < the incumbent's utility; the slack covers
+    rounding in the sums, and the strict comparison lets a design that
+    could tie the incumbent reach the (pfa, k) tie-break. Skipping only
+    designs that cannot win leaves the result bit-for-bit that of
+    searching every design. With ``keep_surface`` every design is
+    searched, so the surface holds every grid point.
     """
     start = time.perf_counter()
     surface: Optional[dict] = {} if keep_surface else None
+    table = UserTable(all_sus, geom, params)
     best_key = None
     best: Optional[tuple] = None
     for k in grid.k_values:
         for pfa in grid.pfa_values:
             design = SensingDesign(pfa_local=pfa, k_threshold=k)
-            alloc = select_and_allocate(all_sus, design, geom, params)
+            if surface is None and best_key is not None:
+                bound = utility_bound(table, design)
+                if bound is None or bound * (1.0 + BOUND_SLACK) < best_key[0]:
+                    continue
+            alloc = select_and_allocate(all_sus, design, geom, params, table)
             if surface is not None:
                 surface[(pfa, k)] = alloc.fc_utility if alloc.feasible else None
             if not alloc.feasible:

@@ -6,13 +6,16 @@ density, fused probabilities from explicit enumeration of decision
 vectors, the inner allocation LP from scipy's linprog, and the selection
 optimum from exhaustive subset enumeration at a fixed design. The
 design-batched exhaustive oracle is checked against the scalar oracle it
-replaced, kept here.
+replaced, the pruned grid search against the plain per-point loop it
+replaced, and the closed-form interfered rate against a quadrature
+route, all kept here.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
@@ -29,7 +32,9 @@ from cogalloc import (
     effective_time,
     global_pd,
     greedy_topup,
+    select_and_allocate,
 )
+from cogalloc.allocator import UserTable
 from cogalloc.optimizer import _infeasible_outcome
 
 
@@ -220,3 +225,74 @@ def scalar_exhaustive_oracle(all_sus, geom, params, grid):
         feasible=True,
     )
     return OptimizationOutcome(design, alloc, None, 0.0)
+
+
+def evaluate_set(sus, design, geom, params):
+    """Bounds, priorities, budget and case of a user list as one candidate
+    set at its own cardinality."""
+    return UserTable(sus, geom, params).evaluate(design, tuple(range(len(sus))))
+
+
+def reference_joint_optimize(all_sus, geom, params, grid):
+    """The grid search as one full :func:`cogalloc.select_and_allocate`
+    per grid point, nothing skipped: the reference the pruned
+    :func:`cogalloc.joint_optimize` must reproduce bit for bit."""
+    best_key = None
+    best = None
+    for k in grid.k_values:
+        for pfa in grid.pfa_values:
+            design = SensingDesign(pfa_local=pfa, k_threshold=k)
+            alloc = select_and_allocate(all_sus, design, geom, params)
+            if not alloc.feasible:
+                continue
+            key = (alloc.fc_utility, -pfa, -k)
+            if best_key is None or key > best_key:
+                best_key = key
+                best = (design, alloc)
+    if best is None:
+        return _infeasible_outcome(len(all_sus), None, 0.0)
+    return OptimizationOutcome(best[0], best[1], None, 0.0)
+
+
+@lru_cache(maxsize=8)
+def _laggauss(order: int):
+    return np.polynomial.laguerre.laggauss(order)
+
+
+def rate_interfered_quadrature(su, params, rel_tol: float = 1e-8) -> float:
+    """Quadrature route for the interfered rate: 128-node Gauss-Laguerre,
+    validated against a 64-node rule, with adaptive integration as the
+    fallback when the two disagree beyond ``rel_tol``. An independent
+    check on the closed form of :func:`cogalloc.rate_interfered`.
+
+    Raises
+    ------
+    ArithmeticError
+        If the adaptive fallback cannot reach the requested tolerance.
+    """
+    a = su.gain_to_fc * params.p_st
+    b = params.p_pt
+    n0 = params.noise_power
+
+    def integrand(x: float) -> float:
+        return math.log2(1.0 + a / (x * b + n0))
+
+    estimates = []
+    for order in (128, 64):
+        nodes, weights = _laggauss(order)
+        estimates.append(float(weights @ np.log2(1.0 + a / (nodes * b + n0))))
+    if abs(estimates[0] - estimates[1]) <= rel_tol * abs(estimates[0]):
+        return params.bandwidth * estimates[0]
+    value, err = quad(
+        lambda x: math.exp(-x) * integrand(x),
+        0.0,
+        np.inf,
+        limit=500,
+        epsabs=1e-13,
+        epsrel=1e-11,
+    )
+    if err > max(rel_tol * abs(value), 1e-13):
+        raise ArithmeticError(
+            f"interfered-rate quadrature did not converge: value={value}, err={err}"
+        )
+    return params.bandwidth * value

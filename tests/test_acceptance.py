@@ -29,9 +29,10 @@ from cogalloc import (
     quasiconcavity_probe,
     run_episode,
 )
-from cogalloc.allocator import CaseLabel, _evaluate_set
+from cogalloc.allocator import CaseLabel
 
 from helpers import (
+    evaluate_set,
     fused_tail_enumeration,
     lp_time_allocation,
     make_users,
@@ -446,7 +447,7 @@ def test_criterion_10_unit_invariant_suites():
             rng = np.random.default_rng(seed)
             base = default_system_params()
             sus = make_users(seed + 700, m, buffer_bits=int(rng.integers(300, 1500)))
-            ev = _evaluate_set(sus, design, base.geometry(), base)
+            ev = evaluate_set(sus, design, base.geometry(), base)
             budget = float(rng.uniform(0.3, 0.7)) * float(ev.uppers.sum())
             overhead = (
                 base.tau2 + base.n_samples * base.sample_interval + base.tau5
@@ -455,7 +456,7 @@ def test_criterion_10_unit_invariant_suites():
                 frame_duration=budget + overhead + m * base.tau_r_prime
             )
             geom_m = params_m.geometry()
-            ev = _evaluate_set(sus, design, geom_m, params_m)
+            ev = evaluate_set(sus, design, geom_m, params_m)
             if ev.case is not CaseLabel.CASE2:
                 continue
             times = greedy_topup(
@@ -466,7 +467,7 @@ def test_criterion_10_unit_invariant_suites():
             removals = {}
             for drop in range(m):
                 rest = [su for i, su in enumerate(sus) if i != drop]
-                ev_r = _evaluate_set(rest, design, geom_m, params_m)
+                ev_r = evaluate_set(rest, design, geom_m, params_m)
                 if ev_r.case is not CaseLabel.CASE2:
                     removals = None
                     break
@@ -492,7 +493,7 @@ def test_criterion_10_unit_invariant_suites():
         by_gain = sorted(pool, key=lambda su: -su.gain_to_fc)
         kept, excluded = by_gain[:3], by_gain[3:]
         base = default_system_params()
-        ev = _evaluate_set(kept, design, base.geometry(), base)
+        ev = evaluate_set(kept, design, base.geometry(), base)
         budget = float(rng.uniform(0.4, 0.8)) * float(ev.uppers.sum())
         overhead = base.tau2 + base.n_samples * base.sample_interval + base.tau5
         params_m = default_system_params(
@@ -501,7 +502,7 @@ def test_criterion_10_unit_invariant_suites():
         geom_m = params_m.geometry()
 
         def value_of(subset):
-            ev = _evaluate_set(subset, design, geom_m, params_m)
+            ev = evaluate_set(subset, design, geom_m, params_m)
             if ev.case is CaseLabel.CASE1:
                 return float(np.dot(ev.priorities, ev.uppers))
             if ev.case is CaseLabel.CASE2:
@@ -520,8 +521,8 @@ def test_criterion_10_unit_invariant_suites():
         g3 = [su for su in kept if su is not kept_lb[-1]] + [ex_lb[0]]
         g4 = [su for su in kept if su is not kept_lb[0]] + [ex_lb[-1]]
         if not (
-            _evaluate_set(g3, design, geom_m, params_m).case is CaseLabel.CASE2
-            and _evaluate_set(g4, design, geom_m, params_m).case is CaseLabel.CASE2
+            evaluate_set(g3, design, geom_m, params_m).case is CaseLabel.CASE2
+            and evaluate_set(g4, design, geom_m, params_m).case is CaseLabel.CASE2
         ):
             continue
         depth1 = []

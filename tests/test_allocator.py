@@ -24,9 +24,9 @@ from cogalloc import (
     select_and_allocate,
     waterfill_allocate,
 )
-from cogalloc.allocator import _evaluate_set
 
 from helpers import (
+    evaluate_set,
     lp_time_allocation,
     make_users,
     subset_oracle_fixed_design,
@@ -54,7 +54,7 @@ class TestClassifyCase:
         params = default_system_params()
         sus = make_users(seed, m)
         geom = params.geometry()
-        ev = _evaluate_set(sus, DESIGN, geom, params)
+        ev = evaluate_set(sus, DESIGN, geom, params)
         budget = budget_factor * sum(ev.uppers)
         params = sized_params(frame_for_budget(budget, m))
         return sus, params.geometry(), params
@@ -80,7 +80,7 @@ class TestClassifyCase:
         params = default_system_params()
         sus = make_users(3, 4)
         geom = params.geometry()
-        ev = _evaluate_set(sus, DESIGN, geom, params)
+        ev = evaluate_set(sus, DESIGN, geom, params)
         params = sized_params(frame_for_budget(sum(ev.lowers), 4))
         assert classify_case(sus, DESIGN, params.geometry(), params) is CaseLabel.CASE2
 
@@ -166,7 +166,7 @@ class TestWaterfillAllocate:
         params = default_system_params()
         sus = make_users(seed, m, buffer_bits=int(np.random.default_rng(seed).integers(200, 3000)))
         geom = params.geometry()
-        ev = _evaluate_set(sus, DESIGN, geom, params)
+        ev = evaluate_set(sus, DESIGN, geom, params)
         rng = np.random.default_rng(seed + 1)
         lo, hi = sum(ev.lowers), sum(ev.uppers)
         budget = lo + float(rng.uniform(0.1, 0.9)) * (hi - lo)
@@ -189,7 +189,7 @@ class TestWaterfillAllocate:
     @pytest.mark.parametrize("seed", range(150))
     def test_lp_optimality_end_to_end(self, seed):
         sus, geom, params = self._case2_instance(seed)
-        ev = _evaluate_set(sus, DESIGN, geom, params)
+        ev = evaluate_set(sus, DESIGN, geom, params)
         alloc = waterfill_allocate(sus, DESIGN, geom, params)
         optimum = lp_time_allocation(
             list(ev.lowers), list(ev.uppers), list(ev.priorities), ev.t_prime
@@ -230,7 +230,7 @@ class TestExchangeSearch:
         params = default_system_params()
         pool = make_users(seed + 100, 5, buffer_bits=int(rng.integers(50, 500)))
         geom = params.geometry()
-        ev = _evaluate_set(pool, DESIGN, geom, params)
+        ev = evaluate_set(pool, DESIGN, geom, params)
         budget = float(rng.uniform(0.3, 1.4)) * sum(ev.uppers) * 3.0 / 5.0
         params = sized_params(frame_for_budget(budget, 3))
         geom = params.geometry()
@@ -241,7 +241,7 @@ class TestExchangeSearch:
 
         best = -math.inf
         for subset in itertools.combinations(pool, 3):
-            ev = _evaluate_set(subset, DESIGN, geom, params)
+            ev = evaluate_set(subset, DESIGN, geom, params)
             case = ev.case
             if case is CaseLabel.CASE1:
                 value = sum(p * u for p, u in zip(ev.priorities, ev.uppers))
@@ -288,7 +288,7 @@ class TestSelectAndAllocate:
         buffer_bits = int(rng.integers(100, 2000))
         sus = make_users(seed + 300, 5, buffer_bits=buffer_bits)
         geom = params.geometry()
-        ev = _evaluate_set(sus, DESIGN, geom, params)
+        ev = evaluate_set(sus, DESIGN, geom, params)
         budget = float(rng.uniform(0.05, 0.9)) * sum(ev.uppers)
         params = sized_params(frame_for_budget(budget, 5))
         geom = params.geometry()
@@ -320,7 +320,7 @@ class TestSelectAndAllocate:
         params = default_system_params()
         sus = make_users(seed + 500, 5, buffer_bits=int(rng.integers(50, 3000)))
         geom = params.geometry()
-        ev = _evaluate_set(sus, DESIGN, geom, params)
+        ev = evaluate_set(sus, DESIGN, geom, params)
         budget = float(rng.uniform(0.02, 1.5)) * sum(ev.uppers)
         params = sized_params(frame_for_budget(budget, 5))
         geom = params.geometry()
@@ -328,7 +328,7 @@ class TestSelectAndAllocate:
         if not alloc.feasible:
             return
         chosen = [su for su, a in zip(sus, alloc.active) if a]
-        ev = _evaluate_set(chosen, DESIGN, geom, params)
+        ev = evaluate_set(chosen, DESIGN, geom, params)
         times = [t for t, a in zip(alloc.times, alloc.active) if a]
         assert sum(times) <= ev.t_prime + 1e-12
         for lo, t, up in zip(ev.lowers, times, ev.uppers):
@@ -356,7 +356,7 @@ class TestPropositionProperties:
         params = default_system_params()
         sus = make_users(seed + 700, m, buffer_bits=int(rng.integers(300, 1500)))
         geom = params.geometry()
-        ev = _evaluate_set(sus, DESIGN, geom, params)
+        ev = evaluate_set(sus, DESIGN, geom, params)
         budget = float(rng.uniform(0.3, 0.7)) * sum(ev.uppers)
         params = sized_params(frame_for_budget(budget, m))
         return sus, params.geometry(), params
@@ -370,7 +370,7 @@ class TestPropositionProperties:
             sus, geom, params = self._case2_chain_instance(seed, m)
             if classify_case(sus, DESIGN, geom, params) is not CaseLabel.CASE2:
                 continue
-            ev = _evaluate_set(sus, DESIGN, geom, params)
+            ev = evaluate_set(sus, DESIGN, geom, params)
             times = greedy_topup(ev.lowers, ev.uppers, ev.priorities, ev.t_prime)
             full_value = sum(p * t for p, t in zip(ev.priorities, times))
             j = min(range(m), key=lambda i: (ev.priorities[i], sus[i].id))
@@ -401,13 +401,13 @@ class TestPropositionProperties:
         geom = params.geometry()
         by_gain = sorted(pool, key=lambda su: -su.gain_to_fc)
         kept, excluded = by_gain[:3], by_gain[3:]
-        ev = _evaluate_set(kept, DESIGN, geom, params)
+        ev = evaluate_set(kept, DESIGN, geom, params)
         budget = float(rng.uniform(0.4, 0.8)) * sum(ev.uppers)
         params = sized_params(frame_for_budget(budget, 3))
         geom = params.geometry()
 
         def value_of(subset):
-            ev = _evaluate_set(subset, DESIGN, geom, params)
+            ev = evaluate_set(subset, DESIGN, geom, params)
             if ev.case is CaseLabel.CASE1:
                 return sum(p * u for p, u in zip(ev.priorities, ev.uppers))
             if ev.case is CaseLabel.CASE2:

@@ -2,10 +2,13 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
+
+import cogalloc
 
 from cogalloc.cli import (
     EXIT_CONFIG,
@@ -245,6 +248,39 @@ class TestMainEntry:
         assert effective_config(emitted) == emitted
         assert emitted["system"]["zeta"] == 0.66
 
+    @pytest.mark.parametrize(
+        "sweep,values",
+        [
+            ("m", [0, 3]),
+            ("m", [3, -2]),
+            ("m", [2.5]),
+            ("m", [True]),
+            ("zeta", [0.7, 1.5]),
+            ("zeta", [0.0]),
+            ("p_h0", [1.0]),
+            ("p_h0", [-0.2]),
+            ("buffer_bits", [-1]),
+            ("gamma_db", ["loud"]),
+        ],
+    )
+    def test_bad_sweep_value_exit_code(self, tmp_path, capsys, sweep, values):
+        # Checked up front like the base fields, not in a worker.
+        path = _cfg(tmp_path, {"experiment": {"sweep": sweep, "values": values}})
+        code = main(["optimize", "--config", str(path), "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert "experiment.values" in capsys.readouterr().err
+
+    def test_vote_threshold_above_user_count_is_infeasible(self, tmp_path):
+        # k_max 5 with 3 users: the designs with k > 3 are infeasible, not
+        # an error.
+        path = _cfg(
+            tmp_path, {"experiment": {"sweep": "m", "values": [3]}, "grid": {"k_max": 5}}
+        )
+        code = main(["optimize", "--config", str(path), "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        row = (tmp_path / "optimize.csv").read_text().splitlines()[2].split(",")
+        assert row[6] == "1" and int(row[4]) <= 3
+
     def test_jobs_flag_equivalent_output(self, tmp_path):
         path = _cfg(tmp_path, SMALL_SWEEP)
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -262,3 +298,22 @@ class TestMainEntry:
         )
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "optimize.csv").exists()
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    # scipy.integrate pulls in scipy.optimize and scipy.sparse.linalg,
+    # about a third of a second at every CLI start; no library code needs
+    # it (the quadrature check lives in the tests).
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cogalloc.__file__)))
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, cogalloc.cli; print('scipy.integrate' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -19,13 +19,14 @@ from cogalloc import (
     global_pfa,
     rate_idle,
     rate_interfered,
-    rate_interfered_quadrature,
     su_utility,
     time_bounds,
     time_lower_bound,
     time_upper_bound,
 )
 from cogalloc.units import dbm_to_watts
+
+from helpers import rate_interfered_quadrature
 
 
 def user(gain=1.0, buffer_bits=1000, pay=0.1, earn=10.0, uid=0):

@@ -21,10 +21,16 @@ from cogalloc import (
     select_and_allocate,
     time_lower_bound,
 )
-from cogalloc.optimizer import binom_term, probe_utility, smooth_binom_tail
+from cogalloc.allocator import UserTable, utility_bound
+from cogalloc.optimizer import (
+    BOUND_SLACK,
+    binom_term,
+    probe_utility,
+    smooth_binom_tail,
+)
 from cogalloc.sensing import global_pd, local_pd
 
-from helpers import make_users, scalar_exhaustive_oracle
+from helpers import make_users, reference_joint_optimize, scalar_exhaustive_oracle
 
 
 class TestDesignGrid:
@@ -104,6 +110,211 @@ class TestJointOptimize:
                 ):
                     candidates.append((pfa, k))
         assert (surface_best.pfa_local, surface_best.k_threshold) == min(candidates)
+
+
+def _mixed_instance(seed, m, kind):
+    # "identical": shared prices and backlog; "heterogeneous": random
+    # prices and backlogs; "zero_buffers": a third of the users have
+    # nothing to send; "reversed_ids": ids run against the list order.
+    rng = np.random.default_rng(seed)
+    params = default_system_params(zeta=float(rng.choice([0.6, 0.7, 0.8, 0.9])))
+    ids = list(range(m))[::-1] if kind == "reversed_ids" else list(range(m))
+    sus = []
+    for i in range(m):
+        buffer_bits, pay, earn = 1000, 0.1, 10.0
+        if kind == "heterogeneous":
+            buffer_bits = int(rng.integers(0, 20000))
+            pay = float(rng.uniform(0.0, 0.3))
+            earn = float(rng.uniform(0.05, 12.0))
+        elif kind == "zero_buffers" and i % 3 == 0:
+            buffer_bits = 0
+        sus.append(
+            SecondaryUser(
+                id=ids[i],
+                gain_to_fc=float(rng.exponential(1.0)),
+                buffer_bits=buffer_bits,
+                pay_rate=pay,
+                earn_rate=earn,
+            )
+        )
+    return params, sus
+
+
+def _assert_same_outcome(got, want):
+    assert got.best_design == want.best_design
+    a, b = got.best_allocation, want.best_allocation
+    assert a.active == b.active
+    assert a.times == b.times
+    assert a.su_utilities == b.su_utilities
+    assert a.fc_utility == b.fc_utility
+    assert a.case == b.case
+    assert a.feasible == b.feasible
+
+
+KINDS = ("identical", "heterogeneous", "zero_buffers", "reversed_ids")
+
+
+class TestPrunedGridSearch:
+    """The grid search skips designs whose utility bound falls below the
+    incumbent; it must equal the plain per-point loop exactly."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize(
+        "m,seed", [(0, 0), (1, 1), (1, 2)] + [(5, s) for s in range(4)]
+        + [(20, 10), (20, 11), (40, 12)],
+    )
+    def test_matches_per_point_loop(self, m, seed, kind):
+        params, sus = _mixed_instance(seed * 31 + m, m, kind)
+        geom = params.geometry()
+        grid = DesignGrid.uniform(max(m, 1))
+        _assert_same_outcome(
+            joint_optimize(sus, geom, params, grid),
+            reference_joint_optimize(sus, geom, params, grid),
+        )
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_with_zero_rate_designs(self, seed, kind):
+        # At pfa 0.99 every effective rate is 0 from a few users on.
+        params, sus = _mixed_instance(seed + 500, 9, kind)
+        geom = params.geometry()
+        grid = DesignGrid(pfa_values=(0.05, 0.5, 0.99), k_values=tuple(range(1, 10)))
+        _assert_same_outcome(
+            joint_optimize(sus, geom, params, grid),
+            reference_joint_optimize(sus, geom, params, grid),
+        )
+
+    @pytest.mark.parametrize("k_values", [(1, 2, 3, 4), (4, 3, 2, 1)])
+    def test_flat_surface_tie_break(self, params, geom, k_values):
+        # Users who pay nothing make every feasible design worth exactly 0,
+        # so the bound never falls below the incumbent and the (pfa, k)
+        # tie-break decides, also when the grid visits k downwards.
+        sus = [
+            SecondaryUser(
+                id=i, gain_to_fc=g, buffer_bits=800, pay_rate=0.0, earn_rate=5.0
+            )
+            for i, g in enumerate((0.4, 1.3, 0.9, 2.2))
+        ]
+        grid = DesignGrid(pfa_values=DesignGrid.uniform(4).pfa_values, k_values=k_values)
+        got = joint_optimize(sus, geom, params, grid)
+        _assert_same_outcome(got, reference_joint_optimize(sus, geom, params, grid))
+        assert got.feasible and got.fc_utility == 0.0
+        feasible = [
+            (pfa, k)
+            for (pfa, k), u in joint_optimize(
+                sus, geom, params, grid, keep_surface=True
+            ).utility_surface.items()
+            if u is not None
+        ]
+        assert len(feasible) > 1
+        design = got.best_design
+        assert (design.pfa_local, design.k_threshold) == min(feasible)
+
+    # Seeds whose bound lands below the utility on this build.
+    @pytest.mark.parametrize("seed", [6, 12, 15, 51, 79, 82])
+    def test_abundant_time_tie_break_with_unequal_sums(self, seed):
+        # Small buffers: every design serves its whole reduced set at the
+        # upper bounds, so all designs tie at sum(a_i B_i). The bound sums
+        # the same products in another order and can land an ulp below
+        # the utility; the slack must keep such a design in the search
+        # (the grid visits k downwards, so later designs win ties).
+        params = default_system_params()
+        geom = params.geometry()
+        rng = np.random.default_rng(seed + 70)
+        sus = [
+            SecondaryUser(
+                id=i,
+                gain_to_fc=float(rng.exponential(1.0)),
+                buffer_bits=int(rng.integers(1, 12)),
+                pay_rate=float(rng.uniform(0.01, 0.3)),
+                earn_rate=float(rng.uniform(500.0, 900.0)),
+            )
+            for i in range(5)
+        ]
+        grid = DesignGrid(pfa_values=(0.1, 0.3, 0.5, 0.7), k_values=(5, 4, 3, 2, 1))
+        _assert_same_outcome(
+            joint_optimize(sus, geom, params, grid),
+            reference_joint_optimize(sus, geom, params, grid),
+        )
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("seed", range(5))
+    def test_same_outcome_with_surface(self, seed, kind):
+        # keep_surface searches every design; the pruned search must pick
+        # the same result.
+        params, sus = _mixed_instance(seed + 300, 8, kind)
+        geom = params.geometry()
+        grid = DesignGrid.uniform(8)
+        full = joint_optimize(sus, geom, params, grid, keep_surface=True)
+        _assert_same_outcome(joint_optimize(sus, geom, params, grid), full)
+        assert len(full.utility_surface) == len(grid.pfa_values) * len(grid.k_values)
+
+    @pytest.mark.parametrize("m", [1, 3, 6])
+    def test_vote_threshold_above_user_count_is_infeasible(self, params, geom, m):
+        sus = make_users(m + 20, m)
+        pfas = DesignGrid.uniform(m).pfa_values
+        wide = DesignGrid(pfa_values=pfas, k_values=tuple(range(1, m + 3)))
+        narrow = DesignGrid(pfa_values=pfas, k_values=tuple(range(1, m + 1)))
+        _assert_same_outcome(
+            joint_optimize(sus, geom, params, wide),
+            joint_optimize(sus, geom, params, narrow),
+        )
+        surface = joint_optimize(sus, geom, params, wide, keep_surface=True)
+        assert all(
+            surface.utility_surface[(pfa, k)] is None
+            for pfa in pfas
+            for k in (m + 1, m + 2)
+        )
+
+
+class TestUtilityBound:
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bound_covers_every_design(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 13))
+        params, sus = _mixed_instance(seed + 900, m, kind)
+        geom = params.geometry()
+        table = UserTable(sus, geom, params)
+        grid = DesignGrid(
+            pfa_values=(0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99),
+            k_values=tuple(range(1, m + 2)),
+        )
+        for k in grid.k_values:
+            for pfa in grid.pfa_values:
+                design = SensingDesign(pfa, k)
+                alloc = select_and_allocate(sus, design, geom, params)
+                bound = utility_bound(table, design)
+                if bound is None:
+                    assert not alloc.feasible
+                elif alloc.feasible:
+                    assert alloc.fc_utility <= bound * (1.0 + BOUND_SLACK)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bound_holds_when_the_walk_shrinks_the_set(self, params, geom, seed):
+        # Identical users with large backlogs contest the budget at every
+        # size, so the walk ends below the reduced set's size, where rates
+        # and the budget are larger: the bound has to be taken at l_lb.
+        sus = [
+            SecondaryUser(
+                id=i, gain_to_fc=1.0 + 0.1 * seed, buffer_bits=50000,
+                pay_rate=0.1, earn_rate=10.0,
+            )
+            for i in range(12)
+        ]
+        table = UserTable(sus, geom, params)
+        checked = 0
+        for k in range(1, 6):
+            for pfa in (0.1, 0.3, 0.5):
+                design = SensingDesign(pfa, k)
+                alloc = select_and_allocate(sus, design, geom, params)
+                if alloc.feasible:
+                    checked += 1
+                    assert alloc.n_selected < len(sus)
+                    assert alloc.fc_utility <= utility_bound(table, design) * (
+                        1.0 + BOUND_SLACK
+                    )
+        assert checked > 0
 
 
 class TestExhaustiveOracle:
