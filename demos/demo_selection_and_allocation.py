@@ -17,8 +17,8 @@ from cogalloc import (
     default_system_params,
     effective_time,
     select_and_allocate,
-    time_bounds,
 )
+from cogalloc.allocator import UserTable
 
 rng = np.random.default_rng(7)
 params = default_system_params()
@@ -37,11 +37,11 @@ users = [
 ]
 
 print("per-user bounds at the full set size (L=5):")
-for su in users:
-    tb = time_bounds(su, design, geom, params, 5)
+_, lowers, uppers, _ = UserTable(users, geom, params).level(design, 5)
+for su, lower, upper in zip(users, lowers, uppers):
     print(
         f"  SU{su.id}: gain={su.gain_to_fc:.3f}  "
-        f"T_LB={tb.lower * 1e6:8.3f} us  T_UB={tb.upper * 1e3:7.3f} ms"
+        f"T_LB={lower * 1e6:8.3f} us  T_UB={upper * 1e3:7.3f} ms"
     )
 print(f"usable frame time T'(5) = {effective_time(params, 5) * 1e3:.4f} ms")
 print(f"budget regime: {classify_case(users, design, geom, params).name}\n")

@@ -4,8 +4,9 @@ allocation for a price-based opportunistic cognitive radio network.
 The library is organized around five layers:
 
 - :mod:`cogalloc.sensing` — closed-form local/fused detection statistics.
-- :mod:`cogalloc.economics` — rates, utilities, time bounds, frame budget.
-- :mod:`cogalloc.allocator` — case classification, water-filling,
+- :mod:`cogalloc.economics` — radio/price constants, access rates, frame budget.
+- :mod:`cogalloc.allocator` — the pricing kernel (effective rates, time
+  bounds, priorities, greedy fill), case classification, and
   elimination/exchange user selection at a fixed design.
 - :mod:`cogalloc.optimizer` — the outer design grid search, the
   exhaustive oracle, the non-joint baseline, and the quasiconcavity probe.
@@ -25,20 +26,12 @@ from .allocator import (
     waterfill_allocate,
 )
 from .economics import (
-    NEVER_PROFITABLE,
     SecondaryUser,
     SystemParams,
-    TimeBounds,
     default_system_params,
-    effective_rate,
     effective_time,
-    fc_utility,
     rate_idle,
     rate_interfered,
-    su_utility,
-    time_bounds,
-    time_lower_bound,
-    time_upper_bound,
 )
 from .optimizer import (
     DesignGrid,
@@ -86,7 +79,6 @@ __all__ = [
     "DesignGrid",
     "FrameTrace",
     "HessianProbeConfig",
-    "NEVER_PROFITABLE",
     "NonJointOutcome",
     "OptimizationOutcome",
     "SecondaryUser",
@@ -94,7 +86,6 @@ __all__ = [
     "SensingGeometry",
     "StreamFactory",
     "SystemParams",
-    "TimeBounds",
     "TrafficModel",
     "UserProfile",
     "classify_case",
@@ -102,11 +93,9 @@ __all__ = [
     "db_to_linear",
     "dbm_to_watts",
     "default_system_params",
-    "effective_rate",
     "effective_time",
     "exchange_search",
     "exhaustive_oracle",
-    "fc_utility",
     "global_pd",
     "global_pfa",
     "greedy_topup",
@@ -127,10 +116,6 @@ __all__ = [
     "sample_pareto_idle",
     "select_and_allocate",
     "step_frame",
-    "su_utility",
     "threshold_from_pfa",
-    "time_bounds",
-    "time_lower_bound",
-    "time_upper_bound",
     "waterfill_allocate",
 ]

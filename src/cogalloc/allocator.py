@@ -6,6 +6,13 @@ and buffer-clearing bounds, prunes users that can never be served
 profitably, water-fills the contested-time case, and walks an
 elimination/exchange search over candidate active sets.
 
+The pricing formulas live here once: the opportunity weights
+(:func:`opportunity_weights`), the effective rate blend and per-second
+payments (:meth:`UserTable.price`), the break-even and buffer-clearing
+bounds (:func:`time_bound_arrays`), and the greedy fill
+(:func:`greedy_topup`). The optimizer's oracle and baseline price
+through them too.
+
 Internally the users of one call live in a :class:`UserTable`: their
 idle and interfered rates, margins, backlogs and the budget at every
 set size are built once and shared by every design, and each design's
@@ -81,19 +88,6 @@ class AllocationResult:
         return sum(1 for flag in self.active if flag)
 
 
-def user_arrays(sus: Sequence[SecondaryUser], params: SystemParams) -> tuple:
-    """Design-independent per-user columns (r0, r1, margin, buffers, pay):
-    idle and interfered rates, price margin b_i - a_i, backlog in bits,
-    and pay rate a_i."""
-    return (
-        np.array([rate_idle(su, params) for su in sus]),
-        np.array([rate_interfered(su, params) for su in sus]),
-        np.array([su.earn_rate - su.pay_rate for su in sus]),
-        np.array([float(su.buffer_bits) for su in sus]),
-        np.array([su.pay_rate for su in sus]),
-    )
-
-
 def opportunity_weights(
     design: SensingDesign,
     geom: SensingGeometry,
@@ -126,10 +120,11 @@ def time_bound_arrays(rates, margin, buffers, cost: float) -> tuple:
 class UserTable:
     """One call's users, geometry and params, shared across designs.
 
-    The design-independent columns (rates, margins, backlogs, pay rates,
-    ids) and the budget T'(L) for every set size are built once. Each design's effective rates, time bounds and
-    priorities at a set size L are computed for all users on first use
-    and cached per (design, L).
+    The design-independent columns (idle and interfered rates r0/r1,
+    margins b_i - a_i, backlogs in bits, pay rates a_i, ids) and the
+    budget T'(L) for every set size are built once. Each design's
+    effective rates, time bounds and priorities at a set size L are
+    computed for all users on first use and cached per (design, L).
     """
 
     __slots__ = (
@@ -146,27 +141,35 @@ class UserTable:
         self.sus = list(sus)
         self.geom = geom
         self.params = params
-        self.r0, self.r1, self.margin, self.buffers, self.pay = user_arrays(
-            self.sus, params
-        )
+        self.r0 = np.array([rate_idle(su, params) for su in self.sus])
+        self.r1 = np.array([rate_interfered(su, params) for su in self.sus])
+        self.margin = np.array([su.earn_rate - su.pay_rate for su in self.sus])
+        self.buffers = np.array([float(su.buffer_bits) for su in self.sus])
+        self.pay = np.array([su.pay_rate for su in self.sus])
         self.ids = np.array([su.id for su in self.sus])
         self.cost = params.sensing_cost
         self.budgets = [effective_time(params, l) for l in range(len(self.sus) + 1)]
         self._levels: dict = {}
         self._screens: dict = {}
 
+    def price(self, q0, q1) -> tuple:
+        """(rates, lowers, uppers, priorities) of every user under the
+        opportunity weights (q0, q1): the effective rates q0 r0 + q1 r1,
+        their time bounds, and the per-second payments R_i a_i. The
+        weights may be scalars or columns with one row per design."""
+        rates = q0 * self.r0 + q1 * self.r1
+        lowers, uppers = time_bound_arrays(rates, self.margin, self.buffers, self.cost)
+        return rates, lowers, uppers, rates * self.pay
+
     def level(self, design: SensingDesign, l_active: int) -> tuple:
-        """(rates, lowers, uppers, priorities) of every user at ``design``
-        with ``l_active`` reporting users."""
+        """:meth:`price` at ``design`` with ``l_active`` reporting users,
+        cached per (design, l_active)."""
         key = (design.pfa_local, design.k_threshold, l_active)
         got = self._levels.get(key)
         if got is None:
-            q0, q1 = opportunity_weights(design, self.geom, self.params, l_active)
-            rates = q0 * self.r0 + q1 * self.r1
-            lowers, uppers = time_bound_arrays(
-                rates, self.margin, self.buffers, self.cost
+            got = self.price(
+                *opportunity_weights(design, self.geom, self.params, l_active)
             )
-            got = (rates, lowers, uppers, rates * self.pay)
             self._levels[key] = got
         return got
 
@@ -280,43 +283,27 @@ def reduce_feasible_set(
     return [table.sus[i] for i in _reduced(table, design)]
 
 
-def greedy_topup(
-    lowers: Sequence[float],
-    uppers: Sequence[float],
-    priorities: Sequence[float],
-    budget: float,
-) -> list:
+def greedy_topup(lowers, uppers, priorities, budget: float) -> list:
     """Water-filling core: hand everyone their lower bound, then grant the
     remaining budget in descending priority order, each member up to its
     upper bound. Ties go to the earliest position.
 
     Distributes min(budget, sum of uppers) in total (assuming the lower
-    bounds fit the budget).
+    bounds fit the budget). Takes sequences or arrays; the lower bounds
+    are summed by numpy.
     """
-    times = list(lowers)
-    remaining = budget - sum(lowers)
-    order = sorted(range(len(times)), key=lambda i: (-priorities[i], i))
-    for i in order:
-        if remaining <= 0.0:
-            break
-        grant = min(uppers[i] - lowers[i], remaining)
-        times[i] += grant
-        remaining -= grant
-    return times
-
-
-def _topup_times(ev: _SetEval) -> np.ndarray:
-    # greedy_topup on a set's arrays, with the lower bounds summed by numpy.
-    times = ev.lowers.tolist()
-    gaps = (ev.uppers - ev.lowers).tolist()
-    remaining = ev.t_prime - float(ev.lowers.sum())
-    for i in np.argsort(-ev.priorities, kind="stable").tolist():
+    lowers = np.asarray(lowers, dtype=float)
+    times = lowers.tolist()
+    gaps = (np.asarray(uppers, dtype=float) - lowers).tolist()
+    remaining = budget - float(lowers.sum())
+    order = np.argsort(-np.asarray(priorities, dtype=float), kind="stable")
+    for i in order.tolist():
         if remaining <= 0.0:
             break
         grant = min(gaps[i], remaining)
         times[i] += grant
         remaining -= grant
-    return np.array(times)
+    return times
 
 
 def _score(table: UserTable, ev: _SetEval) -> Optional[tuple]:
@@ -329,7 +316,7 @@ def _score(table: UserTable, ev: _SetEval) -> Optional[tuple]:
         utility = np.dot(table.pay[ev.members], table.buffers[ev.members])
         return float(utility), ev, ev.uppers
     if ev.case is CaseLabel.CASE2:
-        times = _topup_times(ev)
+        times = np.array(greedy_topup(ev.lowers, ev.uppers, ev.priorities, ev.t_prime))
         return float(np.dot(ev.priorities, times)), ev, times
     return None
 
@@ -350,19 +337,32 @@ def _result(
     # +-1e-19.
     utility, ev, times = scored
     su_utils = ev.rates * table.margin[ev.members] * (times - ev.lowers)
+    return _placed(m, positions, times.tolist(), su_utils.tolist(), utility, ev.case)
+
+
+def _placed(
+    m: int,
+    positions: Sequence[int],
+    times: Sequence[float],
+    su_utils: Sequence[float],
+    fc_utility: float,
+    case: Optional[CaseLabel],
+) -> AllocationResult:
+    # A feasible allocation over ``m`` users with member j's time and
+    # utility placed at positions[j]; everyone else is inactive.
     active = [False] * m
     t_full = [0.0] * m
     u_full = [0.0] * m
-    for i, t, u in zip(positions, times.tolist(), su_utils.tolist()):
+    for i, t, u in zip(positions, times, su_utils):
         active[i] = True
         t_full[i] = t
         u_full[i] = u
     return AllocationResult(
         active=tuple(active),
         times=tuple(t_full),
-        fc_utility=utility,
+        fc_utility=fc_utility,
         su_utilities=tuple(u_full),
-        case=ev.case,
+        case=case,
         feasible=True,
     )
 

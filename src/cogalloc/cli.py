@@ -453,9 +453,22 @@ def _mean_rows(rows, value_col: int, key_col: int = 0):
     return out
 
 
-def _run_pool(jobs: int, worker, tasks: list) -> list:
-    """Run tasks (sequentially or in a process pool) and return results
+def _user_count(cfg: RunConfig, users: dict) -> int:
+    """Users per instance: the explicit list's length, else ``users["count"]``."""
+    if cfg.explicit_users is not None:
+        return len(cfg.explicit_users)
+    return users["count"]
+
+
+def _run_sweep(cfg: RunConfig, jobs: int, worker) -> list:
+    """Run ``worker`` on every ((sweep index, trial), cfg, sweep value)
+    task (sequentially or in a process pool) and return the results
     sorted by task key, so output order never depends on scheduling."""
+    tasks = [
+        ((si, t), cfg, value)
+        for si, value in enumerate(cfg.sweep_values)
+        for t in range(cfg.trials)
+    ]
     if jobs <= 1:
         results = [worker(t) for t in tasks]
     else:
@@ -494,12 +507,7 @@ def _optimize_task(task) -> tuple:
 def cmd_optimize(cfg: RunConfig, out_dir: Path, jobs: int = 1) -> int:
     """Joint optimization across the sweep x trials; per-run CSV plus a
     mean-aggregated companion."""
-    tasks = [
-        ((si, t), cfg, value)
-        for si, value in enumerate(cfg.sweep_values)
-        for t in range(cfg.trials)
-    ]
-    results = _run_pool(jobs, _optimize_task, tasks)
+    results = _run_sweep(cfg, jobs, _optimize_task)
     rows = [r[1] for r in results]
     _write_csv(
         out_dir / "optimize.csv",
@@ -552,16 +560,10 @@ def cmd_compare_oracle(cfg: RunConfig, out_dir: Path, jobs: int = 1) -> int:
     Exits with the mismatch code if an identical-cost instance shows a
     relative utility gap above 1e-9."""
     for value in cfg.sweep_values:
-        users = _apply_sweep(cfg, value)[1]
-        count = users["count"] if cfg.explicit_users is None else len(cfg.explicit_users)
+        count = _user_count(cfg, _apply_sweep(cfg, value)[1])
         if count > 12:
             raise ConfigError(f"compare-oracle refuses M={count} > 12 users")
-    tasks = [
-        ((si, t), cfg, value)
-        for si, value in enumerate(cfg.sweep_values)
-        for t in range(cfg.trials)
-    ]
-    results = _run_pool(jobs, _compare_oracle_task, tasks)
+    results = _run_sweep(cfg, jobs, _compare_oracle_task)
     rows = [r[1] for r in results]
     _write_csv(
         out_dir / "compare_oracle.csv",
@@ -606,12 +608,7 @@ def _compare_nonjoint_task(task) -> tuple:
 
 def cmd_compare_nonjoint(cfg: RunConfig, out_dir: Path, jobs: int = 1) -> int:
     """Joint vs the detection-first baseline, with negative-utility counts."""
-    tasks = [
-        ((si, t), cfg, value)
-        for si, value in enumerate(cfg.sweep_values)
-        for t in range(cfg.trials)
-    ]
-    results = _run_pool(jobs, _compare_nonjoint_task, tasks)
+    results = _run_sweep(cfg, jobs, _compare_nonjoint_task)
     rows = [r[1] for r in results]
     _write_csv(
         out_dir / "compare_nonjoint.csv",
@@ -710,17 +707,8 @@ def _trace_record(trace) -> dict:
 def cmd_simulate(cfg: RunConfig, out_dir: Path, jobs: int = 1) -> int:
     """Multi-frame delay simulation across the sweep; per-episode CSV,
     aggregated CSV, and one trace log per sweep point (trial 0)."""
-    n_users = (
-        len(cfg.explicit_users)
-        if cfg.explicit_users is not None
-        else cfg.users["count"]
-    )
-    tasks = [
-        ((si, t), cfg, value)
-        for si, value in enumerate(cfg.sweep_values)
-        for t in range(cfg.trials)
-    ]
-    results = _run_pool(jobs, _simulate_task, tasks)
+    n_users = _user_count(cfg, cfg.users)
+    results = _run_sweep(cfg, jobs, _simulate_task)
     rows = [r[1] for r in results]
     delay_cols = [f"mean_delay_su{i}" for i in range(n_users)]
     _write_csv(
@@ -753,8 +741,6 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, jobs: int = 1) -> int:
 def cmd_probe_hessian(cfg: RunConfig, out_dir: Path, jobs: int = 1) -> int:
     """Bordered-Hessian determinants over the false-alarm grid, plus a
     summary line stating whether any det_H < 0 was found."""
-    if cfg.probe_pfa_grid is not None and len(cfg.probe_pfa_grid) == 0:
-        raise ConfigError("probe.pfa_grid must be non-empty")
     points = quasiconcavity_probe(cfg.probe, pfa_grid=cfg.probe_pfa_grid)
     rows = [(p.pfa, p.det_h, p.det_ha) for p in points]
     _write_csv(out_dir / "probe_hessian.csv", "probe_hessian", ["pfa", "det_h", "det_ha"], rows)

@@ -1,9 +1,12 @@
-"""Rates, prices, utilities, per-user time bounds, and frame-time accounting.
+"""Radio and price constants, per-user access rates, and frame-time
+accounting.
 
 The fusion center sells Phase-6 transmission time to secondary users.
 Everything here is a deterministic function of the radio constants
-(:class:`SystemParams`), a user's channel/price state
-(:class:`SecondaryUser`), and a sensing operating point.
+(:class:`SystemParams`) and a user's channel/price state
+(:class:`SecondaryUser`). The design-dependent pricing (effective rate,
+time bounds, priorities, the greedy fill) lives in
+:mod:`cogalloc.allocator`.
 
 Money is an abstract unit; the price fields are plain reals.
 """
@@ -13,15 +16,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 from scipy.special import exp1
 
-from .sensing import SensingDesign, SensingGeometry, global_pd, global_pfa
+from .sensing import SensingGeometry
 from .units import db_to_linear, dbm_to_watts
-
-#: Marker returned by time_lower_bound when a user can never profit (b <= a).
-NEVER_PROFITABLE = math.inf
 
 
 @dataclass(frozen=True)
@@ -152,22 +151,6 @@ class SecondaryUser:
             raise ValueError("price fields must be non-negative")
 
 
-@dataclass(frozen=True)
-class TimeBounds:
-    """Break-even lower and buffer-clearing upper time bounds, seconds.
-
-    ``lower <= upper`` is deliberately not an invariant: its violation is
-    what the feasibility filter keys on.
-    """
-
-    lower: float
-    upper: float
-
-    def __post_init__(self) -> None:
-        if self.upper < 0.0 or (self.lower < 0.0 and not math.isinf(self.lower)):
-            raise ValueError("time bounds must be non-negative")
-
-
 def rate_idle(su: SecondaryUser, params: SystemParams) -> float:
     """Access rate (bits/s) when the primary is truly absent:
     B_w log2(1 + g P_ST / N0).
@@ -220,73 +203,6 @@ def rate_interfered(su: SecondaryUser, params: SystemParams) -> float:
     )
 
 
-def effective_rate(
-    su: SecondaryUser,
-    design: SensingDesign,
-    geom: SensingGeometry,
-    params: SystemParams,
-    l_active: int,
-) -> float:
-    """Opportunity-weighted expected clearance rate (bits/s):
-    P(H0)(1-P_FA) r0 + P(H1)(1-P_D) r1.
-    """
-    p_fa = global_pfa(design, l_active)
-    p_d = global_pd(design, geom, l_active)
-    return params.p_h0 * (1.0 - p_fa) * rate_idle(su, params) + params.p_h1 * (
-        1.0 - p_d
-    ) * rate_interfered(su, params)
-
-
-def time_lower_bound(
-    su: SecondaryUser,
-    design: SensingDesign,
-    geom: SensingGeometry,
-    params: SystemParams,
-    l_active: int,
-) -> float:
-    """Break-even allocation (seconds): below it the user's net utility is
-    negative. Returns :data:`NEVER_PROFITABLE` (inf) when b_i <= a_i.
-    """
-    margin = su.earn_rate - su.pay_rate
-    if margin <= 0.0:
-        return NEVER_PROFITABLE
-    return params.sensing_cost / (
-        effective_rate(su, design, geom, params, l_active) * margin
-    )
-
-
-def time_upper_bound(
-    su: SecondaryUser,
-    design: SensingDesign,
-    geom: SensingGeometry,
-    params: SystemParams,
-    l_active: int,
-) -> float:
-    """Buffer-clearing allocation (seconds): exactly drains the backlog at
-    the effective rate.
-    """
-    rate = effective_rate(su, design, geom, params, l_active)
-    if rate <= 0.0:
-        raise ArithmeticError("effective rate is zero; upper time bound undefined")
-    return su.buffer_bits / rate
-
-
-def time_bounds(
-    su: SecondaryUser,
-    design: SensingDesign,
-    geom: SensingGeometry,
-    params: SystemParams,
-    l_active: int,
-) -> TimeBounds:
-    """Both bounds at once (shares one rate evaluation)."""
-    rate = effective_rate(su, design, geom, params, l_active)
-    if rate <= 0.0:
-        raise ArithmeticError("effective rate is zero; time bounds undefined")
-    margin = su.earn_rate - su.pay_rate
-    lower = NEVER_PROFITABLE if margin <= 0.0 else params.sensing_cost / (rate * margin)
-    return TimeBounds(lower=lower, upper=su.buffer_bits / rate)
-
-
 def effective_time(params: SystemParams, l_active: int) -> float:
     """Usable Phase-6 time T'(L) = T - tau2 - N tau_s - tau5 - L tau_r'.
 
@@ -301,35 +217,3 @@ def effective_time(params: SystemParams, l_active: int) -> float:
         - params.tau5
         - l_active * params.tau_r_prime
     )
-
-
-def fc_utility(alloc, per_su_rates: Sequence[float], pay_rates: Sequence[float]) -> float:
-    """Fusion-center revenue sum over active users of R_i a_i t_i.
-
-    ``alloc`` is anything with aligned ``active`` and ``times`` vectors.
-    """
-    return sum(
-        rate * pay * t
-        for active, t, rate, pay in zip(alloc.active, alloc.times, per_su_rates, pay_rates)
-        if active
-    )
-
-
-def su_utility(
-    su: SecondaryUser,
-    design: SensingDesign,
-    geom: SensingGeometry,
-    params: SystemParams,
-    l_active: int,
-    t_alloc: float,
-    active: bool,
-) -> float:
-    """A user's net utility: revenue margin on cleared bits minus the
-    sensing/reporting cost, zero when inactive.
-    """
-    if t_alloc < 0.0:
-        raise ValueError(f"t_alloc must be >= 0, got {t_alloc}")
-    if not active:
-        return 0.0
-    rate = effective_rate(su, design, geom, params, l_active)
-    return rate * t_alloc * (su.earn_rate - su.pay_rate) - params.sensing_cost

@@ -23,19 +23,14 @@ from scipy.special import digamma, gammaln
 from .allocator import (
     AllocationResult,
     UserTable,
+    _infeasible,
+    _placed,
     greedy_topup,
     opportunity_weights,
     select_and_allocate,
-    time_bound_arrays,
-    user_arrays,
     utility_bound,
 )
-from .economics import (
-    SecondaryUser,
-    SystemParams,
-    effective_rate,
-    effective_time,
-)
+from .economics import SecondaryUser, SystemParams
 from .sensing import (
     SensingDesign,
     SensingGeometry,
@@ -92,15 +87,7 @@ class OptimizationOutcome:
 
 
 def _infeasible_outcome(m: int, surface, elapsed: float) -> OptimizationOutcome:
-    empty = AllocationResult(
-        active=(False,) * m,
-        times=(0.0,) * m,
-        fc_utility=0.0,
-        su_utilities=(0.0,) * m,
-        case=None,
-        feasible=False,
-    )
-    return OptimizationOutcome(None, empty, surface, elapsed)
+    return OptimizationOutcome(None, _infeasible(m, None), surface, elapsed)
 
 
 #: Relative slack on a design's utility bound before the grid search
@@ -204,14 +191,14 @@ def exhaustive_oracle(
         )
     start = time.perf_counter()
     profitable = [su for su in all_sus if su.earn_rate > su.pay_rate]
-    r0, r1, margin, buffers, pay = user_arrays(profitable, params)
+    table = UserTable(profitable, geom, params)
     best_key = None
     best: Optional[tuple] = None
     # Designs ruled out for a subset carry inf/nan through the block
     # arithmetic; they are masked out, not warned about.
     with np.errstate(all="ignore"):
         for size in range(1, len(profitable) + 1):
-            t_prime = effective_time(params, size)
+            t_prime = table.budgets[size]
             if t_prime <= 0.0:
                 continue
             # Ordered by (pfa, k), so the first utility maximum of a block
@@ -230,15 +217,11 @@ def exhaustive_oracle(
             weights = np.array(
                 [opportunity_weights(d, geom, params, size) for d in designs]
             )
-            rates = weights[:, :1] * r0 + weights[:, 1:] * r1
-            lowers, uppers = time_bound_arrays(
-                rates, margin, buffers, params.sensing_cost
-            )
-            prios = rates * pay
+            rates, lowers, uppers, prios = table.price(weights[:, :1], weights[:, 1:])
             # A user whose bounds cross rules the design out for every
             # subset holding it, as does a zero-rate user (infinite lower
             # bound): an infinite lower bound overflows any budget.
-            table = np.stack(
+            block = np.stack(
                 (
                     np.where(lowers > uppers, np.inf, lowers),
                     uppers - lowers,
@@ -251,7 +234,7 @@ def exhaustive_oracle(
             )
             rows = np.arange(len(designs))[:, None]
             for members in itertools.combinations(range(len(profitable)), size):
-                lo, gap, prio, rank = table.take(members, axis=2)
+                lo, gap, prio, rank = block.take(members, axis=2)
                 lo_sum = np.add.accumulate(lo, axis=1)[:, -1]
                 fits = lo_sum <= t_prime
                 if not fits.any():
@@ -276,35 +259,20 @@ def exhaustive_oracle(
                 if best_key is None or key > best_key:
                     best_key = key
                     best = (
-                        design,
-                        members,
-                        times[d].tolist(),
-                        rates[d, members].tolist(),
-                        prio[d].tolist(),
-                        lo[d].tolist(),
+                        design, members, times[d], rates[d, members], prio[d], lo[d]
                     )
     elapsed = time.perf_counter() - start
     if best is None:
         return _infeasible_outcome(len(all_sus), None, elapsed)
     design, members, times, rates, prios, lowers = best
     index = {su.id: i for i, su in enumerate(all_sus)}
-    m = len(all_sus)
-    active = [False] * m
-    t_full = [0.0] * m
-    su_utils = [0.0] * m
-    for j, t, r, lo in zip(members, times, rates, lowers):
-        su = profitable[j]
-        i = index[su.id]
-        active[i] = True
-        t_full[i] = t
-        su_utils[i] = r * (su.earn_rate - su.pay_rate) * (t - lo)
-    alloc = AllocationResult(
-        active=tuple(active),
-        times=tuple(t_full),
-        fc_utility=sum(p * t for p, t in zip(prios, times)),
-        su_utilities=tuple(su_utils),
-        case=None,
-        feasible=True,
+    alloc = _placed(
+        len(all_sus),
+        [index[profitable[j].id] for j in members],
+        times.tolist(),
+        (rates * table.margin[list(members)] * (times - lowers)).tolist(),
+        sum((prios * times).tolist()),
+        None,
     )
     return OptimizationOutcome(design, alloc, None, elapsed)
 
@@ -336,68 +304,67 @@ def nonjoint_baseline(
     Stage 1 keeps the users whose full buffer is worth more than the
     sensing cost, then picks the grid design minimizing the fused false
     alarm subject to the detection floor at that set size (ties: smaller
-    false-alarm value, then larger vote threshold). Stage 2 activates the
-    whole set and splits the budget greedily with all lower bounds forced
-    to zero, so individual utilities may come out negative.
+    false-alarm value, then larger vote threshold); a design that gives a
+    kept user a zero effective rate is inadmissible. Stage 2 activates
+    the whole set and splits the budget T'(size) greedily with all lower
+    bounds forced to zero, so individual utilities may come out negative.
+
+    Infeasible when no user is kept, no design is admissible, or
+    T'(size) <= 0 leaves no time to split.
     """
     start = time.perf_counter()
     m = len(all_sus)
     cost = params.sensing_cost
-    eligible = [
-        su
-        for su in all_sus
-        if su.buffer_bits * (su.earn_rate - su.pay_rate) - cost >= 0.0
-    ]
-    size = len(eligible)
-    if size == 0:
-        return NonJointOutcome(
-            _infeasible_outcome(m, None, time.perf_counter() - start), (0.0,) * m
-        )
+    table = UserTable(
+        [
+            su
+            for su in all_sus
+            if su.buffer_bits * (su.earn_rate - su.pay_rate) - cost >= 0.0
+        ],
+        geom,
+        params,
+    )
+    size = len(table.sus)
+    budget = table.budgets[size]
 
-    best_key = None
     best_design = None
-    for k in grid.k_values:
-        if k > size:
-            continue
-        for pfa in grid.pfa_values:
-            design = SensingDesign(pfa_local=pfa, k_threshold=k)
-            if global_pd(design, geom, size) < params.zeta:
+    if budget > 0.0:
+        best_key = None
+        for k in grid.k_values:
+            if k > size:
                 continue
-            key = (global_pfa(design, size), pfa, -k)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_design = design
+            for pfa in grid.pfa_values:
+                design = SensingDesign(pfa_local=pfa, k_threshold=k)
+                if global_pd(design, geom, size) < params.zeta:
+                    continue
+                key = (global_pfa(design, size), pfa, -k)
+                if best_key is not None and key >= best_key:
+                    continue
+                # A design that leaves an eligible user no access time
+                # at all (zero effective rate) is inadmissible.
+                if (table.level(design, size)[0] > 0.0).all():
+                    best_key = key
+                    best_design = design
     if best_design is None:
         return NonJointOutcome(
             _infeasible_outcome(m, None, time.perf_counter() - start), (0.0,) * m
         )
 
-    rates = [effective_rate(su, best_design, geom, params, size) for su in eligible]
-    uppers = [su.buffer_bits / r for su, r in zip(eligible, rates)]
-    prios = [r * su.pay_rate for su, r in zip(eligible, rates)]
-    times = greedy_topup([0.0] * size, uppers, prios, effective_time(params, size))
-
+    rates, _, uppers, prios = table.level(best_design, size)
+    times = np.array(greedy_topup(np.zeros(size), uppers, prios, budget))
     index = {su.id: i for i, su in enumerate(all_sus)}
-    active = [False] * m
-    t_full = [0.0] * m
-    su_utils = [0.0] * m
-    for su, t, r in zip(eligible, times, rates):
-        i = index[su.id]
-        active[i] = True
-        t_full[i] = t
-        su_utils[i] = r * t * (su.earn_rate - su.pay_rate) - cost
-    alloc = AllocationResult(
-        active=tuple(active),
-        times=tuple(t_full),
-        fc_utility=sum(p * t for p, t in zip(prios, times)),
-        su_utilities=tuple(su_utils),
-        case=None,
-        feasible=True,
+    alloc = _placed(
+        m,
+        [index[su.id] for su in table.sus],
+        times.tolist(),
+        (rates * times * table.margin - cost).tolist(),
+        sum((prios * times).tolist()),
+        None,
     )
     outcome = OptimizationOutcome(
         best_design, alloc, None, time.perf_counter() - start
     )
-    return NonJointOutcome(outcome, tuple(su_utils))
+    return NonJointOutcome(outcome, alloc.su_utilities)
 
 
 def count_negative_utility(report) -> int:

@@ -7,8 +7,9 @@ vectors, the inner allocation LP from scipy's linprog, and the selection
 optimum from exhaustive subset enumeration at a fixed design. The
 design-batched exhaustive oracle is checked against the scalar oracle it
 replaced, the pruned grid search against the plain per-point loop it
-replaced, and the closed-form interfered rate against a quadrature
-route, all kept here.
+replaced, the array pricing kernel against a scalar effective rate,
+and the closed-form interfered rate against a quadrature route, all
+kept here.
 """
 
 from __future__ import annotations
@@ -28,10 +29,11 @@ from cogalloc import (
     SecondaryUser,
     SensingDesign,
     default_system_params,
-    effective_rate,
     effective_time,
     global_pd,
-    greedy_topup,
+    global_pfa,
+    rate_idle,
+    rate_interfered,
     select_and_allocate,
 )
 from cogalloc.allocator import UserTable
@@ -108,6 +110,16 @@ def make_users(
     ]
 
 
+def scalar_effective_rate(su, design, geom, params, l_active) -> float:
+    """P(H0)(1-P_FA) r0 + P(H1)(1-P_D) r1 for one user, in plain floats:
+    the scalar reference for the library's array pricing kernel."""
+    p_fa = global_pfa(design, l_active)
+    p_d = global_pd(design, geom, l_active)
+    return params.p_h0 * (1.0 - p_fa) * rate_idle(su, params) + params.p_h1 * (
+        1.0 - p_d
+    ) * rate_interfered(su, params)
+
+
 def greedy_fill_oracle(lowers, uppers, priorities, budget):
     """Independent greedy reference for the linear top-up (written against
     the LP structure, not the library loop)."""
@@ -134,7 +146,9 @@ def subset_oracle_fixed_design(all_sus, design, geom, params) -> float:
         if t_prime <= 0 or global_pd(design, geom, size) < params.zeta:
             continue
         for subset in itertools.combinations(candidates, size):
-            rates = [effective_rate(su, design, geom, params, size) for su in subset]
+            rates = [
+                scalar_effective_rate(su, design, geom, params, size) for su in subset
+            ]
             lowers = [
                 cost / (r * (su.earn_rate - su.pay_rate))
                 for su, r in zip(subset, rates)
@@ -182,7 +196,7 @@ def scalar_exhaustive_oracle(all_sus, geom, params, grid):
                     if global_pd(design, geom, size) < params.zeta:
                         continue
                     rates = [
-                        effective_rate(su, design, geom, params, size)
+                        scalar_effective_rate(su, design, geom, params, size)
                         for su in subset
                     ]
                     if any(r == 0.0 for r in rates):
@@ -197,7 +211,7 @@ def scalar_exhaustive_oracle(all_sus, geom, params, grid):
                     if sum(lowers) > t_prime:
                         continue
                     prios = [r * su.pay_rate for su, r in zip(subset, rates)]
-                    times = greedy_topup(lowers, uppers, prios, t_prime)
+                    times = greedy_fill_oracle(lowers, uppers, prios, t_prime)
                     utility = sum(p * t for p, t in zip(prios, times))
                     key = (utility, -pfa, -k)
                     if best_key is None or key > best_key:

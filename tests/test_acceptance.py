@@ -352,13 +352,12 @@ def test_criterion_09_simulation_vs_closed_forms():
 
 def test_criterion_10_unit_invariant_suites():
     # Compact re-run of the module-invariant suites at acceptance scale.
-    from cogalloc import (
-        effective_rate,
-        local_pd,
-        su_utility,
-        time_lower_bound,
-        time_upper_bound,
-    )
+    from cogalloc import local_pd
+    from cogalloc.allocator import UserTable
+
+    def priced(sus, design, geom, params, l_active):
+        # (rates, lowers, uppers) of the users from the pricing kernel.
+        return UserTable(sus, geom, params).level(design, l_active)[:3]
 
     params = default_system_params()
     geom = params.geometry()
@@ -373,11 +372,11 @@ def test_criterion_10_unit_invariant_suites():
                 su = SecondaryUser(
                     id=0, gain_to_fc=gain, buffer_bits=1000, pay_rate=0.1, earn_rate=10.0
                 )
-                lb = time_lower_bound(su, design, geom, params, l_active)
-                worst = max(
-                    worst,
-                    abs(su_utility(su, design, geom, params, l_active, lb, True)),
+                rate, lb, _ = (
+                    float(v[0]) for v in priced([su], design, geom, params, l_active)
                 )
+                utility = rate * lb * (su.earn_rate - su.pay_rate) - params.sensing_cost
+                worst = max(worst, abs(utility))
     checks["break-even <= 1e-12"] = worst <= 1e-12
 
     # Buffer-clearing identity.
@@ -387,8 +386,7 @@ def test_criterion_10_unit_invariant_suites():
         su = SecondaryUser(
             id=0, gain_to_fc=gain, buffer_bits=1234, pay_rate=0.1, earn_rate=10.0
         )
-        rate = effective_rate(su, design, geom, params, 5)
-        ub = time_upper_bound(su, design, geom, params, 5)
+        rate, _, ub = (float(v[0]) for v in priced([su], design, geom, params, 5))
         worst = max(worst, abs(rate * ub - su.buffer_bits) / su.buffer_bits)
     checks["buffer-clearing <= 1e-9"] = worst <= 1e-9
 
@@ -513,8 +511,8 @@ def test_criterion_10_unit_invariant_suites():
             return None
 
         lbs = {}
-        for su in pool:
-            rate = effective_rate(su, design, geom_m, params_m, 3)
+        rates = priced(pool, design, geom_m, params_m, 3)[0].tolist()
+        for su, rate in zip(pool, rates):
             lbs[su.id] = params_m.sensing_cost / (rate * (su.earn_rate - su.pay_rate))
         kept_lb = sorted(kept, key=lambda su: (-lbs[su.id], su.id))
         ex_lb = sorted(excluded, key=lambda su: (-lbs[su.id], su.id))

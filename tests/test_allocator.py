@@ -15,7 +15,6 @@ from cogalloc import (
     SensingDesign,
     classify_case,
     default_system_params,
-    effective_rate,
     effective_time,
     exchange_search,
     greedy_topup,
@@ -24,6 +23,8 @@ from cogalloc import (
     select_and_allocate,
     waterfill_allocate,
 )
+
+from cogalloc.allocator import UserTable
 
 from helpers import (
     evaluate_set,
@@ -423,10 +424,8 @@ class TestPropositionProperties:
 
         # Depth-1 extreme lower-bound swap sets both contested?
         l_active = len(kept)
-        lbs = {}
-        for su in pool:
-            rate = effective_rate(su, DESIGN, geom, params, l_active)
-            lbs[su.id] = params.sensing_cost / (rate * (su.earn_rate - su.pay_rate))
+        lowers = UserTable(pool, geom, params).level(DESIGN, l_active)[1]
+        lbs = {su.id: lb for su, lb in zip(pool, lowers.tolist())}
         kept_by_lb = sorted(kept, key=lambda su: (-lbs[su.id], su.id))
         ex_by_lb = sorted(excluded, key=lambda su: (-lbs[su.id], su.id))
         g3 = [su for su in kept if su is not kept_by_lb[-1]] + [ex_by_lb[0]]

@@ -2,13 +2,11 @@
 
 import json
 import math
-import os
 import subprocess
 import sys
+import warnings
 
 import pytest
-
-import cogalloc
 
 from cogalloc.cli import (
     EXIT_CONFIG,
@@ -281,6 +279,19 @@ class TestMainEntry:
         row = (tmp_path / "optimize.csv").read_text().splitlines()[2].split(",")
         assert row[6] == "1" and int(row[4]) <= 3
 
+    def test_zero_rate_grid_compare_nonjoint_is_infeasible(self, tmp_path):
+        # pfa 0.99 with k=1 gives every user a zero effective rate: no
+        # admissible design for either search (exit 3, not a crash).
+        path = _cfg(
+            tmp_path, {"users": {"count": 20}, "grid": {"pfa_values": [0.99], "k_max": 1}}
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["compare-nonjoint", "--config", str(path), "--out", str(tmp_path)])
+        assert code == EXIT_INFEASIBLE
+        row = (tmp_path / "compare_nonjoint.csv").read_text().splitlines()[2]
+        assert row == ",0,0.0,0.0,0,0"
+
     def test_jobs_flag_equivalent_output(self, tmp_path):
         path = _cfg(tmp_path, SMALL_SWEEP)
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -288,23 +299,23 @@ class TestMainEntry:
         main(["optimize", "--config", str(path), "--out", str(out_b), "--jobs", "2"])
         assert (out_a / "optimize.csv").read_bytes() == (out_b / "optimize.csv").read_bytes()
 
-    def test_module_invocation_subprocess(self, tmp_path):
+    def test_module_invocation_subprocess(self, tmp_path, src_env):
         path = _cfg(tmp_path, {"trials": 1, "seed": 8})
         proc = subprocess.run(
             [sys.executable, "-m", "cogalloc", "optimize", "--config", str(path),
              "--out", str(tmp_path)],
             capture_output=True,
             text=True,
+            env=src_env,
         )
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "optimize.csv").exists()
 
 
-def test_cli_import_leaves_out_scipy_integrate():
+def test_cli_import_leaves_out_scipy_integrate(src_env):
     # scipy.integrate pulls in scipy.optimize and scipy.sparse.linalg,
     # about a third of a second at every CLI start; no library code needs
     # it (the quadrature check lives in the tests).
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cogalloc.__file__)))
     proc = subprocess.run(
         [
             sys.executable,
@@ -313,7 +324,7 @@ def test_cli_import_leaves_out_scipy_integrate():
         ],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=src),
+        env=src_env,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"

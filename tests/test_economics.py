@@ -7,32 +7,39 @@ import numpy as np
 import pytest
 
 from cogalloc import (
-    NEVER_PROFITABLE,
     SecondaryUser,
     SensingDesign,
     SystemParams,
     default_system_params,
-    effective_rate,
     effective_time,
-    fc_utility,
     global_pd,
     global_pfa,
     rate_idle,
     rate_interfered,
-    su_utility,
-    time_bounds,
-    time_lower_bound,
-    time_upper_bound,
+    select_and_allocate,
 )
+from cogalloc.allocator import UserTable, time_bound_arrays
 from cogalloc.units import dbm_to_watts
 
-from helpers import rate_interfered_quadrature
+from helpers import rate_interfered_quadrature, scalar_effective_rate
 
 
 def user(gain=1.0, buffer_bits=1000, pay=0.1, earn=10.0, uid=0):
     return SecondaryUser(
         id=uid, gain_to_fc=gain, buffer_bits=buffer_bits, pay_rate=pay, earn_rate=earn
     )
+
+
+def priced(su, design, geom, params, l_active):
+    """(rate, lower bound, upper bound) of one user from the library's
+    pricing kernel, with ``l_active`` reporting users."""
+    rates, lowers, uppers, _ = UserTable([su], geom, params).level(design, l_active)
+    return float(rates[0]), float(lowers[0]), float(uppers[0])
+
+
+def net_utility(su, rate, t, params):
+    """R t (b - a) - c: an active user's net utility at grant ``t``."""
+    return rate * t * (su.earn_rate - su.pay_rate) - params.sensing_cost
 
 
 def custom_params(**overrides):
@@ -110,7 +117,7 @@ class TestEffectiveRate:
         r0, r1 = rate_idle(su, params), rate_interfered(su, params)
         p_fa, p_d = global_pfa(design, 5), global_pd(design, geom, 5)
         expected = params.p_h0 * (1 - p_fa) * r0 + params.p_h1 * (1 - p_d) * r1
-        assert effective_rate(su, design, geom, params, 5) == pytest.approx(
+        assert priced(su, design, geom, params, 5)[0] == pytest.approx(
             expected, rel=1e-12
         )
 
@@ -118,7 +125,10 @@ class TestEffectiveRate:
         # Both access opportunities vanish at unit tails; full access at zero.
         su = user()
         r0, r1 = rate_idle(su, params), rate_interfered(su, params)
-        blend = lambda fa, d: params.p_h0 * (1 - fa) * r0 + params.p_h1 * (1 - d) * r1
+        table = UserTable([su], params.geometry(), params)
+        blend = lambda fa, d: table.price(
+            params.p_h0 * (1 - fa), params.p_h1 * (1 - d)
+        )[0][0]
         assert blend(1.0, 1.0) == 0.0
         assert blend(0.0, 0.0) == pytest.approx(
             params.p_h0 * r0 + params.p_h1 * r1, rel=1e-12
@@ -136,13 +146,13 @@ class TestEffectiveRate:
             params.p_h0 * (1 - p_fa) * rate_idle(su, params)
             + params.p_h1 * (1 - p_d) * rate_interfered(su, params)
         )
-        assert effective_rate(su, design, geom, params, 5) == pytest.approx(
+        assert priced(su, design, geom, params, 5)[0] == pytest.approx(
             expected, rel=1e-12
         )
 
     def test_k_above_l_propagates(self, params, geom):
         with pytest.raises(ValueError):
-            effective_rate(user(), SensingDesign(0.1, 6), geom, params, 5)
+            priced(user(), SensingDesign(0.1, 6), geom, params, 5)
 
 
 class TestTimeBounds:
@@ -152,8 +162,7 @@ class TestTimeBounds:
     def test_lower_bound_arithmetic(self, params, geom):
         su = user()
         design = SensingDesign(0.2, 2)
-        rate = effective_rate(su, design, geom, params, 4)
-        lb = time_lower_bound(su, design, geom, params, 4)
+        rate, lb, _ = priced(su, design, geom, params, 4)
         assert lb * rate * (su.earn_rate - su.pay_rate) == pytest.approx(
             params.sensing_cost, rel=1e-12
         )
@@ -163,37 +172,43 @@ class TestTimeBounds:
         assert 0.005 / (1000.0 * 9.9) == pytest.approx(5.0505e-7, rel=1e-4)
 
     def test_never_profitable_marker(self, params, geom):
+        # b <= a: the lower bound is infinite, whatever the rate.
+        lowers, _ = time_bound_arrays(
+            np.array([1000.0, 1000.0]),
+            np.array([0.0, -1.0]),
+            np.array([1000.0, 1000.0]),
+            params.sensing_cost,
+        )
+        assert lowers.tolist() == [math.inf, math.inf]
         design = SensingDesign(0.2, 1)
-        assert time_lower_bound(user(pay=1.0, earn=1.0), design, geom, params, 3) is NEVER_PROFITABLE
-        assert time_lower_bound(user(pay=2.0, earn=1.0), design, geom, params, 3) == math.inf
+        assert priced(user(pay=1.0, earn=1.0), design, geom, params, 3)[1] == math.inf
+        assert priced(user(pay=2.0, earn=1.0), design, geom, params, 3)[1] == math.inf
 
     def test_upper_bound_empty_buffer(self, params, geom):
         design = SensingDesign(0.2, 1)
-        assert time_upper_bound(user(buffer_bits=0), design, geom, params, 3) == 0.0
+        assert priced(user(buffer_bits=0), design, geom, params, 3)[2] == 0.0
 
     def test_upper_bound_clears_buffer_exactly(self, params, geom):
         design = SensingDesign(0.3, 2)
         su = user(buffer_bits=1000)
-        rate = effective_rate(su, design, geom, params, 5)
-        ub = time_upper_bound(su, design, geom, params, 5)
+        rate, _, ub = priced(su, design, geom, params, 5)
         assert rate * ub == pytest.approx(su.buffer_bits, rel=1e-9)
 
     def test_upper_bound_linearity(self, params, geom):
         design = SensingDesign(0.3, 2)
-        one = time_upper_bound(user(buffer_bits=700), design, geom, params, 5)
-        two = time_upper_bound(user(buffer_bits=1400), design, geom, params, 5)
+        one = priced(user(buffer_bits=700), design, geom, params, 5)[2]
+        two = priced(user(buffer_bits=1400), design, geom, params, 5)[2]
         assert two == pytest.approx(2.0 * one, rel=1e-12)
 
     def test_bounds_pair_matches_scalar_ops(self, params, geom):
+        # The array kernel and the scalar formulas agree bit for bit.
         design = SensingDesign(0.4, 3)
         su = user(gain=0.8)
-        tb = time_bounds(su, design, geom, params, 5)
-        assert tb.lower == pytest.approx(
-            time_lower_bound(su, design, geom, params, 5), rel=1e-12
-        )
-        assert tb.upper == pytest.approx(
-            time_upper_bound(su, design, geom, params, 5), rel=1e-12
-        )
+        rate, lb, ub = priced(su, design, geom, params, 5)
+        scalar = scalar_effective_rate(su, design, geom, params, 5)
+        assert rate == scalar
+        assert lb == params.sensing_cost / (scalar * (su.earn_rate - su.pay_rate))
+        assert ub == su.buffer_bits / scalar
 
     def test_bounds_shrink_and_rates_grow_when_set_shrinks(self, params, geom):
         # One fewer reporting user lowers both fused tails, so each
@@ -201,13 +216,11 @@ class TestTimeBounds:
         design = SensingDesign(0.2, 2)
         su = user()
         for l_active in range(3, 8):
-            assert effective_rate(su, design, geom, params, l_active - 1) > (
-                effective_rate(su, design, geom, params, l_active)
-            )
-            small = time_bounds(su, design, geom, params, l_active - 1)
-            large = time_bounds(su, design, geom, params, l_active)
-            assert small.lower < large.lower
-            assert small.upper < large.upper
+            small = priced(su, design, geom, params, l_active - 1)
+            large = priced(su, design, geom, params, l_active)
+            assert small[0] > large[0]
+            assert small[1] < large[1]
+            assert small[2] < large[2]
 
 
 class TestEffectiveTime:
@@ -237,49 +250,27 @@ class TestEffectiveTime:
             effective_time(params, -1)
 
 
-class _Alloc:
-    def __init__(self, active, times):
-        self.active = active
-        self.times = times
-
-
 class TestUtilities:
-    def test_fc_utility_all_inactive(self):
-        alloc = _Alloc((False, False), (0.0, 0.0))
-        assert fc_utility(alloc, (100.0, 200.0), (0.1, 0.1)) == 0.0
-
-    def test_fc_utility_single_user(self):
-        alloc = _Alloc((True,), (0.01,))
-        assert fc_utility(alloc, (100.0,), (0.1,)) == pytest.approx(0.1, rel=1e-12)
-
-    def test_fc_utility_additive_over_disjoint_sets(self):
-        rates, pays = (100.0, 250.0, 80.0), (0.1, 0.2, 0.3)
-        left = _Alloc((True, False, False), (0.5, 0.0, 0.0))
-        right = _Alloc((False, True, True), (0.0, 0.25, 0.125))
-        union = _Alloc((True, True, True), (0.5, 0.25, 0.125))
-        assert fc_utility(union, rates, pays) == pytest.approx(
-            fc_utility(left, rates, pays) + fc_utility(right, rates, pays), rel=1e-12
-        )
-
     def test_su_utility_inactive_is_zero(self, params, geom):
-        design = SensingDesign(0.2, 2)
-        assert su_utility(user(), design, geom, params, 5, 1.0, active=False) == 0.0
+        # A never-profitable user is pruned: inactive, zero time, zero utility.
+        sus = [user(uid=0), user(uid=1, pay=1.0, earn=1.0), user(uid=2), user(uid=3)]
+        alloc = select_and_allocate(sus, SensingDesign(0.2, 2), geom, params)
+        assert alloc.feasible and not alloc.active[1]
+        assert alloc.times[1] == 0.0 and alloc.su_utilities[1] == 0.0
 
     def test_break_even_identity(self, params, geom):
         design = SensingDesign(0.2, 2)
         su = user()
-        lb = time_lower_bound(su, design, geom, params, 5)
-        assert su_utility(su, design, geom, params, 5, lb, active=True) == pytest.approx(
-            0.0, abs=1e-12
-        )
+        rate, lb, _ = priced(su, design, geom, params, 5)
+        assert net_utility(su, rate, lb, params) == pytest.approx(0.0, abs=1e-12)
 
     def test_double_break_even_earns_one_sensing_cost(self, params, geom):
         design = SensingDesign(0.2, 2)
         su = user()
-        lb = time_lower_bound(su, design, geom, params, 5)
-        assert su_utility(
-            su, design, geom, params, 5, 2 * lb, active=True
-        ) == pytest.approx(params.sensing_cost, rel=1e-9)
+        rate, lb, _ = priced(su, design, geom, params, 5)
+        assert net_utility(su, rate, 2 * lb, params) == pytest.approx(
+            params.sensing_cost, rel=1e-9
+        )
 
     def test_break_even_identity_over_design_grid(self, params, geom):
         for pfa in (0.1, 0.4, 0.7):
@@ -287,19 +278,19 @@ class TestUtilities:
                 design = SensingDesign(pfa, k)
                 for gain in (0.3, 1.0, 2.5):
                     su = user(gain=gain)
-                    lb = time_lower_bound(su, design, geom, params, l_active)
-                    assert su_utility(
-                        su, design, geom, params, l_active, lb, active=True
-                    ) == pytest.approx(0.0, abs=1e-12)
+                    rate, lb, _ = priced(su, design, geom, params, l_active)
+                    assert net_utility(su, rate, lb, params) == pytest.approx(
+                        0.0, abs=1e-12
+                    )
 
     def test_positivity_iff_above_lower_bound(self, params, geom):
         design = SensingDesign(0.3, 2)
         su = user()
-        lb = time_lower_bound(su, design, geom, params, 5)
+        rate, lb, _ = priced(su, design, geom, params, 5)
         for factor in (0.2, 0.9, 0.999):
-            assert su_utility(su, design, geom, params, 5, factor * lb, True) < 0
+            assert net_utility(su, rate, factor * lb, params) < 0
         for factor in (1.001, 3.0):
-            assert su_utility(su, design, geom, params, 5, factor * lb, True) > 0
+            assert net_utility(su, rate, factor * lb, params) > 0
 
 
 class TestSystemParamsValidation:

@@ -13,13 +13,12 @@ from cogalloc import (
     SensingDesign,
     count_negative_utility,
     default_system_params,
-    effective_rate,
+    effective_time,
     exhaustive_oracle,
     joint_optimize,
     nonjoint_baseline,
     quasiconcavity_probe,
     select_and_allocate,
-    time_lower_bound,
 )
 from cogalloc.allocator import UserTable, utility_bound
 from cogalloc.optimizer import (
@@ -30,7 +29,12 @@ from cogalloc.optimizer import (
 )
 from cogalloc.sensing import global_pd, local_pd
 
-from helpers import make_users, reference_joint_optimize, scalar_exhaustive_oracle
+from helpers import (
+    make_users,
+    reference_joint_optimize,
+    scalar_effective_rate,
+    scalar_exhaustive_oracle,
+)
 
 
 class TestDesignGrid:
@@ -373,6 +377,34 @@ class TestExhaustiveOracle:
         assert oracle.best_design == joint.best_design
 
 
+class TestEdgeRegimes:
+    """Empty buffers and hundreds of users, with warnings as errors."""
+
+    @pytest.mark.parametrize("m", [1, 5, 9])
+    def test_all_zero_buffers_are_infeasible(self, params, geom, m):
+        sus = make_users(m, m, buffer_bits=0)
+        grid = DesignGrid.uniform(m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            joint = joint_optimize(sus, geom, params, grid)
+            oracle = exhaustive_oracle(sus, geom, params, grid)
+            nj = nonjoint_baseline(sus, geom, params, grid)
+        assert not joint.feasible and not oracle.feasible and not nj.feasible
+        assert joint.fc_utility == oracle.fc_utility == nj.fc_utility == 0.0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_two_hundred_users_match_reference(self, params, geom, seed):
+        sus = make_users(seed, 200)
+        grid = DesignGrid((0.25, 0.5, 0.75), (1, 2, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = joint_optimize(sus, geom, params, grid)
+            want = reference_joint_optimize(sus, geom, params, grid)
+        assert got.feasible
+        assert got.best_design == want.best_design
+        assert got.best_allocation == want.best_allocation
+
+
 def _heterogeneous_instance(seed):
     rng = np.random.default_rng(seed)
     params = default_system_params(zeta=float(rng.uniform(0.6, 0.9)))
@@ -505,7 +537,7 @@ class TestNonJointBaseline:
         assert all(alloc.active)
         design, size = nj.outcome.best_design, 4
         for su, t in zip(sus, alloc.times):
-            ub = su.buffer_bits / effective_rate(su, design, geom, params, size)
+            ub = su.buffer_bits / scalar_effective_rate(su, design, geom, params, size)
             assert t == pytest.approx(ub, rel=1e-9)
 
     def test_stage1_minimizes_false_alarm(self, params, geom):
@@ -545,13 +577,40 @@ class TestNonJointBaseline:
         nj = nonjoint_baseline(sus, geom, params, grid)
         if not nj.feasible:
             return
-        design = nj.outcome.best_design
-        prios = [
-            effective_rate(su, design, geom, params, 5) * su.pay_rate for su in sus
-        ]
-        lbs = [time_lower_bound(su, design, geom, params, 5) for su in sus]
-        slack = sum(lb * max(prios) for lb in lbs)
+        _, lbs, _, prios = UserTable(sus, geom, params).level(
+            nj.outcome.best_design, 5
+        )
+        slack = sum(lb * max(prios) for lb in lbs.tolist())
         assert joint.fc_utility >= nj.fc_utility - slack - 1e-12
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_zero_rate_design_is_inadmissible(self, params, geom, seed):
+        # At pfa 0.99 with k=1 both opportunity weights round to 0, so
+        # every eligible user's effective rate is 0: the design must not
+        # be chosen (it used to divide by zero in the upper bounds).
+        sus = make_users(seed, 20)
+        design = SensingDesign(0.99, 1)
+        assert not UserTable(sus, geom, params).level(design, 20)[0].any()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alone = nonjoint_baseline(sus, geom, params, DesignGrid((0.99,), (1,)))
+            mixed = nonjoint_baseline(sus, geom, params, DesignGrid((0.99,), (1, 20)))
+        assert not alone.feasible and alone.su_utilities == (0.0,) * 20
+        assert mixed.feasible and mixed.outcome.best_design == SensingDesign(0.99, 20)
+
+    def test_nonpositive_budget_is_infeasible(self, params, geom):
+        # 200 reporting users use up the whole frame: T'(200) < 0 leaves
+        # no time to split, so the baseline has no allocation (it used to
+        # report 200 active users at zero time and utility 0).
+        sus = make_users(0, 200)
+        assert effective_time(params, 200) < 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            nj = nonjoint_baseline(sus, geom, params, DesignGrid.uniform(200, levels=4))
+        assert not nj.feasible
+        assert nj.outcome.best_design is None
+        assert not any(nj.outcome.best_allocation.active)
+        assert count_negative_utility(nj) == 0
 
     def test_mean_gap_positive_over_batch(self):
         gaps = []
