@@ -707,15 +707,24 @@ def _trace_record(trace) -> dict:
 def cmd_simulate(cfg: RunConfig, out_dir: Path, jobs: int = 1) -> int:
     """Multi-frame delay simulation across the sweep; per-episode CSV,
     aggregated CSV, and one trace log per sweep point (trial 0)."""
-    n_users = _user_count(cfg, cfg.users)
+    n_users = max(
+        _user_count(cfg, _apply_sweep(cfg, value)[1]) for value in cfg.sweep_values
+    )
     results = _run_sweep(cfg, jobs, _simulate_task)
     rows = [r[1] for r in results]
-    delay_cols = [f"mean_delay_su{i}" for i in range(n_users)]
+    header = [
+        "sweep_value",
+        "trial",
+        "mean_delay",
+        "jain_index",
+        *(f"mean_delay_su{i}" for i in range(n_users)),
+    ]
+    # Under an "m" sweep, points with fewer users leave their last cells empty.
     _write_csv(
         out_dir / "simulate.csv",
         "simulate",
-        ["sweep_value", "trial", "mean_delay", "jain_index", *delay_cols],
-        rows,
+        header,
+        [(*row, *[""] * (len(header) - len(row))) for row in rows],
     )
     _write_csv(
         out_dir / "simulate_mean.csv",

@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from scipy.special import exp1
-
 from .sensing import SensingGeometry
 from .units import db_to_linear, dbm_to_watts
 
@@ -160,18 +158,46 @@ def rate_idle(su: SecondaryUser, params: SystemParams) -> float:
     )
 
 
+_EULER_GAMMA = 0.5772156649015329
+
+
 def _exp_scaled_e1(c: float) -> float:
-    # e^c * E1(c), overflow-safe: direct product while e^c and E1(c) are
-    # both well inside double range, truncated asymptotic series beyond
-    # (error < 1e-25 relative for c >= 500).
-    if c < 500.0:
-        return math.exp(c) * float(exp1(c))
-    acc = 0.0
-    term = 1.0 / c
-    for k in range(1, 16):
-        acc += term
-        term *= -k / c
-    return acc
+    # e^c * E1(c) for c > 0.  Up to c = 1/2 the power series
+    # E1(c) = -gamma - ln c - sum_{k>=1} (-c)^k / (k k!), times e^c;
+    # beyond, the continued fraction 1/(c+1 - 1/(c+3 - 4/(c+5 - ...))),
+    # which never forms e^c.  Both stay within 5e-16 relative of the exact
+    # value (tests/test_special_functions.py).
+    if c <= 0.5:
+        # E1(c) > 0.55 here and the series alternates with falling terms,
+        # so stopping at a term below 1e-17 truncates under 2e-17 relative.
+        term = 1.0
+        acc = 0.0
+        k = 1
+        while True:
+            term *= -c / k
+            acc += term / k
+            if abs(term) < 1e-17:
+                break
+            k += 1
+        return math.exp(c) * (-_EULER_GAMMA - math.log(c) - acc)
+    # Forward (modified Lentz) evaluation of the fraction loses up to 1e-14
+    # near c = 1; evaluating it bottom-up, at a depth doubled until two
+    # depths agree, keeps it to a few ulps.
+    depth = 8
+    prev, value = math.nan, _e1_fraction(c, depth)
+    while value != prev and depth < 1 << 12:
+        depth *= 2
+        prev, value = value, _e1_fraction(c, depth)
+    return value
+
+
+def _e1_fraction(c: float, depth: int) -> float:
+    # The continued fraction for e^c E1(c) truncated after ``depth``
+    # partial numerators i^2, evaluated from the bottom up.
+    t = c + 2.0 * depth + 1.0
+    for i in range(depth, 0, -1):
+        t = c + 2.0 * i - 1.0 - i * i / t
+    return 1.0 / t
 
 
 @lru_cache(maxsize=1 << 16)

@@ -15,9 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from statistics import NormalDist
 from typing import Optional
-
-from scipy.special import erfc, gammaln, ndtri
 
 
 @dataclass(frozen=True)
@@ -63,9 +62,40 @@ class SensingDesign:
             raise ValueError(f"k_threshold must be >= 1, got {self.k_threshold}")
 
 
+_STANDARD_NORMAL = NormalDist()
+_SQRT2 = 1.4142135623730951  # sqrt(2) rounded to double
+_SQRT2_LO = -9.667293313452913e-17  # sqrt(2) - _SQRT2
+_TWO_OVER_SQRT_PI = 1.1283791670955126
+_INV_SQRT_2PI = 0.3989422804014327
+
+
+def _split(a: float) -> tuple:
+    # Veltkamp split: a = hi + lo exactly, each with at most 26 significant
+    # bits, so products of halves are exact.
+    c = 134217729.0 * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_SQRT2_HI, _SQRT2_MID = _split(_SQRT2)
+
+
 def q_function(x: float) -> float:
     """Standard Gaussian upper-tail probability Q(x)."""
-    return 0.5 * float(erfc(x / math.sqrt(2.0)))
+    # Q(x) = erfc(z)/2 at z = x/sqrt(2).  Rounding z alone costs up to
+    # 2 z^2 ulps of Q (8e-15 relative near x = 8), so the residue
+    # dz = x/sqrt(2) - z, taken from an exact (Dekker) product z * _SQRT2,
+    # is put back to first order: erfc(z + dz) = erfc(z) - dz (2/sqrt(pi)) e^(-z^2).
+    z = x / _SQRT2
+    if not abs(x) < 40.0:  # erfc(z) is 0 or 2 to double precision (or x is nan)
+        return 0.5 * math.erfc(z)
+    prod = z * _SQRT2
+    z_hi, z_lo = _split(z)
+    prod_err = (
+        (z_hi * _SQRT2_HI - prod) + z_hi * _SQRT2_MID + z_lo * _SQRT2_HI
+    ) + z_lo * _SQRT2_MID
+    dz = ((x - prod) - prod_err - z * _SQRT2_LO) / _SQRT2
+    return 0.5 * (math.erfc(z) - dz * _TWO_OVER_SQRT_PI * math.exp(-z * z))
 
 
 def q_inverse(p: float) -> float:
@@ -78,7 +108,14 @@ def q_inverse(p: float) -> float:
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"q_inverse requires 0 < p < 1, got {p}")
-    return -float(ndtri(p))
+    if p > 0.5:
+        return -q_inverse(1.0 - p)
+    x = -_STANDARD_NORMAL.inv_cdf(p)
+    if x < 1.0:
+        return x
+    # One Newton step on Q(x) = p trims inv_cdf's few ulps in the tail,
+    # where Q's own rounding maps to under one ulp of x.
+    return x + (q_function(x) - p) / (_INV_SQRT_2PI * math.exp(-0.5 * x * x))
 
 
 def threshold_from_pfa(pfa: float, geom: SensingGeometry) -> float:
@@ -110,6 +147,12 @@ def local_pd(pfa: float, geom: SensingGeometry) -> float:
     return q_function(arg)
 
 
+@lru_cache(maxsize=1 << 10)
+def _log_comb_row(n: int) -> tuple:
+    # ln C(n, l) for l = 0..n from the exact integer coefficients.
+    return tuple(math.log(math.comb(n, l)) for l in range(n + 1))
+
+
 @lru_cache(maxsize=1 << 16)
 def _binom_tail(p: float, k: int, n: int) -> float:
     # Upper tail sum_{l=k}^{n} C(n,l) p^l (1-p)^(n-l), accumulated in log
@@ -120,10 +163,9 @@ def _binom_tail(p: float, k: int, n: int) -> float:
         return 1.0
     log_p = math.log(p)
     log_q = math.log1p(-p)
-    lg_n = gammaln(n + 1)
+    log_comb = _log_comb_row(n)
     terms = [
-        lg_n - gammaln(l + 1) - gammaln(n - l + 1) + l * log_p + (n - l) * log_q
-        for l in range(k, n + 1)
+        log_comb[l] + l * log_p + (n - l) * log_q for l in range(k, n + 1)
     ]
     terms.sort()
     acc = 0.0

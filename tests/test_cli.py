@@ -179,10 +179,24 @@ class TestSubcommands:
             b"# schema=cogalloc.compare_nonjoint_mean.v1\r\n"
             b"sweep_value,mean_joint_utility,mean_nonjoint_utility,"
             b"mean_nonjoint_negative_count,n\r\n"
-            b"0.6,56.503758425702706,55.87206332400808,4.0,3\r\n"
-            b"0.7,57.20345564897614,57.2034643365478,4.0,3\r\n"
-            b"0.8,55.03380089214574,55.03380980860908,4.0,3\r\n"
+            b"0.6,56.503758425702706,55.872063324008074,4.0,3\r\n"
+            b"0.7,57.20345564897613,57.2034643365478,4.0,3\r\n"
+            b"0.8,55.033800892145734,55.03380980860906,4.0,3\r\n"
         )
+
+    def test_simulate_header_spans_an_m_sweep(self, tmp_path):
+        payload = {
+            "experiment": {"sweep": "m", "values": [2, 4], "n_frames": 20},
+            "trials": 1,
+        }
+        cfg = load_config(_cfg(tmp_path, payload))
+        assert cmd_simulate(cfg, tmp_path) == EXIT_OK
+        lines = (tmp_path / "simulate.csv").read_text().splitlines()[1:]
+        header, *rows = [line.split(",") for line in lines]
+        assert header[4:] == [f"mean_delay_su{i}" for i in range(4)]
+        assert len(rows) == 2
+        assert all(len(row) == len(header) for row in rows)
+        assert rows[0][-2:] == ["", ""] and "" not in rows[1]
 
     def test_simulate_emits_rows_and_trace(self, tmp_path):
         payload = {
@@ -312,19 +326,21 @@ class TestMainEntry:
         assert (tmp_path / "optimize.csv").exists()
 
 
-def test_cli_import_leaves_out_scipy_integrate(src_env):
-    # scipy.integrate pulls in scipy.optimize and scipy.sparse.linalg,
-    # about a third of a second at every CLI start; no library code needs
-    # it (the quadrature check lives in the tests).
-    proc = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "import sys, cogalloc.cli; print('scipy.integrate' in sys.modules)",
-        ],
-        capture_output=True,
-        text=True,
-        env=src_env,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+def test_import_leaves_out_scipy(src_env):
+    # The library needs only numpy and the standard library; importing
+    # scipy.special alone costs about a third of a second at every CLI
+    # start (scipy is a test-only dependency, for the independent oracles).
+    for module in ("cogalloc", "cogalloc.cli"):
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                f"import sys, {module}; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+            ],
+            capture_output=True,
+            text=True,
+            env=src_env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]", (module, proc.stdout)

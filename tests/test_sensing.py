@@ -57,7 +57,7 @@ class TestQInverse:
     def test_round_trip(self):
         assert q_inverse(q_function(0.7)) == pytest.approx(0.7, abs=1e-9)
 
-    @pytest.mark.parametrize("p", [0.0, 1.0, -0.2, 1.4])
+    @pytest.mark.parametrize("p", [0.0, 1.0, -0.2, 1.4, math.nan])
     def test_domain_error(self, p):
         with pytest.raises(ValueError):
             q_inverse(p)
