@@ -19,11 +19,8 @@ from .allocator import (
     AllocationResult,
     CaseLabel,
     classify_case,
-    exchange_search,
     greedy_topup,
-    reduce_feasible_set,
     select_and_allocate,
-    waterfill_allocate,
 )
 from .economics import (
     SecondaryUser,
@@ -62,7 +59,6 @@ from .simkit import (
     TrafficModel,
     UserProfile,
     jain_index,
-    monte_carlo_average,
     run_episode,
     sample_exponential_gain,
     sample_pareto_idle,
@@ -94,7 +90,6 @@ __all__ = [
     "dbm_to_watts",
     "default_system_params",
     "effective_time",
-    "exchange_search",
     "exhaustive_oracle",
     "global_pd",
     "global_pfa",
@@ -103,19 +98,16 @@ __all__ = [
     "joint_optimize",
     "local_pd",
     "min_active_users",
-    "monte_carlo_average",
     "nonjoint_baseline",
     "q_function",
     "q_inverse",
     "quasiconcavity_probe",
     "rate_idle",
     "rate_interfered",
-    "reduce_feasible_set",
     "run_episode",
     "sample_exponential_gain",
     "sample_pareto_idle",
     "select_and_allocate",
     "step_frame",
     "threshold_from_pfa",
-    "waterfill_allocate",
 ]

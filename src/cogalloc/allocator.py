@@ -21,6 +21,11 @@ users. Candidate sets are index tuples into the table, so evaluating a
 set is a handful of gathers. Candidates are compared by utility alone;
 an :class:`AllocationResult` is built only for the set that is returned.
 
+The screen (each design's reduced set, minimum viable set size and
+utility bound) runs for a whole tuple of designs at once
+(:meth:`UserTable.screen`) from their user-independent weights
+(:class:`DesignWeights`), which a caller may share across calls.
+
 Tie-breaking everywhere (argmax/argmin over users, exchange orderings on
 equal keys) is by lowest user id, so results are bit-reproducible.
 """
@@ -117,6 +122,58 @@ def time_bound_arrays(rates, margin, buffers, cost: float) -> tuple:
     return lowers, uppers
 
 
+class DesignWeights:
+    """The user-independent half of the screen of ``designs`` (each with
+    k <= m) at ``m`` users.
+
+    Per design, in the given order: the opportunity weights (q0, q1) at
+    L = m (``at_m``); l_first, the smallest L in [k, m] whose fused
+    detection meets the floor, as :func:`~cogalloc.sensing.min_active_users`
+    finds it (m + 1 when no L does); the weights at l_first
+    (``at_first``, taken at m when there is no l_first); and the budget
+    T'(l_first) + TIME_TOL (``budget_first``). Nothing here depends on
+    the users, so one instance serves every call with the same geometry,
+    params, designs and m; its arrays are read-only.
+    """
+
+    __slots__ = ("designs", "index", "l_first", "at_m", "at_first", "budget_first")
+
+    def __init__(
+        self,
+        designs: Sequence[SensingDesign],
+        geom: SensingGeometry,
+        params: SystemParams,
+        m: int,
+    ):
+        self.designs = tuple(designs)
+        self.index = {design: d for d, design in enumerate(self.designs)}
+        firsts = [min_active_users(d, geom, params.zeta, m) for d in self.designs]
+        at_first = [m if l is None else l for l in firsts]
+
+        def read_only(a: np.ndarray) -> np.ndarray:
+            a.flags.writeable = False
+            return a
+
+        def weights_at(sizes: list) -> np.ndarray:
+            return read_only(
+                np.array(
+                    [
+                        opportunity_weights(d, geom, params, l)
+                        for d, l in zip(self.designs, sizes)
+                    ]
+                ).reshape(-1, 2)
+            )
+
+        self.l_first = read_only(
+            np.array([m + 1 if l is None else l for l in firsts], dtype=np.intp)
+        )
+        self.at_m = weights_at([m] * len(self.designs))
+        self.at_first = weights_at(at_first)
+        self.budget_first = read_only(
+            np.array([effective_time(params, l) + TIME_TOL for l in at_first])
+        )
+
+
 class UserTable:
     """One call's users, geometry and params, shared across designs.
 
@@ -129,7 +186,7 @@ class UserTable:
 
     __slots__ = (
         "sus", "geom", "params", "r0", "r1", "margin", "buffers", "pay", "ids",
-        "cost", "budgets", "_levels", "_screens",
+        "cost", "budgets", "_levels", "_screen",
     )
 
     def __init__(
@@ -150,7 +207,7 @@ class UserTable:
         self.cost = params.sensing_cost
         self.budgets = [effective_time(params, l) for l in range(len(self.sus) + 1)]
         self._levels: dict = {}
-        self._screens: dict = {}
+        self._screen: Optional[tuple] = None
 
     def price(self, q0, q1) -> tuple:
         """(rates, lowers, uppers, priorities) of every user under the
@@ -173,24 +230,58 @@ class UserTable:
             self._levels[key] = got
         return got
 
-    def screen(self, design: SensingDesign) -> Optional[tuple]:
-        """(reduced set, minimum viable set size l_lb) at ``design``, or
+    def screen(self, weights: DesignWeights) -> np.ndarray:
+        """Screen every design of ``weights`` (built for this table's
+        size) in one pass; returns each design's utility bound, -inf
+        where the design admits no feasible set.
+
+        A design's reduced set R holds the users whose bounds are well
+        ordered at the full size (lower < upper); never-profitable and
+        zero-rate users fail that test. Exclusion at the full size is
+        permanent: both bounds scale as 1/rate, so their order is the
+        same at every cardinality. The design is feasible when l_first
+        <= |R| (l_first >= k, so this also puts k within reach), and its
+        minimum viable set size l_lb is then l_first, as
+        ``min_active_users(design, geom, zeta, |R|)`` stops at the first
+        size meeting the floor.
+
+        The bound is min(sum_{i in R} a_i B_i, (T'(l_lb) + TIME_TOL)
+        max_{i in R} R_i(l_lb) a_i). Every candidate set is a subset of
+        R of size L >= l_lb; its grants satisfy t_i <= B_i / R_i(L) and
+        sum to at most T'(L) + TIME_TOL (the budget check's slack); and
+        the fused tails grow with L, so R_i(L) <= R_i(l_lb) and T'(L) <=
+        T'(l_lb). Exact up to rounding in the sums.
+
+        R and l_lb are kept for :meth:`screened`.
+        """
+        _, lowers, uppers, _ = self.price(weights.at_m[:, :1], weights.at_m[:, 1:])
+        reduced = lowers < uppers
+        feasible = weights.l_first <= reduced.sum(axis=1)
+        prios = self.price(weights.at_first[:, :1], weights.at_first[:, 1:])[3]
+        bounds = np.minimum(
+            np.where(reduced, self.pay * self.buffers, 0.0).sum(axis=1),
+            weights.budget_first * prios.max(axis=1, where=reduced, initial=0.0),
+        )
+        self._screen = (weights, reduced, feasible)
+        return np.where(feasible, bounds, -np.inf)
+
+    def screened(self, design: SensingDesign) -> Optional[tuple]:
+        """(reduced set R, minimum viable set size l_lb) at ``design``, or
         None when the design admits no feasible set: a vote threshold
-        above the reduced set's size, or a detection floor no size up to
-        it reaches. Cached per design."""
-        key = (design.pfa_local, design.k_threshold)
-        if key in self._screens:
-            return self._screens[key]
-        got = None
-        if design.k_threshold <= len(self.sus):
-            reduced = _reduced(self, design)
-            if design.k_threshold <= len(reduced):
-                zeta = self.params.zeta
-                l_lb = min_active_users(design, self.geom, zeta, len(reduced))
-                if l_lb is not None:
-                    got = (reduced, l_lb)
-        self._screens[key] = got
-        return got
+        above the number of users or above |R|, or a detection floor no
+        size up to |R| reaches. Read from the last :meth:`screen` that
+        covered the design; any other design is screened on its own."""
+        m = len(self.sus)
+        if design.k_threshold > m:
+            return None
+        d = None if self._screen is None else self._screen[0].index.get(design)
+        if d is None:
+            self.screen(DesignWeights((design,), self.geom, self.params, m))
+            d = 0
+        weights, reduced, feasible = self._screen
+        if not feasible[d]:
+            return None
+        return tuple(np.flatnonzero(reduced[d]).tolist()), int(weights.l_first[d])
 
     def evaluate(self, design: SensingDesign, idx: tuple) -> "_SetEval":
         members = np.array(idx, dtype=np.intp)
@@ -257,30 +348,6 @@ def classify_case(
     if any(su.earn_rate <= su.pay_rate for su in sus):
         raise ValueError("never-profitable user present; reduce the set first")
     return UserTable(sus, geom, params).evaluate(design, tuple(range(len(sus)))).case
-
-
-def _reduced(table: UserTable, design: SensingDesign) -> tuple:
-    # Positions whose bounds are well ordered at the full set size.
-    _, lowers, uppers, _ = table.level(design, len(table.sus))
-    return tuple(np.flatnonzero(lowers < uppers).tolist())
-
-
-def reduce_feasible_set(
-    all_sus: Sequence[SecondaryUser],
-    design: SensingDesign,
-    geom: SensingGeometry,
-    params: SystemParams,
-) -> list:
-    """Keep exactly the users whose bounds are well ordered at the full
-    set size (lower < upper). Never-profitable users carry an infinite
-    lower bound, so the same filter removes them. Exclusion at the full
-    size is permanent: both bounds scale as 1/rate, so their order is the
-    same at every cardinality.
-    """
-    if not all_sus:
-        return []
-    table = UserTable(all_sus, geom, params)
-    return [table.sus[i] for i in _reduced(table, design)]
 
 
 def greedy_topup(lowers, uppers, priorities, budget: float) -> list:
@@ -378,27 +445,6 @@ def _infeasible(m: int, case: Optional[CaseLabel]) -> AllocationResult:
     )
 
 
-def waterfill_allocate(
-    sus: Sequence[SecondaryUser],
-    design: SensingDesign,
-    geom: SensingGeometry,
-    params: SystemParams,
-) -> AllocationResult:
-    """Contested-time allocation: lower bounds first, then greedy top-up
-    by descending per-second payment R_i a_i.
-
-    Raises
-    ------
-    ValueError
-        If the set is not in the contested-time case.
-    """
-    table = UserTable(sus, geom, params)
-    ev = table.evaluate(design, tuple(range(len(sus))))
-    if ev.case is not CaseLabel.CASE2:
-        raise ValueError(f"water-filling requires Case-2, set is {ev.case}")
-    return _result(table, _score(table, ev), len(sus), ev.idx)
-
-
 def _ordered_desc(table: UserTable, idx: Sequence[int], keys: np.ndarray) -> list:
     # Descending by key, ties by lowest user id.
     members = np.array(idx, dtype=np.intp)
@@ -409,7 +455,12 @@ def _exchange_core(
     table: UserTable, design: SensingDesign, kept: tuple, excluded: tuple
 ) -> Optional[tuple]:
     # The best scored same-cardinality set, the kept set included; None
-    # when no candidate is feasible.
+    # when no candidate is feasible. For each swap depth n the four
+    # bound-ordered extreme sets decide whether the whole depth can be
+    # short-circuited (all-Case-1: score the buffer-ordered swap and go
+    # deeper; all-Case-2: score the payment-ordered swap and stop;
+    # min-lower-bound set Case-3: stop); otherwise every n-for-n swap is
+    # enumerated.
     best = _score(table, table.evaluate(design, kept))
     if not excluded or not kept:
         return best
@@ -462,69 +513,6 @@ def _exchange_core(
                 consider(tuple(sorted(rest + list(in_combo))))
 
     return best
-
-
-def exchange_search(
-    kept: Sequence[SecondaryUser],
-    excluded: Sequence[SecondaryUser],
-    design: SensingDesign,
-    geom: SensingGeometry,
-    params: SystemParams,
-) -> tuple:
-    """Same-cardinality exchange refinement between the kept set and the
-    eliminated pool.
-
-    For each swap depth n the four bound-ordered extreme sets decide
-    whether the whole depth can be short-circuited (all-Case-1: score the
-    buffer-ordered swap and go deeper; all-Case-2: score the
-    payment-ordered swap and stop; min-lower-bound set Case-3: stop), and
-    otherwise every n-for-n swap is enumerated. The kept set itself seeds
-    the candidate pool, so with nothing better it is returned unchanged.
-
-    Returns
-    -------
-    (tuple of SecondaryUser, AllocationResult)
-        The best same-cardinality set found and its allocation (aligned
-        to the returned set, sorted by user id); the allocation is None
-        when no candidate is feasible.
-    """
-    kept = sorted(kept, key=lambda su: su.id)
-    excluded = sorted(excluded, key=lambda su: su.id)
-    if {su.id for su in kept} & {su.id for su in excluded}:
-        raise ValueError("kept and excluded sets overlap")
-    pool = kept + excluded
-    table = UserTable(pool, geom, params)
-    kept_idx = tuple(range(len(kept)))
-    ex_idx = tuple(range(len(kept), len(pool)))
-    best = _exchange_core(table, design, kept_idx, ex_idx)
-    if best is None:
-        return tuple(kept), None
-    idx = best[1].idx
-    alloc = _result(table, best, len(idx), range(len(idx)))
-    return tuple(pool[i] for i in idx), alloc
-
-
-def utility_bound(table: UserTable, design: SensingDesign) -> Optional[float]:
-    """Upper bound on the utility :func:`select_and_allocate` finds at
-    ``design``, or None when the design is infeasible before any search.
-
-    With R the reduced set and l_lb the minimum viable set size, the bound
-    is min(sum_{i in R} a_i B_i, (T'(l_lb) + TIME_TOL) max_{i in R}
-    R_i(l_lb) a_i). Every candidate set is a subset of R of size
-    L >= l_lb; its grants satisfy t_i <= B_i / R_i(L) and sum to at most
-    T'(L) + TIME_TOL; and the fused tails grow with L, so R_i(L) <=
-    R_i(l_lb) and T'(L) <= T'(l_lb). Exact up to rounding in the sums.
-    """
-    screened = table.screen(design)
-    if screened is None:
-        return None
-    reduced, l_lb = screened
-    members = np.array(reduced, dtype=np.intp)
-    prios = table.level(design, l_lb)[3]
-    return min(
-        float((table.pay[members] * table.buffers[members]).sum()),
-        (table.budgets[l_lb] + TIME_TOL) * float(prios[members].max()),
-    )
 
 
 def _select(
@@ -588,12 +576,13 @@ def select_and_allocate(
 
     ``table`` is a :class:`UserTable` of exactly these users, geometry
     and params, for a caller that searches many designs (built here when
-    omitted).
+    omitted); the reduced set and minimum viable set size come from its
+    batched screen (:meth:`UserTable.screened`).
     """
     if table is None:
         table = UserTable(all_sus, geom, params)
     m = len(table.sus)
-    screened = table.screen(design)
+    screened = table.screened(design)
     if screened is None:
         return _infeasible(m, None)
     best = _select(table, design, *screened)

@@ -192,14 +192,64 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_count(value, least: int) -> bool:
+    # An integer (not a bool, not a float such as 2.5) >= least.
+    return _is_number(value) and isinstance(value, int) and value >= least
+
+
+def _is_pfa_list(value) -> bool:
+    return value is None or (
+        isinstance(value, list)
+        and all(_is_number(p) and 0.0 < p < 1.0 for p in value)
+        and value == sorted(set(value))
+    )
+
+
+_NUMBER = ("a number", _is_number)
+_PROBABILITY = ("a number in (0, 1)", lambda v: _is_number(v) and 0.0 < v < 1.0)
+_NON_NEGATIVE = ("a number >= 0", lambda v: _is_number(v) and v >= 0)
+_COUNT = ("an integer >= 1", lambda v: _is_count(v, 1))
+_BITS = ("an integer >= 0", lambda v: _is_count(v, 0))
+
+# (section or None for a top-level key, key, (what, rule)) for the fields
+# whose types the value classes do not check; generated users only.
+_FIELD_RULES = (
+    ("users", "count", _COUNT),
+    ("users", "gain_mean", ("a number > 0", lambda v: _is_number(v) and v > 0)),
+    ("users", "buffer_bits", _NON_NEGATIVE),
+    ("users", "pay_rate", _NON_NEGATIVE),
+    ("users", "earn_rate", _NON_NEGATIVE),
+    ("traffic", "shape", _NUMBER),
+    ("traffic", "scale", _NUMBER),
+    ("traffic", "accumulation_time", _NUMBER),
+    ("traffic", "batch_bits", _BITS),
+    ("traffic", "initial_bits", _BITS),
+    ("grid", "levels", ("an integer >= 2", lambda v: _is_count(v, 2))),
+    ("grid", "k_max", ("null or an integer >= 1", lambda v: v is None or _is_count(v, 1))),
+    ("grid", "pfa_values", ("null or ascending distinct numbers in (0, 1)", _is_pfa_list)),
+    ("experiment", "n_frames", _COUNT),
+    (None, "trials", _COUNT),
+    (None, "seed", ("an integer >= 0", lambda v: _is_count(v, 0))),
+)
+
 # Each sweep value must pass the rule of the base field it replaces.
 _SWEEP_RULES = {
-    "zeta": ("a number in (0, 1)", lambda v: _is_number(v) and 0.0 < v < 1.0),
-    "p_h0": ("a number in (0, 1)", lambda v: _is_number(v) and 0.0 < v < 1.0),
-    "gamma_db": ("a number", _is_number),
-    "m": ("an integer >= 1", lambda v: _is_number(v) and isinstance(v, int) and v >= 1),
-    "buffer_bits": ("a number >= 0", lambda v: _is_number(v) and v >= 0),
+    "zeta": _PROBABILITY,
+    "p_h0": _PROBABILITY,
+    "gamma_db": _NUMBER,
+    "m": _COUNT,
+    "buffer_bits": _NON_NEGATIVE,
 }
+
+
+def _field_errors(eff: dict) -> list:
+    errors = []
+    for section, key, (what, ok) in _FIELD_RULES:
+        fields = eff if section is None else eff[section]
+        if isinstance(fields, dict) and not ok(fields[key]):
+            name = key if section is None else f"{section}.{key}"
+            errors.append(f"{name} must be {what}, got {fields[key]!r}")
+    return errors
 
 
 def _sweep_value_errors(sweep: str, values: tuple) -> list:
@@ -223,7 +273,7 @@ def parse_config(raw: dict) -> RunConfig:
         Listing every violated invariant.
     """
     eff = effective_config(raw)
-    errors: list = []
+    errors: list = _field_errors(eff)
 
     sys_cfg = dict(eff["system"])
     sys_cfg.pop("bit_rate_kbps")
@@ -260,27 +310,20 @@ def parse_config(raw: dict) -> RunConfig:
         except (KeyError, ValueError, TypeError) as exc:
             errors.append(f"users: {exc}")
             users = {"count": 0}
-    else:
-        if users["count"] < 1:
-            errors.append(f"users.count must be >= 1, got {users['count']}")
-        if users["gain_mean"] <= 0:
-            errors.append("users.gain_mean must be positive")
-        if users["buffer_bits"] < 0:
-            errors.append("users.buffer_bits must be >= 0")
 
     traffic = None
-    try:
-        traffic = TrafficModel(
-            shape=eff["traffic"]["shape"],
-            scale=eff["traffic"]["scale"],
-            batch_bits=eff["traffic"]["batch_bits"],
-            accumulation_time=eff["traffic"]["accumulation_time"],
-        )
-    except ValueError as exc:
-        errors.append(f"traffic: {exc}")
-    initial_bits = eff["traffic"]["initial_bits"]
-    if initial_bits < 0:
-        errors.append("traffic.initial_bits must be >= 0")
+    traffic_cfg = eff["traffic"]
+    if not any(e.startswith("traffic.") for e in errors):
+        try:
+            traffic = TrafficModel(
+                shape=traffic_cfg["shape"],
+                scale=traffic_cfg["scale"],
+                batch_bits=traffic_cfg["batch_bits"],
+                accumulation_time=traffic_cfg["accumulation_time"],
+            )
+        except ValueError as exc:
+            errors.append(f"traffic: {exc}")
+    initial_bits = traffic_cfg["initial_bits"]
 
     exp = eff["experiment"]
     sweep = exp["sweep"]
@@ -296,10 +339,6 @@ def parse_config(raw: dict) -> RunConfig:
         else:
             sweep_values = tuple(values)
             errors.extend(_sweep_value_errors(sweep, sweep_values))
-    if exp["n_frames"] < 1:
-        errors.append("experiment.n_frames must be >= 1")
-    if eff["trials"] < 1:
-        errors.append("trials must be >= 1")
     if explicit_users is not None and sweep in ("m", "buffer_bits"):
         errors.append(f"sweep {sweep!r} requires generated users, not an explicit list")
 

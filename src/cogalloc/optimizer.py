@@ -15,19 +15,20 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .allocator import (
     AllocationResult,
+    DesignWeights,
     UserTable,
     _infeasible,
     _placed,
     greedy_topup,
     opportunity_weights,
     select_and_allocate,
-    utility_bound,
 )
 from .economics import _EULER_GAMMA, SecondaryUser, SystemParams
 from .sensing import (
@@ -94,6 +95,23 @@ def _infeasible_outcome(m: int, surface, elapsed: float) -> OptimizationOutcome:
 BOUND_SLACK = 1e-9
 
 
+def _grid_designs(grid: DesignGrid) -> list:
+    # Grid order: k as listed, then pfa ascending within each k.
+    return [SensingDesign(pfa, k) for k in grid.k_values for pfa in grid.pfa_values]
+
+
+@lru_cache(maxsize=64)
+def _grid_weights(
+    geom: SensingGeometry, params: SystemParams, grid: DesignGrid, m: int
+) -> DesignWeights:
+    # Shared by every call on this (geometry, params, grid, M): every
+    # frame of a simulated episode and every trial of a sweep point.
+    # Designs with k > M admit no set and are left out.
+    return DesignWeights(
+        [d for d in _grid_designs(grid) if d.k_threshold <= m], geom, params, m
+    )
+
+
 def joint_optimize(
     all_sus: Sequence[SecondaryUser],
     geom: SensingGeometry,
@@ -104,48 +122,68 @@ def joint_optimize(
     """Grid search over designs, inner selection/allocation per point.
 
     Feasible ties break toward the smallest false-alarm value, then the
-    smallest vote threshold. Returns an all-infeasible outcome when no
-    grid point admits a feasible allocation.
+    smallest vote threshold: the winner maximizes (utility, -pfa, -k).
+    Returns an all-infeasible outcome when no grid point admits a
+    feasible allocation.
 
     The users' design-independent columns are built once per call (one
-    :class:`~cogalloc.allocator.UserTable`). Once a feasible incumbent
-    exists, a design is searched only if its utility can reach it. With
-    R the design's reduced set and l_lb its minimum viable set size, the
-    design's utility is at most
-    U_max = min(sum_{i in R} a_i B_i, T'(l_lb) max_{i in R} R_i(l_lb) a_i)
-    (see :func:`~cogalloc.allocator.utility_bound`, which adds the budget
-    check's TIME_TOL to T'): every candidate set lies in R and has
-    L >= l_lb users; each grant is at most B_i / R_i(L) and the grants
-    sum to at most T'(L); the fused tails grow with L, so
-    R_i(L) <= R_i(l_lb) and T'(L) <= T'(l_lb). The design is skipped when
-    U_max * (1 + BOUND_SLACK) < the incumbent's utility; the slack covers
-    rounding in the sums, and the strict comparison lets a design that
-    could tie the incumbent reach the (pfa, k) tie-break. Skipping only
-    designs that cannot win leaves the result bit-for-bit that of
-    searching every design. With ``keep_surface`` every design is
-    searched, so the surface holds every grid point.
+    :class:`~cogalloc.allocator.UserTable`), and the user-independent
+    weights of every grid design once per (geometry, params, grid, M)
+    (a shared :class:`~cogalloc.allocator.DesignWeights`). One batched
+    :meth:`~cogalloc.allocator.UserTable.screen` then gives every
+    design's reduced set R, minimum viable set size l_lb and utility
+    bound U_max = min(sum_{i in R} a_i B_i, T'(l_lb) max_{i in R}
+    R_i(l_lb) a_i), with the budget check's TIME_TOL added to T'. Every
+    candidate set lies in R and has L >= l_lb users; each grant is at
+    most B_i / R_i(L) and the grants sum to at most T'(L); the fused
+    tails grow with L, so R_i(L) <= R_i(l_lb) and T'(L) <= T'(l_lb).
+
+    Designs that pass the screen are searched best first: in descending
+    order of U_max, equal bounds in grid order (a stable sort). The
+    search stops at the first design with U_max * (1 + BOUND_SLACK)
+    below the incumbent's utility; every later design has a bound no
+    larger, so none of them can win. The slack covers rounding in the
+    sums, and the strict comparison lets a design that could tie the
+    incumbent reach the (pfa, k) tie-break.
+
+    The result is bit-for-bit that of searching every design in grid
+    order. Each design's allocation does not depend on when it is
+    searched, the maximum of the total order (utility, -pfa, -k) over
+    the searched designs does not depend on the order they are visited
+    in, and a design is skipped only when its utility is below the
+    incumbent's, which is at most the final maximum's. With
+    ``keep_surface`` every design is searched in grid order, so the
+    surface holds every grid point.
     """
     start = time.perf_counter()
-    surface: Optional[dict] = {} if keep_surface else None
     table = UserTable(all_sus, geom, params)
+    weights = _grid_weights(geom, params, grid, len(table.sus))
+    bounds = table.screen(weights)
+    surface: Optional[dict] = None
+    if keep_surface:
+        surface = {}
+        designs = _grid_designs(grid)
+        ceilings = [math.inf] * len(designs)
+    else:
+        live = np.flatnonzero(bounds > -np.inf)
+        order = live[np.argsort(-bounds[live], kind="stable")]
+        designs = [weights.designs[d] for d in order.tolist()]
+        ceilings = (bounds[order] * (1.0 + BOUND_SLACK)).tolist()
     best_key = None
     best: Optional[tuple] = None
-    for k in grid.k_values:
-        for pfa in grid.pfa_values:
-            design = SensingDesign(pfa_local=pfa, k_threshold=k)
-            if surface is None and best_key is not None:
-                bound = utility_bound(table, design)
-                if bound is None or bound * (1.0 + BOUND_SLACK) < best_key[0]:
-                    continue
-            alloc = select_and_allocate(all_sus, design, geom, params, table)
-            if surface is not None:
-                surface[(pfa, k)] = alloc.fc_utility if alloc.feasible else None
-            if not alloc.feasible:
-                continue
-            key = (alloc.fc_utility, -pfa, -k)
-            if best_key is None or key > best_key:
-                best_key = key
-                best = (design, alloc)
+    for design, ceiling in zip(designs, ceilings):
+        if best_key is not None and ceiling < best_key[0]:
+            break
+        alloc = select_and_allocate(all_sus, design, geom, params, table)
+        pfa, k = design.pfa_local, design.k_threshold
+        if surface is not None:
+            surface[(pfa, k)] = alloc.fc_utility if alloc.feasible else None
+        if not alloc.feasible:
+            continue
+        key = (alloc.fc_utility, -pfa, -k)
+        if best_key is None or key > best_key:
+            best_key = key
+            best = (design, alloc)
     elapsed = time.perf_counter() - start
     if best is None:
         return _infeasible_outcome(len(all_sus), surface, elapsed)

@@ -127,11 +127,6 @@ def threshold_from_pfa(pfa: float, geom: SensingGeometry) -> float:
     return geom.noise_var * (1.0 + q_inverse(pfa) / math.sqrt(geom.n_samples))
 
 
-def pfa_from_threshold(threshold: float, geom: SensingGeometry) -> float:
-    """Forward false-alarm evaluation; inverse of :func:`threshold_from_pfa`."""
-    return q_function((threshold / geom.noise_var - 1.0) * math.sqrt(geom.n_samples))
-
-
 @lru_cache(maxsize=1 << 16)
 def local_pd(pfa: float, geom: SensingGeometry) -> float:
     """Per-user detection probability at a local false-alarm target.

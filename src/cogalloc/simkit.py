@@ -390,19 +390,3 @@ def jain_index(values: Sequence[float]) -> float:
         raise ValueError("jain_index needs at least one strictly positive value")
     total = sum(vals)
     return total * total / (len(vals) * sum(v * v for v in vals))
-
-
-def monte_carlo_average(instance_metric, n_trials: int) -> tuple:
-    """Mean and standard error of ``instance_metric(trial)`` over seeded,
-    reproducible trials.
-
-    ``instance_metric`` must be deterministic per trial index (derive any
-    randomness from the trial number and a fixed master seed).
-    """
-    if n_trials < 1:
-        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    values = np.array([float(instance_metric(t)) for t in range(n_trials)])
-    mean = float(values.mean())
-    if n_trials == 1:
-        return mean, 0.0
-    return mean, float(values.std(ddof=1) / math.sqrt(n_trials))

@@ -7,9 +7,15 @@ vectors, the inner allocation LP from scipy's linprog, and the selection
 optimum from exhaustive subset enumeration at a fixed design. The
 design-batched exhaustive oracle is checked against the scalar oracle it
 replaced, the pruned grid search against the plain per-point loop it
+replaced, the batched design screen against the per-design screen it
 replaced, the array pricing kernel against a scalar effective rate,
 and the closed-form interfered rate against a quadrature route, all
 kept here.
+
+The public wrappers around the allocator's cores that only tests call
+(:func:`reduce_feasible_set`, :func:`waterfill_allocate`,
+:func:`exchange_search`), the forward false-alarm map and the trial
+averager live here too.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from scipy.optimize import linprog
 
 from cogalloc import (
     AllocationResult,
+    CaseLabel,
     DesignGrid,
     OptimizationOutcome,
     SecondaryUser,
@@ -32,11 +39,19 @@ from cogalloc import (
     effective_time,
     global_pd,
     global_pfa,
+    min_active_users,
+    q_function,
     rate_idle,
     rate_interfered,
     select_and_allocate,
 )
-from cogalloc.allocator import UserTable
+from cogalloc.allocator import (
+    TIME_TOL,
+    UserTable,
+    _exchange_core,
+    _result,
+    _score,
+)
 from cogalloc.optimizer import _infeasible_outcome
 
 
@@ -48,6 +63,12 @@ def normal_tail_quad(x: float) -> float:
         return value
     value, _ = quad(density, -np.inf, x)
     return 1.0 - value
+
+
+def pfa_from_threshold(threshold: float, geom) -> float:
+    """Forward false-alarm evaluation; inverse of
+    :func:`cogalloc.threshold_from_pfa`."""
+    return q_function((threshold / geom.noise_var - 1.0) * math.sqrt(geom.n_samples))
 
 
 def q_inverse_bisect(p: float, lo: float = -40.0, hi: float = 40.0) -> float:
@@ -245,6 +266,105 @@ def evaluate_set(sus, design, geom, params):
     """Bounds, priorities, budget and case of a user list as one candidate
     set at its own cardinality."""
     return UserTable(sus, geom, params).evaluate(design, tuple(range(len(sus))))
+
+
+def reference_screen(table: UserTable, design: SensingDesign):
+    """The per-design screen the batched :meth:`UserTable.screen`
+    replaced: (reduced set, minimum viable set size l_lb) at ``design``,
+    or None when the design admits no feasible set (a vote threshold
+    above the reduced set's size, or a detection floor no size up to it
+    reaches)."""
+    if design.k_threshold > len(table.sus):
+        return None
+    _, lowers, uppers, _ = table.level(design, len(table.sus))
+    reduced = tuple(np.flatnonzero(lowers < uppers).tolist())
+    if design.k_threshold > len(reduced):
+        return None
+    l_lb = min_active_users(design, table.geom, table.params.zeta, len(reduced))
+    if l_lb is None:
+        return None
+    return reduced, l_lb
+
+
+def reference_utility_bound(table: UserTable, design: SensingDesign):
+    """min(sum_{i in R} a_i B_i, (T'(l_lb) + TIME_TOL) max_{i in R}
+    R_i(l_lb) a_i) for one design from :func:`reference_screen`, or None
+    when the design is infeasible before any search."""
+    screened = reference_screen(table, design)
+    if screened is None:
+        return None
+    reduced, l_lb = screened
+    members = np.array(reduced, dtype=np.intp)
+    prios = table.level(design, l_lb)[3]
+    return min(
+        float((table.pay[members] * table.buffers[members]).sum()),
+        (table.budgets[l_lb] + TIME_TOL) * float(prios[members].max()),
+    )
+
+
+def reduce_feasible_set(all_sus, design, geom, params) -> list:
+    """Keep exactly the users whose bounds are well ordered at the full
+    set size (lower < upper): the users of the design's reduced set."""
+    if not all_sus:
+        return []
+    table = UserTable(all_sus, geom, params)
+    _, lowers, uppers, _ = table.level(design, len(table.sus))
+    return [table.sus[i] for i in np.flatnonzero(lowers < uppers).tolist()]
+
+
+def waterfill_allocate(sus, design, geom, params) -> AllocationResult:
+    """Contested-time allocation: lower bounds first, then greedy top-up
+    by descending per-second payment R_i a_i.
+
+    Raises
+    ------
+    ValueError
+        If the set is not in the contested-time case.
+    """
+    table = UserTable(sus, geom, params)
+    ev = table.evaluate(design, tuple(range(len(sus))))
+    if ev.case is not CaseLabel.CASE2:
+        raise ValueError(f"water-filling requires Case-2, set is {ev.case}")
+    return _result(table, _score(table, ev), len(sus), ev.idx)
+
+
+def exchange_search(kept, excluded, design, geom, params) -> tuple:
+    """Same-cardinality exchange refinement between the kept set and the
+    eliminated pool, through the allocator's exchange core.
+
+    Returns
+    -------
+    (tuple of SecondaryUser, AllocationResult)
+        The best same-cardinality set found and its allocation (aligned
+        to the returned set, sorted by user id); the allocation is None
+        when no candidate is feasible.
+    """
+    kept = sorted(kept, key=lambda su: su.id)
+    excluded = sorted(excluded, key=lambda su: su.id)
+    if {su.id for su in kept} & {su.id for su in excluded}:
+        raise ValueError("kept and excluded sets overlap")
+    pool = kept + excluded
+    table = UserTable(pool, geom, params)
+    kept_idx = tuple(range(len(kept)))
+    ex_idx = tuple(range(len(kept), len(pool)))
+    best = _exchange_core(table, design, kept_idx, ex_idx)
+    if best is None:
+        return tuple(kept), None
+    idx = best[1].idx
+    alloc = _result(table, best, len(idx), range(len(idx)))
+    return tuple(pool[i] for i in idx), alloc
+
+
+def monte_carlo_average(instance_metric, n_trials: int) -> tuple:
+    """Mean and standard error of ``instance_metric(trial)`` over seeded,
+    reproducible trials."""
+    if n_trials < 1:
+        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+    values = np.array([float(instance_metric(t)) for t in range(n_trials)])
+    mean = float(values.mean())
+    if n_trials == 1:
+        return mean, 0.0
+    return mean, float(values.std(ddof=1) / math.sqrt(n_trials))
 
 
 def reference_joint_optimize(all_sus, geom, params, grid):

@@ -16,21 +16,21 @@ from cogalloc import (
     classify_case,
     default_system_params,
     effective_time,
-    exchange_search,
     greedy_topup,
     joint_optimize,
-    reduce_feasible_set,
     select_and_allocate,
-    waterfill_allocate,
 )
 
 from cogalloc.allocator import UserTable
 
 from helpers import (
     evaluate_set,
+    exchange_search,
     lp_time_allocation,
     make_users,
+    reduce_feasible_set,
     subset_oracle_fixed_design,
+    waterfill_allocate,
 )
 
 

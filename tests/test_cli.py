@@ -282,6 +282,24 @@ class TestMainEntry:
         assert code == EXIT_CONFIG
         assert "experiment.values" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "raw,field",
+        [
+            ({"users": {"count": "5"}}, "users.count"),
+            ({"traffic": {"scale": "x"}}, "traffic.scale"),
+            ({"grid": {"levels": 0}}, "grid.levels"),
+            ({"grid": {"pfa_values": [1.5]}}, "grid.pfa_values"),
+            ({"experiment": {"n_frames": 2.5}}, "experiment.n_frames"),
+        ],
+    )
+    def test_bad_field_type_exit_code(self, tmp_path, capsys, raw, field):
+        # Rejected while parsing, not by a crash (or a silent truncation)
+        # once the run has started.
+        path = _cfg(tmp_path, raw)
+        code = main(["optimize", "--config", str(path), "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert field in capsys.readouterr().err
+
     def test_vote_threshold_above_user_count_is_infeasible(self, tmp_path):
         # k_max 5 with 3 users: the designs with k > 3 are infeasible, not
         # an error.

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from cogalloc import (
     HessianProbeConfig,
     SecondaryUser,
     SensingDesign,
+    TrafficModel,
     count_negative_utility,
     default_system_params,
     effective_time,
@@ -18,11 +20,14 @@ from cogalloc import (
     joint_optimize,
     nonjoint_baseline,
     quasiconcavity_probe,
+    run_episode,
     select_and_allocate,
 )
-from cogalloc.allocator import UserTable, utility_bound
+from cogalloc import optimizer, simkit
+from cogalloc.allocator import UserTable
 from cogalloc.optimizer import (
     BOUND_SLACK,
+    _grid_weights,
     binom_term,
     probe_utility,
     smooth_binom_tail,
@@ -32,6 +37,8 @@ from cogalloc.sensing import global_pd, local_pd
 from helpers import (
     make_users,
     reference_joint_optimize,
+    reference_screen,
+    reference_utility_bound,
     scalar_effective_rate,
     scalar_exhaustive_oracle,
 )
@@ -158,6 +165,19 @@ def _assert_same_outcome(got, want):
 KINDS = ("identical", "heterogeneous", "zero_buffers", "reversed_ids")
 
 
+def _record_visits(monkeypatch) -> list:
+    # The designs joint_optimize searches, in the order it searches them.
+    visited = []
+    search = optimizer.select_and_allocate
+
+    def recording(all_sus, design, *args):
+        visited.append(design)
+        return search(all_sus, design, *args)
+
+    monkeypatch.setattr(optimizer, "select_and_allocate", recording)
+    return visited
+
+
 class TestPrunedGridSearch:
     """The grid search skips designs whose utility bound falls below the
     incumbent; it must equal the plain per-point loop exactly."""
@@ -270,6 +290,150 @@ class TestPrunedGridSearch:
             for k in (m + 1, m + 2)
         )
 
+    # Seeds where the design with the highest bound is not the winner.
+    @pytest.mark.parametrize("seed", [29, 156])
+    def test_best_first_search_goes_past_its_first_design(self, monkeypatch, seed):
+        # Thin margins make the break-even grants large. The highest bound
+        # belongs to a design that must serve every user; their
+        # break-even grants take budget from the best payer, which the
+        # bound does not count, and a design serving fewer users wins.
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(3, 9))
+        params = default_system_params(zeta=float(rng.choice([0.6, 0.7, 0.9])))
+        geom = params.geometry()
+        sus = [
+            SecondaryUser(
+                id=i,
+                gain_to_fc=float(rng.exponential(1.0)),
+                buffer_bits=int(rng.integers(100, 50000)),
+                pay_rate=0.1,
+                earn_rate=0.1 + float(rng.uniform(0.0005, 0.05)),
+            )
+            for i in range(m)
+        ]
+        grid = DesignGrid.uniform(m)
+        visited = _record_visits(monkeypatch)
+        got = joint_optimize(sus, geom, params, grid)
+        assert got.feasible and visited[0] != got.best_design
+        assert got.best_design in visited
+        _assert_same_outcome(got, reference_joint_optimize(sus, geom, params, grid))
+
+    def test_flat_abundant_surface_visits_ties_in_grid_order(
+        self, monkeypatch, params, geom
+    ):
+        # Identical users with tiny backlogs: every feasible design clears
+        # every buffer, so every utility and every bound tie. All designs
+        # are searched, in grid order (k listed downwards), and the
+        # tie-break still picks the smallest pfa, then the smallest k.
+        sus = [
+            SecondaryUser(
+                id=i, gain_to_fc=1.0, buffer_bits=5, pay_rate=0.1, earn_rate=10.0
+            )
+            for i in range(5)
+        ]
+        grid = DesignGrid(pfa_values=(0.1, 0.2, 0.3, 0.4), k_values=(5, 4, 3, 2, 1))
+        surface = joint_optimize(
+            sus, geom, params, grid, keep_surface=True
+        ).utility_surface
+        feasible = [key for key, u in surface.items() if u is not None]
+        assert len(feasible) > 1
+        assert len({surface[key] for key in feasible}) == 1
+        visited = _record_visits(monkeypatch)
+        got = joint_optimize(sus, geom, params, grid)
+        assert [(d.pfa_local, d.k_threshold) for d in visited] == feasible
+        assert (got.best_design.pfa_local, got.best_design.k_threshold) == min(feasible)
+        _assert_same_outcome(got, reference_joint_optimize(sus, geom, params, grid))
+
+    def test_episode_matches_reference_search(self, monkeypatch, params, geom):
+        # Thirty frames with batches every few frames: the weights shared
+        # across frames must give every frame the reference's decision.
+        traffic = TrafficModel(scale=0.002)
+
+        def episode():
+            return run_episode(30, params, geom, traffic, rng_seed=5, n_users=5)[1]
+
+        got = episode()
+        monkeypatch.setattr(simkit, "joint_optimize", reference_joint_optimize)
+        want = episode()
+        assert sum(t.allocation is not None for t in want) > 5
+        assert got == want
+
+
+class TestBatchedScreen:
+    """Every design's reduced set, minimum viable size and feasibility
+    from the batched screen equal the per-design reference screen, and
+    its bound covers the utility the search finds there."""
+
+    @staticmethod
+    def _check(sus, geom, params, grid):
+        m = len(sus)
+        table = UserTable(sus, geom, params)
+        weights = _grid_weights(geom, params, grid, m)
+        bounds = table.screen(weights)
+        assert len(weights.designs) == sum(1 for k in grid.k_values if k <= m) * len(
+            grid.pfa_values
+        )
+        for k in grid.k_values:
+            for pfa in grid.pfa_values:
+                design = SensingDesign(pfa, k)
+                want = reference_screen(table, design)
+                assert table.screened(design) == want
+                if k > m:
+                    assert want is None
+                    continue
+                bound = float(bounds[weights.index[design]])
+                assert (bound == -np.inf) == (want is None)
+                alloc = select_and_allocate(sus, design, geom, params, table)
+                if want is None:
+                    assert not alloc.feasible
+                elif alloc.feasible:
+                    assert alloc.fc_utility <= bound * (1.0 + BOUND_SLACK)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("m", [0, 1, 2, 3, 5, 8, 13, 21, 40])
+    def test_matches_reference_screen(self, m, kind):
+        params, sus = _mixed_instance(m + 700, m, kind)
+        grid = DesignGrid(
+            pfa_values=(0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99),
+            k_values=tuple(range(1, m + 3)),
+        )
+        self._check(sus, params.geometry(), params, grid)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bound_taken_where_the_walk_ends(self, params, geom, seed):
+        # The walk ends below |R| here (see TestUtilityBound), where rates
+        # and the budget are larger than at |R|.
+        sus = [
+            SecondaryUser(
+                id=i, gain_to_fc=1.0 + 0.1 * seed, buffer_bits=50000,
+                pay_rate=0.1, earn_rate=10.0,
+            )
+            for i in range(12)
+        ]
+        grid = DesignGrid(pfa_values=(0.1, 0.3, 0.5), k_values=(1, 2, 3, 4, 5))
+        self._check(sus, geom, params, grid)
+
+    def test_shared_weights_follow_every_key_field(self):
+        # One process, calls interleaved so that each differs from the
+        # last in exactly one of zeta, p_h0, the geometry, the grid or M:
+        # a weight table shared across a key field would serve a stale one.
+        params, sus = _mixed_instance(41, 8, "heterogeneous")
+        geom = params.geometry()
+        grid = DesignGrid.uniform(8)
+        cases = [
+            (sus, geom, params, grid),
+            (sus, geom, replace(params, zeta=0.95), grid),
+            (sus, geom, replace(params, p_h0=0.4), grid),
+            (sus, replace(geom, gamma=geom.gamma * 0.5), params, grid),
+            (sus, geom, params, DesignGrid(grid.pfa_values[1:], grid.k_values)),
+            (sus[:6], geom, params, grid),
+        ]
+        wants = [reference_joint_optimize(*case) for case in cases]
+        base = (wants[0].best_design, wants[0].fc_utility)
+        assert all((w.best_design, w.fc_utility) != base for w in wants[1:])
+        for i in (0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 1, 2, 3, 4, 5):
+            _assert_same_outcome(joint_optimize(*cases[i]), wants[i])
+
 
 class TestUtilityBound:
     @pytest.mark.parametrize("kind", KINDS)
@@ -288,7 +452,7 @@ class TestUtilityBound:
             for pfa in grid.pfa_values:
                 design = SensingDesign(pfa, k)
                 alloc = select_and_allocate(sus, design, geom, params)
-                bound = utility_bound(table, design)
+                bound = reference_utility_bound(table, design)
                 if bound is None:
                     assert not alloc.feasible
                 elif alloc.feasible:
@@ -315,7 +479,7 @@ class TestUtilityBound:
                 if alloc.feasible:
                     checked += 1
                     assert alloc.n_selected < len(sus)
-                    assert alloc.fc_utility <= utility_bound(table, design) * (
+                    assert alloc.fc_utility <= reference_utility_bound(table, design) * (
                         1.0 + BOUND_SLACK
                     )
         assert checked > 0

@@ -17,9 +17,12 @@ from cogalloc import (
     q_inverse,
     threshold_from_pfa,
 )
-from cogalloc.sensing import pfa_from_threshold
-
-from helpers import fused_tail_enumeration, normal_tail_quad, q_inverse_bisect
+from helpers import (
+    fused_tail_enumeration,
+    normal_tail_quad,
+    pfa_from_threshold,
+    q_inverse_bisect,
+)
 
 
 class TestQFunction:

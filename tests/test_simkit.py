@@ -14,7 +14,6 @@ from cogalloc import (
     global_pd,
     global_pfa,
     jain_index,
-    monte_carlo_average,
     run_episode,
     sample_exponential_gain,
     sample_pareto_idle,
@@ -22,6 +21,8 @@ from cogalloc import (
 )
 from cogalloc.sensing import SensingDesign
 from cogalloc.simkit import BufferState, init_state
+
+from helpers import monte_carlo_average
 
 
 class TestParetoSampler:
