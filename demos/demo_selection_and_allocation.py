@@ -13,7 +13,6 @@ import numpy as np
 from cogalloc import (
     SecondaryUser,
     SensingDesign,
-    classify_case,
     default_system_params,
     effective_time,
     select_and_allocate,
@@ -37,14 +36,15 @@ users = [
 ]
 
 print("per-user bounds at the full set size (L=5):")
-_, lowers, uppers, _ = UserTable(users, geom, params).level(design, 5)
+table = UserTable(users, geom, params)
+_, lowers, uppers, _ = table.level(design, 5)
 for su, lower, upper in zip(users, lowers, uppers):
     print(
         f"  SU{su.id}: gain={su.gain_to_fc:.3f}  "
         f"T_LB={lower * 1e6:8.3f} us  T_UB={upper * 1e3:7.3f} ms"
     )
 print(f"usable frame time T'(5) = {effective_time(params, 5) * 1e3:.4f} ms")
-print(f"budget regime: {classify_case(users, design, geom, params).name}\n")
+print(f"budget regime: {table.evaluate(design, tuple(range(5))).case.name}\n")
 
 alloc = select_and_allocate(users, design, geom, params)
 print("allocation at the default 1 ms frame:")

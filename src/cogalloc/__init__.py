@@ -18,7 +18,6 @@ The library is organized around five layers:
 from .allocator import (
     AllocationResult,
     CaseLabel,
-    classify_case,
     greedy_topup,
     select_and_allocate,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "SystemParams",
     "TrafficModel",
     "UserProfile",
-    "classify_case",
     "count_negative_utility",
     "db_to_linear",
     "dbm_to_watts",

@@ -322,34 +322,6 @@ class _SetEval:
             self.case = CaseLabel.CASE3
 
 
-def classify_case(
-    sus: Sequence[SecondaryUser],
-    design: SensingDesign,
-    geom: SensingGeometry,
-    params: SystemParams,
-) -> CaseLabel:
-    """Which budget regime the set falls in at its own cardinality.
-
-    Equality with the upper-bound sum is Case-1, equality with the
-    lower-bound sum is Case-2 (the abundant check runs first).
-
-    Raises
-    ------
-    ValueError
-        On an empty set, a vote threshold above the set size, or a
-        never-profitable member (callers must prune those first).
-    """
-    if not sus:
-        raise ValueError("cannot classify an empty set")
-    if design.k_threshold > len(sus):
-        raise ValueError(
-            f"vote threshold k={design.k_threshold} exceeds set size {len(sus)}"
-        )
-    if any(su.earn_rate <= su.pay_rate for su in sus):
-        raise ValueError("never-profitable user present; reduce the set first")
-    return UserTable(sus, geom, params).evaluate(design, tuple(range(len(sus)))).case
-
-
 def greedy_topup(lowers, uppers, priorities, budget: float) -> list:
     """Water-filling core: hand everyone their lower bound, then grant the
     remaining budget in descending priority order, each member up to its

@@ -3,11 +3,14 @@
 ``cogalloc <optimize|compare-oracle|compare-nonjoint|simulate|probe-hessian>
 --config run.json [--seed U64] [--jobs N] [--out DIR]``
 
-Configs are strict JSON: unknown keys are rejected, omitted fields fall
-back to the shipped defaults, and every violated invariant is reported
-at once.  All reports are CSV with a schema-version comment as the first
-row; simulation traces are newline-delimited JSON.  Output bytes are a
-pure function of (config, seed).
+Configs are strict JSON checked against one table, ``_SCHEMA``, that
+gives every key's section, default and rule: unknown keys are rejected,
+omitted keys take their defaults, a sweep value must pass the rule of
+the field it replaces, and every violated rule is reported at once.
+``--emit-effective-config`` prints every key with its value.  All
+reports are CSV with a schema-version comment as the first row;
+simulation traces are newline-delimited JSON.  Output bytes are a pure
+function of (config, seed).
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -54,51 +57,119 @@ class ConfigError(Exception):
     """Raised with every violated constraint joined into one message."""
 
 
-_SYSTEM_DEFAULTS = {
-    "n_samples": 40,
-    "sample_interval": 1.0 / 6e6,
-    "frame_duration": 1e-3,
-    "tau2": 10e-6,
-    "tau5": 10e-6,
-    "tau_r": 5e-6,
-    "tau_r_prime": 5e-6,
-    "p_st_dbm": 23.0,
-    "p_pt_dbm": 43.0,
-    "bandwidth": 15e3,
-    "noise_dbm_per_hz": -174.0,
-    "sense_cost": 1e-4,
-    "report_cost": 1e-3,
-    "p_h0": 0.8,
-    "zeta": 0.7,
-    "gamma_db": -7.0,
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_int(value, least: float) -> bool:
+    # An integer (not a bool, not a float such as 2.5) >= least.
+    return _is_number(value) and isinstance(value, int) and value >= least
+
+
+def _is_pfa_list(value) -> bool:
+    return value is None or (
+        isinstance(value, list)
+        and len(value) > 0
+        and all(_is_number(p) and 0.0 < p < 1.0 for p in value)
+        and value == sorted(set(value))
+    )
+
+
+# (what, rule): the phrase a message quotes, and the check itself.
+_NUMBER = ("a number", _is_number)
+_POSITIVE = ("a number > 0", lambda v: _is_number(v) and v > 0)
+_NON_NEGATIVE = ("a number >= 0", lambda v: _is_number(v) and v >= 0)
+_PROBABILITY = ("a number in (0, 1)", lambda v: _is_number(v) and 0 < v < 1)
+_COUNT = ("an integer >= 1", lambda v: _is_int(v, 1))
+_NATURAL = ("an integer >= 0", lambda v: _is_int(v, 0))
+_COUNT_OR_NULL = ("null or an integer >= 1", lambda v: v is None or _is_int(v, 1))
+_LIST_OR_NULL = ("null or a list", lambda v: v is None or isinstance(v, list))
+_PFA_LIST = (
+    "null or a non-empty ascending list of distinct numbers in (0, 1)",
+    _is_pfa_list,
+)
+# A tuple is the form of the probe's own defaults, met again when an
+# effective config is parsed a second time (``--seed``).
+_NUMBERS = (
+    "a list of numbers",
+    lambda v: isinstance(v, (list, tuple)) and all(map(_is_number, v)),
+)
+
+#: Each sweep and the (section, key) whose value it replaces.
+_SWEEPS = {
+    "zeta": ("system", "zeta"),
+    "p_h0": ("system", "p_h0"),
+    "gamma_db": ("system", "gamma_db"),
+    "m": ("users", "count"),
+    "buffer_bits": ("users", "buffer_bits"),
+}
+_SWEEP = (f"one of {('none', *_SWEEPS)}", lambda v: v in ("none", *_SWEEPS))
+
+_SECTIONS = ("system", "users", "grid", "traffic", "experiment", "probe")
+
+#: The default of a key every explicit user entry must give.
+_REQUIRED = object()
+
+#: (section, key, default, (what, rule)) for every config key.  Section
+#: None is the top level; "user" is one entry of an explicit ``users``
+#: list, whose missing ``id`` is the entry's position.
+_SCHEMA = (
+    (None, "seed", 1, _NATURAL),
+    (None, "trials", 1, _COUNT),
+    ("system", "n_samples", 40, _COUNT),
+    ("system", "sample_interval", 1.0 / 6e6, _POSITIVE),
+    ("system", "frame_duration", 1e-3, _POSITIVE),
+    ("system", "tau2", 10e-6, _POSITIVE),
+    ("system", "tau5", 10e-6, _POSITIVE),
+    ("system", "tau_r", 5e-6, _POSITIVE),
+    ("system", "tau_r_prime", 5e-6, _POSITIVE),
+    ("system", "p_st_dbm", 23.0, _NUMBER),
+    ("system", "p_pt_dbm", 43.0, _NUMBER),
+    ("system", "bandwidth", 15e3, _POSITIVE),
+    ("system", "noise_dbm_per_hz", -174.0, _NUMBER),
+    ("system", "sense_cost", 1e-4, _POSITIVE),
+    ("system", "report_cost", 1e-3, _POSITIVE),
+    ("system", "p_h0", 0.8, _PROBABILITY),
+    ("system", "zeta", 0.7, _PROBABILITY),
+    ("system", "gamma_db", -7.0, _NUMBER),
     # Quoted in the parameter table but used by no expression; accepted
     # and ignored so archival configs stay loadable.
-    "bit_rate_kbps": 250.0,
-}
+    ("system", "bit_rate_kbps", 250.0, _NUMBER),
+    ("users", "count", 5, _COUNT),
+    ("users", "gain_mean", 1.0, _POSITIVE),
+    ("users", "pay_rate", 0.1, _NON_NEGATIVE),
+    ("users", "earn_rate", 10.0, _NON_NEGATIVE),
+    ("users", "buffer_bits", 1000, _NATURAL),
+    ("user", "id", None, ("an integer", lambda v: _is_int(v, -math.inf))),
+    ("user", "gain_to_fc", _REQUIRED, _POSITIVE),
+    ("user", "buffer_bits", _REQUIRED, _NATURAL),
+    ("user", "pay_rate", _REQUIRED, _NON_NEGATIVE),
+    ("user", "earn_rate", _REQUIRED, _NON_NEGATIVE),
+    ("grid", "levels", 10, ("an integer >= 2", lambda v: _is_int(v, 2))),
+    ("grid", "pfa_values", None, _PFA_LIST),
+    ("grid", "k_max", None, _COUNT_OR_NULL),
+    ("traffic", "shape", 1.0, _POSITIVE),
+    ("traffic", "scale", 7.0, _POSITIVE),
+    ("traffic", "batch_bits", 10, _NATURAL),
+    ("traffic", "accumulation_time", 0.0, _NON_NEGATIVE),
+    ("traffic", "initial_bits", 10, _NATURAL),
+    ("experiment", "sweep", "none", _SWEEP),
+    ("experiment", "values", None, _LIST_OR_NULL),
+    ("experiment", "n_frames", 100, _COUNT),
+    ("probe", "m_users", 5, _COUNT),
+    ("probe", "p_h0", 0.6, _PROBABILITY),
+    ("probe", "gamma_db", -7.5, _NUMBER),
+    ("probe", "n_samples", 40, _COUNT),
+    ("probe", "r0", (7.4, 8.0, 8.2, 0.2, 9.5), _NUMBERS),
+    ("probe", "r1", (2.3, 3.5, 2.7, 0.02, 3.3), _NUMBERS),
+    ("probe", "pay_times_t", 0.1, _NUMBER),
+    ("probe", "pfa_grid", None, _PFA_LIST),
+)
 
-_USERS_DEFAULTS = {
-    "count": 5,
-    "gain_mean": 1.0,
-    "pay_rate": 0.1,
-    "earn_rate": 10.0,
-    "buffer_bits": 1000,
-}
-
-_GRID_DEFAULTS = {"levels": 10, "pfa_values": None, "k_max": None}
-
-_TRAFFIC_DEFAULTS = {
-    "shape": 1.0,
-    "scale": 7.0,
-    "batch_bits": 10,
-    "accumulation_time": 0.0,
-    "initial_bits": 10,
-}
-
-_EXPERIMENT_DEFAULTS = {"sweep": "none", "values": None, "n_frames": 100}
-
-_TOP_DEFAULTS = {"seed": 1, "trials": 1}
-
-_SWEEP_FIELDS = ("none", "zeta", "p_h0", "gamma_db", "m", "buffer_bits")
+#: section -> key -> (default, (what, rule)), in schema order.
+_ROWS: dict = {}
+for _row in _SCHEMA:
+    _ROWS.setdefault(_row[0], {})[_row[1]] = _row[2:]
 
 
 @dataclass(frozen=True)
@@ -121,147 +192,89 @@ class RunConfig:
     effective: dict
 
 
-def _merge_section(raw: dict, defaults: dict, section: str, errors: list) -> dict:
-    unknown = sorted(set(raw) - set(defaults))
+def _fields(raw: dict, section: Optional[str], errors: list, name=None) -> dict:
+    """``raw`` merged over the section's defaults, each given key checked
+    by its rule; messages are labelled ``name`` (default: the section)."""
+    name = name or section
+    rows = _ROWS[section]
+    unknown = sorted(set(raw) - set(rows))
     if unknown:
-        errors.append(f"{section}: unknown keys {unknown}")
-    merged = dict(defaults)
-    merged.update({k: v for k, v in raw.items() if k in defaults})
-    return merged
+        errors.append(f"{name or 'top level'}: unknown keys {unknown}")
+    for key, (default, (what, ok)) in rows.items():
+        label = f"{name}.{key}" if name else key
+        if key in raw and not ok(raw[key]):
+            errors.append(f"{label} must be {what}, got {raw[key]!r}")
+        elif key not in raw and default is _REQUIRED:
+            errors.append(f"{label} is required")
+    return {key: raw.get(key, default) for key, (default, _) in rows.items()}
 
 
 def effective_config(raw: dict) -> dict:
-    """Apply defaults to a raw config dict, rejecting unknown keys.
+    """Apply the schema's defaults to a raw config dict and check every key
+    by its rule, rejecting unknown keys.
 
     The returned dict is complete (every supported key present) and
     reloading it reproduces the same run.
+
+    Raises
+    ------
+    ConfigError
+        Listing every violated rule.
     """
-    errors: list = []
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    known_top = {"system", "users", "grid", "traffic", "experiment", "probe"} | set(
-        _TOP_DEFAULTS
-    )
-    unknown = sorted(set(raw) - known_top)
-    if unknown:
-        errors.append(f"top level: unknown keys {unknown}")
+    errors: list = []
+    eff = _fields({k: v for k, v in raw.items() if k not in _SECTIONS}, None, errors)
+    for section in _SECTIONS:
+        value = raw.get(section, {})
+        if isinstance(value, dict):
+            eff[section] = _fields(value, section, errors)
+        elif section == "users" and isinstance(value, list) and value:
+            # An explicit list is kept as given: its entries take no defaults.
+            for i, entry in enumerate(value):
+                if isinstance(entry, dict):
+                    _fields(entry, "user", errors, name=f"users[{i}]")
+                else:
+                    errors.append(f"users[{i}] must be an object, got {entry!r}")
+            eff[section] = value
+        else:
+            shape = "an object" + (" or a non-empty list of objects" if section == "users" else "")
+            errors.append(f"{section} must be {shape}, got {value!r}")
 
-    system = _merge_section(raw.get("system", {}), _SYSTEM_DEFAULTS, "system", errors)
-    users_raw = raw.get("users", {})
-    if isinstance(users_raw, list):
-        users = users_raw
-        for i, entry in enumerate(users_raw):
-            allowed = {"id", "gain_to_fc", "buffer_bits", "pay_rate", "earn_rate"}
-            bad = sorted(set(entry) - allowed)
-            if bad:
-                errors.append(f"users[{i}]: unknown keys {bad}")
-    else:
-        users = _merge_section(users_raw, _USERS_DEFAULTS, "users", errors)
-    grid = _merge_section(raw.get("grid", {}), _GRID_DEFAULTS, "grid", errors)
-    traffic = _merge_section(raw.get("traffic", {}), _TRAFFIC_DEFAULTS, "traffic", errors)
-    experiment = _merge_section(
-        raw.get("experiment", {}), _EXPERIMENT_DEFAULTS, "experiment", errors
-    )
-    probe_defaults = {
-        "m_users": 5,
-        "p_h0": 0.6,
-        "gamma_db": -7.5,
-        "n_samples": 40,
-        "r0": [7.4, 8.0, 8.2, 0.2, 9.5],
-        "r1": [2.3, 3.5, 2.7, 0.02, 3.3],
-        "pay_times_t": 0.1,
-        "pfa_grid": None,
-    }
-    probe = _merge_section(raw.get("probe", {}), probe_defaults, "probe", errors)
-    top = {k: raw.get(k, v) for k, v in _TOP_DEFAULTS.items()}
+    sweep = eff.get("experiment", {}).get("sweep")
+    if sweep in tuple(_SWEEPS):
+        section, key = _SWEEPS[sweep]
+        values = eff["experiment"]["values"]
+        if values is None or values == []:
+            errors.append("experiment.values must be a non-empty list for a sweep")
+        elif isinstance(values, list):
+            # A sweep value must pass the rule of the field it replaces.
+            what, ok = _ROWS[section][key][1]
+            errors.extend(
+                f"experiment.values[{i}] for sweep {sweep!r} must be {what}, got {v!r}"
+                for i, v in enumerate(values)
+                if not ok(v)
+            )
+        if section == "users" and isinstance(eff.get("users"), list):
+            errors.append(f"sweep {sweep!r} requires generated users, not an explicit list")
 
     if errors:
         raise ConfigError("; ".join(errors))
-    return {
-        "system": system,
-        "users": users,
-        "grid": grid,
-        "traffic": traffic,
-        "experiment": experiment,
-        "probe": probe,
-        **top,
-    }
+    return eff
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_count(value, least: int) -> bool:
-    # An integer (not a bool, not a float such as 2.5) >= least.
-    return _is_number(value) and isinstance(value, int) and value >= least
-
-
-def _is_pfa_list(value) -> bool:
-    return value is None or (
-        isinstance(value, list)
-        and all(_is_number(p) and 0.0 < p < 1.0 for p in value)
-        and value == sorted(set(value))
+def _system_params(fields: dict) -> SystemParams:
+    """The ``system`` section as :class:`SystemParams`: powers and noise
+    density converted from dBm, ``bit_rate_kbps`` dropped."""
+    fields = dict(fields)
+    del fields["bit_rate_kbps"]
+    noise_dbm = fields.pop("noise_dbm_per_hz") + 10.0 * math.log10(fields["bandwidth"])
+    return SystemParams(
+        p_st=dbm_to_watts(fields.pop("p_st_dbm")),
+        p_pt=dbm_to_watts(fields.pop("p_pt_dbm")),
+        noise_power=dbm_to_watts(noise_dbm),
+        **fields,
     )
-
-
-_NUMBER = ("a number", _is_number)
-_PROBABILITY = ("a number in (0, 1)", lambda v: _is_number(v) and 0.0 < v < 1.0)
-_NON_NEGATIVE = ("a number >= 0", lambda v: _is_number(v) and v >= 0)
-_COUNT = ("an integer >= 1", lambda v: _is_count(v, 1))
-_BITS = ("an integer >= 0", lambda v: _is_count(v, 0))
-
-# (section or None for a top-level key, key, (what, rule)) for the fields
-# whose types the value classes do not check; generated users only.
-_FIELD_RULES = (
-    ("users", "count", _COUNT),
-    ("users", "gain_mean", ("a number > 0", lambda v: _is_number(v) and v > 0)),
-    ("users", "buffer_bits", _NON_NEGATIVE),
-    ("users", "pay_rate", _NON_NEGATIVE),
-    ("users", "earn_rate", _NON_NEGATIVE),
-    ("traffic", "shape", _NUMBER),
-    ("traffic", "scale", _NUMBER),
-    ("traffic", "accumulation_time", _NUMBER),
-    ("traffic", "batch_bits", _BITS),
-    ("traffic", "initial_bits", _BITS),
-    ("grid", "levels", ("an integer >= 2", lambda v: _is_count(v, 2))),
-    ("grid", "k_max", ("null or an integer >= 1", lambda v: v is None or _is_count(v, 1))),
-    ("grid", "pfa_values", ("null or ascending distinct numbers in (0, 1)", _is_pfa_list)),
-    ("experiment", "n_frames", _COUNT),
-    (None, "trials", _COUNT),
-    (None, "seed", ("an integer >= 0", lambda v: _is_count(v, 0))),
-)
-
-# Each sweep value must pass the rule of the base field it replaces.
-_SWEEP_RULES = {
-    "zeta": _PROBABILITY,
-    "p_h0": _PROBABILITY,
-    "gamma_db": _NUMBER,
-    "m": _COUNT,
-    "buffer_bits": _NON_NEGATIVE,
-}
-
-
-def _field_errors(eff: dict) -> list:
-    errors = []
-    for section, key, (what, ok) in _FIELD_RULES:
-        fields = eff if section is None else eff[section]
-        if isinstance(fields, dict) and not ok(fields[key]):
-            name = key if section is None else f"{section}.{key}"
-            errors.append(f"{name} must be {what}, got {fields[key]!r}")
-    return errors
-
-
-def _sweep_value_errors(sweep: str, values: tuple) -> list:
-    rule = _SWEEP_RULES.get(sweep)
-    if rule is None:
-        return []
-    what, ok = rule
-    return [
-        f"experiment.values[{i}] for sweep {sweep!r} must be {what}, got {v!r}"
-        for i, v in enumerate(values)
-        if not ok(v)
-    ]
 
 
 def parse_config(raw: dict) -> RunConfig:
@@ -270,110 +283,43 @@ def parse_config(raw: dict) -> RunConfig:
     Raises
     ------
     ConfigError
-        Listing every violated invariant.
+        Listing every violated rule; or, once every rule holds, the
+        frame-budget violation :class:`SystemParams` reports.
     """
     eff = effective_config(raw)
-    errors: list = _field_errors(eff)
-
-    sys_cfg = dict(eff["system"])
-    sys_cfg.pop("bit_rate_kbps")
-    p_st = dbm_to_watts(sys_cfg.pop("p_st_dbm"))
-    p_pt = dbm_to_watts(sys_cfg.pop("p_pt_dbm"))
-    noise_db = sys_cfg.pop("noise_dbm_per_hz")
-    bandwidth = sys_cfg["bandwidth"]
-    system = None
     try:
-        system = SystemParams(
-            p_st=p_st,
-            p_pt=p_pt,
-            noise_power=dbm_to_watts(noise_db + 10.0 * math.log10(bandwidth)),
-            **sys_cfg,
-        )
-    except (ValueError, TypeError) as exc:
-        errors.append(f"system: {exc}")
-
-    explicit_users = None
-    users = eff["users"]
+        system = _system_params(eff["system"])
+    except ValueError as exc:
+        raise ConfigError(f"system: {exc}") from exc
+    users, explicit_users = eff["users"], None
     if isinstance(users, list):
-        try:
-            explicit_users = tuple(
-                SecondaryUser(
-                    id=entry.get("id", i),
-                    gain_to_fc=entry["gain_to_fc"],
-                    buffer_bits=entry["buffer_bits"],
-                    pay_rate=entry["pay_rate"],
-                    earn_rate=entry["earn_rate"],
-                )
-                for i, entry in enumerate(users)
-            )
-            users = {"count": len(explicit_users)}
-        except (KeyError, ValueError, TypeError) as exc:
-            errors.append(f"users: {exc}")
-            users = {"count": 0}
-
-    traffic = None
-    traffic_cfg = eff["traffic"]
-    if not any(e.startswith("traffic.") for e in errors):
-        try:
-            traffic = TrafficModel(
-                shape=traffic_cfg["shape"],
-                scale=traffic_cfg["scale"],
-                batch_bits=traffic_cfg["batch_bits"],
-                accumulation_time=traffic_cfg["accumulation_time"],
-            )
-        except ValueError as exc:
-            errors.append(f"traffic: {exc}")
-    initial_bits = traffic_cfg["initial_bits"]
-
+        explicit_users = tuple(
+            SecondaryUser(**{"id": i, **entry}) for i, entry in enumerate(users)
+        )
+        # The rest of the generated-users defaults still hold: simulate
+        # draws each frame's gains with their gain_mean.
+        users = _fields({"count": len(explicit_users)}, "users", [])
+    traffic = dict(eff["traffic"])
+    initial_bits = traffic.pop("initial_bits")
     exp = eff["experiment"]
-    sweep = exp["sweep"]
-    if sweep not in _SWEEP_FIELDS:
-        errors.append(f"experiment.sweep must be one of {_SWEEP_FIELDS}, got {sweep!r}")
-    values = exp["values"]
-    if sweep == "none":
-        sweep_values = (None,)
-    else:
-        if not values:
-            errors.append("experiment.values must be a non-empty list for a sweep")
-            sweep_values = ()
-        else:
-            sweep_values = tuple(values)
-            errors.extend(_sweep_value_errors(sweep, sweep_values))
-    if explicit_users is not None and sweep in ("m", "buffer_bits"):
-        errors.append(f"sweep {sweep!r} requires generated users, not an explicit list")
-
-    probe_cfg = eff["probe"]
-    probe = HessianProbeConfig(
-        m_users=probe_cfg["m_users"],
-        p_h0=probe_cfg["p_h0"],
-        gamma_db=probe_cfg["gamma_db"],
-        n_samples=probe_cfg["n_samples"],
-        r0=tuple(probe_cfg["r0"]),
-        r1=tuple(probe_cfg["r1"]),
-        pay_times_t=probe_cfg["pay_times_t"],
-    )
-    if probe_cfg["pfa_grid"] is not None and len(probe_cfg["pfa_grid"]) == 0:
-        errors.append("probe.pfa_grid must be non-empty when given")
-    probe_grid = (
-        tuple(probe_cfg["pfa_grid"]) if probe_cfg["pfa_grid"] is not None else None
-    )
-
-    if errors:
-        raise ConfigError("; ".join(errors))
+    probe = dict(eff["probe"])
+    probe_grid = probe.pop("pfa_grid")
     return RunConfig(
         system=system,
         users=users,
         explicit_users=explicit_users,
         grid_spec=eff["grid"],
-        traffic=traffic,
+        traffic=TrafficModel(**traffic),
         initial_bits=initial_bits,
-        sweep=sweep,
-        sweep_values=sweep_values,
+        sweep=exp["sweep"],
+        sweep_values=(None,) if exp["sweep"] == "none" else tuple(exp["values"]),
         n_frames=exp["n_frames"],
-        seed=int(eff["seed"]),
-        trials=int(eff["trials"]),
-        probe=probe,
-        probe_pfa_grid=probe_grid,
+        seed=eff["seed"],
+        trials=eff["trials"],
+        probe=HessianProbeConfig(
+            **{**probe, "r0": tuple(probe["r0"]), "r1": tuple(probe["r1"])}
+        ),
+        probe_pfa_grid=tuple(probe_grid) if probe_grid is not None else None,
         effective=eff,
     )
 
@@ -411,20 +357,14 @@ def _grid_for(cfg: RunConfig, m: int) -> DesignGrid:
 
 
 def _apply_sweep(cfg: RunConfig, value) -> tuple:
-    """Resolve one sweep point into (system params, user-spec dict)."""
-    system = cfg.system
-    users = dict(cfg.users)
-    if cfg.sweep == "zeta":
-        system = replace(system, zeta=float(value))
-    elif cfg.sweep == "p_h0":
-        system = replace(system, p_h0=float(value))
-    elif cfg.sweep == "gamma_db":
-        system = replace(system, gamma_db=float(value))
-    elif cfg.sweep == "m":
-        users["count"] = int(value)
-    elif cfg.sweep == "buffer_bits":
-        users["buffer_bits"] = int(value)
-    return system, users
+    """Resolve one sweep point into (system params, user-spec dict): the
+    value replaces its base field in the effective config."""
+    if cfg.sweep == "none":
+        return cfg.system, cfg.users
+    section, key = _SWEEPS[cfg.sweep]
+    eff = {**cfg.effective, section: {**cfg.effective[section], key: value}}
+    users = cfg.users if cfg.explicit_users is not None else eff["users"]
+    return _system_params(eff["system"]), users
 
 
 def _instance_users(
@@ -702,7 +642,7 @@ def _simulate_task(task) -> tuple:
         grid=_grid_for(cfg, len(profiles)),
         trial=trial,
         initial_bits=cfg.initial_bits,
-        gain_mean=users.get("gain_mean", 1.0),
+        gain_mean=users["gain_mean"],
         keep_traces=trial == 0,
     )
     trace_payload = None

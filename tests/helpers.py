@@ -13,8 +13,8 @@ and the closed-form interfered rate against a quadrature route, all
 kept here.
 
 The public wrappers around the allocator's cores that only tests call
-(:func:`reduce_feasible_set`, :func:`waterfill_allocate`,
-:func:`exchange_search`), the forward false-alarm map and the trial
+(:func:`classify_case`, :func:`reduce_feasible_set`,
+:func:`waterfill_allocate`, :func:`exchange_search`), the forward false-alarm map and the trial
 averager live here too.
 """
 
@@ -300,6 +300,29 @@ def reference_utility_bound(table: UserTable, design: SensingDesign):
         float((table.pay[members] * table.buffers[members]).sum()),
         (table.budgets[l_lb] + TIME_TOL) * float(prios[members].max()),
     )
+
+
+def classify_case(sus, design, geom, params) -> CaseLabel:
+    """Which budget regime the set falls in at its own cardinality.
+
+    Equality with the upper-bound sum is Case-1, equality with the
+    lower-bound sum is Case-2 (the abundant check runs first).
+
+    Raises
+    ------
+    ValueError
+        On an empty set, a vote threshold above the set size, or a
+        never-profitable member (callers must prune those first).
+    """
+    if not sus:
+        raise ValueError("cannot classify an empty set")
+    if design.k_threshold > len(sus):
+        raise ValueError(
+            f"vote threshold k={design.k_threshold} exceeds set size {len(sus)}"
+        )
+    if any(su.earn_rate <= su.pay_rate for su in sus):
+        raise ValueError("never-profitable user present; reduce the set first")
+    return UserTable(sus, geom, params).evaluate(design, tuple(range(len(sus)))).case
 
 
 def reduce_feasible_set(all_sus, design, geom, params) -> list:

@@ -13,7 +13,6 @@ from cogalloc import (
     DesignGrid,
     SecondaryUser,
     SensingDesign,
-    classify_case,
     default_system_params,
     effective_time,
     greedy_topup,
@@ -24,6 +23,7 @@ from cogalloc import (
 from cogalloc.allocator import UserTable
 
 from helpers import (
+    classify_case,
     evaluate_set,
     exchange_search,
     lp_time_allocation,

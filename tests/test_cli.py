@@ -23,6 +23,7 @@ from cogalloc.cli import (
     main,
     parse_config,
 )
+from cogalloc.cli import _SCHEMA
 from cogalloc.units import dbm_to_watts
 
 
@@ -103,6 +104,82 @@ def _cfg(tmp_path, payload, name="run.json"):
     path.write_text(json.dumps(payload))
     return path
 
+
+#: A complete explicit user entry.
+USER = {"gain_to_fc": 1.0, "buffer_bits": 100, "pay_rate": 0.1, "earn_rate": 5.0}
+
+#: ``--emit-effective-config`` on ``{}``: every default.
+EFFECTIVE_DEFAULTS = """\
+{
+  "experiment": {
+    "n_frames": 100,
+    "sweep": "none",
+    "values": null
+  },
+  "grid": {
+    "k_max": null,
+    "levels": 10,
+    "pfa_values": null
+  },
+  "probe": {
+    "gamma_db": -7.5,
+    "m_users": 5,
+    "n_samples": 40,
+    "p_h0": 0.6,
+    "pay_times_t": 0.1,
+    "pfa_grid": null,
+    "r0": [
+      7.4,
+      8.0,
+      8.2,
+      0.2,
+      9.5
+    ],
+    "r1": [
+      2.3,
+      3.5,
+      2.7,
+      0.02,
+      3.3
+    ]
+  },
+  "seed": 1,
+  "system": {
+    "bandwidth": 15000.0,
+    "bit_rate_kbps": 250.0,
+    "frame_duration": 0.001,
+    "gamma_db": -7.0,
+    "n_samples": 40,
+    "noise_dbm_per_hz": -174.0,
+    "p_h0": 0.8,
+    "p_pt_dbm": 43.0,
+    "p_st_dbm": 23.0,
+    "report_cost": 0.001,
+    "sample_interval": 1.6666666666666668e-07,
+    "sense_cost": 0.0001,
+    "tau2": 1e-05,
+    "tau5": 1e-05,
+    "tau_r": 5e-06,
+    "tau_r_prime": 5e-06,
+    "zeta": 0.7
+  },
+  "traffic": {
+    "accumulation_time": 0.0,
+    "batch_bits": 10,
+    "initial_bits": 10,
+    "scale": 7.0,
+    "shape": 1.0
+  },
+  "trials": 1,
+  "users": {
+    "buffer_bits": 1000,
+    "count": 5,
+    "earn_rate": 10.0,
+    "gain_mean": 1.0,
+    "pay_rate": 0.1
+  }
+}
+"""
 
 SMALL_SWEEP = {
     "experiment": {"sweep": "zeta", "values": [0.6, 0.8]},
@@ -272,6 +349,7 @@ class TestMainEntry:
             ("p_h0", [1.0]),
             ("p_h0", [-0.2]),
             ("buffer_bits", [-1]),
+            ("buffer_bits", [10.7]),
             ("gamma_db", ["loud"]),
         ],
     )
@@ -290,6 +368,15 @@ class TestMainEntry:
             ({"grid": {"levels": 0}}, "grid.levels"),
             ({"grid": {"pfa_values": [1.5]}}, "grid.pfa_values"),
             ({"experiment": {"n_frames": 2.5}}, "experiment.n_frames"),
+            ({"users": [5]}, "users[0]"),
+            ({"users": 5}, "users"),
+            ({"experiment": {"sweep": "zeta", "values": 5}}, "experiment.values"),
+            ({"system": {"p_st_dbm": "23"}}, "system.p_st_dbm"),
+            ({"system": []}, "system"),
+            ({"users": {"buffer_bits": 10.7}}, "users.buffer_bits"),
+            ({"users": [dict(USER, buffer_bits=10.7)]}, "users[0].buffer_bits"),
+            ({"system": {"n_samples": 40.5}}, "system.n_samples"),
+            ({"grid": {"pfa_values": []}}, "grid.pfa_values"),
         ],
     )
     def test_bad_field_type_exit_code(self, tmp_path, capsys, raw, field):
@@ -299,6 +386,45 @@ class TestMainEntry:
         code = main(["optimize", "--config", str(path), "--out", str(tmp_path)])
         assert code == EXIT_CONFIG
         assert field in capsys.readouterr().err
+        code = main(["probe-hessian", "--config", str(path), "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "probe,field",
+        [
+            ({"m_users": "5"}, "probe.m_users"),
+            ({"m_users": 0}, "probe.m_users"),
+            ({"pfa_grid": [2.0]}, "probe.pfa_grid"),
+            ({"r0": 5}, "probe.r0"),
+        ],
+    )
+    def test_bad_probe_field_exit_code(self, tmp_path, capsys, probe, field):
+        path = _cfg(tmp_path, {"probe": probe})
+        for command in ("probe-hessian", "optimize"):
+            code = main([command, "--config", str(path), "--out", str(tmp_path)])
+            assert code == EXIT_CONFIG
+            assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section,key", [row[:2] for row in _SCHEMA])
+    def test_wrong_type_named_for_every_schema_key(self, tmp_path, capsys, section, key):
+        # An object is the wrong type for every key the schema knows.
+        if section is None:
+            raw, name = {key: {}}, key
+        elif section == "user":
+            raw, name = {"users": [dict(USER, **{key: {}})]}, f"users[0].{key}"
+        else:
+            raw, name = {section: {key: {}}}, f"{section}.{key}"
+        code = main(["optimize", "--config", str(_cfg(tmp_path, raw)), "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert f"{name} must be" in capsys.readouterr().err
+
+    def test_emit_effective_config_defaults_pinned(self, tmp_path, capsys):
+        # Every default, byte for byte, so none can drift unseen.
+        path = _cfg(tmp_path, {})
+        args = ["--config", str(path), "--out", str(tmp_path), "--emit-effective-config"]
+        assert main(["optimize", *args]) == EXIT_OK
+        assert capsys.readouterr().out == EFFECTIVE_DEFAULTS
 
     def test_vote_threshold_above_user_count_is_infeasible(self, tmp_path):
         # k_max 5 with 3 users: the designs with k > 3 are infeasible, not
