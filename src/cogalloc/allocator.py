@@ -122,6 +122,11 @@ def time_bound_arrays(rates, margin, buffers, cost: float) -> tuple:
     return lowers, uppers
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 class DesignWeights:
     """The user-independent half of the screen of ``designs`` (each with
     k <= m) at ``m`` users.
@@ -131,12 +136,16 @@ class DesignWeights:
     detection meets the floor, as :func:`~cogalloc.sensing.min_active_users`
     finds it (m + 1 when no L does); the weights at l_first
     (``at_first``, taken at m when there is no l_first); and the budget
-    T'(l_first) + TIME_TOL (``budget_first``). Nothing here depends on
-    the users, so one instance serves every call with the same geometry,
-    params, designs and m; its arrays are read-only.
+    T'(l_first) + TIME_TOL (``budget_first``). :meth:`at` gives the
+    weights at any other size. Nothing here depends on the users, so one
+    instance serves every call with the same geometry, params, designs
+    and m; its arrays are read-only.
     """
 
-    __slots__ = ("designs", "index", "l_first", "at_m", "at_first", "budget_first")
+    __slots__ = (
+        "designs", "index", "l_first", "at_m", "at_first", "budget_first",
+        "_geom", "_params", "_at_size",
+    )
 
     def __init__(
         self,
@@ -147,31 +156,44 @@ class DesignWeights:
     ):
         self.designs = tuple(designs)
         self.index = {design: d for d, design in enumerate(self.designs)}
+        self._geom = geom
+        self._params = params
         firsts = [min_active_users(d, geom, params.zeta, m) for d in self.designs]
         at_first = [m if l is None else l for l in firsts]
-
-        def read_only(a: np.ndarray) -> np.ndarray:
-            a.flags.writeable = False
-            return a
-
-        def weights_at(sizes: list) -> np.ndarray:
-            return read_only(
-                np.array(
-                    [
-                        opportunity_weights(d, geom, params, l)
-                        for d, l in zip(self.designs, sizes)
-                    ]
-                ).reshape(-1, 2)
-            )
-
-        self.l_first = read_only(
+        self.l_first = _read_only(
             np.array([m + 1 if l is None else l for l in firsts], dtype=np.intp)
         )
-        self.at_m = weights_at([m] * len(self.designs))
-        self.at_first = weights_at(at_first)
-        self.budget_first = read_only(
+        self.at_m = self._weights([m] * len(self.designs))
+        self.at_first = self._weights(at_first)
+        self.budget_first = _read_only(
             np.array([effective_time(params, l) + TIME_TOL for l in at_first])
         )
+        self._at_size = {m: self.at_m}
+
+    def _weights(self, sizes: list) -> np.ndarray:
+        # One (q0, q1) row per design at its size; nan where the size is None.
+        return _read_only(
+            np.array(
+                [
+                    (np.nan, np.nan)
+                    if l is None
+                    else opportunity_weights(d, self._geom, self._params, l)
+                    for d, l in zip(self.designs, sizes)
+                ]
+            ).reshape(-1, 2)
+        )
+
+    def at(self, l_active: int) -> np.ndarray:
+        """The weights of every design at ``l_active`` users, computed on
+        the first request for each size. The row of a design whose l_first
+        exceeds ``l_active`` is not defined (nan below m)."""
+        got = self._at_size.get(l_active)
+        if got is None:
+            got = self._weights(
+                [l_active if l <= l_active else None for l in self.l_first.tolist()]
+            )
+            self._at_size[l_active] = got
+        return got
 
 
 class UserTable:
@@ -230,10 +252,12 @@ class UserTable:
             self._levels[key] = got
         return got
 
-    def screen(self, weights: DesignWeights) -> np.ndarray:
+    def screen(self, weights: DesignWeights) -> tuple:
         """Screen every design of ``weights`` (built for this table's
-        size) in one pass; returns each design's utility bound, -inf
-        where the design admits no feasible set.
+        size) in one pass; returns (bounds, settled): each design's
+        utility bound, -inf where the design admits no feasible set, and
+        the utility of each design whose reduced set is in abundant time,
+        nan elsewhere.
 
         A design's reduced set R holds the users whose bounds are well
         ordered at the full size (lower < upper); never-profitable and
@@ -252,18 +276,46 @@ class UserTable:
         the fused tails grow with L, so R_i(L) <= R_i(l_lb) and T'(L) <=
         T'(l_lb). Exact up to rounding in the sums.
 
+        A feasible design is settled when R is Case 1 at its own size:
+        the members' buffer-clearing times at |R| fit T'(|R|). The
+        selection then serves all of R to its upper bounds and earns
+        sum_{i in R} a_i B_i, so no walk is needed. The rates, bounds
+        and sums are the same floating-point operations that
+        :meth:`evaluate` and the scoring run on R (each sum over the
+        members in order, one contiguous row per design), so the case
+        and the utility are bit for bit those of the walk.
+
         R and l_lb are kept for :meth:`screened`.
         """
         _, lowers, uppers, _ = self.price(weights.at_m[:, :1], weights.at_m[:, 1:])
         reduced = lowers < uppers
-        feasible = weights.l_first <= reduced.sum(axis=1)
+        sizes = reduced.sum(axis=1)
+        feasible = weights.l_first <= sizes
         prios = self.price(weights.at_first[:, :1], weights.at_first[:, 1:])[3]
         bounds = np.minimum(
             np.where(reduced, self.pay * self.buffers, 0.0).sum(axis=1),
             weights.budget_first * prios.max(axis=1, where=reduced, initial=0.0),
         )
+        settled = np.full(len(sizes), np.nan)
+        for size in sorted(set(sizes[feasible].tolist())):
+            rows = np.flatnonzero(feasible & (sizes == size))
+            if size == len(self.sus):
+                at_size = uppers[rows]
+            else:
+                w = weights.at(size)[rows]
+                at_size = self.price(w[:, :1], w[:, 1:])[2]
+            # A boolean gather keeps each row's members in member order, as
+            # one contiguous row: the layout of a lone set's gather.
+            members = reduced[rows]
+            abundant = _fits(
+                at_size[members].reshape(-1, size).sum(axis=1), self.budgets[size]
+            )
+            cols = np.nonzero(members[abundant])[1]
+            settled[rows[abundant]] = _buffered_value(
+                self.pay[cols].reshape(-1, size), self.buffers[cols].reshape(-1, size)
+            )
         self._screen = (weights, reduced, feasible)
-        return np.where(feasible, bounds, -np.inf)
+        return np.where(feasible, bounds, -np.inf), settled
 
     def screened(self, design: SensingDesign) -> Optional[tuple]:
         """(reduced set R, minimum viable set size l_lb) at ``design``, or
@@ -297,6 +349,19 @@ class UserTable:
         )
 
 
+def _fits(total, t_prime: float):
+    # Whether summed times (a float or an array of them) fit the budget
+    # T' = ``t_prime``, with the TIME_TOL slack: applied to the upper
+    # bounds it is the Case-1 test, to the lower bounds the Case-2 test.
+    return total <= t_prime + TIME_TOL
+
+
+def _buffered_value(pay, buffers):
+    # sum_i a_i B_i along the last axis: a Case-1 set's utility, one per
+    # row of a batch. Each row is the same dot product as a lone vector.
+    return np.vecdot(pay, buffers)
+
+
 class _SetEval:
     """Bounds, priorities, budget and budget case of one candidate set
     (``idx``, positions in its table) at its own size."""
@@ -314,9 +379,9 @@ class _SetEval:
         self.uppers = uppers
         self.priorities = priorities
         self.t_prime = t_prime
-        if float(uppers.sum()) <= t_prime + TIME_TOL:
+        if _fits(float(uppers.sum()), t_prime):
             self.case = CaseLabel.CASE1
-        elif float(lowers.sum()) <= t_prime + TIME_TOL:
+        elif _fits(float(lowers.sum()), t_prime):
             self.case = CaseLabel.CASE2
         else:
             self.case = CaseLabel.CASE3
@@ -352,7 +417,7 @@ def _score(table: UserTable, ev: _SetEval) -> Optional[tuple]:
     # closed form keeps the utility bitwise identical across designs, so
     # flat-surface ties resolve by the documented (pfa, k) order.
     if ev.case is CaseLabel.CASE1:
-        utility = np.dot(table.pay[ev.members], table.buffers[ev.members])
+        utility = _buffered_value(table.pay[ev.members], table.buffers[ev.members])
         return float(utility), ev, ev.uppers
     if ev.case is CaseLabel.CASE2:
         times = np.array(greedy_topup(ev.lowers, ev.uppers, ev.priorities, ev.t_prime))

@@ -31,6 +31,7 @@ import numpy as np
 
 from .economics import SecondaryUser, SystemParams
 from .optimizer import (
+    PROBE_STEP_PFA,
     DesignGrid,
     HessianProbeConfig,
     count_negative_utility,
@@ -66,11 +67,12 @@ def _is_int(value, least: float) -> bool:
     return _is_number(value) and isinstance(value, int) and value >= least
 
 
-def _is_pfa_list(value) -> bool:
+def _is_pfa_list(value, margin: float = 0.0) -> bool:
+    # None, or an ascending list of distinct numbers in (margin, 1 - margin).
     return value is None or (
         isinstance(value, list)
         and len(value) > 0
-        and all(_is_number(p) and 0.0 < p < 1.0 for p in value)
+        and all(_is_number(p) and margin < p < 1.0 - margin for p in value)
         and value == sorted(set(value))
     )
 
@@ -87,6 +89,12 @@ _LIST_OR_NULL = ("null or a list", lambda v: v is None or isinstance(v, list))
 _PFA_LIST = (
     "null or a non-empty ascending list of distinct numbers in (0, 1)",
     _is_pfa_list,
+)
+_PROBE_PFA_LIST = (
+    "null or a non-empty ascending list of distinct numbers in"
+    f" ({PROBE_STEP_PFA}, {1.0 - PROBE_STEP_PFA}), as the probe steps pfa"
+    f" by +-{PROBE_STEP_PFA}",
+    lambda v: _is_pfa_list(v, PROBE_STEP_PFA),
 )
 # A tuple is the form of the probe's own defaults, met again when an
 # effective config is parsed a second time (``--seed``).
@@ -163,7 +171,7 @@ _SCHEMA = (
     ("probe", "r0", (7.4, 8.0, 8.2, 0.2, 9.5), _NUMBERS),
     ("probe", "r1", (2.3, 3.5, 2.7, 0.02, 3.3), _NUMBERS),
     ("probe", "pay_times_t", 0.1, _NUMBER),
-    ("probe", "pfa_grid", None, _PFA_LIST),
+    ("probe", "pfa_grid", None, _PROBE_PFA_LIST),
 )
 
 #: section -> key -> (default, (what, rule)), in schema order.

@@ -26,6 +26,8 @@ from .allocator import (
     UserTable,
     _infeasible,
     _placed,
+    _result,
+    _score,
     greedy_topup,
     opportunity_weights,
     select_and_allocate,
@@ -138,56 +140,74 @@ def joint_optimize(
     most B_i / R_i(L) and the grants sum to at most T'(L); the fused
     tails grow with L, so R_i(L) <= R_i(l_lb) and T'(L) <= T'(l_lb).
 
-    Designs that pass the screen are searched best first: in descending
-    order of U_max, equal bounds in grid order (a stable sort). The
-    search stops at the first design with U_max * (1 + BOUND_SLACK)
-    below the incumbent's utility; every later design has a bound no
-    larger, so none of them can win. The slack covers rounding in the
-    sums, and the strict comparison lets a design that could tie the
-    incumbent reach the (pfa, k) tie-break.
+    The screen also settles every design whose R is in abundant time at
+    |R| (Case 1): its allocation serves all of R to the upper bounds,
+    and its utility sum_{i in R} a_i B_i comes out of the screen bit for
+    bit as the walk would compute it. The incumbent is first the best
+    key over the settled designs, with no walk. The other feasible
+    designs are walked by :func:`~cogalloc.allocator.select_and_allocate`
+    best first: in descending order of U_max, equal bounds in grid order
+    (a stable sort). The walk stops at the first design with U_max * (1
+    + BOUND_SLACK) below the incumbent's utility; every later design has
+    a bound no larger, so none of them can reach the incumbent. The
+    slack covers rounding in the sums, and the strict comparison lets a
+    design that could tie the incumbent reach the (pfa, k) tie-break.
+    An allocation is built for each walked design and, when a settled
+    design wins, for the winner alone.
 
     The result is bit-for-bit that of searching every design in grid
-    order. Each design's allocation does not depend on when it is
-    searched, the maximum of the total order (utility, -pfa, -k) over
-    the searched designs does not depend on the order they are visited
-    in, and a design is skipped only when its utility is below the
+    order. Each design's allocation does not depend on when or whether
+    it is walked, the maximum of the total order (utility, -pfa, -k)
+    over the designs does not depend on the order they are taken in, and
+    a walked design is skipped only when its utility is below the
     incumbent's, which is at most the final maximum's. With
-    ``keep_surface`` every design is searched in grid order, so the
-    surface holds every grid point.
+    ``keep_surface`` no walk is skipped, so the surface holds every grid
+    point, a settled one at its screened utility.
     """
     start = time.perf_counter()
     table = UserTable(all_sus, geom, params)
-    weights = _grid_weights(geom, params, grid, len(table.sus))
-    bounds = table.screen(weights)
-    surface: Optional[dict] = None
-    if keep_surface:
-        surface = {}
-        designs = _grid_designs(grid)
-        ceilings = [math.inf] * len(designs)
-    else:
-        live = np.flatnonzero(bounds > -np.inf)
-        order = live[np.argsort(-bounds[live], kind="stable")]
-        designs = [weights.designs[d] for d in order.tolist()]
-        ceilings = (bounds[order] * (1.0 + BOUND_SLACK)).tolist()
+    m = len(table.sus)
+    weights = _grid_weights(geom, params, grid, m)
+    bounds, settled = table.screen(weights)
+    designs = weights.designs
+    utilities = {}
     best_key = None
     best: Optional[tuple] = None
-    for design, ceiling in zip(designs, ceilings):
-        if best_key is not None and ceiling < best_key[0]:
+    resolved = np.flatnonzero(~np.isnan(settled))
+    for d, utility in zip(resolved.tolist(), settled[resolved].tolist()):
+        design = designs[d]
+        utilities[design] = utility
+        key = (utility, -design.pfa_local, -design.k_threshold)
+        if best_key is None or key > best_key:
+            best_key = key
+            best = (design, None)
+    walked = np.flatnonzero((bounds > -np.inf) & np.isnan(settled))
+    order = walked[np.argsort(-bounds[walked], kind="stable")]
+    ceilings = (bounds[order] * (1.0 + BOUND_SLACK)).tolist()
+    for d, ceiling in zip(order.tolist(), ceilings):
+        if not keep_surface and best_key is not None and ceiling < best_key[0]:
             break
+        design = designs[d]
         alloc = select_and_allocate(all_sus, design, geom, params, table)
-        pfa, k = design.pfa_local, design.k_threshold
-        if surface is not None:
-            surface[(pfa, k)] = alloc.fc_utility if alloc.feasible else None
         if not alloc.feasible:
             continue
-        key = (alloc.fc_utility, -pfa, -k)
+        utilities[design] = alloc.fc_utility
+        key = (alloc.fc_utility, -design.pfa_local, -design.k_threshold)
         if best_key is None or key > best_key:
             best_key = key
             best = (design, alloc)
-    elapsed = time.perf_counter() - start
+    surface = None
+    if keep_surface:
+        surface = {
+            (d.pfa_local, d.k_threshold): utilities.get(d) for d in _grid_designs(grid)
+        }
     if best is None:
-        return _infeasible_outcome(len(all_sus), surface, elapsed)
-    return OptimizationOutcome(best[0], best[1], surface, elapsed)
+        return _infeasible_outcome(m, surface, time.perf_counter() - start)
+    design, alloc = best
+    if alloc is None:
+        reduced = table.screened(design)[0]
+        alloc = _result(table, _score(table, table.evaluate(design, reduced)), m, reduced)
+    return OptimizationOutcome(design, alloc, surface, time.perf_counter() - start)
 
 
 def exhaustive_oracle(
@@ -548,11 +568,15 @@ def probe_utility(cfg: HessianProbeConfig) -> Callable[[float, float], float]:
     return utility
 
 
+#: The probe's default finite-difference step in the false-alarm value.
+PROBE_STEP_PFA = 1e-4
+
+
 def quasiconcavity_probe(
     cfg: HessianProbeConfig = HessianProbeConfig(),
     pfa_grid: Optional[Sequence[float]] = None,
     k_value: Optional[float] = None,
-    step_pfa: float = 1e-4,
+    step_pfa: float = PROBE_STEP_PFA,
     step_k: float = 1e-3,
 ) -> list:
     """Evaluate the bordered-Hessian determinants of the probe objective
@@ -562,14 +586,26 @@ def quasiconcavity_probe(
     det_ha is the 2x2 bordered minor (identically -(dU/dpfa)^2, so never
     positive); quasiconcavity additionally needs det_h > 0, and the probe
     exists to exhibit grid points where that fails.
+
+    Raises
+    ------
+    ValueError
+        On an empty grid, or a grid value not strictly inside (step_pfa,
+        1 - step_pfa), where a difference would leave (0, 1).
     """
     if pfa_grid is None:
         pfa_grid = [round(0.05 * i, 2) for i in range(1, 20)]
     if not len(pfa_grid):
         raise ValueError("pfa grid is empty")
+    hp, hk = step_pfa, step_k
+    for pfa in pfa_grid:
+        if not hp < pfa < 1.0 - hp:
+            raise ValueError(
+                f"pfa grid value {pfa} must lie strictly inside ({hp}, {1.0 - hp}):"
+                f" the probe steps pfa by +-{hp}"
+            )
     k = float(cfg.m_users if k_value is None else k_value)
     u = probe_utility(cfg)
-    hp, hk = step_pfa, step_k
     points = []
     for pfa in pfa_grid:
         u_pp_ = u(pfa + hp, k)

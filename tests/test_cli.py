@@ -406,6 +406,15 @@ class TestMainEntry:
             assert code == EXIT_CONFIG
             assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("pfa", [0.00005, 0.0001, 0.9999, 0.99995])
+    def test_probe_pfa_within_the_step_of_an_end_exit_code(self, tmp_path, capsys, pfa):
+        # The probe differences pfa by +-1e-4, which must stay inside (0, 1).
+        path = _cfg(tmp_path, {"probe": {"pfa_grid": [pfa]}})
+        code = main(["probe-hessian", "--config", str(path), "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "probe.pfa_grid" in err and "+-0.0001" in err
+
     @pytest.mark.parametrize("section,key", [row[:2] for row in _SCHEMA])
     def test_wrong_type_named_for_every_schema_key(self, tmp_path, capsys, section, key):
         # An object is the wrong type for every key the schema knows.

@@ -24,7 +24,7 @@ from cogalloc import (
     select_and_allocate,
 )
 from cogalloc import optimizer, simkit
-from cogalloc.allocator import UserTable
+from cogalloc.allocator import TIME_TOL, CaseLabel, UserTable, _score
 from cogalloc.optimizer import (
     BOUND_SLACK,
     _grid_weights,
@@ -322,9 +322,10 @@ class TestPrunedGridSearch:
         self, monkeypatch, params, geom
     ):
         # Identical users with tiny backlogs: every feasible design clears
-        # every buffer, so every utility and every bound tie. All designs
-        # are searched, in grid order (k listed downwards), and the
-        # tie-break still picks the smallest pfa, then the smallest k.
+        # every buffer, so every utility and every bound tie. The screen
+        # settles every design in abundant time, so none is walked, and
+        # the tie-break still picks the smallest pfa, then the smallest k
+        # (the grid lists k downwards).
         sus = [
             SecondaryUser(
                 id=i, gain_to_fc=1.0, buffer_bits=5, pay_rate=0.1, earn_rate=10.0
@@ -340,7 +341,7 @@ class TestPrunedGridSearch:
         assert len({surface[key] for key in feasible}) == 1
         visited = _record_visits(monkeypatch)
         got = joint_optimize(sus, geom, params, grid)
-        assert [(d.pfa_local, d.k_threshold) for d in visited] == feasible
+        assert visited == []
         assert (got.best_design.pfa_local, got.best_design.k_threshold) == min(feasible)
         _assert_same_outcome(got, reference_joint_optimize(sus, geom, params, grid))
 
@@ -359,6 +360,45 @@ class TestPrunedGridSearch:
         assert got == want
 
 
+def _assert_settled_as_walked(table, weights, settled):
+    # A design is settled exactly when the walk starts on a Case-1 reduced
+    # set, at the walk's utility, bit for bit.
+    for d, design in enumerate(weights.designs):
+        screened = table.screened(design)
+        if screened is None:
+            assert np.isnan(settled[d])
+            continue
+        ev = table.evaluate(design, screened[0])
+        assert (not np.isnan(settled[d])) == (ev.case is CaseLabel.CASE1)
+        if ev.case is CaseLabel.CASE1:
+            assert float(settled[d]) == _score(table, ev)[0]
+
+
+def _budget_edge(params, size, total, above):
+    # ``params`` with the frame length moved so that the budget check
+    # T'(size) + TIME_TOL is the smallest value >= ``total`` (``above``),
+    # or the largest value below it.
+    def check(frame):
+        return effective_time(replace(params, frame_duration=frame), size) + TIME_TOL
+
+    frame = total - check(params.frame_duration) + params.frame_duration
+    while check(frame) < total:
+        frame = np.nextafter(frame, np.inf)
+    while check(np.nextafter(frame, -np.inf)) >= total:
+        frame = np.nextafter(frame, -np.inf)
+    if not above:
+        frame = np.nextafter(frame, -np.inf)
+    return replace(params, frame_duration=float(frame))
+
+
+def _sparse_grid(m):
+    # Every pfa level up to 0.99 (where the effective rates vanish), few k.
+    return DesignGrid(
+        pfa_values=(0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99),
+        k_values=tuple(sorted({k for k in (1, 2, 3, m // 2, m) if k >= 1})),
+    )
+
+
 class TestBatchedScreen:
     """Every design's reduced set, minimum viable size and feasibility
     from the batched screen equal the per-design reference screen, and
@@ -369,7 +409,8 @@ class TestBatchedScreen:
         m = len(sus)
         table = UserTable(sus, geom, params)
         weights = _grid_weights(geom, params, grid, m)
-        bounds = table.screen(weights)
+        bounds, settled = table.screen(weights)
+        _assert_settled_as_walked(table, weights, settled)
         assert len(weights.designs) == sum(1 for k in grid.k_values if k <= m) * len(
             grid.pfa_values
         )
@@ -412,6 +453,44 @@ class TestBatchedScreen:
         ]
         grid = DesignGrid(pfa_values=(0.1, 0.3, 0.5), k_values=(1, 2, 3, 4, 5))
         self._check(sus, geom, params, grid)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("m", [1, 5, 7, 8, 9, 16, 40, 200])
+    def test_settles_exactly_the_abundant_designs(self, m, kind):
+        params, sus = _mixed_instance(m + 800, m, kind)
+        geom = params.geometry()
+        table = UserTable(sus, geom, params)
+        weights = _grid_weights(geom, params, _sparse_grid(m), m)
+        _assert_settled_as_walked(table, weights, table.screen(weights)[1])
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("m", [1, 5, 7, 8, 9, 16, 40, 200])
+    def test_settles_at_the_budget_edge(self, m, kind):
+        # The frame length puts the budget check of one design's reduced
+        # set R right at the members' upper-bound sum at |R|, just above
+        # or just below: only the exact sum (members in order, weights at
+        # |R|, TIME_TOL included) decides the case as the walk does.
+        params, sus = _mixed_instance(m + 800, m, kind)
+        geom = params.geometry()
+        grid = _sparse_grid(m)
+        table = UserTable(sus, geom, params)
+        weights = _grid_weights(geom, params, grid, m)
+        table.screen(weights)
+        edges = {}
+        for design in weights.designs:
+            screened = table.screened(design)
+            if screened is not None:
+                edges.setdefault(len(screened[0]), (design, screened[0]))
+        assert edges or all(su.buffer_bits == 0 for su in sus)
+        for design, reduced in edges.values():
+            total = float(table.evaluate(design, reduced).uppers.sum())
+            for above in (True, False):
+                edge = _budget_edge(params, len(reduced), total, above)
+                table = UserTable(sus, geom, edge)
+                weights = _grid_weights(geom, edge, grid, m)
+                settled = table.screen(weights)[1]
+                assert np.isnan(settled[weights.index[design]]) != above
+                _assert_settled_as_walked(table, weights, settled)
 
     def test_shared_weights_follow_every_key_field(self):
         # One process, calls interleaved so that each differs from the
@@ -862,6 +941,12 @@ class TestQuasiconcavityProbe:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             quasiconcavity_probe(HessianProbeConfig(), pfa_grid=[])
+
+    @pytest.mark.parametrize("pfa", [0.00005, 0.0001, 0.9999, 0.99995])
+    def test_grid_point_within_the_step_of_an_end_rejected(self, pfa):
+        # pfa +- step must stay inside (0, 1): named, not a math domain error.
+        with pytest.raises(ValueError, match=r"steps pfa by \+-0\.0001"):
+            quasiconcavity_probe(HessianProbeConfig(), pfa_grid=[0.5, pfa])
 
     def test_first_derivative_spot_checks(self):
         # FD gradients vs the closed-form discrete-sum derivatives, at
