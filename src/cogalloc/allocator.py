@@ -139,7 +139,9 @@ class DesignWeights:
     T'(l_first) + TIME_TOL (``budget_first``). :meth:`at` gives the
     weights at any other size. Nothing here depends on the users, so one
     instance serves every call with the same geometry, params, designs
-    and m; its arrays are read-only.
+    and m. Its arrays are read-only, but the instance is not frozen:
+    :meth:`at` computes each size's weights on its first request and
+    keeps them, so every later call that shares the instance reuses them.
     """
 
     __slots__ = (
@@ -358,7 +360,8 @@ def _fits(total, t_prime: float):
 
 def _buffered_value(pay, buffers):
     # sum_i a_i B_i along the last axis: a Case-1 set's utility, one per
-    # row of a batch. Each row is the same dot product as a lone vector.
+    # row of a batch. Each row is the same dot product as a lone vector
+    # (np.vecdot, numpy >= 2.0).
     return np.vecdot(pay, buffers)
 
 

@@ -41,7 +41,7 @@ from .optimizer import (
     quasiconcavity_probe,
 )
 from .simkit import TrafficModel, UserProfile, run_episode
-from .units import dbm_to_watts
+from .units import db_to_linear, dbm_to_watts
 
 log = logging.getLogger("cogalloc")
 
@@ -77,8 +77,20 @@ def _is_pfa_list(value, margin: float = 0.0) -> bool:
     )
 
 
+def _is_db(value) -> bool:
+    # A number whose linear value 10^(x/10) is a finite float > 0: it
+    # neither overflows nor underflows to 0.
+    if not _is_number(value):
+        return False
+    try:
+        return 0.0 < db_to_linear(value) < math.inf
+    except OverflowError:
+        return False
+
+
 # (what, rule): the phrase a message quotes, and the check itself.
 _NUMBER = ("a number", _is_number)
+_DB = ("a number of dB whose linear value 10^(x/10) is a finite float > 0", _is_db)
 _POSITIVE = ("a number > 0", lambda v: _is_number(v) and v > 0)
 _NON_NEGATIVE = ("a number >= 0", lambda v: _is_number(v) and v >= 0)
 _PROBABILITY = ("a number in (0, 1)", lambda v: _is_number(v) and 0 < v < 1)
@@ -131,15 +143,15 @@ _SCHEMA = (
     ("system", "tau5", 10e-6, _POSITIVE),
     ("system", "tau_r", 5e-6, _POSITIVE),
     ("system", "tau_r_prime", 5e-6, _POSITIVE),
-    ("system", "p_st_dbm", 23.0, _NUMBER),
-    ("system", "p_pt_dbm", 43.0, _NUMBER),
+    ("system", "p_st_dbm", 23.0, _DB),
+    ("system", "p_pt_dbm", 43.0, _DB),
     ("system", "bandwidth", 15e3, _POSITIVE),
-    ("system", "noise_dbm_per_hz", -174.0, _NUMBER),
+    ("system", "noise_dbm_per_hz", -174.0, _DB),
     ("system", "sense_cost", 1e-4, _POSITIVE),
     ("system", "report_cost", 1e-3, _POSITIVE),
     ("system", "p_h0", 0.8, _PROBABILITY),
     ("system", "zeta", 0.7, _PROBABILITY),
-    ("system", "gamma_db", -7.0, _NUMBER),
+    ("system", "gamma_db", -7.0, _DB),
     # Quoted in the parameter table but used by no expression; accepted
     # and ignored so archival configs stay loadable.
     ("system", "bit_rate_kbps", 250.0, _NUMBER),
@@ -166,7 +178,7 @@ _SCHEMA = (
     ("experiment", "n_frames", 100, _COUNT),
     ("probe", "m_users", 5, _COUNT),
     ("probe", "p_h0", 0.6, _PROBABILITY),
-    ("probe", "gamma_db", -7.5, _NUMBER),
+    ("probe", "gamma_db", -7.5, _DB),
     ("probe", "n_samples", 40, _COUNT),
     ("probe", "r0", (7.4, 8.0, 8.2, 0.2, 9.5), _NUMBERS),
     ("probe", "r1", (2.3, 3.5, 2.7, 0.02, 3.3), _NUMBERS),
@@ -277,10 +289,17 @@ def _system_params(fields: dict) -> SystemParams:
     fields = dict(fields)
     del fields["bit_rate_kbps"]
     noise_dbm = fields.pop("noise_dbm_per_hz") + 10.0 * math.log10(fields["bandwidth"])
+    try:
+        noise_power = dbm_to_watts(noise_dbm)
+    except OverflowError:
+        raise ValueError(
+            f"noise_dbm_per_hz + 10 log10(bandwidth) = {noise_dbm} dBm"
+            " overflows the noise power"
+        ) from None
     return SystemParams(
         p_st=dbm_to_watts(fields.pop("p_st_dbm")),
         p_pt=dbm_to_watts(fields.pop("p_pt_dbm")),
-        noise_power=dbm_to_watts(noise_dbm),
+        noise_power=noise_power,
         **fields,
     )
 

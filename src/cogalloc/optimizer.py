@@ -114,6 +114,15 @@ def _grid_weights(
     )
 
 
+def _incumbent(best: Optional[tuple], design: SensingDesign, utility: float, alloc):
+    # The better of the incumbent (key, design, allocation or None) and
+    # ``design`` at ``utility``: the winner maximizes (utility, -pfa, -k).
+    key = (utility, -design.pfa_local, -design.k_threshold)
+    if best is None or key > best[0]:
+        return key, design, alloc
+    return best
+
+
 def joint_optimize(
     all_sus: Sequence[SecondaryUser],
     geom: SensingGeometry,
@@ -171,31 +180,22 @@ def joint_optimize(
     bounds, settled = table.screen(weights)
     designs = weights.designs
     utilities = {}
-    best_key = None
     best: Optional[tuple] = None
     resolved = np.flatnonzero(~np.isnan(settled))
     for d, utility in zip(resolved.tolist(), settled[resolved].tolist()):
-        design = designs[d]
-        utilities[design] = utility
-        key = (utility, -design.pfa_local, -design.k_threshold)
-        if best_key is None or key > best_key:
-            best_key = key
-            best = (design, None)
+        utilities[designs[d]] = utility
+        best = _incumbent(best, designs[d], utility, None)
     walked = np.flatnonzero((bounds > -np.inf) & np.isnan(settled))
     order = walked[np.argsort(-bounds[walked], kind="stable")]
     ceilings = (bounds[order] * (1.0 + BOUND_SLACK)).tolist()
     for d, ceiling in zip(order.tolist(), ceilings):
-        if not keep_surface and best_key is not None and ceiling < best_key[0]:
+        if not keep_surface and best is not None and ceiling < best[0][0]:
             break
         design = designs[d]
         alloc = select_and_allocate(all_sus, design, geom, params, table)
-        if not alloc.feasible:
-            continue
-        utilities[design] = alloc.fc_utility
-        key = (alloc.fc_utility, -design.pfa_local, -design.k_threshold)
-        if best_key is None or key > best_key:
-            best_key = key
-            best = (design, alloc)
+        if alloc.feasible:
+            utilities[design] = alloc.fc_utility
+            best = _incumbent(best, design, alloc.fc_utility, alloc)
     surface = None
     if keep_surface:
         surface = {
@@ -203,7 +203,7 @@ def joint_optimize(
         }
     if best is None:
         return _infeasible_outcome(m, surface, time.perf_counter() - start)
-    design, alloc = best
+    _, design, alloc = best
     if alloc is None:
         reduced = table.screened(design)[0]
         alloc = _result(table, _score(table, table.evaluate(design, reduced)), m, reduced)

@@ -351,6 +351,7 @@ class TestMainEntry:
             ("buffer_bits", [-1]),
             ("buffer_bits", [10.7]),
             ("gamma_db", ["loud"]),
+            ("gamma_db", [1e6]),
         ],
     )
     def test_bad_sweep_value_exit_code(self, tmp_path, capsys, sweep, values):
@@ -377,18 +378,27 @@ class TestMainEntry:
             ({"users": [dict(USER, buffer_bits=10.7)]}, "users[0].buffer_bits"),
             ({"system": {"n_samples": 40.5}}, "system.n_samples"),
             ({"grid": {"pfa_values": []}}, "grid.pfa_values"),
+            # dB values whose linear value overflows, or underflows to 0.
+            ({"system": {"p_st_dbm": 1e6}}, "system.p_st_dbm"),
+            ({"system": {"p_pt_dbm": 1e6}}, "system.p_pt_dbm"),
+            ({"system": {"noise_dbm_per_hz": 1e6}}, "system.noise_dbm_per_hz"),
+            ({"system": {"gamma_db": 1e6}}, "system.gamma_db"),
+            ({"system": {"gamma_db": -1e6}}, "system.gamma_db"),
+            ({"probe": {"gamma_db": 1e6}}, "probe.gamma_db"),
+            (
+                {"system": {"noise_dbm_per_hz": 3000.0, "bandwidth": 1e300}},
+                "noise_dbm_per_hz",
+            ),
         ],
     )
     def test_bad_field_type_exit_code(self, tmp_path, capsys, raw, field):
         # Rejected while parsing, not by a crash (or a silent truncation)
         # once the run has started.
         path = _cfg(tmp_path, raw)
-        code = main(["optimize", "--config", str(path), "--out", str(tmp_path)])
-        assert code == EXIT_CONFIG
-        assert field in capsys.readouterr().err
-        code = main(["probe-hessian", "--config", str(path), "--out", str(tmp_path)])
-        assert code == EXIT_CONFIG
-        assert field in capsys.readouterr().err
+        for command in ("optimize", "simulate", "probe-hessian"):
+            code = main([command, "--config", str(path), "--out", str(tmp_path)])
+            assert code == EXIT_CONFIG
+            assert field in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "probe,field",

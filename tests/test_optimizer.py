@@ -209,10 +209,12 @@ class TestPrunedGridSearch:
         )
 
     @pytest.mark.parametrize("k_values", [(1, 2, 3, 4), (4, 3, 2, 1)])
-    def test_flat_surface_tie_break(self, params, geom, k_values):
+    def test_flat_surface_tie_break(self, monkeypatch, params, geom, k_values):
         # Users who pay nothing make every feasible design worth exactly 0,
         # so the bound never falls below the incumbent and the (pfa, k)
-        # tie-break decides, also when the grid visits k downwards.
+        # tie-break decides, also when the grid visits k downwards. No
+        # design is in abundant time, so every feasible one is walked, and
+        # the tied bounds keep grid order.
         sus = [
             SecondaryUser(
                 id=i, gain_to_fc=g, buffer_bits=800, pay_rate=0.0, earn_rate=5.0
@@ -220,9 +222,6 @@ class TestPrunedGridSearch:
             for i, g in enumerate((0.4, 1.3, 0.9, 2.2))
         ]
         grid = DesignGrid(pfa_values=DesignGrid.uniform(4).pfa_values, k_values=k_values)
-        got = joint_optimize(sus, geom, params, grid)
-        _assert_same_outcome(got, reference_joint_optimize(sus, geom, params, grid))
-        assert got.feasible and got.fc_utility == 0.0
         feasible = [
             (pfa, k)
             for (pfa, k), u in joint_optimize(
@@ -231,6 +230,11 @@ class TestPrunedGridSearch:
             if u is not None
         ]
         assert len(feasible) > 1
+        visited = _record_visits(monkeypatch)
+        got = joint_optimize(sus, geom, params, grid)
+        assert [(d.pfa_local, d.k_threshold) for d in visited] == feasible
+        _assert_same_outcome(got, reference_joint_optimize(sus, geom, params, grid))
+        assert got.feasible and got.fc_utility == 0.0
         design = got.best_design
         assert (design.pfa_local, design.k_threshold) == min(feasible)
 
@@ -318,7 +322,7 @@ class TestPrunedGridSearch:
         assert got.best_design in visited
         _assert_same_outcome(got, reference_joint_optimize(sus, geom, params, grid))
 
-    def test_flat_abundant_surface_visits_ties_in_grid_order(
+    def test_flat_abundant_surface_settles_every_tie(
         self, monkeypatch, params, geom
     ):
         # Identical users with tiny backlogs: every feasible design clears
