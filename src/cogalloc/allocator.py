@@ -57,6 +57,10 @@ from .sensing import (
 #: Absolute slack (seconds) for <= comparisons on accumulated times.
 TIME_TOL = 1e-12
 
+#: Relative slack on a design's utility bound before the grid search
+#: skips the design; it covers rounding in the utility and bound sums.
+BOUND_SLACK = 1e-9
+
 
 class CaseLabel(enum.Enum):
     """Budget regime for a candidate set at its own cardinality."""
@@ -233,14 +237,23 @@ class UserTable:
         self._levels: dict = {}
         self._screen: Optional[tuple] = None
 
+    def _rates(self, q0, q1):
+        # The effective rates q0 r0 + q1 r1.
+        return q0 * self.r0 + q1 * self.r1
+
     def price(self, q0, q1) -> tuple:
         """(rates, lowers, uppers, priorities) of every user under the
         opportunity weights (q0, q1): the effective rates q0 r0 + q1 r1,
         their time bounds, and the per-second payments R_i a_i. The
         weights may be scalars or columns with one row per design."""
-        rates = q0 * self.r0 + q1 * self.r1
+        rates = self._rates(q0, q1)
         lowers, uppers = time_bound_arrays(rates, self.margin, self.buffers, self.cost)
         return rates, lowers, uppers, rates * self.pay
+
+    def priorities(self, q0, q1):
+        """The priorities R_i a_i of :meth:`price` alone, by the same
+        elementwise operations."""
+        return self._rates(q0, q1) * self.pay
 
     def level(self, design: SensingDesign, l_active: int) -> tuple:
         """:meth:`price` at ``design`` with ``l_active`` reporting users,
@@ -287,18 +300,26 @@ class UserTable:
         members in order, one contiguous row per design), so the case
         and the utility are bit for bit those of the walk.
 
+        A design that is not settled cannot earn sum_{i in R} a_i B_i,
+        and its bound is capped below it (:meth:`_shortfall`)
+        wherever the bound reaches the best settled utility; below that
+        the grid search skips the design either way.
+
         R and l_lb are kept for :meth:`screened`.
         """
         _, lowers, uppers, _ = self.price(weights.at_m[:, :1], weights.at_m[:, 1:])
         reduced = lowers < uppers
         sizes = reduced.sum(axis=1)
         feasible = weights.l_first <= sizes
-        prios = self.price(weights.at_first[:, :1], weights.at_first[:, 1:])[3]
+        buffered = np.where(reduced, self.pay * self.buffers, 0.0).sum(axis=1)
+        prios = self.priorities(weights.at_first[:, :1], weights.at_first[:, 1:])
         bounds = np.minimum(
-            np.where(reduced, self.pay * self.buffers, 0.0).sum(axis=1),
+            buffered,
             weights.budget_first * prios.max(axis=1, where=reduced, initial=0.0),
         )
+        bounds[~feasible] = -np.inf
         settled = np.full(len(sizes), np.nan)
+        clearing = np.full(len(sizes), np.nan)
         for size in sorted(set(sizes[feasible].tolist())):
             rows = np.flatnonzero(feasible & (sizes == size))
             if size == len(self.sus):
@@ -309,15 +330,70 @@ class UserTable:
             # A boolean gather keeps each row's members in member order, as
             # one contiguous row: the layout of a lone set's gather.
             members = reduced[rows]
-            abundant = _fits(
-                at_size[members].reshape(-1, size).sum(axis=1), self.budgets[size]
-            )
+            sums = at_size[members].reshape(-1, size).sum(axis=1)
+            clearing[rows] = sums
+            abundant = _fits(sums, self.budgets[size])
             cols = np.nonzero(members[abundant])[1]
             settled[rows[abundant]] = _buffered_value(
                 self.pay[cols].reshape(-1, size), self.buffers[cols].reshape(-1, size)
             )
-        self._screen = (weights, reduced, feasible)
-        return np.where(feasible, bounds, -np.inf), settled
+        self._screen = (weights, reduced, feasible, sizes, clearing, buffered)
+        resolved = ~np.isnan(settled)
+        if resolved.any():
+            rows = np.flatnonzero(
+                feasible
+                & ~resolved
+                & (bounds * (1.0 + BOUND_SLACK) >= settled[resolved].max())
+            )
+            if rows.size:
+                bounds[rows] = np.minimum(bounds[rows], self._shortfall(rows))
+        return bounds, settled
+
+    def _shortfall(self, rows: np.ndarray) -> np.ndarray:
+        """A cap on the utility of each feasible design at ``rows`` of the
+        last :meth:`screen` whose reduced set R is not Case 1 at |R|:
+        sum_{i in R} a_i B_i less a cut that is positive when every
+        member pays for a non-empty buffer (a_i B_i > 0).
+
+        Let e = sum_{i in R} u_i(|R|) - (T'(|R|) + TIME_TOL) > 0, the
+        overflow of the screen's Case-1 test, and p_i(|R|) = R_i(|R|)
+        a_i. The cap is sum_{i in R} a_i B_i - min(e min_R p_i(|R|),
+        min_R a_i B_i). Every candidate set S lies in R, and a_i, B_i
+        >= 0 (:class:`~cogalloc.economics.SecondaryUser` checks both).
+        If S = R, R is Case 2 or Case 3 at |R|, and Case 3 is never
+        scored. A Case-2 fill grants each member t_i <= u_i(|R|), in
+        total at most T'(|R|) + TIME_TOL, so at least e seconds of
+        clearing time go unsold, each worth at least min_R p_i(|R|);
+        in exact arithmetic p_i u_i = a_i B_i, so the utility sum p_i
+        t_i is at most sum_R a_i B_i - e min_R p_i(|R|). A proper
+        subset S misses a member, so its utility, at most sum_S a_i B_i,
+        is at most sum_R a_i B_i - min_R a_i B_i.
+
+        A member whose rate is 0 at |R| has an infinite lower bound, so
+        R is then Case 3 and only the second term applies (e is inf
+        there, and inf times the member's zero priority is not taken). The
+        difference can cancel when the cut is close to the sum, so only
+        the part of the cut beyond BOUND_SLACK sum_R a_i B_i is taken:
+        the cap is (1 + BOUND_SLACK) sum_R a_i B_i minus the cut, and its
+        rounding error, a few ulps of the sum, stays inside that margin.
+        """
+        weights, reduced, _, sizes, clearing, buffered = self._screen
+        at_size = np.array(
+            [weights.at(l)[d] for d, l in zip(rows.tolist(), sizes[rows].tolist())]
+        ).reshape(-1, 2)
+        members = reduced[rows]
+        lowest = self.priorities(at_size[:, :1], at_size[:, 1:]).min(
+            axis=1, where=members, initial=np.inf
+        )
+        excess = clearing[rows] - (np.array(self.budgets)[sizes[rows]] + TIME_TOL)
+        with np.errstate(invalid="ignore"):
+            cut = np.fmin(
+                excess * lowest,
+                np.where(members, self.pay * self.buffers, np.inf).min(
+                    axis=1, initial=np.inf
+                ),
+            )
+        return (1.0 + BOUND_SLACK) * buffered[rows] - cut
 
     def screened(self, design: SensingDesign) -> Optional[tuple]:
         """(reduced set R, minimum viable set size l_lb) at ``design``, or
@@ -332,7 +408,7 @@ class UserTable:
         if d is None:
             self.screen(DesignWeights((design,), self.geom, self.params, m))
             d = 0
-        weights, reduced, feasible = self._screen
+        weights, reduced, feasible = self._screen[:3]
         if not feasible[d]:
             return None
         return tuple(np.flatnonzero(reduced[d]).tolist()), int(weights.l_first[d])

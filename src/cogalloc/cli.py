@@ -323,8 +323,9 @@ def parse_config(raw: dict) -> RunConfig:
         explicit_users = tuple(
             SecondaryUser(**{"id": i, **entry}) for i, entry in enumerate(users)
         )
-        # The rest of the generated-users defaults still hold: simulate
-        # draws each frame's gains with their gain_mean.
+        # The generated-users defaults fill the rest; simulate takes each
+        # explicit user's gain_to_fc as its gain mean and its
+        # buffer_bits as its backlog at t=0 instead.
         users = _fields({"count": len(explicit_users)}, "users", [])
     traffic = dict(eff["traffic"])
     initial_bits = traffic.pop("initial_bits")
@@ -651,7 +652,12 @@ def _simulate_task(task) -> tuple:
     system, users = _apply_sweep(cfg, value)
     if cfg.explicit_users is not None:
         profiles = [
-            UserProfile(pay_rate=su.pay_rate, earn_rate=su.earn_rate)
+            UserProfile(
+                pay_rate=su.pay_rate,
+                earn_rate=su.earn_rate,
+                gain_mean=su.gain_to_fc,
+                initial_bits=su.buffer_bits,
+            )
             for su in cfg.explicit_users
         ]
     else:

@@ -21,6 +21,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .allocator import (
+    BOUND_SLACK,
     AllocationResult,
     DesignWeights,
     UserTable,
@@ -92,11 +93,6 @@ def _infeasible_outcome(m: int, surface, elapsed: float) -> OptimizationOutcome:
     return OptimizationOutcome(None, _infeasible(m, None), surface, elapsed)
 
 
-#: Relative slack on a design's utility bound before the grid search
-#: skips the design; it covers rounding in the utility and bound sums.
-BOUND_SLACK = 1e-9
-
-
 def _grid_designs(grid: DesignGrid) -> list:
     # Grid order: k as listed, then pfa ascending within each k.
     return [SensingDesign(pfa, k) for k in grid.k_values for pfa in grid.pfa_values]
@@ -153,9 +149,16 @@ def joint_optimize(
     |R| (Case 1): its allocation serves all of R to the upper bounds,
     and its utility sum_{i in R} a_i B_i comes out of the screen bit for
     bit as the walk would compute it. The incumbent is first the best
-    key over the settled designs, with no walk. The other feasible
-    designs are walked by :func:`~cogalloc.allocator.select_and_allocate`
-    best first: in descending order of U_max, equal bounds in grid order
+    key over the settled designs, with no walk. An unsettled design
+    cannot earn sum_{i in R} a_i B_i: a fill of R leaves at least e =
+    sum_{i in R} u_i(|R|) - (T'(|R|) + TIME_TOL) seconds of clearing
+    time unsold, and a smaller set misses a member. So wherever U_max
+    reaches the best settled utility, the screen lowers it to at most
+    sum_{i in R} a_i B_i - min(e min_{i in R} R_i(|R|) a_i, min_{i in R}
+    a_i B_i) (:meth:`~cogalloc.allocator.UserTable._shortfall` gives
+    the proof), and a design that could only tie the settled incumbent
+    is not walked. The other feasible designs are walked by
+    :func:`~cogalloc.allocator.select_and_allocate` best first: in descending order of U_max, equal bounds in grid order
     (a stable sort). The walk stops at the first design with U_max * (1
     + BOUND_SLACK) below the incumbent's utility; every later design has
     a bound no larger, so none of them can reach the incumbent. The

@@ -166,25 +166,42 @@ class EpisodeState:
 
 @dataclass(frozen=True)
 class UserProfile:
-    """Static description of one simulated user (prices fixed per run)."""
+    """Static description of one simulated user (prices fixed per run).
+
+    ``gain_mean`` is the mean of the user's per-frame exponential channel
+    gain and ``initial_bits`` its backlog at t=0; None takes the
+    episode's shared value (``gain_mean``, ``initial_bits`` of
+    :func:`run_episode`).
+    """
 
     pay_rate: float = 0.1
     earn_rate: float = 10.0
+    gain_mean: Optional[float] = None
+    initial_bits: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        if self.gain_mean is not None and not self.gain_mean > 0.0:
+            raise ValueError(f"gain_mean must be positive, got {self.gain_mean}")
+        if self.initial_bits is not None and self.initial_bits < 0:
+            raise ValueError(f"initial_bits must be >= 0, got {self.initial_bits}")
 
 
 def init_state(
     n_users: int,
     traffic: TrafficModel,
     streams: StreamFactory,
-    initial_bits: int = 10,
+    initial_bits: int | Sequence[int] = 10,
 ) -> EpisodeState:
     """Fresh buffers holding the initial batch at t=0, with each user's
-    first arrival countdown already sampled."""
+    first arrival countdown already sampled. ``initial_bits`` is every
+    user's initial batch, or a sequence with one per user."""
+    if np.ndim(initial_bits) == 0:
+        initial_bits = [initial_bits] * n_users
     buffers = []
     next_batch = []
     for i in range(n_users):
         buf = BufferState()
-        buf.add_batch(0.0, initial_bits)
+        buf.add_batch(0.0, initial_bits[i])
         buffers.append(buf)
         gap = sample_pareto_idle(traffic, streams.stream("traffic", i))
         next_batch.append(gap + traffic.accumulation_time)
@@ -232,8 +249,11 @@ def step_frame(
     # selected (zero upper bounds), so the optimization is skipped whole.
     if any(buffers_at_start):
         gains = [
-            sample_exponential_gain(gain_mean, streams.stream("gain", i))
-            for i in range(n)
+            sample_exponential_gain(
+                gain_mean if p.gain_mean is None else p.gain_mean,
+                streams.stream("gain", i),
+            )
+            for i, p in enumerate(profiles)
         ]
         sus = [
             SecondaryUser(
@@ -338,7 +358,15 @@ def run_episode(
     if grid is None:
         grid = DesignGrid.uniform(n)
     streams = StreamFactory(rng_seed, trial)
-    state = init_state(n, traffic, streams, initial_bits=initial_bits)
+    state = init_state(
+        n,
+        traffic,
+        streams,
+        initial_bits=[
+            initial_bits if p.initial_bits is None else p.initial_bits
+            for p in profiles
+        ],
+    )
     delays: list = [[] for _ in range(n)]
     traces = []
 

@@ -292,6 +292,45 @@ class TestSubcommands:
         record = json.loads(trace_lines[1])
         assert {"frame", "pu_active", "fc_busy", "selected", "bits_out"} <= set(record)
 
+    @staticmethod
+    def _simulate_bytes(tmp_path, name, users):
+        payload = {
+            "users": users,
+            "experiment": {"n_frames": 30},
+            "traffic": {"scale": 0.002},
+            "trials": 2,
+            "seed": 4,
+        }
+        out = tmp_path / name
+        out.mkdir()
+        assert cmd_simulate(load_config(_cfg(out, payload)), out) == EXIT_OK
+        return {
+            f: (out / f).read_bytes()
+            for f in ("simulate.csv", "simulate_mean.csv", "trace_sweep0.jsonl")
+        }
+
+    def test_simulate_uses_explicit_gain_and_backlog(self, tmp_path):
+        # An explicit user's gain_to_fc is the mean of its per-frame gain
+        # draws and its buffer_bits its backlog at t=0.
+        def users(gain, bits):
+            return [{**USER, "gain_to_fc": gain, "buffer_bits": bits}] * 3
+
+        strong = self._simulate_bytes(tmp_path, "strong", users(1.0, 1000))
+        weak = self._simulate_bytes(tmp_path, "weak", users(50.0, 5))
+        assert strong["simulate.csv"] != weak["simulate.csv"]
+        assert strong["trace_sweep0.jsonl"] != weak["trace_sweep0.jsonl"]
+        first = json.loads(weak["trace_sweep0.jsonl"].splitlines()[1])
+        assert first["buffers"] == [5, 5, 5]
+
+    def test_simulate_explicit_users_match_generated_defaults(self, tmp_path):
+        # Explicit users carrying the generated defaults (gain mean 1.0,
+        # traffic.initial_bits 10, the default prices) replay the
+        # generated run byte for byte.
+        entry = {"gain_to_fc": 1.0, "buffer_bits": 10, "pay_rate": 0.1, "earn_rate": 10.0}
+        explicit = self._simulate_bytes(tmp_path, "explicit", [entry] * 3)
+        generated = self._simulate_bytes(tmp_path, "generated", {"count": 3})
+        assert explicit == generated
+
     def test_probe_hessian_summary_and_rows(self, tmp_path, capsys):
         cfg = load_config(_cfg(tmp_path, {}))
         assert cmd_probe_hessian(cfg, tmp_path) == EXIT_OK

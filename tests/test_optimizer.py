@@ -165,6 +165,23 @@ def _assert_same_outcome(got, want):
 KINDS = ("identical", "heterogeneous", "zero_buffers", "reversed_ids")
 
 
+def _small_buffer_users(seed):
+    # Five users whose backlogs sit near what a frame clears: the reduced
+    # set is every user at most designs, so many designs share sum_R a_i
+    # B_i, and R is in abundant time at some of them and not at others.
+    rng = np.random.default_rng(seed + 1000)
+    return [
+        SecondaryUser(
+            id=i,
+            gain_to_fc=float(rng.exponential(1.0)),
+            buffer_bits=int(rng.integers(20, 120)),
+            pay_rate=float(rng.uniform(0.05, 0.3)),
+            earn_rate=10.0,
+        )
+        for i in range(5)
+    ]
+
+
 def _record_visits(monkeypatch) -> list:
     # The designs joint_optimize searches, in the order it searches them.
     visited = []
@@ -349,6 +366,33 @@ class TestPrunedGridSearch:
         assert (got.best_design.pfa_local, got.best_design.k_threshold) == min(feasible)
         _assert_same_outcome(got, reference_joint_optimize(sus, geom, params, grid))
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_designs_tied_with_the_settled_winner_are_not_walked(
+        self, monkeypatch, params, geom, seed
+    ):
+        # Unsettled designs share the settled winner's reduced set, so
+        # the reference bound sum_R a_i B_i alone reaches the winner's
+        # utility; none of them can earn it, and none is walked.
+        sus = _small_buffer_users(seed)
+        grid = DesignGrid.uniform(5)
+        table = UserTable(sus, geom, params)
+        weights = _grid_weights(geom, params, grid, 5)
+        settled = table.screen(weights)[1]
+        best = np.nanmax(settled)
+        tied = [
+            design
+            for d, design in enumerate(weights.designs)
+            if np.isnan(settled[d])
+            and table.screened(design) is not None
+            and reference_utility_bound(table, design) * (1.0 + BOUND_SLACK) >= best
+        ]
+        assert tied
+        visited = _record_visits(monkeypatch)
+        got = joint_optimize(sus, geom, params, grid)
+        assert visited == []
+        assert got.fc_utility == best
+        _assert_same_outcome(got, reference_joint_optimize(sus, geom, params, grid))
+
     def test_episode_matches_reference_search(self, monkeypatch, params, geom):
         # Thirty frames with batches every few frames: the weights shared
         # across frames must give every frame the reference's decision.
@@ -410,11 +454,19 @@ class TestBatchedScreen:
 
     @staticmethod
     def _check(sus, geom, params, grid):
+        # Also returns the number of unsettled designs whose shortfall cap
+        # lies below the reference bound (the cap binds there).
         m = len(sus)
         table = UserTable(sus, geom, params)
         weights = _grid_weights(geom, params, grid, m)
         bounds, settled = table.screen(weights)
+        # The cap of every feasible design the screen leaves unsettled,
+        # not only of those it caps (the ones that reach the best
+        # settled utility).
+        unsettled = np.flatnonzero((bounds > -np.inf) & np.isnan(settled))
+        caps = dict(zip(unsettled.tolist(), table._shortfall(unsettled).tolist()))
         _assert_settled_as_walked(table, weights, settled)
+        binding = 0
         assert len(weights.designs) == sum(1 for k in grid.k_values if k <= m) * len(
             grid.pfa_values
         )
@@ -426,13 +478,23 @@ class TestBatchedScreen:
                 if k > m:
                     assert want is None
                     continue
-                bound = float(bounds[weights.index[design]])
+                d = weights.index[design]
+                bound = float(bounds[d])
                 assert (bound == -np.inf) == (want is None)
+                if want is not None:
+                    assert bound <= reference_utility_bound(table, design) * (
+                        1.0 + 1e-12
+                    )
                 alloc = select_and_allocate(sus, design, geom, params, table)
                 if want is None:
                     assert not alloc.feasible
                 elif alloc.feasible:
                     assert alloc.fc_utility <= bound * (1.0 + BOUND_SLACK)
+                if d in caps:
+                    binding += caps[d] < reference_utility_bound(table, design)
+                    if alloc.feasible:
+                        assert alloc.fc_utility <= caps[d] * (1.0 + BOUND_SLACK)
+        return binding
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("m", [0, 1, 2, 3, 5, 8, 13, 21, 40])
@@ -458,6 +520,85 @@ class TestBatchedScreen:
         grid = DesignGrid(pfa_values=(0.1, 0.3, 0.5), k_values=(1, 2, 3, 4, 5))
         self._check(sus, geom, params, grid)
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_shortfall_caps_small_buffer_designs(self, params, geom, seed):
+        # Many designs share sum_R a_i B_i; the cap binds at some of them.
+        assert self._check(_small_buffer_users(seed), geom, params, DesignGrid.uniform(5))
+
+    @pytest.mark.parametrize("steps", [1, 3])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_shortfall_just_past_the_budget(self, params, geom, seed, steps):
+        # The frame length puts the budget check T'(|R|) + TIME_TOL of an
+        # unsettled design a few TIME_TOL below its members' clearing-time
+        # sum, so the overflow e is at most that.
+        sus = _small_buffer_users(seed)
+        grid = DesignGrid.uniform(5)
+        table = UserTable(sus, geom, params)
+        weights = _grid_weights(geom, params, grid, 5)
+        bounds, settled = table.screen(weights)
+        d = int(np.flatnonzero((bounds > -np.inf) & np.isnan(settled))[0])
+        design = weights.designs[d]
+        reduced = table.screened(design)[0]
+        total = float(table.evaluate(design, reduced).uppers.sum())
+        edge = _budget_edge(params, len(reduced), total - steps * TIME_TOL, above=True)
+        table = UserTable(sus, geom, edge)
+        weights = _grid_weights(geom, edge, grid, 5)
+        assert np.isnan(table.screen(weights)[1][d])
+        excess = total - (table.budgets[len(reduced)] + TIME_TOL)
+        assert 0.0 < excess <= steps * TIME_TOL
+        self._check(sus, geom, edge, grid)
+
+    @pytest.mark.parametrize("bits", [7, 20])
+    @pytest.mark.parametrize("pfa,k", [(0.1, 1), (0.5, 3)])
+    def test_shortfall_when_the_fill_overruns_the_budget(self, bits, pfa, k):
+        # Thin margins make the break-even grants nearly the clearing
+        # times, and the frame length puts their sum at |R| in (T'(|R|),
+        # T'(|R|) + TIME_TOL]: the Case-2 fill then grants the lower
+        # bounds, TIME_TOL beyond T'. The cap must count that slack in e.
+        params = default_system_params(zeta=0.6)
+        geom = params.geometry()
+        earn = 0.1 + params.sensing_cost * 1.05 / bits
+        sus = [
+            SecondaryUser(
+                id=i, gain_to_fc=1.0, buffer_bits=bits, pay_rate=0.1, earn_rate=earn
+            )
+            for i in range(5)
+        ]
+        design = SensingDesign(pfa, k)
+        every = tuple(range(5))
+        lowers = float(UserTable(sus, geom, params).evaluate(design, every).lowers.sum())
+        edge = _budget_edge(params, 5, lowers, above=True)
+        table = UserTable(sus, geom, edge)
+        table.screen(_grid_weights(geom, edge, DesignGrid((pfa,), (k,)), 5))
+        assert table.screened(design)[0] == every
+        ev = table.evaluate(design, every)
+        assert ev.case is CaseLabel.CASE2 and float(ev.lowers.sum()) > ev.t_prime
+        self._check(sus, geom, edge, DesignGrid((pfa,), (k,)))
+
+    @pytest.mark.parametrize("bits", [10**4, 10**6, 10**9])
+    def test_shortfall_with_a_dominant_member(self, params, geom, bits):
+        # One profitable user with a backlog far beyond a frame, the rest
+        # never profitable: R is that user alone, the cut is nearly all of
+        # sum_R a_i B_i, and the cap's difference cancels.
+        sus = [
+            SecondaryUser(
+                id=0, gain_to_fc=1.0, buffer_bits=bits, pay_rate=0.1, earn_rate=10.0
+            )
+        ] + [
+            SecondaryUser(
+                id=i, gain_to_fc=1.0, buffer_bits=500, pay_rate=0.2, earn_rate=0.1
+            )
+            for i in range(1, 5)
+        ]
+        grid = DesignGrid(pfa_values=(0.3, 0.5, 0.7, 0.9), k_values=(1, 2))
+        table = UserTable(sus, geom, params)
+        weights = _grid_weights(geom, params, grid, 5)
+        bounds, settled = table.screen(weights)
+        rows = np.flatnonzero((bounds > -np.inf) & np.isnan(settled))
+        assert rows.size
+        assert all(table.screened(weights.designs[d])[0] == (0,) for d in rows)
+        self._check(sus, geom, params, grid)
+
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("m", [1, 5, 7, 8, 9, 16, 40, 200])
     def test_settles_exactly_the_abundant_designs(self, m, kind):
@@ -465,7 +606,13 @@ class TestBatchedScreen:
         geom = params.geometry()
         table = UserTable(sus, geom, params)
         weights = _grid_weights(geom, params, _sparse_grid(m), m)
-        _assert_settled_as_walked(table, weights, table.screen(weights)[1])
+        bounds, settled = table.screen(weights)
+        _assert_settled_as_walked(table, weights, settled)
+        # Every unsettled design gets a finite cap, also where a member's
+        # rate vanishes at |R| (pfa 0.99): e is then inf and its zero
+        # priority must not make a nan or a warning.
+        unsettled = np.flatnonzero((bounds > -np.inf) & np.isnan(settled))
+        assert np.isfinite(table._shortfall(unsettled)).all()
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("m", [1, 5, 7, 8, 9, 16, 40, 200])

@@ -292,6 +292,34 @@ class TestRunEpisode:
         )
         assert sum(stats.dropped_batches) >= 1
 
+    def test_profile_gain_and_backlog_override_the_shared_values(self):
+        # A profile's own gain mean and initial backlog replace the
+        # episode's; a profile that leaves them unset keeps the shared ones.
+        params = default_system_params()
+        geom = params.geometry()
+        traffic = TrafficModel(scale=0.002)
+
+        def first_frames(profiles):
+            _, traces = run_episode(
+                3, params, geom, traffic, rng_seed=7, profiles=profiles,
+                initial_bits=10, gain_mean=1.0,
+            )
+            return traces
+
+        shared = first_frames([UserProfile()] * 3)
+        same = first_frames([UserProfile(gain_mean=1.0, initial_bits=10)] * 3)
+        assert repr(same) == repr(shared)
+        own = first_frames(
+            [UserProfile(gain_mean=50.0, initial_bits=b) for b in (0, 5, 700)]
+        )
+        assert own[0].buffers_at_start == (0, 5, 700)
+        assert shared[0].buffers_at_start == (10, 10, 10)
+        assert repr(own) != repr(shared)
+        with pytest.raises(ValueError, match="gain_mean"):
+            UserProfile(gain_mean=0.0)
+        with pytest.raises(ValueError, match="initial_bits"):
+            UserProfile(initial_bits=-1)
+
 
 class TestDecisionStatistics:
     def test_empirical_frequencies_match_closed_forms(self):
