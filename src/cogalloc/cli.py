@@ -251,9 +251,18 @@ def effective_config(raw: dict) -> dict:
             eff[section] = _fields(value, section, errors)
         elif section == "users" and isinstance(value, list) and value:
             # An explicit list is kept as given: its entries take no defaults.
+            # An entry without an id takes its position; ids must not repeat.
+            seen: dict = {}
             for i, entry in enumerate(value):
                 if isinstance(entry, dict):
                     _fields(entry, "user", errors, name=f"users[{i}]")
+                    uid = entry.get("id", i)
+                    if not _is_int(uid, -math.inf):
+                        continue
+                    if uid in seen:
+                        errors.append(f"users[{i}].id {uid} repeats the id of users[{seen[uid]}]")
+                    else:
+                        seen[uid] = i
                 else:
                     errors.append(f"users[{i}] must be an object, got {entry!r}")
             eff[section] = value

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .sensing import SensingGeometry
 from .units import db_to_linear, dbm_to_watts
@@ -200,22 +199,6 @@ def _e1_fraction(c: float, depth: int) -> float:
     return 1.0 / t
 
 
-@lru_cache(maxsize=1 << 16)
-def _rate_interfered_cached(
-    gain: float, p_st: float, p_pt: float, noise: float, bandwidth: float
-) -> float:
-    # E_x[log2(1 + gP_ST/(xP_PT+N0))] for x ~ Exp(1), in closed form:
-    # the integrand splits into ln(x+c1) - ln(x+c2) with c1=(1+A)/B,
-    # c2=1/B (A = gP_ST/N0, B = P_PT/N0), and
-    # integral e^-x ln(x+c) dx = ln c + e^c E1(c).
-    a = gain * p_st / noise
-    b = p_pt / noise
-    c1 = (1.0 + a) / b
-    c2 = 1.0 / b
-    nats = math.log(c1) + _exp_scaled_e1(c1) - math.log(c2) - _exp_scaled_e1(c2)
-    return bandwidth * nats / math.log(2.0)
-
-
 def rate_interfered(su: SecondaryUser, params: SystemParams) -> float:
     """Access rate (bits/s) under a missed detection, averaged over the
     unit-mean exponential primary-to-FC gain.
@@ -224,9 +207,16 @@ def rate_interfered(su: SecondaryUser, params: SystemParams) -> float:
     """
     if params.p_pt == 0.0:
         return rate_idle(su, params)
-    return _rate_interfered_cached(
-        su.gain_to_fc, params.p_st, params.p_pt, params.noise_power, params.bandwidth
-    )
+    # E_x[log2(1 + gP_ST/(xP_PT+N0))] for x ~ Exp(1), in closed form:
+    # the integrand splits into ln(x+c1) - ln(x+c2) with c1=(1+A)/B,
+    # c2=1/B (A = gP_ST/N0, B = P_PT/N0), and
+    # integral e^-x ln(x+c) dx = ln c + e^c E1(c).
+    a = su.gain_to_fc * params.p_st / params.noise_power
+    b = params.p_pt / params.noise_power
+    c1 = (1.0 + a) / b
+    c2 = 1.0 / b
+    nats = math.log(c1) + _exp_scaled_e1(c1) - math.log(c2) - _exp_scaled_e1(c2)
+    return params.bandwidth * nats / math.log(2.0)
 
 
 def effective_time(params: SystemParams, l_active: int) -> float:

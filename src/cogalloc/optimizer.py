@@ -27,6 +27,7 @@ from .allocator import (
     UserTable,
     _infeasible,
     _placed,
+    _read_only,
     _result,
     _score,
     greedy_topup,
@@ -213,6 +214,58 @@ def joint_optimize(
     return OptimizationOutcome(design, alloc, surface, time.perf_counter() - start)
 
 
+#: Elements (members x designs x subsets) in one chunk of the oracle's
+#: batched scoring: each working array of a chunk holds at most this
+#: many floats (64 kB), whatever the number of subsets of a size.
+_ORACLE_CHUNK = 1 << 13
+
+
+@lru_cache(maxsize=128)
+def _oracle_designs(
+    geom: SensingGeometry, params: SystemParams, grid: DesignGrid, size: int
+) -> tuple:
+    # The designs admissible for a set of ``size`` users (k <= size and
+    # fused detection at size meeting the floor), ordered by (pfa, k) so
+    # that the first utility maximum also wins the tie-break, and their
+    # opportunity weights at size as a read-only D x 2 array. Shared by
+    # every call on this (geometry, params, grid), as the trials of a
+    # sweep point are.
+    designs = tuple(
+        d
+        for d in (
+            SensingDesign(pfa, k)
+            for pfa in grid.pfa_values
+            for k in sorted(grid.k_values)
+            if k <= size
+        )
+        if global_pd(d, geom, size) >= params.zeta
+    )
+    weights = np.array(
+        [opportunity_weights(d, geom, params, size) for d in designs]
+    ).reshape(-1, 2)
+    return designs, _read_only(weights)
+
+
+@lru_cache(maxsize=128)
+def _subsets(n: int, size: int) -> tuple:
+    # Every subset of ``size`` of n users in ``itertools.combinations``
+    # order, as an S x size array of members, and its n x S membership
+    # mask; both read-only.
+    subsets = np.array(list(itertools.combinations(range(n), size)))
+    member = np.zeros((n, len(subsets)), dtype=bool)
+    member[subsets.T, np.arange(len(subsets))] = True
+    return _read_only(subsets), _read_only(member)
+
+
+def _member_sum(values: np.ndarray) -> np.ndarray:
+    # The sum over the leading (member) axis, one row at a time in order:
+    # bit for bit the sequential sum of each column.
+    total = values[0].copy()
+    for row in values[1:]:
+        total += row
+    return total
+
+
 def exhaustive_oracle(
     all_sus: Sequence[SecondaryUser],
     geom: SensingGeometry,
@@ -227,18 +280,32 @@ def exhaustive_oracle(
 
     Work that depends only on the subset size L is done once per size:
     the admissible designs (k <= L and fused detection at L meeting the
-    floor), their opportunity weights, and every profitable user's rate,
-    bounds and priority under each of them, as design x user arrays.
-    Each subset then scores all admissible designs in one block. A design
-    is infeasible for the subset when a member has zero effective rate
-    or a lower bound above its upper bound, or when the lower bounds
-    overflow T'(L); the rest get the greedy fill, vectorised over
-    designs. Sums over members run one member at a time in member order,
-    as Python's ``sum`` does, so every value is bitwise reproducible.
+    floor) and their opportunity weights, shared across calls; every
+    profitable user's rate, bounds and priority under each of them, as
+    design x user arrays; and each design's fill order over all the
+    profitable users (priority descending, ties to the lower index).
+    Restricted to a subset's members, that order is the subset's own
+    fill order.
 
-    The winner maximises (utility, -pfa, -k) with a strict comparison,
-    so among equal keys the candidate first in (size ascending,
-    ``itertools.combinations`` order) wins.
+    Every (subset, design) pair of a size is then scored in a few numpy
+    passes, a chunk of subsets at a time: member x design x subset
+    arrays, capped at ``_ORACLE_CHUNK`` elements, with 0.0 in place of
+    each non-member's lower bound, gap and time. A pair is infeasible
+    when a member has zero effective rate or a lower bound above its
+    upper bound, or when the lower bounds overflow T'(L); the rest get
+    the greedy fill. Every sum (the lower bounds, the budget left before
+    each member in fill order, the utility) runs one user at a time
+    along the member axis, in member order, as Python's ``sum`` does over
+    the members alone: adding or subtracting a non-member's 0.0 leaves a
+    sum unchanged, so every value is bitwise reproducible.
+
+    The winner maximises (utility, -pfa, -k). Within a chunk that is the
+    largest utility, then the first design in (pfa, k) order, then the
+    first subset in ``itertools.combinations`` order; across chunks and
+    sizes a key must be strictly greater to win. So among equal keys the
+    candidate first in (size ascending, ``itertools.combinations`` order)
+    wins. The winning members are placed by their position in
+    ``all_sus``.
 
     Raises
     ------
@@ -250,87 +317,84 @@ def exhaustive_oracle(
             f"exhaustive oracle capped at {max_users} users, got {len(all_sus)}"
         )
     start = time.perf_counter()
-    profitable = [su for su in all_sus if su.earn_rate > su.pay_rate]
-    table = UserTable(profitable, geom, params)
+    positions = [i for i, su in enumerate(all_sus) if su.earn_rate > su.pay_rate]
+    table = UserTable([all_sus[i] for i in positions], geom, params)
+    n = len(positions)
     best_key = None
     best: Optional[tuple] = None
-    # Designs ruled out for a subset carry inf/nan through the block
-    # arithmetic; they are masked out, not warned about.
+    # Pairs ruled out carry inf/nan through the chunk arithmetic; they are
+    # masked out, not warned about.
     with np.errstate(all="ignore"):
-        for size in range(1, len(profitable) + 1):
+        for size in range(1, n + 1):
             t_prime = table.budgets[size]
             if t_prime <= 0.0:
                 continue
-            # Ordered by (pfa, k), so the first utility maximum of a block
-            # also wins the tie-break.
-            designs = [
-                SensingDesign(pfa, k)
-                for pfa in grid.pfa_values
-                for k in sorted(grid.k_values)
-                if k <= size
-            ]
-            designs = [
-                d for d in designs if global_pd(d, geom, size) >= params.zeta
-            ]
+            designs, weights = _oracle_designs(geom, params, grid, size)
             if not designs:
                 continue
-            weights = np.array(
-                [opportunity_weights(d, geom, params, size) for d in designs]
-            )
             rates, lowers, uppers, prios = table.price(weights[:, :1], weights[:, 1:])
-            # A user whose bounds cross rules the design out for every
-            # subset holding it, as does a zero-rate user (infinite lower
-            # bound): an infinite lower bound overflows any budget.
-            block = np.stack(
-                (
-                    np.where(lowers > uppers, np.inf, lowers),
-                    uppers - lowers,
-                    prios,
-                    # Each user's place in the design's fill order (priority
-                    # descending, ties to the lower index); within a subset
-                    # these ranks order the members the same way.
-                    np.argsort(np.argsort(-prios, axis=1, kind="stable"), axis=1),
-                )
-            )
-            rows = np.arange(len(designs))[:, None]
-            for members in itertools.combinations(range(len(profitable)), size):
-                lo, gap, prio, rank = block.take(members, axis=2)
-                lo_sum = np.add.accumulate(lo, axis=1)[:, -1]
+            # Member axis first: user x design (x subset, broadcast). A
+            # user whose bounds cross rules the design out for every subset
+            # holding it, as does a zero-rate user (infinite lower bound):
+            # an infinite lower bound overflows any budget.
+            user_lo = np.where(lowers > uppers, np.inf, lowers).T[:, :, None]
+            user_prio = prios.T[:, :, None]
+            # Each design's fill order (priority descending, ties to the
+            # lower index) and its gaps in that order. In a (user, design)
+            # x subset array flattened by rows, user i at design d is row
+            # i * D + d; ``back`` maps it to the row that holds the same
+            # pair in fill order, rank * D + d.
+            order = np.argsort(-prios, axis=1, kind="stable")
+            fill_gap = np.take_along_axis(uppers - lowers, order, axis=1).T[:, :, None]
+            fill_order = order.T
+            n_designs = len(designs)
+            back = (np.argsort(order, axis=1).T * n_designs + np.arange(n_designs)).ravel()
+            subsets, member = _subsets(n, size)
+            step = max(1, _ORACLE_CHUNK // (n * n_designs))
+            for first in range(0, len(subsets), step):
+                inside = member[:, first : first + step]
+                lo = np.where(inside[:, None, :], user_lo, 0.0)
+                lo_sum = _member_sum(lo)
                 fits = lo_sum <= t_prime
                 if not fits.any():
                     continue
                 # Greedy fill in priority order. ``left`` is the budget left
-                # before each member: a gap below it is granted in full, the
-                # first that is not takes what is left, and from there on
-                # ``left`` is <= 0 so the rest get nothing.
-                order = rank.argsort(axis=1)
-                gap = gap[rows, order]
-                left = np.subtract.accumulate(
-                    np.column_stack((t_prime - lo_sum, gap)), axis=1
-                )[:, :-1]
-                times = lo.copy()
-                times[rows, order] += np.maximum(np.minimum(gap, left), 0.0)
-                utility = np.where(
-                    fits, np.add.accumulate(prio * times, axis=1)[:, -1], -np.inf
-                )
-                d = int(utility.argmax())
+                # before each user in fill order: a gap below it is granted
+                # in full, the first that is not takes what is left, and
+                # from there on ``left`` is <= 0 so the rest get nothing.
+                gap = np.where(inside[fill_order], fill_gap, 0.0)
+                grant = np.empty_like(gap)
+                left = t_prime - lo_sum
+                for j in range(n):
+                    np.minimum(gap[j], left, out=grant[j])
+                    np.maximum(grant[j], 0.0, out=grant[j])
+                    left -= gap[j]
+                # The grants back in user order, added to the lower bounds.
+                times = lo + grant.reshape(-1, lo.shape[2])[back].reshape(lo.shape)
+                utility = np.where(fits, _member_sum(user_prio * times), -np.inf)
+                d, s = divmod(int(utility.argmax()), utility.shape[1])
                 design = designs[d]
-                key = (float(utility[d]), -design.pfa_local, -design.k_threshold)
+                key = (float(utility[d, s]), -design.pfa_local, -design.k_threshold)
                 if best_key is None or key > best_key:
                     best_key = key
+                    members = subsets[first + s]
                     best = (
-                        design, members, times[d], rates[d, members], prio[d], lo[d]
+                        design,
+                        members,
+                        times[members, d, s],
+                        rates[d, members],
+                        prios[d, members],
+                        lowers[d, members],
                     )
     elapsed = time.perf_counter() - start
     if best is None:
         return _infeasible_outcome(len(all_sus), None, elapsed)
     design, members, times, rates, prios, lowers = best
-    index = {su.id: i for i, su in enumerate(all_sus)}
     alloc = _placed(
         len(all_sus),
-        [index[profitable[j].id] for j in members],
+        [positions[j] for j in members.tolist()],
         times.tolist(),
-        (rates * table.margin[list(members)] * (times - lowers)).tolist(),
+        (rates * table.margin[members] * (times - lowers)).tolist(),
         sum((prios * times).tolist()),
         None,
     )
@@ -375,15 +439,12 @@ def nonjoint_baseline(
     start = time.perf_counter()
     m = len(all_sus)
     cost = params.sensing_cost
-    table = UserTable(
-        [
-            su
-            for su in all_sus
-            if su.buffer_bits * (su.earn_rate - su.pay_rate) - cost >= 0.0
-        ],
-        geom,
-        params,
-    )
+    kept = [
+        i
+        for i, su in enumerate(all_sus)
+        if su.buffer_bits * (su.earn_rate - su.pay_rate) - cost >= 0.0
+    ]
+    table = UserTable([all_sus[i] for i in kept], geom, params)
     size = len(table.sus)
     budget = table.budgets[size]
 
@@ -412,10 +473,9 @@ def nonjoint_baseline(
 
     rates, _, uppers, prios = table.level(best_design, size)
     times = np.array(greedy_topup(np.zeros(size), uppers, prios, budget))
-    index = {su.id: i for i, su in enumerate(all_sus)}
     alloc = _placed(
         m,
-        [index[su.id] for su in table.sus],
+        kept,
         times.tolist(),
         (rates * times * table.margin - cost).tolist(),
         sum((prios * times).tolist()),

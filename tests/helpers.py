@@ -198,17 +198,18 @@ def table_params(**overrides):
 def scalar_exhaustive_oracle(all_sus, geom, params, grid):
     """The exhaustive oracle written one (subset, design) at a time with
     the scalar rate, bound and greedy-fill code: the reference the
-    design-batched :func:`cogalloc.exhaustive_oracle` must reproduce bit
+    batched :func:`cogalloc.exhaustive_oracle` must reproduce bit
     for bit. A zero-rate member makes the pair infeasible."""
     cost = params.sensing_cost
-    profitable = [su for su in all_sus if su.earn_rate > su.pay_rate]
+    positions = [i for i, su in enumerate(all_sus) if su.earn_rate > su.pay_rate]
     best_key = None
     best = None
-    for size in range(1, len(profitable) + 1):
+    for size in range(1, len(positions) + 1):
         t_prime = effective_time(params, size)
         if t_prime <= 0.0:
             continue
-        for subset in itertools.combinations(profitable, size):
+        for placed in itertools.combinations(positions, size):
+            subset = [all_sus[i] for i in placed]
             for k in grid.k_values:
                 if k > size:
                     continue
@@ -237,17 +238,16 @@ def scalar_exhaustive_oracle(all_sus, geom, params, grid):
                     key = (utility, -pfa, -k)
                     if best_key is None or key > best_key:
                         best_key = key
-                        best = (design, subset, times, rates, prios, lowers)
+                        best = (design, placed, times, rates, prios, lowers)
     if best is None:
         return _infeasible_outcome(len(all_sus), None, 0.0)
-    design, subset, times, rates, prios, lowers = best
-    index = {su.id: i for i, su in enumerate(all_sus)}
+    design, placed, times, rates, prios, lowers = best
     m = len(all_sus)
     active = [False] * m
     t_full = [0.0] * m
     su_utils = [0.0] * m
-    for su, t, r, lo in zip(subset, times, rates, lowers):
-        i = index[su.id]
+    for i, t, r, lo in zip(placed, times, rates, lowers):
+        su = all_sus[i]
         active[i] = True
         t_full[i] = t
         su_utils[i] = r * (su.earn_rate - su.pay_rate) * (t - lo)

@@ -440,6 +440,21 @@ class TestMainEntry:
             assert field in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "users,message",
+        [
+            ([dict(USER, id=3), dict(USER, id=3)], "users[1].id 3 repeats the id of users[0]"),
+            # An entry without an id takes its position.
+            ([dict(USER, id=1), USER], "users[1].id 1 repeats the id of users[0]"),
+        ],
+    )
+    def test_repeated_user_ids_exit_code(self, tmp_path, capsys, users, message):
+        path = _cfg(tmp_path, {"users": users})
+        for command in ("optimize", "compare-oracle", "simulate"):
+            code = main([command, "--config", str(path), "--out", str(tmp_path)])
+            assert code == EXIT_CONFIG
+            assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "probe,field",
         [
             ({"m_users": "5"}, "probe.m_users"),

@@ -1,6 +1,8 @@
 """Grid search, exhaustive oracle, non-joint baseline, and the probe."""
 
+import itertools
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -770,6 +772,40 @@ class TestExhaustiveOracle:
         assert oracle.fc_utility == pytest.approx(joint.fc_utility, rel=1e-9)
         assert oracle.best_design == joint.best_design
 
+    def test_repeated_ids_placed_by_position(self, params, geom):
+        # Two users share id 3; the second is unprofitable and never a
+        # candidate. The time must go to the first, as the joint search
+        # and the baseline place it.
+        sus = [
+            SecondaryUser(id=3, gain_to_fc=2.0, buffer_bits=800, pay_rate=0.1, earn_rate=8.0),
+            SecondaryUser(id=3, gain_to_fc=1.0, buffer_bits=500, pay_rate=0.5, earn_rate=0.4),
+            SecondaryUser(id=5, gain_to_fc=1.0, buffer_bits=1000, pay_rate=0.1, earn_rate=10.0),
+        ]
+        grid = DesignGrid.uniform(3)
+        oracle = exhaustive_oracle(sus, geom, params, grid)
+        joint = joint_optimize(sus, geom, params, grid)
+        baseline = nonjoint_baseline(sus, geom, params, grid)
+        assert oracle.best_allocation.active == (True, False, True)
+        assert joint.best_allocation.active == (True, False, True)
+        assert oracle.best_allocation.times[1] == 0.0
+        assert oracle.fc_utility == pytest.approx(joint.fc_utility, rel=1e-12)
+        assert baseline.outcome.best_allocation.active == (True, False, True)
+        assert baseline.outcome.best_allocation.times[1] == 0.0
+
+    def test_memory_stays_flat_at_twelve_users(self, params, geom):
+        # The chunk cap bounds the working arrays, so the peak does not
+        # grow with the C(12, 6) = 924 subsets of the largest size.
+        sus = make_users(4, 12, buffer_bits=20000)
+        grid = DesignGrid.uniform(12)
+        exhaustive_oracle(sus, geom, params, grid)  # fills the shared caches
+        tracemalloc.start()
+        try:
+            exhaustive_oracle(sus, geom, params, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
 
 class TestEdgeRegimes:
     """Empty buffers and hundreds of users, with warnings as errors."""
@@ -828,8 +864,19 @@ def _assert_same_as_scalar_oracle(sus, params, grid):
     return got
 
 
+def _chunk_step(params, grid, m, size):
+    # How many subsets of ``size`` the oracle scores per chunk.
+    designs = optimizer._oracle_designs(params.geometry(), params, grid, size)[0]
+    return max(1, optimizer._ORACLE_CHUNK // (m * len(designs)))
+
+
+def _chunks(params, grid, m, size):
+    # How many chunks the oracle scores the subsets of ``size`` in.
+    return -(-math.comb(m, size) // _chunk_step(params, grid, m, size))
+
+
 class TestOracleMatchesScalarReference:
-    """The design-batched oracle reproduces the one-pair-at-a-time scalar
+    """The batched oracle reproduces the one-pair-at-a-time scalar
     oracle exactly (no tolerance): same design, set, times, utilities."""
 
     @pytest.mark.parametrize(
@@ -911,6 +958,84 @@ class TestOracleMatchesScalarReference:
         sus = make_users(12, 4, pay_rate=5.0, earn_rate=5.0)
         got = _assert_same_as_scalar_oracle(sus, params, DesignGrid.uniform(4))
         assert not got.feasible
+
+    @pytest.mark.parametrize(
+        "m,seed,buffer_bits,earn_rate",
+        [
+            (10, 0, 20000, 10.0),
+            (10, 1, 1000, 10.0),
+            (11, 2, 20000, 10.0),
+            (11, 3, 20000, 0.1001),
+        ],
+    )
+    def test_sizes_spanning_several_chunks(self, m, seed, buffer_bits, earn_rate):
+        # Every size from 3 up has more subsets than one chunk holds, so
+        # the winner is compared across chunk boundaries.
+        params = default_system_params(zeta=0.6)
+        grid = DesignGrid((0.1, 0.5), (1, 2, 3))
+        assert _chunks(params, grid, m, m // 2) > 1
+        sus = make_users(seed * 31 + m, m, buffer_bits=buffer_bits, earn_rate=earn_rate)
+        got = _assert_same_as_scalar_oracle(sus, params, grid)
+        assert got.feasible
+
+    @pytest.mark.parametrize("offset", [-1, 0])
+    def test_winner_at_a_chunk_boundary(self, offset):
+        # Five users clear small buffers; the rest have crossed bounds, so
+        # only subsets of the five are feasible and all five together
+        # win. Their subset is the last of the first chunk of size-5
+        # subsets (offset -1) or the first of the second (offset 0).
+        m, size = 10, 5
+        params = default_system_params(zeta=0.6)
+        grid = DesignGrid((0.1, 0.5), (1, 2, 3))
+        step = _chunk_step(params, grid, m, size)
+        assert math.comb(m, size) > step
+        winners = next(
+            itertools.islice(itertools.combinations(range(m), size), step + offset, None)
+        )
+        sus = [
+            SecondaryUser(
+                id=i, gain_to_fc=1.0 + 0.1 * i, buffer_bits=50, pay_rate=0.1, earn_rate=10.0
+            )
+            if i in winners
+            else SecondaryUser(
+                id=i, gain_to_fc=1.0, buffer_bits=10, pay_rate=0.1, earn_rate=0.1004
+            )
+            for i in range(m)
+        ]
+        got = _assert_same_as_scalar_oracle(sus, params, grid)
+        assert got.best_allocation.selected_ids == winners
+
+    @pytest.mark.parametrize("m", [10, 11])
+    def test_identical_users_tie_across_chunks(self, params, m):
+        # Every subset of a size ties bit for bit, in every chunk: the
+        # first subset in combinations order (the first users) and the
+        # first tied design in (pfa, k) order must win.
+        sus = [
+            SecondaryUser(
+                id=i, gain_to_fc=1.0, buffer_bits=20000, pay_rate=0.1, earn_rate=10.0
+            )
+            for i in range(m)
+        ]
+        grid = DesignGrid((0.1, 0.3, 0.5), (1, 2, 3))
+        got = _assert_same_as_scalar_oracle(sus, params, grid)
+        size = got.best_allocation.n_selected
+        assert _chunks(params, grid, m, size) > 1
+        assert got.best_allocation.active == (True,) * size + (False,) * (m - size)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_zero_rate_design_inside_a_chunk(self, seed):
+        # At pfa 0.99 every effective rate rounds to 0: that design is
+        # scored in the same chunks as feasible ones and never wins.
+        params = default_system_params(zeta=0.6)
+        grid = DesignGrid((0.3, 0.99), (1, 2, 3))
+        geom = params.geometry()
+        designs = optimizer._oracle_designs(geom, params, grid, 5)[0]
+        assert SensingDesign(0.99, 1) in designs and len(designs) > 1
+        sus = make_users(seed + 70, 10, buffer_bits=20000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _assert_same_as_scalar_oracle(sus, params, grid)
+        assert got.feasible and got.best_design.pfa_local == 0.3
 
 
 class TestNonJointBaseline:
