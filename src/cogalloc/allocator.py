@@ -1,33 +1,25 @@
 """User selection and transmission-time allocation at a fixed sensing design.
 
-Given a fixed (local false-alarm, vote threshold) operating point, the
-fusion center classifies the time budget against the users' break-even
-and buffer-clearing bounds, prunes users that can never be served
+Given a (local false-alarm, vote threshold) design, the fusion center
+classifies the time budget against the users' break-even and
+buffer-clearing bounds, prunes users that can never be served
 profitably, water-fills the contested-time case, and walks an
 elimination/exchange search over candidate active sets.
 
 The pricing formulas live here once: the opportunity weights
-(:func:`opportunity_weights`), the effective rate blend and per-second
-payments (:meth:`UserTable.price`), the break-even and buffer-clearing
-bounds (:func:`time_bound_arrays`), and the greedy fill
-(:func:`greedy_topup`). The optimizer's oracle and baseline price
-through them too.
+(:meth:`DesignTable.weights`), the effective rates and per-second
+payments (:meth:`UserTable.price`), the time bounds
+(:func:`time_bound_arrays`) and the greedy fill (:func:`greedy_topup`).
+One :class:`DesignTable` per (geometry, params, grid) holds the
+user-independent half of every search, shared across calls; one
+:class:`UserTable` per call holds the users' columns and each design's
+rates, bounds and priorities per set size. Candidate sets are index
+tuples into it, compared by utility alone; an :class:`AllocationResult`
+is built only for the set that is returned. The screen runs for every
+design of a table at once (:meth:`UserTable.screen`).
 
-Internally the users of one call live in a :class:`UserTable`: their
-idle and interfered rates, margins, backlogs and the budget at every
-set size are built once and shared by every design, and each design's
-rates, bounds and priorities at a set size are computed once for all
-users. Candidate sets are index tuples into the table, so evaluating a
-set is a handful of gathers. Candidates are compared by utility alone;
-an :class:`AllocationResult` is built only for the set that is returned.
-
-The screen (each design's reduced set, minimum viable set size and
-utility bound) runs for a whole tuple of designs at once
-(:meth:`UserTable.screen`) from their user-independent weights
-(:class:`DesignWeights`), which a caller may share across calls.
-
-Tie-breaking everywhere (argmax/argmin over users, exchange orderings on
-equal keys) is by lowest user id, so results are bit-reproducible.
+Ties (argmax/argmin over users, exchange orderings on equal keys) go to
+the lowest user id, so results are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -35,6 +27,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -49,9 +42,9 @@ from .economics import (
 from .sensing import (
     SensingDesign,
     SensingGeometry,
-    global_pd,
-    global_pfa,
-    min_active_users,
+    _read_only,
+    binomial_tails,
+    local_pd,
 )
 
 #: Absolute slack (seconds) for <= comparisons on accumulated times.
@@ -97,20 +90,6 @@ class AllocationResult:
         return sum(1 for flag in self.active if flag)
 
 
-def opportunity_weights(
-    design: SensingDesign,
-    geom: SensingGeometry,
-    params: SystemParams,
-    l_active: int,
-) -> tuple:
-    """(P(H0)(1-P_FA), P(H1)(1-P_D)) with ``l_active`` reporting users: the
-    factors on the idle and interfered rates in the effective rate."""
-    return (
-        params.p_h0 * (1.0 - global_pfa(design, l_active)),
-        params.p_h1 * (1.0 - global_pd(design, geom, l_active)),
-    )
-
-
 def time_bound_arrays(rates, margin, buffers, cost: float) -> tuple:
     """Break-even lower and buffer-clearing upper time bounds, elementwise
     (any broadcastable shapes). A never-profitable user (margin <= 0)
@@ -126,80 +105,149 @@ def time_bound_arrays(rates, margin, buffers, cost: float) -> tuple:
     return lowers, uppers
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
+class DesignTable:
+    """The user-independent half of every search over the designs
+    ``pfas`` x ``ks`` for one geometry and params, each value filled on
+    first request and kept for every call sharing the table.
 
+    Row d is design d in grid order (k as listed, then pfa ascending):
+    :meth:`design` builds it, ``pfa`` and ``k`` hold the rows' values,
+    ``index`` maps (pfa, k) to a row. Per design and set size L the
+    table gives the fused tails (:meth:`tails`, the shared binomial rows'
+    values) and weights (:meth:`weights`); per user count m, l_first
+    (:meth:`at_users`); per L, the designs meeting the floor
+    (:meth:`admissible`).
 
-class DesignWeights:
-    """The user-independent half of the screen of ``designs`` (each with
-    k <= m) at ``m`` users.
-
-    Per design, in the given order: the opportunity weights (q0, q1) at
-    L = m (``at_m``); l_first, the smallest L in [k, m] whose fused
-    detection meets the floor, as :func:`~cogalloc.sensing.min_active_users`
-    finds it (m + 1 when no L does); the weights at l_first
-    (``at_first``, taken at m when there is no l_first); and the budget
-    T'(l_first) + TIME_TOL (``budget_first``). :meth:`at` gives the
-    weights at any other size. Nothing here depends on the users, so one
-    instance serves every call with the same geometry, params, designs
-    and m. Its arrays are read-only, but the instance is not frozen:
-    :meth:`at` computes each size's weights on its first request and
-    keeps them, so every later call that shares the instance reuses them.
+    A computed P_D falls in k bit for bit, so the thresholds meeting the
+    floor at L are k <= K(L). P_D at K(L-1) + 0, 1 and 2 gives K(L) when
+    it moved by at most one (always, in exact arithmetic), a bisection
+    otherwise. So P_D(k, L) >= zeta exactly when k <= K(L), and l_first
+    is the first L with max_{L' <= L} K(L') >= k: the scan over L =
+    k..m, without assuming that P_D rises with L.
     """
 
     __slots__ = (
-        "designs", "index", "l_first", "at_m", "at_first", "budget_first",
-        "_geom", "_params", "_at_size",
+        "pfa", "k", "index", "_params", "_ps", "_row", "_reach", "_weights",
+        "_pairs", "_users", "_admissible",
     )
 
-    def __init__(
-        self,
-        designs: Sequence[SensingDesign],
-        geom: SensingGeometry,
-        params: SystemParams,
-        m: int,
-    ):
-        self.designs = tuple(designs)
-        self.index = {design: d for d, design in enumerate(self.designs)}
-        self._geom = geom
+    def __init__(self, geom: SensingGeometry, params: SystemParams, pfas, ks):
+        self.index = {(p, k): d for d, (k, p) in enumerate(itertools.product(ks, pfas))}
         self._params = params
-        firsts = [min_active_users(d, geom, params.zeta, m) for d in self.designs]
-        at_first = [m if l is None else l for l in firsts]
-        self.l_first = _read_only(
-            np.array([m + 1 if l is None else l for l in firsts], dtype=np.intp)
-        )
-        self.at_m = self._weights([m] * len(self.designs))
-        self.at_first = self._weights(at_first)
-        self.budget_first = _read_only(
-            np.array([effective_time(params, l) + TIME_TOL for l in at_first])
-        )
-        self._at_size = {m: self.at_m}
+        # Binomial rows 0..P-1 are the pfas, P..2P-1 their local P_d.
+        self._ps = tuple(pfas) + tuple(local_pd(p, geom) for p in pfas)
+        self._row = np.tile(np.arange(len(pfas)), len(ks))
+        self.pfa = _read_only(np.array(pfas, dtype=float)[self._row])
+        self.k = _read_only(np.repeat(np.array(ks, dtype=np.intp), len(pfas)))
+        # K(L) per pfa for L = 0, 1, ...; the weights per L and design
+        # (nan until filled) and per (design, L) as floats.
+        self._reach = [np.zeros(len(pfas), dtype=np.intp)]
+        self._weights = np.full((1, len(self.k), 2), np.nan)
+        self._pairs, self._users, self._admissible = {}, {}, {}
 
-    def _weights(self, sizes: list) -> np.ndarray:
-        # One (q0, q1) row per design at its size; nan where the size is None.
-        return _read_only(
-            np.array(
-                [
-                    (np.nan, np.nan)
-                    if l is None
-                    else opportunity_weights(d, self._geom, self._params, l)
-                    for d, l in zip(self.designs, sizes)
-                ]
-            ).reshape(-1, 2)
-        )
+    def design(self, d: int) -> SensingDesign:
+        return SensingDesign(self._ps[self._row[d]], int(self.k[d]))
 
-    def at(self, l_active: int) -> np.ndarray:
-        """The weights of every design at ``l_active`` users, computed on
-        the first request for each size. The row of a design whose l_first
-        exceeds ``l_active`` is not defined (nan below m)."""
-        got = self._at_size.get(l_active)
-        if got is None:
-            got = self._weights(
-                [l_active if l <= l_active else None for l in self.l_first.tolist()]
-            )
-            self._at_size[l_active] = got
+    def _reach_to(self, n: int) -> np.ndarray:
+        # K(L) for L = 0..n, one row per L (0 where no k meets the floor).
+        count, zeta = len(self._reach[0]), self._params.zeta
+        pd_rows = np.arange(count, 2 * count)
+        for size in range(len(self._reach), n + 1):
+            last = self._reach[-1]
+            ks = np.add.outer((0, 1, 2), last).ravel()  # tail 0 for k > size
+            met = binomial_tails(self._ps, np.tile(pd_rows, 3), ks, size) >= zeta
+            met = met.reshape(3, count).sum(axis=0)
+            lo, hi = last + met - 1, np.full(count, size)
+            if not ((met == 1) | (met == 2)).all():
+                lo = np.zeros(count, dtype=np.intp)
+                while (lo < hi).any():
+                    mid = (lo + hi + 1) // 2
+                    ok = binomial_tails(self._ps, pd_rows, mid, size) >= zeta
+                    lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid - 1)
+            self._reach.append(lo)
+        return np.array(self._reach[: n + 1])
+
+    def tails(self, rows, sizes) -> np.ndarray:
+        """(P_FA, P_D) of design ``rows[j]`` at ``sizes[j]`` (or one shared
+        size) reporting users, one row each; ValueError if k > size."""
+        rows = np.asarray(rows, dtype=np.intp)
+        sizes = np.broadcast_to(np.asarray(sizes, dtype=np.intp), rows.shape)
+        bad = self.k[rows] > sizes
+        if bad.any():
+            k, size = self.k[rows][bad][0], sizes[bad][0]
+            raise ValueError(f"vote threshold k={k} exceeds active users L={size}")
+        pairs = np.concatenate([self._row[rows], self._row[rows] + len(self._reach[0])])
+        both = binomial_tails(self._ps, pairs, np.tile(self.k[rows], 2), np.tile(sizes, 2))
+        return both.reshape(2, -1).T
+
+    def weights(self, rows, sizes) -> np.ndarray:
+        """The weights (q0, q1) of design ``rows[j]`` at ``sizes[j]`` (or
+        one shared size) reporting users, one row each."""
+        rows = np.asarray(rows, dtype=np.intp)
+        sizes = np.asarray(sizes, dtype=np.intp)
+        if sizes.size and sizes.max() >= len(self._weights):
+            more = np.full((sizes.max() + 1,) + self._weights.shape[1:], np.nan)
+            more[: len(self._weights)] = self._weights
+            self._weights = more
+        got = self._weights[sizes, rows]
+        missing = np.isnan(got[:, 0])
+        if missing.any():
+            need, at = rows[missing], np.broadcast_to(sizes, rows.shape)[missing]
+            scale = np.array([self._params.p_h0, self._params.p_h1])
+            got[missing] = self._weights[at, need] = scale * (1.0 - self.tails(need, at))
         return got
+
+    def weight_pair(self, d: int, l_active: int) -> tuple:
+        """The weights of design ``d`` at ``l_active`` users as two floats.
+        A selection walk asks for a design at every size from its reduced
+        set's down, so a miss fills every size from k up at once."""
+        got = self._pairs.get((d, l_active))
+        if got is None:
+            sizes = np.arange(min(int(self.k[d]), l_active), l_active + 1)
+            pairs = self.weights(np.full(len(sizes), d), sizes).tolist()
+            self._pairs.update(((d, l), tuple(w)) for l, w in zip(sizes.tolist(), pairs))
+            got = self._pairs[(d, l_active)]
+        return got
+
+    def at_users(self, m: int) -> tuple:
+        """(l_first, at_m, at_first, budget_first) for ``m`` users, one
+        entry per design, read-only: l_first (m + 1 when no L in [k, m]
+        meets the floor), the weights at m and at l_first (nan where
+        l_first > m), and T'(min(l_first, m)) + TIME_TOL."""
+        got = self._users.get(m)
+        if got is None:
+            met = np.maximum.accumulate(self._reach_to(m), axis=0)[:, self._row] >= self.k
+            l_first = np.where(met.any(axis=0), met.argmax(axis=0), m + 1)
+            rows = np.flatnonzero(l_first <= m)
+            at_m = np.full((len(self.k), 2), np.nan)
+            at_first = at_m.copy()
+            at_m[rows] = self.weights(rows, m)
+            at_first[rows] = self.weights(rows, l_first[rows])
+            budgets = np.array([effective_time(self._params, l) for l in range(m + 1)])
+            budget_first = budgets[np.minimum(l_first, m)] + TIME_TOL
+            got = tuple(map(_read_only, (l_first, at_m, at_first, budget_first)))
+            self._users[m] = got
+        return got
+
+    def admissible(self, size: int) -> tuple:
+        """(rows, weights), read-only: the designs whose P_D at ``size``
+        users meets the floor (so k <= size) in (pfa, k) order, and their
+        weights at size."""
+        got = self._admissible.get(size)
+        if got is None:
+            rows = np.flatnonzero(self.k <= self._reach_to(size)[size][self._row])
+            rows = rows[np.lexsort((self.k[rows], self._row[rows]))]
+            got = _read_only(rows), _read_only(self.weights(rows, size))
+            self._admissible[size] = got
+        return got
+
+
+@lru_cache(maxsize=64)
+def design_table(geom: SensingGeometry, params: SystemParams, pfas, ks) -> DesignTable:
+    """The shared :class:`DesignTable` of this geometry, params and grid
+    (tuples ``pfas`` and ``ks``): for every frame of an episode, every
+    trial of a sweep point, and the joint search, oracle and baseline."""
+    return DesignTable(geom, params, pfas, ks)
 
 
 class UserTable:
@@ -233,7 +281,7 @@ class UserTable:
         self.pay = np.array([su.pay_rate for su in self.sus])
         self.ids = np.array([su.id for su in self.sus])
         self.cost = params.sensing_cost
-        self.budgets = [effective_time(params, l) for l in range(len(self.sus) + 1)]
+        self.budgets = np.array([effective_time(params, l) for l in range(len(self.sus) + 1)])
         self._levels: dict = {}
         self._screen: Optional[tuple] = None
 
@@ -255,67 +303,66 @@ class UserTable:
         elementwise operations."""
         return self._rates(q0, q1) * self.pay
 
+    def _design_row(self, design: SensingDesign) -> tuple:
+        # (design table, row) of ``design``: the last screened table, else
+        # the shared table of that design alone.
+        key = (design.pfa_local, design.k_threshold)
+        if self._screen is not None and key in self._screen[0].index:
+            return self._screen[0], self._screen[0].index[key]
+        return design_table(self.geom, self.params, key[:1], key[1:]), 0
+
     def level(self, design: SensingDesign, l_active: int) -> tuple:
         """:meth:`price` at ``design`` with ``l_active`` reporting users,
         cached per (design, l_active)."""
         key = (design.pfa_local, design.k_threshold, l_active)
         got = self._levels.get(key)
         if got is None:
-            got = self.price(
-                *opportunity_weights(design, self.geom, self.params, l_active)
-            )
+            designs, d = self._design_row(design)
+            got = self.price(*designs.weight_pair(d, l_active))
             self._levels[key] = got
         return got
 
-    def screen(self, weights: DesignWeights) -> tuple:
-        """Screen every design of ``weights`` (built for this table's
-        size) in one pass; returns (bounds, settled): each design's
-        utility bound, -inf where the design admits no feasible set, and
-        the utility of each design whose reduced set is in abundant time,
-        nan elsewhere.
+    def screen(self, designs: DesignTable) -> tuple:
+        """Screen every design of ``designs`` at this table's user count m
+        in one pass, from the shared weights, l_first and budgets
+        (:meth:`DesignTable.at_users`, and the weights at each |R|);
+        returns (bounds, settled): each design's utility bound, -inf
+        where it admits no feasible set, and the utility of each design
+        whose reduced set is in abundant time, nan elsewhere.
 
         A design's reduced set R holds the users whose bounds are well
-        ordered at the full size (lower < upper); never-profitable and
-        zero-rate users fail that test. Exclusion at the full size is
-        permanent: both bounds scale as 1/rate, so their order is the
-        same at every cardinality. The design is feasible when l_first
-        <= |R| (l_first >= k, so this also puts k within reach), and its
-        minimum viable set size l_lb is then l_first, as
-        ``min_active_users(design, geom, zeta, |R|)`` stops at the first
-        size meeting the floor.
+        ordered at m (lower < upper); never-profitable and zero-rate users
+        fail that test, at every size, since both bounds scale as 1/rate.
+        The design is feasible when l_first <= |R| (so k <= |R|), and its
+        minimum viable set size l_lb is then l_first, where the scan over
+        L up to |R| stops. A design with no l_first up to m has no weights
+        at m and no reduced set.
 
         The bound is min(sum_{i in R} a_i B_i, (T'(l_lb) + TIME_TOL)
-        max_{i in R} R_i(l_lb) a_i). Every candidate set is a subset of
-        R of size L >= l_lb; its grants satisfy t_i <= B_i / R_i(L) and
-        sum to at most T'(L) + TIME_TOL (the budget check's slack); and
-        the fused tails grow with L, so R_i(L) <= R_i(l_lb) and T'(L) <=
-        T'(l_lb). Exact up to rounding in the sums.
+        max_{i in R} R_i(l_lb) a_i): every candidate set is a subset of R
+        of size L >= l_lb, its grants satisfy t_i <= B_i / R_i(L) and sum
+        to at most T'(L) + TIME_TOL, and the fused tails grow with L, so
+        R_i(L) <= R_i(l_lb) and T'(L) <= T'(l_lb). Exact up to rounding.
 
-        A feasible design is settled when R is Case 1 at its own size:
-        the members' buffer-clearing times at |R| fit T'(|R|). The
-        selection then serves all of R to its upper bounds and earns
-        sum_{i in R} a_i B_i, so no walk is needed. The rates, bounds
-        and sums are the same floating-point operations that
-        :meth:`evaluate` and the scoring run on R (each sum over the
-        members in order, one contiguous row per design), so the case
-        and the utility are bit for bit those of the walk.
-
-        A design that is not settled cannot earn sum_{i in R} a_i B_i,
-        and its bound is capped below it (:meth:`_shortfall`)
-        wherever the bound reaches the best settled utility; below that
-        the grid search skips the design either way.
-
-        R and l_lb are kept for :meth:`screened`.
+        A feasible design is settled when R is Case 1 at |R|: the
+        selection serves all of R to its upper bounds and earns sum_{i in
+        R} a_i B_i, with no walk. The rates, bounds and sums are the same
+        floating-point operations :meth:`evaluate` and the scoring run on
+        R (each sum over the members in order, one contiguous row per
+        design), so the case and utility are bit for bit the walk's. A
+        design not settled cannot earn sum_{i in R} a_i B_i; where its
+        bound reaches the best settled utility it is capped below it
+        (:meth:`_shortfall`). R and l_lb are kept for :meth:`screened`.
         """
-        _, lowers, uppers, _ = self.price(weights.at_m[:, :1], weights.at_m[:, 1:])
+        l_first, at_m, at_first, budget_first = designs.at_users(len(self.sus))
+        _, lowers, uppers, _ = self.price(at_m[:, :1], at_m[:, 1:])
         reduced = lowers < uppers
         sizes = reduced.sum(axis=1)
-        feasible = weights.l_first <= sizes
+        feasible = l_first <= sizes
         buffered = np.where(reduced, self.pay * self.buffers, 0.0).sum(axis=1)
-        prios = self.priorities(weights.at_first[:, :1], weights.at_first[:, 1:])
+        prios = self.priorities(at_first[:, :1], at_first[:, 1:])
         bounds = np.minimum(
-            buffered,
-            weights.budget_first * prios.max(axis=1, where=reduced, initial=0.0),
+            buffered, budget_first * prios.max(axis=1, where=reduced, initial=0.0)
         )
         bounds[~feasible] = -np.inf
         settled = np.full(len(sizes), np.nan)
@@ -325,7 +372,7 @@ class UserTable:
             if size == len(self.sus):
                 at_size = uppers[rows]
             else:
-                w = weights.at(size)[rows]
+                w = designs.weights(rows, size)
                 at_size = self.price(w[:, :1], w[:, 1:])[2]
             # A boolean gather keeps each row's members in member order, as
             # one contiguous row: the layout of a lone set's gather.
@@ -337,7 +384,7 @@ class UserTable:
             settled[rows[abundant]] = _buffered_value(
                 self.pay[cols].reshape(-1, size), self.buffers[cols].reshape(-1, size)
             )
-        self._screen = (weights, reduced, feasible, sizes, clearing, buffered)
+        self._screen = (designs, reduced, feasible, l_first, sizes, clearing, buffered)
         resolved = ~np.isnan(settled)
         if resolved.any():
             rows = np.flatnonzero(
@@ -377,15 +424,13 @@ class UserTable:
         the cap is (1 + BOUND_SLACK) sum_R a_i B_i minus the cut, and its
         rounding error, a few ulps of the sum, stays inside that margin.
         """
-        weights, reduced, _, sizes, clearing, buffered = self._screen
-        at_size = np.array(
-            [weights.at(l)[d] for d, l in zip(rows.tolist(), sizes[rows].tolist())]
-        ).reshape(-1, 2)
+        designs, reduced, _, _, sizes, clearing, buffered = self._screen
+        at_size = designs.weights(rows, sizes[rows])
         members = reduced[rows]
         lowest = self.priorities(at_size[:, :1], at_size[:, 1:]).min(
             axis=1, where=members, initial=np.inf
         )
-        excess = clearing[rows] - (np.array(self.budgets)[sizes[rows]] + TIME_TOL)
+        excess = clearing[rows] - (self.budgets[sizes[rows]] + TIME_TOL)
         with np.errstate(invalid="ignore"):
             cut = np.fmin(
                 excess * lowest,
@@ -404,14 +449,13 @@ class UserTable:
         m = len(self.sus)
         if design.k_threshold > m:
             return None
-        d = None if self._screen is None else self._screen[0].index.get(design)
-        if d is None:
-            self.screen(DesignWeights((design,), self.geom, self.params, m))
-            d = 0
-        weights, reduced, feasible = self._screen[:3]
+        designs, d = self._design_row(design)
+        if self._screen is None or designs is not self._screen[0]:
+            self.screen(designs)
+        _, reduced, feasible, l_first = self._screen[:4]
         if not feasible[d]:
             return None
-        return tuple(np.flatnonzero(reduced[d]).tolist()), int(weights.l_first[d])
+        return tuple(np.flatnonzero(reduced[d]).tolist()), int(l_first[d])
 
     def evaluate(self, design: SensingDesign, idx: tuple) -> "_SetEval":
         members = np.array(idx, dtype=np.intp)
@@ -423,7 +467,7 @@ class UserTable:
             lowers[members],
             uppers[members],
             prios[members],
-            self.budgets[len(idx)],
+            self.budgets.item(len(idx)),
         )
 
 

@@ -22,7 +22,6 @@ import logging
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -488,6 +487,9 @@ def _run_sweep(cfg: RunConfig, jobs: int, worker) -> list:
     if jobs <= 1:
         results = [worker(t) for t in tasks]
     else:
+        # Imported here: multiprocessing costs start-up time and only --jobs > 1 uses it.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(worker, tasks, chunksize=8))
     return sorted(results, key=lambda r: r[0])

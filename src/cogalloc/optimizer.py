@@ -23,25 +23,17 @@ import numpy as np
 from .allocator import (
     BOUND_SLACK,
     AllocationResult,
-    DesignWeights,
     UserTable,
     _infeasible,
     _placed,
-    _read_only,
     _result,
     _score,
+    design_table,
     greedy_topup,
-    opportunity_weights,
     select_and_allocate,
 )
 from .economics import _EULER_GAMMA, SecondaryUser, SystemParams
-from .sensing import (
-    SensingDesign,
-    SensingGeometry,
-    global_pd,
-    global_pfa,
-    local_pd,
-)
+from .sensing import SensingDesign, SensingGeometry, _read_only, local_pd
 from .units import db_to_linear
 
 
@@ -74,11 +66,10 @@ class DesignGrid:
 
 @dataclass(frozen=True)
 class OptimizationOutcome:
-    """Best design + allocation over a grid, with the search surface."""
+    """Best design + allocation over a grid."""
 
     best_design: Optional[SensingDesign]
     best_allocation: AllocationResult
-    utility_surface: Optional[dict]
     wall_time: float
 
     @property
@@ -90,25 +81,8 @@ class OptimizationOutcome:
         return self.best_allocation.fc_utility if self.feasible else 0.0
 
 
-def _infeasible_outcome(m: int, surface, elapsed: float) -> OptimizationOutcome:
-    return OptimizationOutcome(None, _infeasible(m, None), surface, elapsed)
-
-
-def _grid_designs(grid: DesignGrid) -> list:
-    # Grid order: k as listed, then pfa ascending within each k.
-    return [SensingDesign(pfa, k) for k in grid.k_values for pfa in grid.pfa_values]
-
-
-@lru_cache(maxsize=64)
-def _grid_weights(
-    geom: SensingGeometry, params: SystemParams, grid: DesignGrid, m: int
-) -> DesignWeights:
-    # Shared by every call on this (geometry, params, grid, M): every
-    # frame of a simulated episode and every trial of a sweep point.
-    # Designs with k > M admit no set and are left out.
-    return DesignWeights(
-        [d for d in _grid_designs(grid) if d.k_threshold <= m], geom, params, m
-    )
+def _infeasible_outcome(m: int, elapsed: float) -> OptimizationOutcome:
+    return OptimizationOutcome(None, _infeasible(m, None), elapsed)
 
 
 def _incumbent(best: Optional[tuple], design: SensingDesign, utility: float, alloc):
@@ -125,7 +99,6 @@ def joint_optimize(
     geom: SensingGeometry,
     params: SystemParams,
     grid: DesignGrid,
-    keep_surface: bool = False,
 ) -> OptimizationOutcome:
     """Grid search over designs, inner selection/allocation per point.
 
@@ -134,116 +107,64 @@ def joint_optimize(
     Returns an all-infeasible outcome when no grid point admits a
     feasible allocation.
 
-    The users' design-independent columns are built once per call (one
-    :class:`~cogalloc.allocator.UserTable`), and the user-independent
-    weights of every grid design once per (geometry, params, grid, M)
-    (a shared :class:`~cogalloc.allocator.DesignWeights`). One batched
-    :meth:`~cogalloc.allocator.UserTable.screen` then gives every
-    design's reduced set R, minimum viable set size l_lb and utility
-    bound U_max = min(sum_{i in R} a_i B_i, T'(l_lb) max_{i in R}
-    R_i(l_lb) a_i), with the budget check's TIME_TOL added to T'. Every
-    candidate set lies in R and has L >= l_lb users; each grant is at
-    most B_i / R_i(L) and the grants sum to at most T'(L); the fused
-    tails grow with L, so R_i(L) <= R_i(l_lb) and T'(L) <= T'(l_lb).
+    The users' columns are built once per call (one
+    :class:`~cogalloc.allocator.UserTable`); the designs' tails,
+    weights, l_first and budgets come from the
+    :class:`~cogalloc.allocator.DesignTable` of (geometry, params,
+    grid), shared by every call. One batched
+    :meth:`~cogalloc.allocator.UserTable.screen` gives every design a
+    utility bound U_max, and settles the designs whose reduced set is in
+    abundant time with their utility, bit for bit as the walk computes
+    it, capping U_max strictly below the best settled utility where the
+    design cannot reach it (the screen gives the proofs). The incumbent
+    is the best settled key, with no walk. The other feasible designs
+    are walked by :func:`~cogalloc.allocator.select_and_allocate` in
+    descending order of U_max, equal bounds in grid order, until one
+    has U_max * (1 + BOUND_SLACK) below the incumbent's utility: no
+    later design can reach it. The slack covers rounding in the sums,
+    and the strict comparison lets a tying design reach the (pfa, k)
+    tie-break. An allocation is built per walked design and, when a
+    settled design wins, for the winner alone.
 
-    The screen also settles every design whose R is in abundant time at
-    |R| (Case 1): its allocation serves all of R to the upper bounds,
-    and its utility sum_{i in R} a_i B_i comes out of the screen bit for
-    bit as the walk would compute it. The incumbent is first the best
-    key over the settled designs, with no walk. An unsettled design
-    cannot earn sum_{i in R} a_i B_i: a fill of R leaves at least e =
-    sum_{i in R} u_i(|R|) - (T'(|R|) + TIME_TOL) seconds of clearing
-    time unsold, and a smaller set misses a member. So wherever U_max
-    reaches the best settled utility, the screen lowers it to at most
-    sum_{i in R} a_i B_i - min(e min_{i in R} R_i(|R|) a_i, min_{i in R}
-    a_i B_i) (:meth:`~cogalloc.allocator.UserTable._shortfall` gives
-    the proof), and a design that could only tie the settled incumbent
-    is not walked. The other feasible designs are walked by
-    :func:`~cogalloc.allocator.select_and_allocate` best first: in descending order of U_max, equal bounds in grid order
-    (a stable sort). The walk stops at the first design with U_max * (1
-    + BOUND_SLACK) below the incumbent's utility; every later design has
-    a bound no larger, so none of them can reach the incumbent. The
-    slack covers rounding in the sums, and the strict comparison lets a
-    design that could tie the incumbent reach the (pfa, k) tie-break.
-    An allocation is built for each walked design and, when a settled
-    design wins, for the winner alone.
-
-    The result is bit-for-bit that of searching every design in grid
-    order. Each design's allocation does not depend on when or whether
-    it is walked, the maximum of the total order (utility, -pfa, -k)
-    over the designs does not depend on the order they are taken in, and
-    a walked design is skipped only when its utility is below the
-    incumbent's, which is at most the final maximum's. With
-    ``keep_surface`` no walk is skipped, so the surface holds every grid
-    point, a settled one at its screened utility.
+    The result is bit for bit that of searching every design in grid
+    order: a design's allocation does not depend on when or whether it
+    is walked, the maximum of (utility, -pfa, -k) does not depend on the
+    order, and a design is skipped only below the incumbent's utility.
     """
     start = time.perf_counter()
     table = UserTable(all_sus, geom, params)
     m = len(table.sus)
-    weights = _grid_weights(geom, params, grid, m)
-    bounds, settled = table.screen(weights)
-    designs = weights.designs
-    utilities = {}
+    grid_table = design_table(geom, params, grid.pfa_values, grid.k_values)
+    bounds, settled = table.screen(grid_table)
     best: Optional[tuple] = None
     resolved = np.flatnonzero(~np.isnan(settled))
-    for d, utility in zip(resolved.tolist(), settled[resolved].tolist()):
-        utilities[designs[d]] = utility
-        best = _incumbent(best, designs[d], utility, None)
+    if resolved.size:  # the settled design maximizing (utility, -pfa, -k)
+        keys = (grid_table.k[resolved], grid_table.pfa[resolved], -settled[resolved])
+        d = resolved[np.lexsort(keys)[0]]
+        best = _incumbent(None, grid_table.design(d), float(settled[d]), None)
     walked = np.flatnonzero((bounds > -np.inf) & np.isnan(settled))
     order = walked[np.argsort(-bounds[walked], kind="stable")]
     ceilings = (bounds[order] * (1.0 + BOUND_SLACK)).tolist()
     for d, ceiling in zip(order.tolist(), ceilings):
-        if not keep_surface and best is not None and ceiling < best[0][0]:
+        if best is not None and ceiling < best[0][0]:
             break
-        design = designs[d]
+        design = grid_table.design(d)
         alloc = select_and_allocate(all_sus, design, geom, params, table)
         if alloc.feasible:
-            utilities[design] = alloc.fc_utility
             best = _incumbent(best, design, alloc.fc_utility, alloc)
-    surface = None
-    if keep_surface:
-        surface = {
-            (d.pfa_local, d.k_threshold): utilities.get(d) for d in _grid_designs(grid)
-        }
     if best is None:
-        return _infeasible_outcome(m, surface, time.perf_counter() - start)
+        return _infeasible_outcome(m, time.perf_counter() - start)
     _, design, alloc = best
     if alloc is None:
         reduced = table.screened(design)[0]
         alloc = _result(table, _score(table, table.evaluate(design, reduced)), m, reduced)
-    return OptimizationOutcome(design, alloc, surface, time.perf_counter() - start)
+    return OptimizationOutcome(design, alloc, time.perf_counter() - start)
 
 
 #: Elements (members x designs x subsets) in one chunk of the oracle's
 #: batched scoring: each working array of a chunk holds at most this
 #: many floats (64 kB), whatever the number of subsets of a size.
 _ORACLE_CHUNK = 1 << 13
-
-
-@lru_cache(maxsize=128)
-def _oracle_designs(
-    geom: SensingGeometry, params: SystemParams, grid: DesignGrid, size: int
-) -> tuple:
-    # The designs admissible for a set of ``size`` users (k <= size and
-    # fused detection at size meeting the floor), ordered by (pfa, k) so
-    # that the first utility maximum also wins the tie-break, and their
-    # opportunity weights at size as a read-only D x 2 array. Shared by
-    # every call on this (geometry, params, grid), as the trials of a
-    # sweep point are.
-    designs = tuple(
-        d
-        for d in (
-            SensingDesign(pfa, k)
-            for pfa in grid.pfa_values
-            for k in sorted(grid.k_values)
-            if k <= size
-        )
-        if global_pd(d, geom, size) >= params.zeta
-    )
-    weights = np.array(
-        [opportunity_weights(d, geom, params, size) for d in designs]
-    ).reshape(-1, 2)
-    return designs, _read_only(weights)
 
 
 @lru_cache(maxsize=128)
@@ -278,34 +199,24 @@ def exhaustive_oracle(
     directly, inner linear program solved by the (provably optimal)
     greedy fill.
 
-    Work that depends only on the subset size L is done once per size:
-    the admissible designs (k <= L and fused detection at L meeting the
-    floor) and their opportunity weights, shared across calls; every
-    profitable user's rate, bounds and priority under each of them, as
-    design x user arrays; and each design's fill order over all the
-    profitable users (priority descending, ties to the lower index).
-    Restricted to a subset's members, that order is the subset's own
-    fill order.
+    Per subset size L: the admissible designs (P_D at L itself meeting
+    the floor) and their weights come from the shared
+    :class:`~cogalloc.allocator.DesignTable`; every profitable user's
+    rate, bounds and priority under each are design x user arrays; and
+    each design's fill order over all profitable users (priority
+    descending, ties to the lower index) is, restricted to a subset,
+    the subset's own. Every (subset, design) pair of a size is then
+    scored in a few numpy passes, a chunk of subsets at a time (at most
+    ``_ORACLE_CHUNK`` elements per array), with 0.0 for each
+    non-member's lower bound, gap and time. A pair is infeasible when a
+    member has zero rate or crossed bounds, or the lower bounds overflow
+    T'(L). Every sum runs one member at a time in member order, as
+    Python's ``sum`` does over the members alone (a non-member's 0.0
+    leaves a sum unchanged), so every value is bitwise reproducible.
 
-    Every (subset, design) pair of a size is then scored in a few numpy
-    passes, a chunk of subsets at a time: member x design x subset
-    arrays, capped at ``_ORACLE_CHUNK`` elements, with 0.0 in place of
-    each non-member's lower bound, gap and time. A pair is infeasible
-    when a member has zero effective rate or a lower bound above its
-    upper bound, or when the lower bounds overflow T'(L); the rest get
-    the greedy fill. Every sum (the lower bounds, the budget left before
-    each member in fill order, the utility) runs one user at a time
-    along the member axis, in member order, as Python's ``sum`` does over
-    the members alone: adding or subtracting a non-member's 0.0 leaves a
-    sum unchanged, so every value is bitwise reproducible.
-
-    The winner maximises (utility, -pfa, -k). Within a chunk that is the
-    largest utility, then the first design in (pfa, k) order, then the
-    first subset in ``itertools.combinations`` order; across chunks and
-    sizes a key must be strictly greater to win. So among equal keys the
-    candidate first in (size ascending, ``itertools.combinations`` order)
-    wins. The winning members are placed by their position in
-    ``all_sus``.
+    The winner maximises (utility, -pfa, -k); among equal keys the
+    first in (size, ``itertools.combinations`` order) wins. The winning
+    members are placed by their position in ``all_sus``.
 
     Raises
     ------
@@ -319,6 +230,7 @@ def exhaustive_oracle(
     start = time.perf_counter()
     positions = [i for i, su in enumerate(all_sus) if su.earn_rate > su.pay_rate]
     table = UserTable([all_sus[i] for i in positions], geom, params)
+    grid_table = design_table(geom, params, grid.pfa_values, grid.k_values)
     n = len(positions)
     best_key = None
     best: Optional[tuple] = None
@@ -329,8 +241,9 @@ def exhaustive_oracle(
             t_prime = table.budgets[size]
             if t_prime <= 0.0:
                 continue
-            designs, weights = _oracle_designs(geom, params, grid, size)
-            if not designs:
+            rows, weights = grid_table.admissible(size)
+            n_designs = len(rows)
+            if not n_designs:
                 continue
             rates, lowers, uppers, prios = table.price(weights[:, :1], weights[:, 1:])
             # Member axis first: user x design (x subset, broadcast). A
@@ -347,7 +260,6 @@ def exhaustive_oracle(
             order = np.argsort(-prios, axis=1, kind="stable")
             fill_gap = np.take_along_axis(uppers - lowers, order, axis=1).T[:, :, None]
             fill_order = order.T
-            n_designs = len(designs)
             back = (np.argsort(order, axis=1).T * n_designs + np.arange(n_designs)).ravel()
             subsets, member = _subsets(n, size)
             step = max(1, _ORACLE_CHUNK // (n * n_designs))
@@ -373,7 +285,7 @@ def exhaustive_oracle(
                 times = lo + grant.reshape(-1, lo.shape[2])[back].reshape(lo.shape)
                 utility = np.where(fits, _member_sum(user_prio * times), -np.inf)
                 d, s = divmod(int(utility.argmax()), utility.shape[1])
-                design = designs[d]
+                design = grid_table.design(rows[d])
                 key = (float(utility[d, s]), -design.pfa_local, -design.k_threshold)
                 if best_key is None or key > best_key:
                     best_key = key
@@ -388,17 +300,13 @@ def exhaustive_oracle(
                     )
     elapsed = time.perf_counter() - start
     if best is None:
-        return _infeasible_outcome(len(all_sus), None, elapsed)
+        return _infeasible_outcome(len(all_sus), elapsed)
     design, members, times, rates, prios, lowers = best
-    alloc = _placed(
-        len(all_sus),
-        [positions[j] for j in members.tolist()],
-        times.tolist(),
-        (rates * table.margin[members] * (times - lowers)).tolist(),
-        sum((prios * times).tolist()),
-        None,
-    )
-    return OptimizationOutcome(design, alloc, None, elapsed)
+    places = [positions[j] for j in members.tolist()]
+    su_utils = (rates * table.margin[members] * (times - lowers)).tolist()
+    utility = sum((prios * times).tolist())
+    alloc = _placed(len(all_sus), places, times.tolist(), su_utils, utility, None)
+    return OptimizationOutcome(design, alloc, elapsed)
 
 
 @dataclass(frozen=True)
@@ -446,44 +354,29 @@ def nonjoint_baseline(
     ]
     table = UserTable([all_sus[i] for i in kept], geom, params)
     size = len(table.sus)
-    budget = table.budgets[size]
+    budget = table.budgets.item(size)
 
-    best_design = None
+    best = None
     if budget > 0.0:
-        best_key = None
-        for k in grid.k_values:
-            if k > size:
-                continue
-            for pfa in grid.pfa_values:
-                design = SensingDesign(pfa_local=pfa, k_threshold=k)
-                if global_pd(design, geom, size) < params.zeta:
-                    continue
-                key = (global_pfa(design, size), pfa, -k)
-                if best_key is not None and key >= best_key:
-                    continue
-                # A design that leaves an eligible user no access time
-                # at all (zero effective rate) is inadmissible.
-                if (table.level(design, size)[0] > 0.0).all():
-                    best_key = key
-                    best_design = design
-    if best_design is None:
-        return NonJointOutcome(
-            _infeasible_outcome(m, None, time.perf_counter() - start), (0.0,) * m
-        )
+        grid_table = design_table(geom, params, grid.pfa_values, grid.k_values)
+        rows, weights = grid_table.admissible(size)
+        # A design giving a kept user a zero effective rate is inadmissible;
+        # the rest are ranked by (P_FA, pfa, -k).
+        served = (table.price(weights[:, :1], weights[:, 1:])[0] > 0.0).all(axis=1)
+        rows, weights = rows[served], weights[served]
+        if rows.size:
+            p_fa = grid_table.tails(rows, size)[:, 0]
+            best = np.lexsort((-grid_table.k[rows], grid_table.pfa[rows], p_fa))[0]
+    if best is None:
+        outcome = _infeasible_outcome(m, time.perf_counter() - start)
+        return NonJointOutcome(outcome, (0.0,) * m)
 
-    rates, _, uppers, prios = table.level(best_design, size)
+    best_design = grid_table.design(rows[best])
+    rates, _, uppers, prios = table.price(*weights[best].tolist())
     times = np.array(greedy_topup(np.zeros(size), uppers, prios, budget))
-    alloc = _placed(
-        m,
-        kept,
-        times.tolist(),
-        (rates * times * table.margin - cost).tolist(),
-        sum((prios * times).tolist()),
-        None,
-    )
-    outcome = OptimizationOutcome(
-        best_design, alloc, None, time.perf_counter() - start
-    )
+    su_utils = (rates * times * table.margin - cost).tolist()
+    alloc = _placed(m, kept, times.tolist(), su_utils, sum((prios * times).tolist()), None)
+    outcome = OptimizationOutcome(best_design, alloc, time.perf_counter() - start)
     return NonJointOutcome(outcome, alloc.su_utilities)
 
 

@@ -18,6 +18,8 @@ from functools import lru_cache
 from statistics import NormalDist
 from typing import Optional
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class SensingGeometry:
@@ -142,31 +144,91 @@ def local_pd(pfa: float, geom: SensingGeometry) -> float:
     return q_function(arg)
 
 
+#: Elements (pairs x row length) in one working array of
+#: :func:`binomial_tails`: at most 256 kB of floats.
+_TAIL_CHUNK = 1 << 15
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @lru_cache(maxsize=1 << 10)
-def _log_comb_row(n: int) -> tuple:
-    # ln C(n, l) for l = 0..n from the exact integer coefficients.
-    return tuple(math.log(math.comb(n, l)) for l in range(n + 1))
+def _log_comb_row(n: int) -> np.ndarray:
+    # ln C(n, l) for l = 0..n from the exact integer coefficients, each
+    # from the last: C(n, l + 1) = C(n, l) (n - l) / (l + 1) exactly.
+    comb, logs = 1, [0.0]
+    for l in range(n):
+        comb = comb * (n - l) // (l + 1)
+        logs.append(math.log(comb))
+    return _read_only(np.array(logs))
+
+
+@lru_cache(maxsize=1 << 10)
+def binomial_rows(ps: tuple, n: int) -> tuple:
+    """The terms C(n, l) p^l (1-p)^(n-l), l = 0..n, of each p in ``ps``
+    in ascending order: (terms, their l), read-only P x (n+1) arrays.
+    Each term is ``math.exp`` of its log with the exact integer
+    coefficient; they are ordered by their logs (equal logs, equal
+    terms). A p <= 0 has every term 0, a p >= 1 the one term 1 at l = n.
+    """
+    logs_pq = np.array(
+        [(math.log(p), math.log1p(-p)) if 0.0 < p < 1.0 else (0.0, 0.0) for p in ps]
+    )
+    l = np.arange(n + 1)
+    logs = _log_comb_row(n) + l * logs_pq[:, :1] + (n - l) * logs_pq[:, 1:]
+    exps = map(math.exp, logs.ravel().tolist())
+    terms = np.fromiter(exps, float, logs.size).reshape(logs.shape)
+    for i, p in enumerate(ps):
+        if not 0.0 < p < 1.0:
+            terms[i] = 0.0
+            terms[i, n] = float(p >= 1.0)
+    order = np.argsort(logs, axis=1, kind="stable")
+    rows = np.arange(len(ps))[:, None]
+    return _read_only(terms[rows, order]), _read_only(order)
+
+
+def binomial_tails(ps: tuple, rows, ks, ns) -> np.ndarray:
+    """Upper tails P(X >= k), X ~ Binomial(n, p), for p = ``ps[rows[j]]``,
+    k = ``ks[j]``, n = ``ns[j]`` (or one shared n): the sequential sum of
+    the row's terms at l >= k, smallest first (:func:`binomial_rows`),
+    capped at 1, in one masked pass with 0.0 for each term at l < k or
+    past the row's end (adding 0.0 leaves a sum unchanged). Adding a
+    term >= 0 cannot lower such a sum, so the tail falls in k bit for bit.
+    """
+    rows = np.asarray(rows, dtype=np.intp)
+    ks = np.asarray(ks, dtype=np.intp)[:, None]
+    ns = np.asarray(ns, dtype=np.intp)
+    # Pairs in order of n, so that a chunk holds few distinct n.
+    order = np.arange(len(rows)) if ns.ndim == 0 else np.argsort(ns, kind="stable")
+    ns = np.broadcast_to(ns, rows.shape)
+    out = np.empty(len(rows))
+    step = max(1, _TAIL_CHUNK // (int(ns.max(initial=0)) + 1))
+    for s in range(0, len(rows), step):
+        part = order[s : s + step]
+        sizes = ns[part]
+        if sizes[0] == sizes[-1]:
+            kept = _masked_row(ps, rows[part], ks[part], int(sizes[0]))
+        else:
+            kept = np.zeros((len(part), int(sizes[-1]) + 1))
+            for n in sorted(set(sizes.tolist())):
+                at = np.flatnonzero(sizes == n)
+                kept[at, : n + 1] = _masked_row(ps, rows[part[at]], ks[part[at]], n)
+        out[part] = np.add.accumulate(kept, axis=1)[:, -1]
+    return np.minimum(out, 1.0)
+
+
+def _masked_row(ps: tuple, rows, ks, n: int) -> np.ndarray:
+    # The ascending terms at n of each row, 0.0 where l < k.
+    terms, ls = binomial_rows(ps, n)
+    return np.where(ls[rows] >= ks, terms[rows], 0.0)
 
 
 @lru_cache(maxsize=1 << 16)
 def _binom_tail(p: float, k: int, n: int) -> float:
-    # Upper tail sum_{l=k}^{n} C(n,l) p^l (1-p)^(n-l), accumulated in log
-    # space from the smallest terms so n in the hundreds stays exact.
-    if p <= 0.0:
-        return 0.0
-    if p >= 1.0:
-        return 1.0
-    log_p = math.log(p)
-    log_q = math.log1p(-p)
-    log_comb = _log_comb_row(n)
-    terms = [
-        log_comb[l] + l * log_p + (n - l) * log_q for l in range(k, n + 1)
-    ]
-    terms.sort()
-    acc = 0.0
-    for t in terms:
-        acc += math.exp(t)
-    return min(acc, 1.0)
+    # One upper tail of :func:`binomial_tails`.
+    return float(binomial_tails((p,), (0,), (k,), n)[0])
 
 
 def global_pfa(design: SensingDesign, l_active: int) -> float:
@@ -202,12 +264,9 @@ def min_active_users(
     zeta: float,
     m_total: int,
 ) -> Optional[int]:
-    """Smallest L with k <= L <= m_total meeting the detection floor.
-
-    Returns ``None`` when no L up to ``m_total`` reaches ``zeta`` (an
-    infeasible design point, not an error).  Relies on the fused
-    detection probability being monotone increasing in L for fixed
-    (pfa, k).
+    """Smallest L with k <= L <= m_total meeting the detection floor, by a
+    scan over L; ``None`` when no L up to ``m_total`` reaches ``zeta`` (an
+    infeasible design point, not an error).
     """
     if not 0.0 < zeta < 1.0:
         raise ValueError(f"zeta must lie in (0,1), got {zeta}")

@@ -48,11 +48,17 @@ from cogalloc import (
 from cogalloc.allocator import (
     TIME_TOL,
     UserTable,
+    design_table,
     _exchange_core,
     _result,
     _score,
 )
 from cogalloc.optimizer import _infeasible_outcome
+
+
+def grid_table(geom, params, grid):
+    """The shared design table of a :class:`cogalloc.DesignGrid`."""
+    return design_table(geom, params, grid.pfa_values, grid.k_values)
 
 
 def normal_tail_quad(x: float) -> float:
@@ -92,6 +98,33 @@ def fused_tail_enumeration(p_vote: float, k: int, l_active: int) -> float:
                 prob *= p_vote if v else (1.0 - p_vote)
             total += prob
     return total
+
+
+@lru_cache(maxsize=1 << 10)
+def _log_comb_terms(n: int) -> tuple:
+    return tuple(math.log(math.comb(n, l)) for l in range(n + 1))
+
+
+@lru_cache(maxsize=1 << 16)
+def reference_binom_tail(p: float, k: int, n: int) -> float:
+    """The binomial upper tail one (p, k, n) at a time, as the library
+    computed it before its shared rows: the log-space terms at l >= k,
+    sorted, exponentiated and summed one at a time from the smallest,
+    capped at 1. The rows (:func:`cogalloc.sensing.binomial_tails`) must
+    reproduce it bit for bit."""
+    if p <= 0.0:
+        return 0.0
+    if p >= 1.0:
+        return 1.0
+    log_p = math.log(p)
+    log_q = math.log1p(-p)
+    log_comb = _log_comb_terms(n)
+    terms = [log_comb[l] + l * log_p + (n - l) * log_q for l in range(k, n + 1)]
+    terms.sort()
+    acc = 0.0
+    for t in terms:
+        acc += math.exp(t)
+    return min(acc, 1.0)
 
 
 def lp_time_allocation(lowers, uppers, priorities, budget) -> float:
@@ -240,7 +273,7 @@ def scalar_exhaustive_oracle(all_sus, geom, params, grid):
                         best_key = key
                         best = (design, placed, times, rates, prios, lowers)
     if best is None:
-        return _infeasible_outcome(len(all_sus), None, 0.0)
+        return _infeasible_outcome(len(all_sus), 0.0)
     design, placed, times, rates, prios, lowers = best
     m = len(all_sus)
     active = [False] * m
@@ -259,7 +292,7 @@ def scalar_exhaustive_oracle(all_sus, geom, params, grid):
         case=None,
         feasible=True,
     )
-    return OptimizationOutcome(design, alloc, None, 0.0)
+    return OptimizationOutcome(design, alloc, 0.0)
 
 
 def evaluate_set(sus, design, geom, params):
@@ -390,16 +423,22 @@ def monte_carlo_average(instance_metric, n_trials: int) -> tuple:
     return mean, float(values.std(ddof=1) / math.sqrt(n_trials))
 
 
-def reference_joint_optimize(all_sus, geom, params, grid):
+def reference_joint_optimize(all_sus, geom, params, grid, keep_surface=False):
     """The grid search as one full :func:`cogalloc.select_and_allocate`
     per grid point, nothing skipped: the reference the pruned
-    :func:`cogalloc.joint_optimize` must reproduce bit for bit."""
+    :func:`cogalloc.joint_optimize` must reproduce bit for bit.
+
+    With ``keep_surface`` it returns (outcome, surface) instead, the
+    surface mapping every grid point (pfa, k) to its utility, None where
+    the design is infeasible."""
     best_key = None
     best = None
+    surface = {}
     for k in grid.k_values:
         for pfa in grid.pfa_values:
             design = SensingDesign(pfa_local=pfa, k_threshold=k)
             alloc = select_and_allocate(all_sus, design, geom, params)
+            surface[(pfa, k)] = alloc.fc_utility if alloc.feasible else None
             if not alloc.feasible:
                 continue
             key = (alloc.fc_utility, -pfa, -k)
@@ -407,8 +446,10 @@ def reference_joint_optimize(all_sus, geom, params, grid):
                 best_key = key
                 best = (design, alloc)
     if best is None:
-        return _infeasible_outcome(len(all_sus), None, 0.0)
-    return OptimizationOutcome(best[0], best[1], None, 0.0)
+        outcome = _infeasible_outcome(len(all_sus), 0.0)
+    else:
+        outcome = OptimizationOutcome(best[0], best[1], 0.0)
+    return (outcome, surface) if keep_surface else outcome
 
 
 @lru_cache(maxsize=8)

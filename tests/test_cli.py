@@ -561,3 +561,22 @@ def test_import_leaves_out_scipy(src_env):
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]", (module, proc.stdout)
+
+
+def test_import_leaves_out_the_process_pool(src_env):
+    # The pool machinery (concurrent.futures.process, multiprocessing) is
+    # a noticeable share of every start, and only --jobs > 1 needs it.
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, cogalloc.cli; "
+            "print([m for m in ('concurrent.futures.process', 'multiprocessing')"
+            " if m in sys.modules])",
+        ],
+        capture_output=True,
+        text=True,
+        env=src_env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]", proc.stdout

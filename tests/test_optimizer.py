@@ -29,7 +29,6 @@ from cogalloc import optimizer, simkit
 from cogalloc.allocator import TIME_TOL, CaseLabel, UserTable, _score
 from cogalloc.optimizer import (
     BOUND_SLACK,
-    _grid_weights,
     binom_term,
     probe_utility,
     smooth_binom_tail,
@@ -37,6 +36,7 @@ from cogalloc.optimizer import (
 from cogalloc.sensing import global_pd, local_pd
 
 from helpers import (
+    grid_table,
     make_users,
     reference_joint_optimize,
     reference_screen,
@@ -84,13 +84,10 @@ class TestJointOptimize:
     def test_surface_collection(self, params, geom):
         sus = make_users(3, 3)
         grid = DesignGrid(pfa_values=(0.1, 0.5), k_values=(1, 2))
-        outcome = joint_optimize(sus, geom, params, grid, keep_surface=True)
-        assert set(outcome.utility_surface) == {
-            (0.1, 1), (0.5, 1), (0.1, 2), (0.5, 2)
-        }
-        feasible_values = [
-            v for v in outcome.utility_surface.values() if v is not None
-        ]
+        outcome = joint_optimize(sus, geom, params, grid)
+        _, surface = reference_joint_optimize(sus, geom, params, grid, keep_surface=True)
+        assert set(surface) == {(0.1, 1), (0.5, 1), (0.1, 2), (0.5, 2)}
+        feasible_values = [v for v in surface.values() if v is not None]
         assert outcome.fc_utility == pytest.approx(max(feasible_values), rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(8))
@@ -243,9 +240,9 @@ class TestPrunedGridSearch:
         grid = DesignGrid(pfa_values=DesignGrid.uniform(4).pfa_values, k_values=k_values)
         feasible = [
             (pfa, k)
-            for (pfa, k), u in joint_optimize(
+            for (pfa, k), u in reference_joint_optimize(
                 sus, geom, params, grid, keep_surface=True
-            ).utility_surface.items()
+            )[1].items()
             if u is not None
         ]
         assert len(feasible) > 1
@@ -287,14 +284,14 @@ class TestPrunedGridSearch:
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("seed", range(5))
     def test_same_outcome_with_surface(self, seed, kind):
-        # keep_surface searches every design; the pruned search must pick
-        # the same result.
+        # The reference searches every design; the pruned search must
+        # pick the same result.
         params, sus = _mixed_instance(seed + 300, 8, kind)
         geom = params.geometry()
         grid = DesignGrid.uniform(8)
-        full = joint_optimize(sus, geom, params, grid, keep_surface=True)
+        full, surface = reference_joint_optimize(sus, geom, params, grid, keep_surface=True)
         _assert_same_outcome(joint_optimize(sus, geom, params, grid), full)
-        assert len(full.utility_surface) == len(grid.pfa_values) * len(grid.k_values)
+        assert len(surface) == len(grid.pfa_values) * len(grid.k_values)
 
     @pytest.mark.parametrize("m", [1, 3, 6])
     def test_vote_threshold_above_user_count_is_infeasible(self, params, geom, m):
@@ -306,9 +303,9 @@ class TestPrunedGridSearch:
             joint_optimize(sus, geom, params, wide),
             joint_optimize(sus, geom, params, narrow),
         )
-        surface = joint_optimize(sus, geom, params, wide, keep_surface=True)
+        surface = reference_joint_optimize(sus, geom, params, wide, keep_surface=True)[1]
         assert all(
-            surface.utility_surface[(pfa, k)] is None
+            surface[(pfa, k)] is None
             for pfa in pfas
             for k in (m + 1, m + 2)
         )
@@ -356,9 +353,7 @@ class TestPrunedGridSearch:
             for i in range(5)
         ]
         grid = DesignGrid(pfa_values=(0.1, 0.2, 0.3, 0.4), k_values=(5, 4, 3, 2, 1))
-        surface = joint_optimize(
-            sus, geom, params, grid, keep_surface=True
-        ).utility_surface
+        surface = reference_joint_optimize(sus, geom, params, grid, keep_surface=True)[1]
         feasible = [key for key, u in surface.items() if u is not None]
         assert len(feasible) > 1
         assert len({surface[key] for key in feasible}) == 1
@@ -378,12 +373,12 @@ class TestPrunedGridSearch:
         sus = _small_buffer_users(seed)
         grid = DesignGrid.uniform(5)
         table = UserTable(sus, geom, params)
-        weights = _grid_weights(geom, params, grid, 5)
+        weights = grid_table(geom, params, grid)
         settled = table.screen(weights)[1]
         best = np.nanmax(settled)
         tied = [
             design
-            for d, design in enumerate(weights.designs)
+            for d, design in enumerate(map(weights.design, range(len(weights.k))))
             if np.isnan(settled[d])
             and table.screened(design) is not None
             and reference_utility_bound(table, design) * (1.0 + BOUND_SLACK) >= best
@@ -413,7 +408,7 @@ class TestPrunedGridSearch:
 def _assert_settled_as_walked(table, weights, settled):
     # A design is settled exactly when the walk starts on a Case-1 reduced
     # set, at the walk's utility, bit for bit.
-    for d, design in enumerate(weights.designs):
+    for d, design in enumerate(map(weights.design, range(len(weights.k)))):
         screened = table.screened(design)
         if screened is None:
             assert np.isnan(settled[d])
@@ -460,7 +455,7 @@ class TestBatchedScreen:
         # lies below the reference bound (the cap binds there).
         m = len(sus)
         table = UserTable(sus, geom, params)
-        weights = _grid_weights(geom, params, grid, m)
+        weights = grid_table(geom, params, grid)
         bounds, settled = table.screen(weights)
         # The cap of every feasible design the screen leaves unsettled,
         # not only of those it caps (the ones that reach the best
@@ -469,18 +464,16 @@ class TestBatchedScreen:
         caps = dict(zip(unsettled.tolist(), table._shortfall(unsettled).tolist()))
         _assert_settled_as_walked(table, weights, settled)
         binding = 0
-        assert len(weights.designs) == sum(1 for k in grid.k_values if k <= m) * len(
-            grid.pfa_values
-        )
+        assert len(weights.k) == len(grid.k_values) * len(grid.pfa_values)
         for k in grid.k_values:
             for pfa in grid.pfa_values:
                 design = SensingDesign(pfa, k)
                 want = reference_screen(table, design)
                 assert table.screened(design) == want
+                d = weights.index[(design.pfa_local, design.k_threshold)]
                 if k > m:
-                    assert want is None
+                    assert want is None and bounds[d] == -np.inf
                     continue
-                d = weights.index[design]
                 bound = float(bounds[d])
                 assert (bound == -np.inf) == (want is None)
                 if want is not None:
@@ -536,15 +529,15 @@ class TestBatchedScreen:
         sus = _small_buffer_users(seed)
         grid = DesignGrid.uniform(5)
         table = UserTable(sus, geom, params)
-        weights = _grid_weights(geom, params, grid, 5)
+        weights = grid_table(geom, params, grid)
         bounds, settled = table.screen(weights)
         d = int(np.flatnonzero((bounds > -np.inf) & np.isnan(settled))[0])
-        design = weights.designs[d]
+        design = weights.design(d)
         reduced = table.screened(design)[0]
         total = float(table.evaluate(design, reduced).uppers.sum())
         edge = _budget_edge(params, len(reduced), total - steps * TIME_TOL, above=True)
         table = UserTable(sus, geom, edge)
-        weights = _grid_weights(geom, edge, grid, 5)
+        weights = grid_table(geom, edge, grid)
         assert np.isnan(table.screen(weights)[1][d])
         excess = total - (table.budgets[len(reduced)] + TIME_TOL)
         assert 0.0 < excess <= steps * TIME_TOL
@@ -571,7 +564,7 @@ class TestBatchedScreen:
         lowers = float(UserTable(sus, geom, params).evaluate(design, every).lowers.sum())
         edge = _budget_edge(params, 5, lowers, above=True)
         table = UserTable(sus, geom, edge)
-        table.screen(_grid_weights(geom, edge, DesignGrid((pfa,), (k,)), 5))
+        table.screen(grid_table(geom, edge, DesignGrid((pfa,), (k,))))
         assert table.screened(design)[0] == every
         ev = table.evaluate(design, every)
         assert ev.case is CaseLabel.CASE2 and float(ev.lowers.sum()) > ev.t_prime
@@ -594,11 +587,11 @@ class TestBatchedScreen:
         ]
         grid = DesignGrid(pfa_values=(0.3, 0.5, 0.7, 0.9), k_values=(1, 2))
         table = UserTable(sus, geom, params)
-        weights = _grid_weights(geom, params, grid, 5)
+        weights = grid_table(geom, params, grid)
         bounds, settled = table.screen(weights)
         rows = np.flatnonzero((bounds > -np.inf) & np.isnan(settled))
         assert rows.size
-        assert all(table.screened(weights.designs[d])[0] == (0,) for d in rows)
+        assert all(table.screened(weights.design(d))[0] == (0,) for d in rows)
         self._check(sus, geom, params, grid)
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -607,7 +600,7 @@ class TestBatchedScreen:
         params, sus = _mixed_instance(m + 800, m, kind)
         geom = params.geometry()
         table = UserTable(sus, geom, params)
-        weights = _grid_weights(geom, params, _sparse_grid(m), m)
+        weights = grid_table(geom, params, _sparse_grid(m))
         bounds, settled = table.screen(weights)
         _assert_settled_as_walked(table, weights, settled)
         # Every unsettled design gets a finite cap, also where a member's
@@ -627,10 +620,10 @@ class TestBatchedScreen:
         geom = params.geometry()
         grid = _sparse_grid(m)
         table = UserTable(sus, geom, params)
-        weights = _grid_weights(geom, params, grid, m)
+        weights = grid_table(geom, params, grid)
         table.screen(weights)
         edges = {}
-        for design in weights.designs:
+        for design in map(weights.design, range(len(weights.k))):
             screened = table.screened(design)
             if screened is not None:
                 edges.setdefault(len(screened[0]), (design, screened[0]))
@@ -640,9 +633,9 @@ class TestBatchedScreen:
             for above in (True, False):
                 edge = _budget_edge(params, len(reduced), total, above)
                 table = UserTable(sus, geom, edge)
-                weights = _grid_weights(geom, edge, grid, m)
+                weights = grid_table(geom, edge, grid)
                 settled = table.screen(weights)[1]
-                assert np.isnan(settled[weights.index[design]]) != above
+                assert np.isnan(settled[weights.index[(design.pfa_local, design.k_threshold)]]) != above
                 _assert_settled_as_walked(table, weights, settled)
 
     def test_shared_weights_follow_every_key_field(self):
@@ -866,8 +859,8 @@ def _assert_same_as_scalar_oracle(sus, params, grid):
 
 def _chunk_step(params, grid, m, size):
     # How many subsets of ``size`` the oracle scores per chunk.
-    designs = optimizer._oracle_designs(params.geometry(), params, grid, size)[0]
-    return max(1, optimizer._ORACLE_CHUNK // (m * len(designs)))
+    rows = grid_table(params.geometry(), params, grid).admissible(size)[0]
+    return max(1, optimizer._ORACLE_CHUNK // (m * len(rows)))
 
 
 def _chunks(params, grid, m, size):
@@ -1029,7 +1022,8 @@ class TestOracleMatchesScalarReference:
         params = default_system_params(zeta=0.6)
         grid = DesignGrid((0.3, 0.99), (1, 2, 3))
         geom = params.geometry()
-        designs = optimizer._oracle_designs(geom, params, grid, 5)[0]
+        table = grid_table(geom, params, grid)
+        designs = [table.design(d) for d in table.admissible(5)[0]]
         assert SensingDesign(0.99, 1) in designs and len(designs) > 1
         sus = make_users(seed + 70, 10, buffer_bits=20000)
         with warnings.catch_warnings():
