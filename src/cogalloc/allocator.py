@@ -16,7 +16,8 @@ user-independent half of every search, shared across calls; one
 rates, bounds and priorities per set size. Candidate sets are index
 tuples into it, compared by utility alone; an :class:`AllocationResult`
 is built only for the set that is returned. The screen runs for every
-design of a table at once (:meth:`UserTable.screen`).
+design of a table at once and returns a :class:`Screen`
+(:meth:`UserTable.screen`); :func:`_allocate` walks one of its rows.
 
 Ties (argmax/argmin over users, exchange orderings on equal keys) go to
 the lowest user id, so results are bit-reproducible.
@@ -250,6 +251,13 @@ def design_table(geom: SensingGeometry, params: SystemParams, pfas, ks) -> Desig
     return DesignTable(geom, params, pfas, ks)
 
 
+def _one_design_table(
+    geom: SensingGeometry, params: SystemParams, design: SensingDesign
+) -> DesignTable:
+    # The shared table of ``design`` alone: its row 0.
+    return design_table(geom, params, (design.pfa_local,), (design.k_threshold,))
+
+
 class UserTable:
     """One call's users, geometry and params, shared across designs.
 
@@ -257,12 +265,13 @@ class UserTable:
     margins b_i - a_i, backlogs in bits, pay rates a_i, ids) and the
     budget T'(L) for every set size are built once. Each design's
     effective rates, time bounds and priorities at a set size L are
-    computed for all users on first use and cached per (design, L).
+    computed for all users on first use and cached per (design table,
+    row, L).
     """
 
     __slots__ = (
         "sus", "geom", "params", "r0", "r1", "margin", "buffers", "pay", "ids",
-        "cost", "budgets", "_levels", "_screen",
+        "cost", "budgets", "_levels",
     )
 
     def __init__(
@@ -283,7 +292,6 @@ class UserTable:
         self.cost = params.sensing_cost
         self.budgets = np.array([effective_time(params, l) for l in range(len(self.sus) + 1)])
         self._levels: dict = {}
-        self._screen: Optional[tuple] = None
 
     def _rates(self, q0, q1):
         # The effective rates q0 r0 + q1 r1.
@@ -303,30 +311,35 @@ class UserTable:
         elementwise operations."""
         return self._rates(q0, q1) * self.pay
 
-    def _design_row(self, design: SensingDesign) -> tuple:
-        # (design table, row) of ``design``: the last screened table, else
-        # the shared table of that design alone.
-        key = (design.pfa_local, design.k_threshold)
-        if self._screen is not None and key in self._screen[0].index:
-            return self._screen[0], self._screen[0].index[key]
-        return design_table(self.geom, self.params, key[:1], key[1:]), 0
-
     def level(self, design: SensingDesign, l_active: int) -> tuple:
-        """:meth:`price` at ``design`` with ``l_active`` reporting users,
-        cached per (design, l_active)."""
-        key = (design.pfa_local, design.k_threshold, l_active)
+        """:meth:`price` at ``design`` with ``l_active`` reporting users."""
+        return self._level(_one_design_table(self.geom, self.params, design), 0, l_active)
+
+    def evaluate(self, design: SensingDesign, idx: tuple) -> "_SetEval":
+        """The candidate set ``idx`` (positions in this table) at ``design``
+        and its own size."""
+        return self._evaluate(_one_design_table(self.geom, self.params, design), 0, idx)
+
+    def _level(self, designs: DesignTable, d: int, l_active: int) -> tuple:
+        # :meth:`price` at row d of ``designs`` with ``l_active`` reporting
+        # users, cached per (designs, d, l_active).
+        key = (designs, d, l_active)
         got = self._levels.get(key)
         if got is None:
-            designs, d = self._design_row(design)
             got = self.price(*designs.weight_pair(d, l_active))
             self._levels[key] = got
         return got
 
-    def screen(self, designs: DesignTable) -> tuple:
+    def _evaluate(self, designs: DesignTable, d: int, idx: tuple) -> "_SetEval":
+        members = np.array(idx, dtype=np.intp)
+        level = [column[members] for column in self._level(designs, d, len(idx))]
+        return _SetEval(idx, members, *level, self.budgets.item(len(idx)))
+
+    def screen(self, designs: DesignTable) -> "Screen":
         """Screen every design of ``designs`` at this table's user count m
         in one pass, from the shared weights, l_first and budgets
-        (:meth:`DesignTable.at_users`, and the weights at each |R|);
-        returns (bounds, settled): each design's utility bound, -inf
+        (:meth:`DesignTable.at_users`, and the weights at each |R|), and
+        return the :class:`Screen`: each design's utility bound, -inf
         where it admits no feasible set, and the utility of each design
         whose reduced set is in abundant time, nan elsewhere.
 
@@ -352,7 +365,7 @@ class UserTable:
         design), so the case and utility are bit for bit the walk's. A
         design not settled cannot earn sum_{i in R} a_i B_i; where its
         bound reaches the best settled utility it is capped below it
-        (:meth:`_shortfall`). R and l_lb are kept for :meth:`screened`.
+        (:meth:`_shortfall`).
         """
         l_first, at_m, at_first, budget_first = designs.at_users(len(self.sus))
         _, lowers, uppers, _ = self.price(at_m[:, :1], at_m[:, 1:])
@@ -384,7 +397,9 @@ class UserTable:
             settled[rows[abundant]] = _buffered_value(
                 self.pay[cols].reshape(-1, size), self.buffers[cols].reshape(-1, size)
             )
-        self._screen = (designs, reduced, feasible, l_first, sizes, clearing, buffered)
+        screen = Screen(
+            designs, bounds, settled, reduced, feasible, l_first, sizes, clearing, buffered
+        )
         resolved = ~np.isnan(settled)
         if resolved.any():
             rows = np.flatnonzero(
@@ -393,12 +408,12 @@ class UserTable:
                 & (bounds * (1.0 + BOUND_SLACK) >= settled[resolved].max())
             )
             if rows.size:
-                bounds[rows] = np.minimum(bounds[rows], self._shortfall(rows))
-        return bounds, settled
+                bounds[rows] = np.minimum(bounds[rows], self._shortfall(screen, rows))
+        return screen
 
-    def _shortfall(self, rows: np.ndarray) -> np.ndarray:
-        """A cap on the utility of each feasible design at ``rows`` of the
-        last :meth:`screen` whose reduced set R is not Case 1 at |R|:
+    def _shortfall(self, screen: "Screen", rows: np.ndarray) -> np.ndarray:
+        """A cap on the utility of each feasible design at ``rows`` of
+        ``screen`` whose reduced set R is not Case 1 at |R|:
         sum_{i in R} a_i B_i less a cut that is positive when every
         member pays for a non-empty buffer (a_i B_i > 0).
 
@@ -424,13 +439,13 @@ class UserTable:
         the cap is (1 + BOUND_SLACK) sum_R a_i B_i minus the cut, and its
         rounding error, a few ulps of the sum, stays inside that margin.
         """
-        designs, reduced, _, _, sizes, clearing, buffered = self._screen
-        at_size = designs.weights(rows, sizes[rows])
-        members = reduced[rows]
+        sizes = screen.sizes[rows]
+        at_size = screen.designs.weights(rows, sizes)
+        members = screen.reduced[rows]
         lowest = self.priorities(at_size[:, :1], at_size[:, 1:]).min(
             axis=1, where=members, initial=np.inf
         )
-        excess = clearing[rows] - (self.budgets[sizes[rows]] + TIME_TOL)
+        excess = screen.clearing[rows] - (self.budgets[sizes] + TIME_TOL)
         with np.errstate(invalid="ignore"):
             cut = np.fmin(
                 excess * lowest,
@@ -438,37 +453,36 @@ class UserTable:
                     axis=1, initial=np.inf
                 ),
             )
-        return (1.0 + BOUND_SLACK) * buffered[rows] - cut
+        return (1.0 + BOUND_SLACK) * screen.buffered[rows] - cut
 
-    def screened(self, design: SensingDesign) -> Optional[tuple]:
-        """(reduced set R, minimum viable set size l_lb) at ``design``, or
-        None when the design admits no feasible set: a vote threshold
-        above the number of users or above |R|, or a detection floor no
-        size up to |R| reaches. Read from the last :meth:`screen` that
-        covered the design; any other design is screened on its own."""
-        m = len(self.sus)
-        if design.k_threshold > m:
-            return None
-        designs, d = self._design_row(design)
-        if self._screen is None or designs is not self._screen[0]:
-            self.screen(designs)
-        _, reduced, feasible, l_first = self._screen[:4]
-        if not feasible[d]:
-            return None
-        return tuple(np.flatnonzero(reduced[d]).tolist()), int(l_first[d])
 
-    def evaluate(self, design: SensingDesign, idx: tuple) -> "_SetEval":
-        members = np.array(idx, dtype=np.intp)
-        rates, lowers, uppers, prios = self.level(design, len(idx))
-        return _SetEval(
-            idx,
-            members,
-            rates[members],
-            lowers[members],
-            uppers[members],
-            prios[members],
-            self.budgets.item(len(idx)),
-        )
+class Screen:
+    """What :meth:`UserTable.screen` finds for every row d of its design
+    table ``designs``: the utility ``bounds`` and ``settled`` utilities,
+    the reduced-set mask ``reduced`` (design x user), ``feasible``,
+    ``l_first``, and per design the reduced set's size ``sizes``, its
+    members' clearing-time sum at that size ``clearing`` and their
+    buffered value ``buffered``."""
+
+    __slots__ = (
+        "designs", "bounds", "settled", "reduced", "feasible", "l_first", "sizes",
+        "clearing", "buffered",
+    )
+
+    def __init__(
+        self, designs, bounds, settled, reduced, feasible, l_first, sizes, clearing, buffered
+    ):
+        self.designs, self.bounds, self.settled = designs, bounds, settled
+        self.reduced, self.feasible, self.l_first = reduced, feasible, l_first
+        self.sizes, self.clearing, self.buffered = sizes, clearing, buffered
+
+    def start(self, d: int) -> Optional[tuple]:
+        """(reduced set R, minimum viable set size l_lb) of row ``d``, or
+        None when the design admits no feasible set (k > |R|, or no size
+        up to |R| meets the detection floor)."""
+        if not self.feasible[d]:
+            return None
+        return tuple(np.flatnonzero(self.reduced[d]).tolist()), int(self.l_first[d])
 
 
 def _fits(total, t_prime: float):
@@ -585,24 +599,13 @@ def _placed(
         t_full[i] = t
         u_full[i] = u
     return AllocationResult(
-        active=tuple(active),
-        times=tuple(t_full),
-        fc_utility=fc_utility,
-        su_utilities=tuple(u_full),
-        case=case,
-        feasible=True,
+        tuple(active), tuple(t_full), fc_utility, tuple(u_full), case, feasible=True
     )
 
 
 def _infeasible(m: int, case: Optional[CaseLabel]) -> AllocationResult:
-    return AllocationResult(
-        active=(False,) * m,
-        times=(0.0,) * m,
-        fc_utility=0.0,
-        su_utilities=(0.0,) * m,
-        case=case,
-        feasible=False,
-    )
+    zeros = (0.0,) * m
+    return AllocationResult((False,) * m, zeros, 0.0, zeros, case, feasible=False)
 
 
 def _ordered_desc(table: UserTable, idx: Sequence[int], keys: np.ndarray) -> list:
@@ -612,28 +615,28 @@ def _ordered_desc(table: UserTable, idx: Sequence[int], keys: np.ndarray) -> lis
 
 
 def _exchange_core(
-    table: UserTable, design: SensingDesign, kept: tuple, excluded: tuple
+    table: UserTable, designs: DesignTable, d: int, kept: tuple, excluded: tuple
 ) -> Optional[tuple]:
-    # The best scored same-cardinality set, the kept set included; None
-    # when no candidate is feasible. For each swap depth n the four
-    # bound-ordered extreme sets decide whether the whole depth can be
-    # short-circuited (all-Case-1: score the buffer-ordered swap and go
-    # deeper; all-Case-2: score the payment-ordered swap and stop;
-    # min-lower-bound set Case-3: stop); otherwise every n-for-n swap is
-    # enumerated.
-    best = _score(table, table.evaluate(design, kept))
+    # The best scored same-cardinality set at row d of ``designs``, the
+    # kept set included; None when no candidate is feasible. For each swap
+    # depth n the four bound-ordered extreme sets decide whether the whole
+    # depth can be short-circuited (all-Case-1: score the buffer-ordered
+    # swap and go deeper; all-Case-2: score the payment-ordered swap and
+    # stop; min-lower-bound set Case-3: stop); otherwise every n-for-n swap
+    # is enumerated.
+    best = _score(table, table._evaluate(designs, d, kept))
     if not excluded or not kept:
         return best
 
     def consider(candidate: tuple) -> None:
         nonlocal best
-        best = _better(best, _score(table, table.evaluate(design, candidate)))
+        best = _better(best, _score(table, table._evaluate(designs, d, candidate)))
 
     def case(candidate: tuple) -> CaseLabel:
-        return table.evaluate(design, candidate).case
+        return table._evaluate(designs, d, candidate).case
 
     # Orderings are taken at the current candidate cardinality |kept|.
-    _, lb_keys, ub_keys, pay_keys = table.level(design, len(kept))
+    _, lb_keys, ub_keys, pay_keys = table._level(designs, d, len(kept))
 
     def ordered(keys: np.ndarray) -> tuple:
         return (_ordered_desc(table, kept, keys), _ordered_desc(table, excluded, keys))
@@ -676,12 +679,12 @@ def _exchange_core(
 
 
 def _select(
-    table: UserTable, design: SensingDesign, reduced: tuple, l_lb: int
+    table: UserTable, designs: DesignTable, d: int, reduced: tuple, l_lb: int
 ) -> Optional[tuple]:
-    # The elimination walk with a global best-so-far contested-time
-    # incumbent; the scored winner, or None when every set it reaches at
-    # the minimum size overflows the budget.
-    ev = table.evaluate(design, reduced)
+    # The elimination walk at row d of ``designs`` with a global
+    # best-so-far contested-time incumbent; the scored winner, or None
+    # when every set it reaches at the minimum size overflows the budget.
+    ev = table._evaluate(designs, d, reduced)
     if ev.case is CaseLabel.CASE1 or len(reduced) == l_lb:
         return _score(table, ev)
 
@@ -693,11 +696,11 @@ def _select(
         # Drop the user paying the least per second at this set size.
         j = int(np.lexsort((table.ids[ev.members], ev.priorities))[0])
         current = current[:j] + current[j + 1 :]
-        ev = table.evaluate(design, current)
+        ev = table._evaluate(designs, d, current)
 
         if ev.case is CaseLabel.CASE1:
             excluded = tuple(i for i in reduced if i not in current)
-            star = _exchange_core(table, design, current, excluded)
+            star = _exchange_core(table, designs, d, current, excluded)
             if star[1].case is CaseLabel.CASE1:
                 return _better(star, incumbent)
             # Contested-time winner: adopt it and keep eliminating.
@@ -714,12 +717,26 @@ def _select(
     return incumbent
 
 
+def _allocate(table: UserTable, screen: Screen, d: int) -> AllocationResult:
+    """Selection + allocation at row ``d`` of the design table that
+    ``screen`` covers, from the screen's reduced set and minimum viable
+    set size: the walk of every design a search visits, and the
+    allocation of a settled one."""
+    m = len(table.sus)
+    start = screen.start(d)
+    if start is None:
+        return _infeasible(m, None)
+    best = _select(table, screen.designs, d, *start)
+    if best is None:
+        return _infeasible(m, CaseLabel.CASE3)
+    return _result(table, best, m, best[1].idx)
+
+
 def select_and_allocate(
     all_sus: Sequence[SecondaryUser],
     design: SensingDesign,
     geom: SensingGeometry,
     params: SystemParams,
-    table: Optional[UserTable] = None,
 ) -> AllocationResult:
     """Full selection + allocation at a fixed sensing design.
 
@@ -734,18 +751,8 @@ def select_and_allocate(
     minimum viable set size) is reported via ``feasible=False``, never an
     exception.
 
-    ``table`` is a :class:`UserTable` of exactly these users, geometry
-    and params, for a caller that searches many designs (built here when
-    omitted); the reduced set and minimum viable set size come from its
-    batched screen (:meth:`UserTable.screened`).
+    The design is screened as the one row of its own shared
+    :class:`DesignTable` and walked by :func:`_allocate`.
     """
-    if table is None:
-        table = UserTable(all_sus, geom, params)
-    m = len(table.sus)
-    screened = table.screened(design)
-    if screened is None:
-        return _infeasible(m, None)
-    best = _select(table, design, *screened)
-    if best is None:
-        return _infeasible(m, CaseLabel.CASE3)
-    return _result(table, best, m, best[1].idx)
+    table = UserTable(all_sus, geom, params)
+    return _allocate(table, table.screen(_one_design_table(geom, params, design)), 0)

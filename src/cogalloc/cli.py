@@ -30,6 +30,7 @@ import numpy as np
 
 from .economics import SecondaryUser, SystemParams
 from .optimizer import (
+    ORACLE_MAX_USERS,
     PROBE_STEP_PFA,
     DesignGrid,
     HessianProbeConfig,
@@ -447,17 +448,11 @@ def _write_csv(path: Path, name: str, header: Sequence[str], rows) -> None:
 
 
 def _mean_rows(rows, value_col: int, key_col: int = 0):
-    groups: dict = {}
-    order = []
+    groups: dict = {}  # in order of first appearance
     for row in rows:
-        key = row[key_col]
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(row[value_col])
+        groups.setdefault(row[key_col], []).append(row[value_col])
     out = []
-    for key in order:
-        vals = groups[key]
+    for key, vals in groups.items():
         mean = sum(vals) / len(vals)
         if len(vals) > 1:
             var = sum((v - mean) ** 2 for v in vals) / (len(vals) - 1)
@@ -579,8 +574,8 @@ def cmd_compare_oracle(cfg: RunConfig, out_dir: Path, jobs: int = 1) -> int:
     relative utility gap above 1e-9."""
     for value in cfg.sweep_values:
         count = _user_count(cfg, _apply_sweep(cfg, value)[1])
-        if count > 12:
-            raise ConfigError(f"compare-oracle refuses M={count} > 12 users")
+        if count > ORACLE_MAX_USERS:
+            raise ConfigError(f"compare-oracle refuses M={count} > {ORACLE_MAX_USERS} users")
     results = _run_sweep(cfg, jobs, _compare_oracle_task)
     rows = [r[1] for r in results]
     _write_csv(
@@ -813,7 +808,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
     args = parser.parse_args(argv)
 
-    logging.basicConfig(level=os.environ.get("COGALLOC_LOG", "WARNING").upper())
+    level = os.environ.get("COGALLOC_LOG", "WARNING")
+    if not isinstance(logging.getLevelName(level.upper()), int):
+        levels = "DEBUG, INFO, WARNING, ERROR, CRITICAL"
+        print(f"config error: COGALLOC_LOG={level!r} is not one of {levels}", file=sys.stderr)
+        return EXIT_CONFIG
+    logging.basicConfig(level=level.upper())
 
     try:
         cfg = load_config(args.config)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
@@ -24,13 +24,11 @@ from .allocator import (
     BOUND_SLACK,
     AllocationResult,
     UserTable,
+    _allocate,
     _infeasible,
     _placed,
-    _result,
-    _score,
     design_table,
     greedy_topup,
-    select_and_allocate,
 )
 from .economics import _EULER_GAMMA, SecondaryUser, SystemParams
 from .sensing import SensingDesign, SensingGeometry, _read_only, local_pd
@@ -85,12 +83,12 @@ def _infeasible_outcome(m: int, elapsed: float) -> OptimizationOutcome:
     return OptimizationOutcome(None, _infeasible(m, None), elapsed)
 
 
-def _incumbent(best: Optional[tuple], design: SensingDesign, utility: float, alloc):
-    # The better of the incumbent (key, design, allocation or None) and
-    # ``design`` at ``utility``: the winner maximizes (utility, -pfa, -k).
-    key = (utility, -design.pfa_local, -design.k_threshold)
+def _incumbent(best: Optional[tuple], designs, d: int, utility: float, alloc):
+    # The better of the incumbent (key, row, allocation or None) and row d
+    # of ``designs`` at ``utility``: the winner maximizes (utility, -pfa, -k).
+    key = (utility, -designs.pfa.item(d), -designs.k.item(d))
     if best is None or key > best[0]:
-        return key, design, alloc
+        return key, d, alloc
     return best
 
 
@@ -117,14 +115,14 @@ def joint_optimize(
     abundant time with their utility, bit for bit as the walk computes
     it, capping U_max strictly below the best settled utility where the
     design cannot reach it (the screen gives the proofs). The incumbent
-    is the best settled key, with no walk. The other feasible designs
-    are walked by :func:`~cogalloc.allocator.select_and_allocate` in
-    descending order of U_max, equal bounds in grid order, until one
-    has U_max * (1 + BOUND_SLACK) below the incumbent's utility: no
-    later design can reach it. The slack covers rounding in the sums,
-    and the strict comparison lets a tying design reach the (pfa, k)
-    tie-break. An allocation is built per walked design and, when a
-    settled design wins, for the winner alone.
+    is the best settled key, with no walk. The other feasible designs'
+    rows are walked in descending order of U_max, equal bounds in grid
+    order, until one has U_max * (1 + BOUND_SLACK) below the
+    incumbent's utility: no later design can reach it. The slack covers
+    rounding in the sums, and the strict comparison lets a tying design
+    reach the (pfa, k) tie-break. An allocation is built per walked
+    design and, when a settled design wins, for the winner alone, by the
+    same walk entry.
 
     The result is bit for bit that of searching every design in grid
     order: a design's allocation does not depend on when or whether it
@@ -133,33 +131,34 @@ def joint_optimize(
     """
     start = time.perf_counter()
     table = UserTable(all_sus, geom, params)
-    m = len(table.sus)
-    grid_table = design_table(geom, params, grid.pfa_values, grid.k_values)
-    bounds, settled = table.screen(grid_table)
+    designs = design_table(geom, params, grid.pfa_values, grid.k_values)
+    screen = table.screen(designs)
+    bounds, settled = screen.bounds, screen.settled
     best: Optional[tuple] = None
     resolved = np.flatnonzero(~np.isnan(settled))
     if resolved.size:  # the settled design maximizing (utility, -pfa, -k)
-        keys = (grid_table.k[resolved], grid_table.pfa[resolved], -settled[resolved])
-        d = resolved[np.lexsort(keys)[0]]
-        best = _incumbent(None, grid_table.design(d), float(settled[d]), None)
+        keys = (designs.k[resolved], designs.pfa[resolved], -settled[resolved])
+        d = int(resolved[np.lexsort(keys)[0]])
+        best = _incumbent(None, designs, d, float(settled[d]), None)
     walked = np.flatnonzero((bounds > -np.inf) & np.isnan(settled))
     order = walked[np.argsort(-bounds[walked], kind="stable")]
     ceilings = (bounds[order] * (1.0 + BOUND_SLACK)).tolist()
     for d, ceiling in zip(order.tolist(), ceilings):
         if best is not None and ceiling < best[0][0]:
             break
-        design = grid_table.design(d)
-        alloc = select_and_allocate(all_sus, design, geom, params, table)
+        alloc = _allocate(table, screen, d)
         if alloc.feasible:
-            best = _incumbent(best, design, alloc.fc_utility, alloc)
+            best = _incumbent(best, designs, d, alloc.fc_utility, alloc)
     if best is None:
-        return _infeasible_outcome(m, time.perf_counter() - start)
-    _, design, alloc = best
+        return _infeasible_outcome(len(table.sus), time.perf_counter() - start)
+    _, d, alloc = best
     if alloc is None:
-        reduced = table.screened(design)[0]
-        alloc = _result(table, _score(table, table.evaluate(design, reduced)), m, reduced)
-    return OptimizationOutcome(design, alloc, time.perf_counter() - start)
+        alloc = _allocate(table, screen, d)
+    return OptimizationOutcome(designs.design(d), alloc, time.perf_counter() - start)
 
+
+#: The most users :func:`exhaustive_oracle` takes (its cost is O(2^M)).
+ORACLE_MAX_USERS = 12
 
 #: Elements (members x designs x subsets) in one chunk of the oracle's
 #: batched scoring: each working array of a chunk holds at most this
@@ -192,7 +191,6 @@ def exhaustive_oracle(
     geom: SensingGeometry,
     params: SystemParams,
     grid: DesignGrid,
-    max_users: int = 12,
 ) -> OptimizationOutcome:
     """Reference search: every subset of the profitable users, every grid
     design with k <= |subset|, detection floor and box feasibility checked
@@ -221,11 +219,11 @@ def exhaustive_oracle(
     Raises
     ------
     ValueError
-        When the instance exceeds ``max_users`` (cost is O(2^M)).
+        When the instance exceeds ``ORACLE_MAX_USERS``.
     """
-    if len(all_sus) > max_users:
+    if len(all_sus) > ORACLE_MAX_USERS:
         raise ValueError(
-            f"exhaustive oracle capped at {max_users} users, got {len(all_sus)}"
+            f"exhaustive oracle capped at {ORACLE_MAX_USERS} users, got {len(all_sus)}"
         )
     start = time.perf_counter()
     positions = [i for i, su in enumerate(all_sus) if su.earn_rate > su.pay_rate]
@@ -314,7 +312,10 @@ class NonJointOutcome:
     """Two-stage baseline result: detection-only design, then time split."""
 
     outcome: OptimizationOutcome
-    su_utilities: tuple = field(default_factory=tuple)
+
+    @property
+    def su_utilities(self) -> tuple:
+        return self.outcome.best_allocation.su_utilities
 
     @property
     def feasible(self) -> bool:
@@ -368,16 +369,15 @@ def nonjoint_baseline(
             p_fa = grid_table.tails(rows, size)[:, 0]
             best = np.lexsort((-grid_table.k[rows], grid_table.pfa[rows], p_fa))[0]
     if best is None:
-        outcome = _infeasible_outcome(m, time.perf_counter() - start)
-        return NonJointOutcome(outcome, (0.0,) * m)
+        return NonJointOutcome(_infeasible_outcome(m, time.perf_counter() - start))
 
     best_design = grid_table.design(rows[best])
     rates, _, uppers, prios = table.price(*weights[best].tolist())
     times = np.array(greedy_topup(np.zeros(size), uppers, prios, budget))
     su_utils = (rates * times * table.margin - cost).tolist()
     alloc = _placed(m, kept, times.tolist(), su_utils, sum((prios * times).tolist()), None)
-    outcome = OptimizationOutcome(best_design, alloc, time.perf_counter() - start)
-    return NonJointOutcome(outcome, alloc.su_utilities)
+    elapsed = time.perf_counter() - start
+    return NonJointOutcome(OptimizationOutcome(best_design, alloc, elapsed))
 
 
 def count_negative_utility(report) -> int:

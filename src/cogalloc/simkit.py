@@ -114,7 +114,7 @@ class DelayStats:
 class StreamFactory:
     """Named, reproducible PCG64 streams split from one master seed."""
 
-    _PURPOSES = ("pu", "gain", "vote", "traffic", "sensing")
+    _PURPOSES = ("pu", "gain", "vote", "traffic")
 
     def __init__(self, master_seed: int, trial: int = 0):
         self.master_seed = int(master_seed)
@@ -159,7 +159,6 @@ class EpisodeState:
 
     buffers: list
     next_batch_time: list
-    now: float = 0.0
     frame_index: int = 0
     last_completions: list = field(default_factory=list)
 
@@ -217,7 +216,6 @@ def step_frame(
     profiles: Sequence[UserProfile],
     grid: DesignGrid,
     gain_mean: float = 1.0,
-    resample_sensing_gain: bool = False,
 ) -> FrameTrace:
     """Advance one frame and return its trace.
 
@@ -272,15 +270,7 @@ def step_frame(
         chosen_pfa, chosen_k = design.pfa_local, design.k_threshold
         alloc = outcome.best_allocation
         selected = alloc.selected_ids
-        vote_geom = geom
-        if resample_sensing_gain:
-            g = sample_exponential_gain(1.0, streams.stream("sensing"))
-            vote_geom = SensingGeometry(
-                gamma=geom.gamma * g, n_samples=geom.n_samples, noise_var=geom.noise_var
-            )
-        p_vote = (
-            local_pd(design.pfa_local, vote_geom) if pu_active else design.pfa_local
-        )
+        p_vote = local_pd(design.pfa_local, geom) if pu_active else design.pfa_local
         votes = tuple(
             bool(streams.stream("vote", i).random() < p_vote) for i in selected
         )
@@ -305,7 +295,6 @@ def step_frame(
             gap = sample_pareto_idle(traffic, streams.stream("traffic", i))
             state.next_batch_time[i] += gap + traffic.accumulation_time
     state.frame_index += 1
-    state.now = frame_end
     state.last_completions = completions
 
     return FrameTrace(
@@ -335,7 +324,6 @@ def run_episode(
     trial: int = 0,
     initial_bits: int = 10,
     gain_mean: float = 1.0,
-    resample_sensing_gain: bool = False,
     keep_traces: bool = True,
 ) -> tuple:
     """Run ``n_frames`` frames and aggregate per-user clearance delays.
@@ -380,7 +368,6 @@ def run_episode(
             profiles,
             grid,
             gain_mean=gain_mean,
-            resample_sensing_gain=resample_sensing_gain,
         )
         for i in range(n):
             delays[i].extend(delay for _, delay in state.last_completions[i])

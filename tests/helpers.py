@@ -50,6 +50,7 @@ from cogalloc.allocator import (
     UserTable,
     design_table,
     _exchange_core,
+    _one_design_table,
     _result,
     _score,
 )
@@ -403,7 +404,8 @@ def exchange_search(kept, excluded, design, geom, params) -> tuple:
     table = UserTable(pool, geom, params)
     kept_idx = tuple(range(len(kept)))
     ex_idx = tuple(range(len(kept), len(pool)))
-    best = _exchange_core(table, design, kept_idx, ex_idx)
+    designs = _one_design_table(geom, params, design)
+    best = _exchange_core(table, designs, 0, kept_idx, ex_idx)
     if best is None:
         return tuple(kept), None
     idx = best[1].idx

@@ -182,15 +182,18 @@ def _small_buffer_users(seed):
 
 
 def _record_visits(monkeypatch) -> list:
-    # The designs joint_optimize searches, in the order it searches them.
+    # The designs joint_optimize walks, in the order it walks them. A
+    # settled winner's allocation comes from the same entry without a
+    # walk, so it is not recorded.
     visited = []
-    search = optimizer.select_and_allocate
+    walk = optimizer._allocate
 
-    def recording(all_sus, design, *args):
-        visited.append(design)
-        return search(all_sus, design, *args)
+    def recording(table, screen, d):
+        if np.isnan(screen.settled[d]):
+            visited.append(screen.designs.design(d))
+        return walk(table, screen, d)
 
-    monkeypatch.setattr(optimizer, "select_and_allocate", recording)
+    monkeypatch.setattr(optimizer, "_allocate", recording)
     return visited
 
 
@@ -374,13 +377,14 @@ class TestPrunedGridSearch:
         grid = DesignGrid.uniform(5)
         table = UserTable(sus, geom, params)
         weights = grid_table(geom, params, grid)
-        settled = table.screen(weights)[1]
+        screen = table.screen(weights)
+        settled = screen.settled
         best = np.nanmax(settled)
         tied = [
             design
             for d, design in enumerate(map(weights.design, range(len(weights.k))))
             if np.isnan(settled[d])
-            and table.screened(design) is not None
+            and screen.start(d) is not None
             and reference_utility_bound(table, design) * (1.0 + BOUND_SLACK) >= best
         ]
         assert tied
@@ -405,15 +409,16 @@ class TestPrunedGridSearch:
         assert got == want
 
 
-def _assert_settled_as_walked(table, weights, settled):
+def _assert_settled_as_walked(table, screen):
     # A design is settled exactly when the walk starts on a Case-1 reduced
     # set, at the walk's utility, bit for bit.
-    for d, design in enumerate(map(weights.design, range(len(weights.k)))):
-        screened = table.screened(design)
+    settled = screen.settled
+    for d in range(len(screen.designs.k)):
+        screened = screen.start(d)
         if screened is None:
             assert np.isnan(settled[d])
             continue
-        ev = table.evaluate(design, screened[0])
+        ev = table._evaluate(screen.designs, d, screened[0])
         assert (not np.isnan(settled[d])) == (ev.case is CaseLabel.CASE1)
         if ev.case is CaseLabel.CASE1:
             assert float(settled[d]) == _score(table, ev)[0]
@@ -456,21 +461,22 @@ class TestBatchedScreen:
         m = len(sus)
         table = UserTable(sus, geom, params)
         weights = grid_table(geom, params, grid)
-        bounds, settled = table.screen(weights)
+        screen = table.screen(weights)
+        bounds, settled = screen.bounds, screen.settled
         # The cap of every feasible design the screen leaves unsettled,
         # not only of those it caps (the ones that reach the best
         # settled utility).
         unsettled = np.flatnonzero((bounds > -np.inf) & np.isnan(settled))
-        caps = dict(zip(unsettled.tolist(), table._shortfall(unsettled).tolist()))
-        _assert_settled_as_walked(table, weights, settled)
+        caps = dict(zip(unsettled.tolist(), table._shortfall(screen, unsettled).tolist()))
+        _assert_settled_as_walked(table, screen)
         binding = 0
         assert len(weights.k) == len(grid.k_values) * len(grid.pfa_values)
         for k in grid.k_values:
             for pfa in grid.pfa_values:
                 design = SensingDesign(pfa, k)
                 want = reference_screen(table, design)
-                assert table.screened(design) == want
                 d = weights.index[(design.pfa_local, design.k_threshold)]
+                assert screen.start(d) == want
                 if k > m:
                     assert want is None and bounds[d] == -np.inf
                     continue
@@ -480,7 +486,7 @@ class TestBatchedScreen:
                     assert bound <= reference_utility_bound(table, design) * (
                         1.0 + 1e-12
                     )
-                alloc = select_and_allocate(sus, design, geom, params, table)
+                alloc = select_and_allocate(sus, design, geom, params)
                 if want is None:
                     assert not alloc.feasible
                 elif alloc.feasible:
@@ -530,15 +536,16 @@ class TestBatchedScreen:
         grid = DesignGrid.uniform(5)
         table = UserTable(sus, geom, params)
         weights = grid_table(geom, params, grid)
-        bounds, settled = table.screen(weights)
+        screen = table.screen(weights)
+        bounds, settled = screen.bounds, screen.settled
         d = int(np.flatnonzero((bounds > -np.inf) & np.isnan(settled))[0])
         design = weights.design(d)
-        reduced = table.screened(design)[0]
+        reduced = screen.start(d)[0]
         total = float(table.evaluate(design, reduced).uppers.sum())
         edge = _budget_edge(params, len(reduced), total - steps * TIME_TOL, above=True)
         table = UserTable(sus, geom, edge)
         weights = grid_table(geom, edge, grid)
-        assert np.isnan(table.screen(weights)[1][d])
+        assert np.isnan(table.screen(weights).settled[d])
         excess = total - (table.budgets[len(reduced)] + TIME_TOL)
         assert 0.0 < excess <= steps * TIME_TOL
         self._check(sus, geom, edge, grid)
@@ -564,8 +571,8 @@ class TestBatchedScreen:
         lowers = float(UserTable(sus, geom, params).evaluate(design, every).lowers.sum())
         edge = _budget_edge(params, 5, lowers, above=True)
         table = UserTable(sus, geom, edge)
-        table.screen(grid_table(geom, edge, DesignGrid((pfa,), (k,))))
-        assert table.screened(design)[0] == every
+        screen = table.screen(grid_table(geom, edge, DesignGrid((pfa,), (k,))))
+        assert screen.start(0)[0] == every
         ev = table.evaluate(design, every)
         assert ev.case is CaseLabel.CASE2 and float(ev.lowers.sum()) > ev.t_prime
         self._check(sus, geom, edge, DesignGrid((pfa,), (k,)))
@@ -588,10 +595,11 @@ class TestBatchedScreen:
         grid = DesignGrid(pfa_values=(0.3, 0.5, 0.7, 0.9), k_values=(1, 2))
         table = UserTable(sus, geom, params)
         weights = grid_table(geom, params, grid)
-        bounds, settled = table.screen(weights)
+        screen = table.screen(weights)
+        bounds, settled = screen.bounds, screen.settled
         rows = np.flatnonzero((bounds > -np.inf) & np.isnan(settled))
         assert rows.size
-        assert all(table.screened(weights.design(d))[0] == (0,) for d in rows)
+        assert all(screen.start(d)[0] == (0,) for d in rows)
         self._check(sus, geom, params, grid)
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -601,13 +609,14 @@ class TestBatchedScreen:
         geom = params.geometry()
         table = UserTable(sus, geom, params)
         weights = grid_table(geom, params, _sparse_grid(m))
-        bounds, settled = table.screen(weights)
-        _assert_settled_as_walked(table, weights, settled)
+        screen = table.screen(weights)
+        bounds, settled = screen.bounds, screen.settled
+        _assert_settled_as_walked(table, screen)
         # Every unsettled design gets a finite cap, also where a member's
         # rate vanishes at |R| (pfa 0.99): e is then inf and its zero
         # priority must not make a nan or a warning.
         unsettled = np.flatnonzero((bounds > -np.inf) & np.isnan(settled))
-        assert np.isfinite(table._shortfall(unsettled)).all()
+        assert np.isfinite(table._shortfall(screen, unsettled)).all()
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("m", [1, 5, 7, 8, 9, 16, 40, 200])
@@ -621,10 +630,10 @@ class TestBatchedScreen:
         grid = _sparse_grid(m)
         table = UserTable(sus, geom, params)
         weights = grid_table(geom, params, grid)
-        table.screen(weights)
+        screen = table.screen(weights)
         edges = {}
-        for design in map(weights.design, range(len(weights.k))):
-            screened = table.screened(design)
+        for d, design in enumerate(map(weights.design, range(len(weights.k)))):
+            screened = screen.start(d)
             if screened is not None:
                 edges.setdefault(len(screened[0]), (design, screened[0]))
         assert edges or all(su.buffer_bits == 0 for su in sus)
@@ -634,9 +643,10 @@ class TestBatchedScreen:
                 edge = _budget_edge(params, len(reduced), total, above)
                 table = UserTable(sus, geom, edge)
                 weights = grid_table(geom, edge, grid)
-                settled = table.screen(weights)[1]
+                screen = table.screen(weights)
+                settled = screen.settled
                 assert np.isnan(settled[weights.index[(design.pfa_local, design.k_threshold)]]) != above
-                _assert_settled_as_walked(table, weights, settled)
+                _assert_settled_as_walked(table, screen)
 
     def test_shared_weights_follow_every_key_field(self):
         # One process, calls interleaved so that each differs from the
