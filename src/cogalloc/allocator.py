@@ -112,12 +112,11 @@ class DesignTable:
     first request and kept for every call sharing the table.
 
     Row d is design d in grid order (k as listed, then pfa ascending):
-    :meth:`design` builds it, ``pfa`` and ``k`` hold the rows' values,
-    ``index`` maps (pfa, k) to a row. Per design and set size L the
-    table gives the fused tails (:meth:`tails`, the shared binomial rows'
-    values) and weights (:meth:`weights`); per user count m, l_first
-    (:meth:`at_users`); per L, the designs meeting the floor
-    (:meth:`admissible`).
+    :meth:`design` builds it, ``pfa`` and ``k`` hold the rows' values.
+    Per design and set size L the table gives the fused tails
+    (:meth:`tails`, the shared binomial rows' values) and weights
+    (:meth:`weights`); per user count m, l_first (:meth:`at_users`); per
+    L, the designs meeting the floor (:meth:`admissible`).
 
     A computed P_D falls in k bit for bit, so the thresholds meeting the
     floor at L are k <= K(L). P_D at K(L-1) + 0, 1 and 2 gives K(L) when
@@ -128,12 +127,11 @@ class DesignTable:
     """
 
     __slots__ = (
-        "pfa", "k", "index", "_params", "_ps", "_row", "_reach", "_weights",
+        "pfa", "k", "_params", "_ps", "_row", "_reach", "_weights",
         "_pairs", "_users", "_admissible",
     )
 
     def __init__(self, geom: SensingGeometry, params: SystemParams, pfas, ks):
-        self.index = {(p, k): d for d, (k, p) in enumerate(itertools.product(ks, pfas))}
         self._params = params
         # Binomial rows 0..P-1 are the pfas, P..2P-1 their local P_d.
         self._ps = tuple(pfas) + tuple(local_pd(p, geom) for p in pfas)
@@ -599,13 +597,24 @@ def _placed(
         t_full[i] = t
         u_full[i] = u
     return AllocationResult(
-        tuple(active), tuple(t_full), fc_utility, tuple(u_full), case, feasible=True
+        active=tuple(active),
+        times=tuple(t_full),
+        fc_utility=fc_utility,
+        su_utilities=tuple(u_full),
+        case=case,
+        feasible=True,
     )
 
 
 def _infeasible(m: int, case: Optional[CaseLabel]) -> AllocationResult:
-    zeros = (0.0,) * m
-    return AllocationResult((False,) * m, zeros, 0.0, zeros, case, feasible=False)
+    return AllocationResult(
+        active=(False,) * m,
+        times=(0.0,) * m,
+        fc_utility=0.0,
+        su_utilities=(0.0,) * m,
+        case=case,
+        feasible=False,
+    )
 
 
 def _ordered_desc(table: UserTable, idx: Sequence[int], keys: np.ndarray) -> list:

@@ -448,11 +448,17 @@ def _write_csv(path: Path, name: str, header: Sequence[str], rows) -> None:
 
 
 def _mean_rows(rows, value_col: int, key_col: int = 0):
-    groups: dict = {}  # in order of first appearance
+    groups: dict = {}
+    order = []
     for row in rows:
-        groups.setdefault(row[key_col], []).append(row[value_col])
+        key = row[key_col]
+        if key not in groups:
+            groups[key] = []
+            order.append(key)
+        groups[key].append(row[value_col])
     out = []
-    for key, vals in groups.items():
+    for key in order:
+        vals = groups[key]
         mean = sum(vals) / len(vals)
         if len(vals) > 1:
             var = sum((v - mean) ** 2 for v in vals) / (len(vals) - 1)
@@ -809,9 +815,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     level = os.environ.get("COGALLOC_LOG", "WARNING")
-    if not isinstance(logging.getLevelName(level.upper()), int):
-        levels = "DEBUG, INFO, WARNING, ERROR, CRITICAL"
-        print(f"config error: COGALLOC_LOG={level!r} is not one of {levels}", file=sys.stderr)
+    levels = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
+    if level.upper() not in levels:
+        names = ", ".join(levels)
+        print(f"config error: COGALLOC_LOG={level!r} is not one of {names}", file=sys.stderr)
         return EXIT_CONFIG
     logging.basicConfig(level=level.upper())
 

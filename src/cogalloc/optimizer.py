@@ -369,15 +369,16 @@ def nonjoint_baseline(
             p_fa = grid_table.tails(rows, size)[:, 0]
             best = np.lexsort((-grid_table.k[rows], grid_table.pfa[rows], p_fa))[0]
     if best is None:
-        return NonJointOutcome(_infeasible_outcome(m, time.perf_counter() - start))
+        outcome = _infeasible_outcome(m, time.perf_counter() - start)
+        return NonJointOutcome(outcome)
 
     best_design = grid_table.design(rows[best])
     rates, _, uppers, prios = table.price(*weights[best].tolist())
     times = np.array(greedy_topup(np.zeros(size), uppers, prios, budget))
     su_utils = (rates * times * table.margin - cost).tolist()
     alloc = _placed(m, kept, times.tolist(), su_utils, sum((prios * times).tolist()), None)
-    elapsed = time.perf_counter() - start
-    return NonJointOutcome(OptimizationOutcome(best_design, alloc, elapsed))
+    outcome = OptimizationOutcome(best_design, alloc, time.perf_counter() - start)
+    return NonJointOutcome(outcome)
 
 
 def count_negative_utility(report) -> int:

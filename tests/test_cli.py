@@ -352,15 +352,17 @@ class TestMainEntry:
         assert code == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
-    def test_unknown_log_level_exit_code(self, tmp_path, capsys, monkeypatch):
-        # An unknown COGALLOC_LOG is refused in one line naming the
-        # accepted levels, before the config is read or anything written.
-        monkeypatch.setenv("COGALLOC_LOG", "verbose")
+    @pytest.mark.parametrize("level", ["verbose", "warn"])
+    def test_unknown_log_level_exit_code(self, tmp_path, capsys, monkeypatch, level):
+        # A COGALLOC_LOG outside the levels the message names (here also
+        # logging's own alias WARN) is refused in one line naming them,
+        # before the config is read or anything written.
+        monkeypatch.setenv("COGALLOC_LOG", level)
         out = tmp_path / "out"
         code = main(["optimize", "--config", str(_cfg(tmp_path, {})), "--out", str(out)])
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "verbose" in err and "DEBUG, INFO" in err
+        assert err.count("\n") == 1 and level in err and "DEBUG, INFO" in err
         assert not out.exists()
 
     def test_seed_override_changes_rows(self, tmp_path):

@@ -181,20 +181,20 @@ def _small_buffer_users(seed):
     ]
 
 
-def _record_visits(monkeypatch) -> list:
-    # The designs joint_optimize walks, in the order it walks them. A
-    # settled winner's allocation comes from the same entry without a
-    # walk, so it is not recorded.
-    visited = []
+def _record_visits(monkeypatch) -> tuple:
+    # Every design joint_optimize sends through the walk entry, in order:
+    # those the screen left unsettled (walked) and the settled ones (only
+    # a settled winner, for its allocation).
+    walked, settled = [], []
     walk = optimizer._allocate
 
     def recording(table, screen, d):
-        if np.isnan(screen.settled[d]):
-            visited.append(screen.designs.design(d))
+        design = screen.designs.design(d)
+        (walked if np.isnan(screen.settled[d]) else settled).append(design)
         return walk(table, screen, d)
 
     monkeypatch.setattr(optimizer, "_allocate", recording)
-    return visited
+    return walked, settled
 
 
 class TestPrunedGridSearch:
@@ -249,9 +249,10 @@ class TestPrunedGridSearch:
             if u is not None
         ]
         assert len(feasible) > 1
-        visited = _record_visits(monkeypatch)
+        visited, allocated = _record_visits(monkeypatch)
         got = joint_optimize(sus, geom, params, grid)
         assert [(d.pfa_local, d.k_threshold) for d in visited] == feasible
+        assert allocated == []
         _assert_same_outcome(got, reference_joint_optimize(sus, geom, params, grid))
         assert got.feasible and got.fc_utility == 0.0
         design = got.best_design
@@ -335,10 +336,11 @@ class TestPrunedGridSearch:
             for i in range(m)
         ]
         grid = DesignGrid.uniform(m)
-        visited = _record_visits(monkeypatch)
+        visited, allocated = _record_visits(monkeypatch)
         got = joint_optimize(sus, geom, params, grid)
         assert got.feasible and visited[0] != got.best_design
         assert got.best_design in visited
+        assert allocated == []
         _assert_same_outcome(got, reference_joint_optimize(sus, geom, params, grid))
 
     def test_flat_abundant_surface_settles_every_tie(
@@ -360,9 +362,10 @@ class TestPrunedGridSearch:
         feasible = [key for key, u in surface.items() if u is not None]
         assert len(feasible) > 1
         assert len({surface[key] for key in feasible}) == 1
-        visited = _record_visits(monkeypatch)
+        visited, allocated = _record_visits(monkeypatch)
         got = joint_optimize(sus, geom, params, grid)
         assert visited == []
+        assert allocated == [got.best_design]
         assert (got.best_design.pfa_local, got.best_design.k_threshold) == min(feasible)
         _assert_same_outcome(got, reference_joint_optimize(sus, geom, params, grid))
 
@@ -388,9 +391,10 @@ class TestPrunedGridSearch:
             and reference_utility_bound(table, design) * (1.0 + BOUND_SLACK) >= best
         ]
         assert tied
-        visited = _record_visits(monkeypatch)
+        visited, allocated = _record_visits(monkeypatch)
         got = joint_optimize(sus, geom, params, grid)
         assert visited == []
+        assert allocated == [got.best_design]
         assert got.fc_utility == best
         _assert_same_outcome(got, reference_joint_optimize(sus, geom, params, grid))
 
@@ -471,11 +475,13 @@ class TestBatchedScreen:
         _assert_settled_as_walked(table, screen)
         binding = 0
         assert len(weights.k) == len(grid.k_values) * len(grid.pfa_values)
+        rows = iter(range(len(weights.k)))  # grid order: k as listed, then pfa
         for k in grid.k_values:
             for pfa in grid.pfa_values:
                 design = SensingDesign(pfa, k)
                 want = reference_screen(table, design)
-                d = weights.index[(design.pfa_local, design.k_threshold)]
+                d = next(rows)
+                assert weights.design(d) == design
                 assert screen.start(d) == want
                 if k > m:
                     assert want is None and bounds[d] == -np.inf
@@ -635,9 +641,9 @@ class TestBatchedScreen:
         for d, design in enumerate(map(weights.design, range(len(weights.k)))):
             screened = screen.start(d)
             if screened is not None:
-                edges.setdefault(len(screened[0]), (design, screened[0]))
+                edges.setdefault(len(screened[0]), (d, design, screened[0]))
         assert edges or all(su.buffer_bits == 0 for su in sus)
-        for design, reduced in edges.values():
+        for d, design, reduced in edges.values():
             total = float(table.evaluate(design, reduced).uppers.sum())
             for above in (True, False):
                 edge = _budget_edge(params, len(reduced), total, above)
@@ -645,7 +651,7 @@ class TestBatchedScreen:
                 weights = grid_table(geom, edge, grid)
                 screen = table.screen(weights)
                 settled = screen.settled
-                assert np.isnan(settled[weights.index[(design.pfa_local, design.k_threshold)]]) != above
+                assert np.isnan(settled[d]) != above
                 _assert_settled_as_walked(table, screen)
 
     def test_shared_weights_follow_every_key_field(self):
