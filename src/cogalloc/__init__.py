@@ -32,7 +32,6 @@ from .economics import (
 from .optimizer import (
     DesignGrid,
     HessianProbeConfig,
-    NonJointOutcome,
     OptimizationOutcome,
     count_negative_utility,
     exhaustive_oracle,
@@ -74,7 +73,6 @@ __all__ = [
     "DesignGrid",
     "FrameTrace",
     "HessianProbeConfig",
-    "NonJointOutcome",
     "OptimizationOutcome",
     "SecondaryUser",
     "SensingDesign",

@@ -382,15 +382,10 @@ def load_config(path) -> RunConfig:
 
 def _grid_for(cfg: RunConfig, m: int) -> DesignGrid:
     spec = cfg.grid_spec
-    k_max = spec["k_max"] or m
+    grid = DesignGrid.uniform(spec["k_max"] or m, spec["levels"])
     if spec["pfa_values"]:
-        return DesignGrid(
-            pfa_values=tuple(spec["pfa_values"]), k_values=tuple(range(1, k_max + 1))
-        )
-    return DesignGrid(
-        pfa_values=tuple(i / spec["levels"] for i in range(1, spec["levels"])),
-        k_values=tuple(range(1, k_max + 1)),
-    )
+        return DesignGrid(tuple(spec["pfa_values"]), grid.k_values)
+    return grid
 
 
 def _apply_sweep(cfg: RunConfig, value) -> tuple:
@@ -404,29 +399,34 @@ def _apply_sweep(cfg: RunConfig, value) -> tuple:
     return _system_params(eff["system"]), users
 
 
-def _instance_users(
-    cfg: RunConfig, users: dict, sweep_index: int, trial: int
-) -> list:
-    """Users for one (sweep point, trial): explicit list, or generated with
-    exponential gains split deterministically off the master seed."""
+def _user_counts(cfg: RunConfig) -> list:
+    """Users per instance at each sweep point (an explicit list's spec
+    counts its entries)."""
+    return [_apply_sweep(cfg, value)[1]["count"] for value in cfg.sweep_values]
+
+
+def _instance(cfg: RunConfig, si: int, trial: int, system, users: dict) -> tuple:
+    """(users, geometry, grid) for one (sweep point, trial): the explicit
+    list, or users generated with exponential gains split
+    deterministically off the master seed."""
     if cfg.explicit_users is not None:
-        return list(cfg.explicit_users)
-    seq = np.random.SeedSequence(
-        entropy=cfg.seed, spawn_key=(sweep_index, trial)
-    )
-    rng = np.random.Generator(np.random.PCG64(seq))
-    count = users["count"]
-    gains = -users["gain_mean"] * np.log(1.0 - rng.random(count))
-    return [
-        SecondaryUser(
-            id=i,
-            gain_to_fc=float(gains[i]),
-            buffer_bits=users["buffer_bits"],
-            pay_rate=users["pay_rate"],
-            earn_rate=users["earn_rate"],
-        )
-        for i in range(count)
-    ]
+        sus = list(cfg.explicit_users)
+    else:
+        seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(si, trial))
+        rng = np.random.Generator(np.random.PCG64(seq))
+        count = users["count"]
+        gains = -users["gain_mean"] * np.log(1.0 - rng.random(count))
+        sus = [
+            SecondaryUser(
+                id=i,
+                gain_to_fc=float(gains[i]),
+                buffer_bits=users["buffer_bits"],
+                pay_rate=users["pay_rate"],
+                earn_rate=users["earn_rate"],
+            )
+            for i in range(count)
+        ]
+    return sus, system.geometry(), _grid_for(cfg, len(sus))
 
 
 def _fmt(value) -> str:
@@ -437,7 +437,9 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, name: str, header: Sequence[str], rows) -> None:
+def _write_csv(out_dir: Path, name: str, header: Sequence[str], rows) -> None:
+    """Write ``<name>.csv`` under ``out_dir``, schema tag first."""
+    path = out_dir / f"{name}.csv"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"# schema={_SCHEMA_PREFIX}.{name}.v{_SCHEMA_VERSION}"])
@@ -447,18 +449,14 @@ def _write_csv(path: Path, name: str, header: Sequence[str], rows) -> None:
     log.info("wrote %s", path)
 
 
-def _mean_rows(rows, value_col: int, key_col: int = 0):
+def _mean_rows(rows, value_col: int) -> list:
+    """(sweep value, mean, standard error, n) of column ``value_col`` per
+    sweep value, in first-seen order."""
     groups: dict = {}
-    order = []
     for row in rows:
-        key = row[key_col]
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(row[value_col])
+        groups.setdefault(row[0], []).append(row[value_col])
     out = []
-    for key in order:
-        vals = groups[key]
+    for key, vals in groups.items():
         mean = sum(vals) / len(vals)
         if len(vals) > 1:
             var = sum((v - mean) ** 2 for v in vals) / (len(vals) - 1)
@@ -469,31 +467,35 @@ def _mean_rows(rows, value_col: int, key_col: int = 0):
     return out
 
 
-def _user_count(cfg: RunConfig, users: dict) -> int:
-    """Users per instance: the explicit list's length, else ``users["count"]``."""
-    if cfg.explicit_users is not None:
-        return len(cfg.explicit_users)
-    return users["count"]
+def _sweep_point(job) -> tuple:
+    # One (sweep point, trial): the task's cells behind the row prefix
+    # (sweep value or "", trial), and the task's extra.
+    task, cfg, si, trial = job
+    value = cfg.sweep_values[si]
+    cells, extra = task(cfg, si, trial, *_apply_sweep(cfg, value))
+    return ("" if value is None else value, trial, *cells), extra
 
 
-def _run_sweep(cfg: RunConfig, jobs: int, worker) -> list:
-    """Run ``worker`` on every ((sweep index, trial), cfg, sweep value)
-    task (sequentially or in a process pool) and return the results
-    sorted by task key, so output order never depends on scheduling."""
-    tasks = [
-        ((si, t), cfg, value)
-        for si, value in enumerate(cfg.sweep_values)
-        for t in range(cfg.trials)
+def _run_sweep(cfg: RunConfig, jobs: int, task) -> tuple:
+    """Run ``task(cfg, sweep index, trial, system, users) -> (cells,
+    extra)`` on every (sweep point, trial), sequentially or in a process
+    pool, and return (rows, extras) in (sweep index, trial) order: map
+    keeps its input order, so output never depends on scheduling."""
+    work = [
+        (task, cfg, si, trial)
+        for si in range(len(cfg.sweep_values))
+        for trial in range(cfg.trials)
     ]
     if jobs <= 1:
-        results = [worker(t) for t in tasks]
+        results = list(map(_sweep_point, work))
     else:
         # Imported here: multiprocessing costs start-up time and only --jobs > 1 uses it.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(worker, tasks, chunksize=8))
-    return sorted(results, key=lambda r: r[0])
+            results = list(pool.map(_sweep_point, work, chunksize=8))
+    rows, extras = zip(*results)
+    return list(rows), list(extras)
 
 
 # ---------------------------------------------------------------------------
@@ -501,56 +503,41 @@ def _run_sweep(cfg: RunConfig, jobs: int, worker) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _optimize_task(task) -> tuple:
-    (si, trial), cfg, value = task
-    system, users = _apply_sweep(cfg, value)
-    sus = _instance_users(cfg, users, si, trial)
-    outcome = joint_optimize(sus, system.geometry(), system, _grid_for(cfg, len(sus)))
-    alloc = outcome.best_allocation
+def _optimize_task(cfg, si, trial, system, users) -> tuple:
+    sus, geom, grid = _instance(cfg, si, trial, system, users)
+    outcome = joint_optimize(sus, geom, system, grid)
     design = outcome.best_design
-    return (
-        (si, trial),
-        (
-            value if value is not None else "",
-            trial,
-            outcome.fc_utility,
-            design.pfa_local if design else "",
-            design.k_threshold if design else "",
-            alloc.n_selected,
-            alloc.feasible,
-        ),
-        outcome.feasible,
+    cells = (
+        outcome.fc_utility,
+        design.pfa_local if design else "",
+        design.k_threshold if design else "",
+        outcome.best_allocation.n_selected,
+        outcome.best_allocation.feasible,
     )
+    return cells, outcome.feasible
 
 
 def cmd_optimize(cfg: RunConfig, out_dir: Path, jobs: int = 1) -> int:
     """Joint optimization across the sweep x trials; per-run CSV plus a
     mean-aggregated companion."""
-    results = _run_sweep(cfg, jobs, _optimize_task)
-    rows = [r[1] for r in results]
+    rows, feasible = _run_sweep(cfg, jobs, _optimize_task)
     _write_csv(
-        out_dir / "optimize.csv",
+        out_dir,
         "optimize",
         ["sweep_value", "trial", "fc_utility", "chosen_pfa", "chosen_k", "n_selected", "feasible"],
         rows,
     )
     _write_csv(
-        out_dir / "optimize_mean.csv",
+        out_dir,
         "optimize_mean",
         ["sweep_value", "mean_fc_utility", "stderr", "n"],
         _mean_rows(rows, value_col=2),
     )
-    if not any(r[2] for r in results):
-        return EXIT_INFEASIBLE
-    return EXIT_OK
+    return EXIT_OK if any(feasible) else EXIT_INFEASIBLE
 
 
-def _compare_oracle_task(task) -> tuple:
-    (si, trial), cfg, value = task
-    system, users = _apply_sweep(cfg, value)
-    sus = _instance_users(cfg, users, si, trial)
-    grid = _grid_for(cfg, len(sus))
-    geom = system.geometry()
+def _compare_oracle_task(cfg, si, trial, system, users) -> tuple:
+    sus, geom, grid = _instance(cfg, si, trial, system, users)
     joint = joint_optimize(sus, geom, system, grid)
     oracle = exhaustive_oracle(sus, geom, system, grid)
     identical_costs = (
@@ -558,34 +545,20 @@ def _compare_oracle_task(task) -> tuple:
     )
     gap = oracle.fc_utility - joint.fc_utility
     rel_gap = gap / oracle.fc_utility if oracle.fc_utility > 0 else gap
-    mismatch = identical_costs and abs(rel_gap) > 1e-9
-    return (
-        (si, trial),
-        (
-            value if value is not None else "",
-            trial,
-            joint.fc_utility,
-            oracle.fc_utility,
-            gap,
-            joint.wall_time,
-            oracle.wall_time,
-        ),
-        mismatch,
-    )
+    cells = (joint.fc_utility, oracle.fc_utility, gap, joint.wall_time, oracle.wall_time)
+    return cells, identical_costs and abs(rel_gap) > 1e-9
 
 
 def cmd_compare_oracle(cfg: RunConfig, out_dir: Path, jobs: int = 1) -> int:
     """Joint vs exhaustive search per instance: utilities, gap, wall times.
     Exits with the mismatch code if an identical-cost instance shows a
     relative utility gap above 1e-9."""
-    for value in cfg.sweep_values:
-        count = _user_count(cfg, _apply_sweep(cfg, value)[1])
+    for count in _user_counts(cfg):
         if count > ORACLE_MAX_USERS:
             raise ConfigError(f"compare-oracle refuses M={count} > {ORACLE_MAX_USERS} users")
-    results = _run_sweep(cfg, jobs, _compare_oracle_task)
-    rows = [r[1] for r in results]
+    rows, mismatch = _run_sweep(cfg, jobs, _compare_oracle_task)
     _write_csv(
-        out_dir / "compare_oracle.csv",
+        out_dir,
         "compare_oracle",
         [
             "sweep_value",
@@ -598,39 +571,27 @@ def cmd_compare_oracle(cfg: RunConfig, out_dir: Path, jobs: int = 1) -> int:
         ],
         rows,
     )
-    if any(r[2] for r in results):
-        return EXIT_ORACLE_MISMATCH
-    return EXIT_OK
+    return EXIT_ORACLE_MISMATCH if any(mismatch) else EXIT_OK
 
 
-def _compare_nonjoint_task(task) -> tuple:
-    (si, trial), cfg, value = task
-    system, users = _apply_sweep(cfg, value)
-    sus = _instance_users(cfg, users, si, trial)
-    grid = _grid_for(cfg, len(sus))
-    geom = system.geometry()
+def _compare_nonjoint_task(cfg, si, trial, system, users) -> tuple:
+    sus, geom, grid = _instance(cfg, si, trial, system, users)
     joint = joint_optimize(sus, geom, system, grid)
     nj = nonjoint_baseline(sus, geom, system, grid)
-    return (
-        (si, trial),
-        (
-            value if value is not None else "",
-            trial,
-            joint.fc_utility,
-            nj.fc_utility,
-            count_negative_utility(joint.best_allocation),
-            count_negative_utility(nj),
-        ),
-        joint.feasible or nj.feasible,
+    cells = (
+        joint.fc_utility,
+        nj.fc_utility,
+        count_negative_utility(joint),
+        count_negative_utility(nj),
     )
+    return cells, joint.feasible or nj.feasible
 
 
 def cmd_compare_nonjoint(cfg: RunConfig, out_dir: Path, jobs: int = 1) -> int:
     """Joint vs the detection-first baseline, with negative-utility counts."""
-    results = _run_sweep(cfg, jobs, _compare_nonjoint_task)
-    rows = [r[1] for r in results]
+    rows, feasible = _run_sweep(cfg, jobs, _compare_nonjoint_task)
     _write_csv(
-        out_dir / "compare_nonjoint.csv",
+        out_dir,
         "compare_nonjoint",
         [
             "sweep_value",
@@ -649,19 +610,15 @@ def cmd_compare_nonjoint(cfg: RunConfig, out_dir: Path, jobs: int = 1) -> int:
         for key, mean_joint, _, n in _mean_rows(rows, value_col=2)
     ]
     _write_csv(
-        out_dir / "compare_nonjoint_mean.csv",
+        out_dir,
         "compare_nonjoint_mean",
         ["sweep_value", "mean_joint_utility", "mean_nonjoint_utility", "mean_nonjoint_negative_count", "n"],
         agg,
     )
-    if not any(r[2] for r in results):
-        return EXIT_INFEASIBLE
-    return EXIT_OK
+    return EXIT_OK if any(feasible) else EXIT_INFEASIBLE
 
 
-def _simulate_task(task) -> tuple:
-    (si, trial), cfg, value = task
-    system, users = _apply_sweep(cfg, value)
+def _simulate_task(cfg, si, trial, system, users) -> tuple:
     if cfg.explicit_users is not None:
         profiles = [
             UserProfile(
@@ -690,25 +647,13 @@ def _simulate_task(task) -> tuple:
         gain_mean=users["gain_mean"],
         keep_traces=trial == 0,
     )
-    trace_payload = None
-    if trial == 0:
-        trace_payload = [_trace_record(t) for t in traces]
     mean_delay = (
         float(np.nanmean(np.array(stats.per_su_mean_delay)))
         if any(not math.isnan(d) for d in stats.per_su_mean_delay)
         else math.nan
     )
-    return (
-        (si, trial),
-        (
-            value if value is not None else "",
-            trial,
-            mean_delay,
-            stats.jain,
-            *stats.per_su_mean_delay,
-        ),
-        trace_payload,
-    )
+    cells = (mean_delay, stats.jain, *stats.per_su_mean_delay)
+    return cells, [_trace_record(t) for t in traces]
 
 
 def _trace_record(trace) -> dict:
@@ -731,11 +676,8 @@ def _trace_record(trace) -> dict:
 def cmd_simulate(cfg: RunConfig, out_dir: Path, jobs: int = 1) -> int:
     """Multi-frame delay simulation across the sweep; per-episode CSV,
     aggregated CSV, and one trace log per sweep point (trial 0)."""
-    n_users = max(
-        _user_count(cfg, _apply_sweep(cfg, value)[1]) for value in cfg.sweep_values
-    )
-    results = _run_sweep(cfg, jobs, _simulate_task)
-    rows = [r[1] for r in results]
+    n_users = max(_user_counts(cfg))
+    rows, traces = _run_sweep(cfg, jobs, _simulate_task)
     header = [
         "sweep_value",
         "trial",
@@ -745,27 +687,26 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, jobs: int = 1) -> int:
     ]
     # Under an "m" sweep, points with fewer users leave their last cells empty.
     _write_csv(
-        out_dir / "simulate.csv",
+        out_dir,
         "simulate",
         header,
         [(*row, *[""] * (len(header) - len(row))) for row in rows],
     )
     _write_csv(
-        out_dir / "simulate_mean.csv",
+        out_dir,
         "simulate_mean",
         ["sweep_value", "mean_delay", "stderr", "n"],
         _mean_rows(rows, value_col=2),
     )
-    for (si, trial), _, payload in results:
-        if payload is None:
-            continue
+    # Trial 0 of each sweep point keeps its traces; it leads its point's rows.
+    for si, records in enumerate(traces[:: cfg.trials]):
         path = out_dir / f"trace_sweep{si}.jsonl"
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(
                 json.dumps({"schema": f"{_SCHEMA_PREFIX}.trace.v{_SCHEMA_VERSION}"})
                 + "\n"
             )
-            for record in payload:
+            for record in records:
                 fh.write(json.dumps(record) + "\n")
         log.info("wrote %s", path)
     return EXIT_OK
@@ -776,7 +717,7 @@ def cmd_probe_hessian(cfg: RunConfig, out_dir: Path, jobs: int = 1) -> int:
     summary line stating whether any det_H < 0 was found."""
     points = quasiconcavity_probe(cfg.probe, pfa_grid=cfg.probe_pfa_grid)
     rows = [(p.pfa, p.det_h, p.det_ha) for p in points]
-    _write_csv(out_dir / "probe_hessian.csv", "probe_hessian", ["pfa", "det_h", "det_ha"], rows)
+    _write_csv(out_dir, "probe_hessian", ["pfa", "det_h", "det_ha"], rows)
     negatives = sum(1 for p in points if p.det_h < 0.0)
     print(
         f"det_H < 0 at {negatives} of {len(points)} grid points; "

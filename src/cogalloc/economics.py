@@ -87,13 +87,9 @@ class SystemParams:
     def p_h1(self) -> float:
         return 1.0 - self.p_h0
 
-    def geometry(self, noise_var: float = 1.0) -> SensingGeometry:
+    def geometry(self) -> SensingGeometry:
         """Sensing geometry at this system's SNR and sample count."""
-        return SensingGeometry(
-            gamma=db_to_linear(self.gamma_db),
-            n_samples=self.n_samples,
-            noise_var=noise_var,
-        )
+        return SensingGeometry(gamma=db_to_linear(self.gamma_db), n_samples=self.n_samples)
 
 
 def default_system_params(**overrides) -> SystemParams:
@@ -203,10 +199,9 @@ def rate_interfered(su: SecondaryUser, params: SystemParams) -> float:
     """Access rate (bits/s) under a missed detection, averaged over the
     unit-mean exponential primary-to-FC gain.
 
-    Strictly below :func:`rate_idle` for any positive primary power.
+    Strictly below :func:`rate_idle`, as :class:`SystemParams` requires
+    a positive primary power.
     """
-    if params.p_pt == 0.0:
-        return rate_idle(su, params)
     # E_x[log2(1 + gP_ST/(xP_PT+N0))] for x ~ Exp(1), in closed form:
     # the integrand splits into ln(x+c1) - ln(x+c2) with c1=(1+A)/B,
     # c2=1/B (A = gP_ST/N0, B = P_PT/N0), and

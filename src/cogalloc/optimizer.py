@@ -78,6 +78,10 @@ class OptimizationOutcome:
     def fc_utility(self) -> float:
         return self.best_allocation.fc_utility if self.feasible else 0.0
 
+    @property
+    def su_utilities(self) -> tuple:
+        return self.best_allocation.su_utilities
+
 
 def _infeasible_outcome(m: int, elapsed: float) -> OptimizationOutcome:
     return OptimizationOutcome(None, _infeasible(m, None), elapsed)
@@ -307,31 +311,12 @@ def exhaustive_oracle(
     return OptimizationOutcome(design, alloc, elapsed)
 
 
-@dataclass(frozen=True)
-class NonJointOutcome:
-    """Two-stage baseline result: detection-only design, then time split."""
-
-    outcome: OptimizationOutcome
-
-    @property
-    def su_utilities(self) -> tuple:
-        return self.outcome.best_allocation.su_utilities
-
-    @property
-    def feasible(self) -> bool:
-        return self.outcome.feasible
-
-    @property
-    def fc_utility(self) -> float:
-        return self.outcome.fc_utility
-
-
 def nonjoint_baseline(
     all_sus: Sequence[SecondaryUser],
     geom: SensingGeometry,
     params: SystemParams,
     grid: DesignGrid,
-) -> NonJointOutcome:
+) -> OptimizationOutcome:
     """Detection-first baseline.
 
     Stage 1 keeps the users whose full buffer is worth more than the
@@ -369,23 +354,21 @@ def nonjoint_baseline(
             p_fa = grid_table.tails(rows, size)[:, 0]
             best = np.lexsort((-grid_table.k[rows], grid_table.pfa[rows], p_fa))[0]
     if best is None:
-        outcome = _infeasible_outcome(m, time.perf_counter() - start)
-        return NonJointOutcome(outcome)
+        return _infeasible_outcome(m, time.perf_counter() - start)
 
     best_design = grid_table.design(rows[best])
     rates, _, uppers, prios = table.price(*weights[best].tolist())
     times = np.array(greedy_topup(np.zeros(size), uppers, prios, budget))
     su_utils = (rates * times * table.margin - cost).tolist()
     alloc = _placed(m, kept, times.tolist(), su_utils, sum((prios * times).tolist()), None)
-    outcome = OptimizationOutcome(best_design, alloc, time.perf_counter() - start)
-    return NonJointOutcome(outcome)
+    return OptimizationOutcome(best_design, alloc, time.perf_counter() - start)
 
 
 def count_negative_utility(report) -> int:
     """How many users ended a run with strictly negative utility.
 
-    Accepts a :class:`NonJointOutcome`, an :class:`AllocationResult`, or
-    a plain sequence of utilities.
+    Accepts an :class:`OptimizationOutcome`, an :class:`AllocationResult`,
+    or a plain sequence of utilities.
     """
     utilities = getattr(report, "su_utilities", report)
     return sum(1 for u in utilities if u < 0.0)
@@ -525,20 +508,18 @@ def probe_utility(cfg: HessianProbeConfig) -> Callable[[float, float], float]:
     return utility
 
 
-#: The probe's default finite-difference step in the false-alarm value.
+#: The probe's finite-difference steps in the false-alarm value and in k.
 PROBE_STEP_PFA = 1e-4
+_PROBE_STEP_K = 1e-3
 
 
 def quasiconcavity_probe(
     cfg: HessianProbeConfig = HessianProbeConfig(),
     pfa_grid: Optional[Sequence[float]] = None,
-    k_value: Optional[float] = None,
-    step_pfa: float = PROBE_STEP_PFA,
-    step_k: float = 1e-3,
 ) -> list:
     """Evaluate the bordered-Hessian determinants of the probe objective
-    across a false-alarm grid, all partial derivatives by central finite
-    differences.
+    across a false-alarm grid at k = M, all partial derivatives by
+    central finite differences.
 
     det_ha is the 2x2 bordered minor (identically -(dU/dpfa)^2, so never
     positive); quasiconcavity additionally needs det_h > 0, and the probe
@@ -547,21 +528,22 @@ def quasiconcavity_probe(
     Raises
     ------
     ValueError
-        On an empty grid, or a grid value not strictly inside (step_pfa,
-        1 - step_pfa), where a difference would leave (0, 1).
+        On an empty grid, or a grid value not strictly inside
+        (PROBE_STEP_PFA, 1 - PROBE_STEP_PFA), where a difference would
+        leave (0, 1).
     """
     if pfa_grid is None:
         pfa_grid = [round(0.05 * i, 2) for i in range(1, 20)]
     if not len(pfa_grid):
         raise ValueError("pfa grid is empty")
-    hp, hk = step_pfa, step_k
+    hp, hk = PROBE_STEP_PFA, _PROBE_STEP_K
     for pfa in pfa_grid:
         if not hp < pfa < 1.0 - hp:
             raise ValueError(
                 f"pfa grid value {pfa} must lie strictly inside ({hp}, {1.0 - hp}):"
                 f" the probe steps pfa by +-{hp}"
             )
-    k = float(cfg.m_users if k_value is None else k_value)
+    k = float(cfg.m_users)
     u = probe_utility(cfg)
     points = []
     for pfa in pfa_grid:

@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import warnings
+from types import SimpleNamespace
 
 import pytest
 
@@ -12,6 +13,7 @@ from cogalloc.cli import (
     EXIT_CONFIG,
     EXIT_INFEASIBLE,
     EXIT_OK,
+    EXIT_ORACLE_MISMATCH,
     ConfigError,
     cmd_compare_nonjoint,
     cmd_compare_oracle,
@@ -24,6 +26,9 @@ from cogalloc.cli import (
     parse_config,
 )
 from cogalloc.cli import _SCHEMA
+from cogalloc.economics import default_system_params
+from cogalloc.optimizer import HessianProbeConfig
+from cogalloc.simkit import TrafficModel
 from cogalloc.units import dbm_to_watts
 
 
@@ -83,6 +88,13 @@ class TestConfigParsing:
         )
         assert len(cfg.explicit_users) == 2
         assert cfg.explicit_users[1].gain_to_fc == 2.0
+
+    def test_schema_defaults_equal_library_defaults(self):
+        # The schema and the library each state the defaults; they must agree.
+        cfg = parse_config({})
+        assert cfg.system == default_system_params()
+        assert cfg.traffic == TrafficModel()
+        assert cfg.probe == HessianProbeConfig()
 
     def test_ignored_bit_rate_field_accepted(self):
         cfg = parse_config({"system": {"bit_rate_kbps": 250.0}})
@@ -224,6 +236,18 @@ class TestSubcommands:
         for row in rows:
             fields = row.split(",")
             assert float(fields[4]) == pytest.approx(0.0, abs=1e-9)
+
+    def test_compare_oracle_gap_exits_mismatch(self, tmp_path, monkeypatch):
+        # An identical-cost instance whose oracle beats the joint search by
+        # more than 1e-9 (relative) sets the mismatch exit code.
+        import cogalloc.cli as cli
+
+        def ahead(sus, geom, params, grid):
+            return SimpleNamespace(fc_utility=1e6, wall_time=0.0)
+
+        monkeypatch.setattr(cli, "exhaustive_oracle", ahead)
+        cfg = load_config(_cfg(tmp_path, SMALL_SWEEP))
+        assert cmd_compare_oracle(cfg, tmp_path) == EXIT_ORACLE_MISMATCH
 
     def test_compare_oracle_refuses_large_instances(self, tmp_path):
         payload = dict(SMALL_SWEEP, users={"count": 13})
@@ -537,11 +561,34 @@ class TestMainEntry:
         assert row == ",0,0.0,0.0,0,0"
 
     def test_jobs_flag_equivalent_output(self, tmp_path):
-        path = _cfg(tmp_path, SMALL_SWEEP)
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        main(["optimize", "--config", str(path), "--out", str(out_a)])
-        main(["optimize", "--config", str(path), "--out", str(out_b), "--jobs", "2"])
-        assert (out_a / "optimize.csv").read_bytes() == (out_b / "optimize.csv").read_bytes()
+        # Every sweep command writes the same files, byte for byte, from a
+        # process pool as in sequence; only compare-oracle's two wall-time
+        # columns may differ.
+        def masked(path):
+            lines = path.read_text().splitlines()
+            if path.name == "compare_oracle.csv":
+                lines[2:] = [",".join(line.split(",")[:5]) for line in lines[2:]]
+            return lines
+
+        payload = dict(SMALL_SWEEP, experiment={**SMALL_SWEEP["experiment"], "n_frames": 20})
+        path = _cfg(tmp_path, payload)
+        files = {
+            "optimize": {"optimize.csv", "optimize_mean.csv"},
+            "compare-oracle": {"compare_oracle.csv"},
+            "compare-nonjoint": {"compare_nonjoint.csv", "compare_nonjoint_mean.csv"},
+            "simulate": {
+                "simulate.csv", "simulate_mean.csv", "trace_sweep0.jsonl", "trace_sweep1.jsonl"
+            },
+        }
+        for command, names in files.items():
+            outputs = []
+            for jobs in ("1", "2"):
+                out = tmp_path / f"{command}-{jobs}"
+                args = [command, "--config", str(path), "--out", str(out), "--jobs", jobs]
+                assert main(args) == EXIT_OK
+                assert {f.name for f in out.iterdir()} == names
+                outputs.append({name: masked(out / name) for name in names})
+            assert outputs[0] == outputs[1], command
 
     def test_module_invocation_subprocess(self, tmp_path, src_env):
         path = _cfg(tmp_path, {"trials": 1, "seed": 8})

@@ -798,8 +798,8 @@ class TestExhaustiveOracle:
         assert joint.best_allocation.active == (True, False, True)
         assert oracle.best_allocation.times[1] == 0.0
         assert oracle.fc_utility == pytest.approx(joint.fc_utility, rel=1e-12)
-        assert baseline.outcome.best_allocation.active == (True, False, True)
-        assert baseline.outcome.best_allocation.times[1] == 0.0
+        assert baseline.best_allocation.active == (True, False, True)
+        assert baseline.best_allocation.times[1] == 0.0
 
     def test_memory_stays_flat_at_twelve_users(self, params, geom):
         # The chunk cap bounds the working arrays, so the peak does not
@@ -1057,14 +1057,14 @@ class TestNonJointBaseline:
         )
         nj = nonjoint_baseline(good + [marginal], geom, params, DesignGrid.uniform(4))
         assert nj.feasible
-        assert not nj.outcome.best_allocation.active[3]
+        assert not nj.best_allocation.active[3]
 
     def test_budget_slack_clears_every_buffer(self, params, geom):
         sus = make_users(8, 4, buffer_bits=20)
         nj = nonjoint_baseline(sus, geom, params, DesignGrid.uniform(4))
-        alloc = nj.outcome.best_allocation
+        alloc = nj.best_allocation
         assert all(alloc.active)
-        design, size = nj.outcome.best_design, 4
+        design, size = nj.best_design, 4
         for su, t in zip(sus, alloc.times):
             ub = su.buffer_bits / scalar_effective_rate(su, design, geom, params, size)
             assert t == pytest.approx(ub, rel=1e-9)
@@ -1075,7 +1075,7 @@ class TestNonJointBaseline:
         sus = make_users(9, 5)
         grid = DesignGrid.uniform(5)
         nj = nonjoint_baseline(sus, geom, params, grid)
-        chosen = nj.outcome.best_design
+        chosen = nj.best_design
         best_pfa = min(
             global_pfa(SensingDesign(p, k), 5)
             for k in grid.k_values
@@ -1107,7 +1107,7 @@ class TestNonJointBaseline:
         if not nj.feasible:
             return
         _, lbs, _, prios = UserTable(sus, geom, params).level(
-            nj.outcome.best_design, 5
+            nj.best_design, 5
         )
         slack = sum(lb * max(prios) for lb in lbs.tolist())
         assert joint.fc_utility >= nj.fc_utility - slack - 1e-12
@@ -1125,7 +1125,7 @@ class TestNonJointBaseline:
             alone = nonjoint_baseline(sus, geom, params, DesignGrid((0.99,), (1,)))
             mixed = nonjoint_baseline(sus, geom, params, DesignGrid((0.99,), (1, 20)))
         assert not alone.feasible and alone.su_utilities == (0.0,) * 20
-        assert mixed.feasible and mixed.outcome.best_design == SensingDesign(0.99, 20)
+        assert mixed.feasible and mixed.best_design == SensingDesign(0.99, 20)
 
     def test_nonpositive_budget_is_infeasible(self, params, geom):
         # 200 reporting users use up the whole frame: T'(200) < 0 leaves
@@ -1137,8 +1137,8 @@ class TestNonJointBaseline:
             warnings.simplefilter("error")
             nj = nonjoint_baseline(sus, geom, params, DesignGrid.uniform(200, levels=4))
         assert not nj.feasible
-        assert nj.outcome.best_design is None
-        assert not any(nj.outcome.best_allocation.active)
+        assert nj.best_design is None
+        assert not any(nj.best_allocation.active)
         assert count_negative_utility(nj) == 0
 
     def test_mean_gap_positive_over_batch(self):
@@ -1170,7 +1170,7 @@ class TestCountNegativeUtility:
         nj = nonjoint_baseline(sus, geom, params, DesignGrid.uniform(5))
         zero_time = [
             u
-            for t, u in zip(nj.outcome.best_allocation.times, nj.su_utilities)
+            for t, u in zip(nj.best_allocation.times, nj.su_utilities)
             if t == 0.0
         ]
         assert zero_time and all(u == pytest.approx(-params.sensing_cost) for u in zero_time)
