@@ -10,14 +10,19 @@ Run:  python demos/demo_delay_simulation.py
 
 import numpy as np
 
-from cogalloc import TrafficModel, default_system_params, jain_index, run_episode
+from cogalloc import (
+    TrafficModel,
+    UserProfile,
+    default_system_params,
+    jain_index,
+    run_episode,
+)
 
 traffic = TrafficModel(shape=1.0, scale=7.0, batch_bits=10)
+profiles = [UserProfile(initial_bits=10)] * 5
 
 params = default_system_params(p_h0=0.8, zeta=0.7, gamma_db=-7.0)
-stats, traces = run_episode(
-    40, params, params.geometry(), traffic, rng_seed=11, n_users=5, initial_bits=10
-)
+stats, traces = run_episode(40, params, traffic, rng_seed=11, profiles=profiles)
 
 print("first frames of one episode:")
 for t in traces[:8]:
@@ -32,16 +37,14 @@ print(f"Jain fairness: {stats.jain:.4f}\n")
 print("mean clearance delay vs P(H0)  (zeta=0.7, gamma=-7 dB, 200 seeds):")
 for p_h0 in (0.5, 0.6, 0.7, 0.8, 0.9):
     params = default_system_params(p_h0=p_h0, zeta=0.7, gamma_db=-7.0)
-    geom = params.geometry()
     per_su = []
     for trial in range(200):
         s, _ = run_episode(
             80,
             params,
-            geom,
             traffic,
             rng_seed=42,
-            n_users=5,
+            profiles=profiles,
             trial=trial,
             keep_traces=False,
         )

@@ -39,14 +39,13 @@ grid = DesignGrid.uniform(5)
 print("zeta   joint      oracle     gap        baseline   neg-users  design")
 for zeta in (0.6, 0.7, 0.8, 0.9, 0.95):
     params = default_system_params(zeta=zeta, gamma_db=-7.0)
-    geom = params.geometry()
     joint_u, oracle_u, nj_u, neg = [], [], [], []
     design = None
     for seed in range(25):
         sus = draw_users(seed)
-        joint = joint_optimize(sus, geom, params, grid)
-        oracle = exhaustive_oracle(sus, geom, params, grid)
-        nj = nonjoint_baseline(sus, geom, params, grid)
+        joint = joint_optimize(sus, params, grid)
+        oracle = exhaustive_oracle(sus, params, grid)
+        nj = nonjoint_baseline(sus, params, grid)
         joint_u.append(joint.fc_utility)
         oracle_u.append(oracle.fc_utility)
         nj_u.append(nj.fc_utility)
@@ -61,10 +60,9 @@ for zeta in (0.6, 0.7, 0.8, 0.9, 0.95):
 
 print("\nwall-clock growth (single instance, seconds):")
 params = default_system_params(zeta=0.6)
-geom = params.geometry()
 for m in (4, 6, 8, 10):
     sus = draw_users(m, m=m)
     g = DesignGrid.uniform(m)
-    jt = joint_optimize(sus, geom, params, g).wall_time
-    ot = exhaustive_oracle(sus, geom, params, g).wall_time
+    jt = joint_optimize(sus, params, g).wall_time
+    ot = exhaustive_oracle(sus, params, g).wall_time
     print(f"  M={m:2d}: joint {jt:.4f} s   exhaustive {ot:.4f} s")

@@ -21,7 +21,6 @@ from cogalloc.allocator import UserTable
 
 rng = np.random.default_rng(7)
 params = default_system_params()
-geom = params.geometry()
 design = SensingDesign(pfa_local=0.1, k_threshold=2)
 
 users = [
@@ -36,7 +35,7 @@ users = [
 ]
 
 print("per-user bounds at the full set size (L=5):")
-table = UserTable(users, geom, params)
+table = UserTable(users, params)
 _, lowers, uppers, _ = table.level(design, 5)
 for su, lower, upper in zip(users, lowers, uppers):
     print(
@@ -46,7 +45,7 @@ for su, lower, upper in zip(users, lowers, uppers):
 print(f"usable frame time T'(5) = {effective_time(params, 5) * 1e3:.4f} ms")
 print(f"budget regime: {table.evaluate(design, tuple(range(5))).case.name}\n")
 
-alloc = select_and_allocate(users, design, geom, params)
+alloc = select_and_allocate(users, design, params)
 print("allocation at the default 1 ms frame:")
 print(f"  selected: {alloc.selected_ids}  case: {alloc.case.name}")
 print(f"  times (us): {[round(t * 1e6, 3) for t in alloc.times]}")
@@ -55,12 +54,12 @@ print(f"  user net utilities: {[round(u, 4) for u in alloc.su_utilities]}\n")
 
 # A much shorter frame forces selection: not everyone fits any more.
 tight = default_system_params(frame_duration=2e-4)
-alloc = select_and_allocate(users, design, tight.geometry(), tight)
+alloc = select_and_allocate(users, design, tight)
 print("allocation at a 0.2 ms frame (contested):")
 print(f"  selected: {alloc.selected_ids}  case: {alloc.case.name}")
 print(f"  FC revenue: {alloc.fc_utility:.4f}")
 
 # And with a detection floor nobody can reach, the point is infeasible.
 strict = default_system_params(zeta=0.999999, gamma_db=-15.0)
-alloc = select_and_allocate(users, design, strict.geometry(), strict)
+alloc = select_and_allocate(users, design, strict)
 print(f"\nwith an unreachable detection floor: feasible={alloc.feasible}")

@@ -10,14 +10,14 @@ The pricing formulas live here once: the opportunity weights
 (:meth:`DesignTable.weights`), the effective rates and per-second
 payments (:meth:`UserTable.price`), the time bounds
 (:func:`time_bound_arrays`) and the greedy fill (:func:`greedy_topup`).
-One :class:`DesignTable` per (geometry, params, grid) holds the
-user-independent half of every search, shared across calls; one
-:class:`UserTable` per call holds the users' columns and each design's
-rates, bounds and priorities per set size. Candidate sets are index
-tuples into it, compared by utility alone; an :class:`AllocationResult`
-is built only for the set that is returned. The screen runs for every
-design of a table at once and returns a :class:`Screen`
-(:meth:`UserTable.screen`); :func:`_allocate` walks one of its rows.
+One :class:`DesignTable` per (params, grid) holds the user-independent
+half of every search, shared across calls; one :class:`UserTable` per
+call holds the users' columns and each design's rates, bounds and
+priorities per set size. Candidate sets are index tuples into it,
+compared by utility alone; an :class:`AllocationResult` is built only
+for the set that is returned. The screen runs for every design of a
+table at once and returns a :class:`Screen` (:meth:`UserTable.screen`);
+:func:`_allocate` walks one of its rows.
 
 Ties (argmax/argmin over users, exchange orderings on equal keys) go to
 the lowest user id, so results are bit-reproducible.
@@ -42,7 +42,6 @@ from .economics import (
 )
 from .sensing import (
     SensingDesign,
-    SensingGeometry,
     _read_only,
     binomial_tails,
     local_pd,
@@ -108,8 +107,9 @@ def time_bound_arrays(rates, margin, buffers, cost: float) -> tuple:
 
 class DesignTable:
     """The user-independent half of every search over the designs
-    ``pfas`` x ``ks`` for one geometry and params, each value filled on
-    first request and kept for every call sharing the table.
+    ``pfas`` x ``ks`` under one :class:`SystemParams` (whose geometry
+    gives the local P_d), each value filled on first request and kept for
+    every call sharing the table.
 
     Row d is design d in grid order (k as listed, then pfa ascending):
     :meth:`design` builds it, ``pfa`` and ``k`` hold the rows' values.
@@ -131,10 +131,10 @@ class DesignTable:
         "_pairs", "_users", "_admissible",
     )
 
-    def __init__(self, geom: SensingGeometry, params: SystemParams, pfas, ks):
+    def __init__(self, params: SystemParams, pfas, ks):
         self._params = params
         # Binomial rows 0..P-1 are the pfas, P..2P-1 their local P_d.
-        self._ps = tuple(pfas) + tuple(local_pd(p, geom) for p in pfas)
+        self._ps = tuple(pfas) + tuple(local_pd(p, params.geometry()) for p in pfas)
         self._row = np.tile(np.arange(len(pfas)), len(ks))
         self.pfa = _read_only(np.array(pfas, dtype=float)[self._row])
         self.k = _read_only(np.repeat(np.array(ks, dtype=np.intp), len(pfas)))
@@ -242,22 +242,20 @@ class DesignTable:
 
 
 @lru_cache(maxsize=64)
-def design_table(geom: SensingGeometry, params: SystemParams, pfas, ks) -> DesignTable:
-    """The shared :class:`DesignTable` of this geometry, params and grid
-    (tuples ``pfas`` and ``ks``): for every frame of an episode, every
-    trial of a sweep point, and the joint search, oracle and baseline."""
-    return DesignTable(geom, params, pfas, ks)
+def design_table(params: SystemParams, pfas, ks) -> DesignTable:
+    """The shared :class:`DesignTable` of these params and grid (tuples
+    ``pfas`` and ``ks``): for every frame of an episode, every trial of a
+    sweep point, and the joint search, oracle and baseline."""
+    return DesignTable(params, pfas, ks)
 
 
-def _one_design_table(
-    geom: SensingGeometry, params: SystemParams, design: SensingDesign
-) -> DesignTable:
+def _one_design_table(params: SystemParams, design: SensingDesign) -> DesignTable:
     # The shared table of ``design`` alone: its row 0.
-    return design_table(geom, params, (design.pfa_local,), (design.k_threshold,))
+    return design_table(params, (design.pfa_local,), (design.k_threshold,))
 
 
 class UserTable:
-    """One call's users, geometry and params, shared across designs.
+    """One call's users and params, shared across designs.
 
     The design-independent columns (idle and interfered rates r0/r1,
     margins b_i - a_i, backlogs in bits, pay rates a_i, ids) and the
@@ -268,18 +266,12 @@ class UserTable:
     """
 
     __slots__ = (
-        "sus", "geom", "params", "r0", "r1", "margin", "buffers", "pay", "ids",
+        "sus", "params", "r0", "r1", "margin", "buffers", "pay", "ids",
         "cost", "budgets", "_levels",
     )
 
-    def __init__(
-        self,
-        sus: Sequence[SecondaryUser],
-        geom: SensingGeometry,
-        params: SystemParams,
-    ):
+    def __init__(self, sus: Sequence[SecondaryUser], params: SystemParams):
         self.sus = list(sus)
-        self.geom = geom
         self.params = params
         self.r0 = np.array([rate_idle(su, params) for su in self.sus])
         self.r1 = np.array([rate_interfered(su, params) for su in self.sus])
@@ -311,12 +303,12 @@ class UserTable:
 
     def level(self, design: SensingDesign, l_active: int) -> tuple:
         """:meth:`price` at ``design`` with ``l_active`` reporting users."""
-        return self._level(_one_design_table(self.geom, self.params, design), 0, l_active)
+        return self._level(_one_design_table(self.params, design), 0, l_active)
 
     def evaluate(self, design: SensingDesign, idx: tuple) -> "_SetEval":
         """The candidate set ``idx`` (positions in this table) at ``design``
         and its own size."""
-        return self._evaluate(_one_design_table(self.geom, self.params, design), 0, idx)
+        return self._evaluate(_one_design_table(self.params, design), 0, idx)
 
     def _level(self, designs: DesignTable, d: int, l_active: int) -> tuple:
         # :meth:`price` at row d of ``designs`` with ``l_active`` reporting
@@ -744,7 +736,6 @@ def _allocate(table: UserTable, screen: Screen, d: int) -> AllocationResult:
 def select_and_allocate(
     all_sus: Sequence[SecondaryUser],
     design: SensingDesign,
-    geom: SensingGeometry,
     params: SystemParams,
 ) -> AllocationResult:
     """Full selection + allocation at a fixed sensing design.
@@ -763,5 +754,5 @@ def select_and_allocate(
     The design is screened as the one row of its own shared
     :class:`DesignTable` and walked by :func:`_allocate`.
     """
-    table = UserTable(all_sus, geom, params)
-    return _allocate(table, table.screen(_one_design_table(geom, params, design)), 0)
+    table = UserTable(all_sus, params)
+    return _allocate(table, table.screen(_one_design_table(params, design)), 0)

@@ -406,7 +406,7 @@ def _user_counts(cfg: RunConfig) -> list:
 
 
 def _instance(cfg: RunConfig, si: int, trial: int, system, users: dict) -> tuple:
-    """(users, geometry, grid) for one (sweep point, trial): the explicit
+    """(users, grid) for one (sweep point, trial): the explicit
     list, or users generated with exponential gains split
     deterministically off the master seed."""
     if cfg.explicit_users is not None:
@@ -426,7 +426,7 @@ def _instance(cfg: RunConfig, si: int, trial: int, system, users: dict) -> tuple
             )
             for i in range(count)
         ]
-    return sus, system.geometry(), _grid_for(cfg, len(sus))
+    return sus, _grid_for(cfg, len(sus))
 
 
 def _fmt(value) -> str:
@@ -486,13 +486,15 @@ def _run_sweep(cfg: RunConfig, jobs: int, task) -> tuple:
         for si in range(len(cfg.sweep_values))
         for trial in range(cfg.trials)
     ]
-    if jobs <= 1:
+    # A pool starts all its workers up front, so it gets no more than the work.
+    workers = min(jobs, len(work))
+    if workers <= 1:
         results = list(map(_sweep_point, work))
     else:
-        # Imported here: multiprocessing costs start-up time and only --jobs > 1 uses it.
+        # Imported here: multiprocessing costs start-up time and only a pool uses it.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_point, work, chunksize=8))
     rows, extras = zip(*results)
     return list(rows), list(extras)
@@ -504,8 +506,8 @@ def _run_sweep(cfg: RunConfig, jobs: int, task) -> tuple:
 
 
 def _optimize_task(cfg, si, trial, system, users) -> tuple:
-    sus, geom, grid = _instance(cfg, si, trial, system, users)
-    outcome = joint_optimize(sus, geom, system, grid)
+    sus, grid = _instance(cfg, si, trial, system, users)
+    outcome = joint_optimize(sus, system, grid)
     design = outcome.best_design
     cells = (
         outcome.fc_utility,
@@ -537,9 +539,9 @@ def cmd_optimize(cfg: RunConfig, out_dir: Path, jobs: int = 1) -> int:
 
 
 def _compare_oracle_task(cfg, si, trial, system, users) -> tuple:
-    sus, geom, grid = _instance(cfg, si, trial, system, users)
-    joint = joint_optimize(sus, geom, system, grid)
-    oracle = exhaustive_oracle(sus, geom, system, grid)
+    sus, grid = _instance(cfg, si, trial, system, users)
+    joint = joint_optimize(sus, system, grid)
+    oracle = exhaustive_oracle(sus, system, grid)
     identical_costs = (
         len({su.pay_rate for su in sus}) == 1 and len({su.earn_rate for su in sus}) == 1
     )
@@ -575,9 +577,9 @@ def cmd_compare_oracle(cfg: RunConfig, out_dir: Path, jobs: int = 1) -> int:
 
 
 def _compare_nonjoint_task(cfg, si, trial, system, users) -> tuple:
-    sus, geom, grid = _instance(cfg, si, trial, system, users)
-    joint = joint_optimize(sus, geom, system, grid)
-    nj = nonjoint_baseline(sus, geom, system, grid)
+    sus, grid = _instance(cfg, si, trial, system, users)
+    joint = joint_optimize(sus, system, grid)
+    nj = nonjoint_baseline(sus, system, grid)
     cells = (
         joint.fc_utility,
         nj.fc_utility,
@@ -631,20 +633,21 @@ def _simulate_task(cfg, si, trial, system, users) -> tuple:
         ]
     else:
         profiles = [
-            UserProfile(pay_rate=users["pay_rate"], earn_rate=users["earn_rate"])
-            for _ in range(users["count"])
-        ]
+            UserProfile(
+                pay_rate=users["pay_rate"],
+                earn_rate=users["earn_rate"],
+                gain_mean=users["gain_mean"],
+                initial_bits=cfg.initial_bits,
+            )
+        ] * users["count"]
     stats, traces = run_episode(
         cfg.n_frames,
         system,
-        system.geometry(),
         cfg.traffic,
         rng_seed=cfg.seed + si,
         profiles=profiles,
         grid=_grid_for(cfg, len(profiles)),
         trial=trial,
-        initial_bits=cfg.initial_bits,
-        gain_mean=users["gain_mean"],
         keep_traces=trial == 0,
     )
     mean_delay = (
@@ -746,7 +749,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument("--jobs", type=int, default=1, help="parallel workers")
+        p.add_argument("--jobs", type=int, default=1, help="parallel workers (>= 1)")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument(
             "--emit-effective-config",
@@ -754,6 +757,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             help="print the fully-defaulted config before running",
         )
     args = parser.parse_args(argv)
+    if args.jobs < 1:
+        print(f"config error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
+        return EXIT_CONFIG
 
     level = os.environ.get("COGALLOC_LOG", "WARNING")
     levels = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")

@@ -98,7 +98,6 @@ def _incumbent(best: Optional[tuple], designs, d: int, utility: float, alloc):
 
 def joint_optimize(
     all_sus: Sequence[SecondaryUser],
-    geom: SensingGeometry,
     params: SystemParams,
     grid: DesignGrid,
 ) -> OptimizationOutcome:
@@ -112,8 +111,8 @@ def joint_optimize(
     The users' columns are built once per call (one
     :class:`~cogalloc.allocator.UserTable`); the designs' tails,
     weights, l_first and budgets come from the
-    :class:`~cogalloc.allocator.DesignTable` of (geometry, params,
-    grid), shared by every call. One batched
+    :class:`~cogalloc.allocator.DesignTable` of (params, grid), shared
+    by every call. One batched
     :meth:`~cogalloc.allocator.UserTable.screen` gives every design a
     utility bound U_max, and settles the designs whose reduced set is in
     abundant time with their utility, bit for bit as the walk computes
@@ -134,8 +133,8 @@ def joint_optimize(
     order, and a design is skipped only below the incumbent's utility.
     """
     start = time.perf_counter()
-    table = UserTable(all_sus, geom, params)
-    designs = design_table(geom, params, grid.pfa_values, grid.k_values)
+    table = UserTable(all_sus, params)
+    designs = design_table(params, grid.pfa_values, grid.k_values)
     screen = table.screen(designs)
     bounds, settled = screen.bounds, screen.settled
     best: Optional[tuple] = None
@@ -192,7 +191,6 @@ def _member_sum(values: np.ndarray) -> np.ndarray:
 
 def exhaustive_oracle(
     all_sus: Sequence[SecondaryUser],
-    geom: SensingGeometry,
     params: SystemParams,
     grid: DesignGrid,
 ) -> OptimizationOutcome:
@@ -231,8 +229,8 @@ def exhaustive_oracle(
         )
     start = time.perf_counter()
     positions = [i for i, su in enumerate(all_sus) if su.earn_rate > su.pay_rate]
-    table = UserTable([all_sus[i] for i in positions], geom, params)
-    grid_table = design_table(geom, params, grid.pfa_values, grid.k_values)
+    table = UserTable([all_sus[i] for i in positions], params)
+    grid_table = design_table(params, grid.pfa_values, grid.k_values)
     n = len(positions)
     best_key = None
     best: Optional[tuple] = None
@@ -313,7 +311,6 @@ def exhaustive_oracle(
 
 def nonjoint_baseline(
     all_sus: Sequence[SecondaryUser],
-    geom: SensingGeometry,
     params: SystemParams,
     grid: DesignGrid,
 ) -> OptimizationOutcome:
@@ -338,13 +335,13 @@ def nonjoint_baseline(
         for i, su in enumerate(all_sus)
         if su.buffer_bits * (su.earn_rate - su.pay_rate) - cost >= 0.0
     ]
-    table = UserTable([all_sus[i] for i in kept], geom, params)
+    table = UserTable([all_sus[i] for i in kept], params)
     size = len(table.sus)
     budget = table.budgets.item(size)
 
     best = None
     if budget > 0.0:
-        grid_table = design_table(geom, params, grid.pfa_values, grid.k_values)
+        grid_table = design_table(params, grid.pfa_values, grid.k_values)
         rows, weights = grid_table.admissible(size)
         # A design giving a kept user a zero effective rate is inadmissible;
         # the rest are ranked by (P_FA, pfa, -k).

@@ -27,7 +27,7 @@ from .economics import (
     rate_interfered,
 )
 from .optimizer import DesignGrid, joint_optimize
-from .sensing import SensingGeometry, local_pd
+from .sensing import local_pd
 
 
 @dataclass(frozen=True)
@@ -168,39 +168,35 @@ class UserProfile:
     """Static description of one simulated user (prices fixed per run).
 
     ``gain_mean`` is the mean of the user's per-frame exponential channel
-    gain and ``initial_bits`` its backlog at t=0; None takes the
-    episode's shared value (``gain_mean``, ``initial_bits`` of
-    :func:`run_episode`).
+    gain and ``initial_bits`` its backlog at t=0.
     """
 
     pay_rate: float = 0.1
     earn_rate: float = 10.0
-    gain_mean: Optional[float] = None
-    initial_bits: Optional[int] = None
+    gain_mean: float = 1.0
+    initial_bits: int = 10
 
     def __post_init__(self) -> None:
-        if self.gain_mean is not None and not self.gain_mean > 0.0:
+        if not self.gain_mean > 0.0:
             raise ValueError(f"gain_mean must be positive, got {self.gain_mean}")
-        if self.initial_bits is not None and self.initial_bits < 0:
+        if self.initial_bits < 0:
             raise ValueError(f"initial_bits must be >= 0, got {self.initial_bits}")
+        if self.pay_rate < 0.0 or self.earn_rate < 0.0:
+            raise ValueError("price fields must be non-negative")
 
 
 def init_state(
-    n_users: int,
+    profiles: Sequence[UserProfile],
     traffic: TrafficModel,
     streams: StreamFactory,
-    initial_bits: int | Sequence[int] = 10,
 ) -> EpisodeState:
-    """Fresh buffers holding the initial batch at t=0, with each user's
-    first arrival countdown already sampled. ``initial_bits`` is every
-    user's initial batch, or a sequence with one per user."""
-    if np.ndim(initial_bits) == 0:
-        initial_bits = [initial_bits] * n_users
+    """Fresh buffers holding each profile's initial batch at t=0, with
+    each user's first arrival countdown already sampled."""
     buffers = []
     next_batch = []
-    for i in range(n_users):
+    for i, profile in enumerate(profiles):
         buf = BufferState()
-        buf.add_batch(0.0, initial_bits[i])
+        buf.add_batch(0.0, profile.initial_bits)
         buffers.append(buf)
         gap = sample_pareto_idle(traffic, streams.stream("traffic", i))
         next_batch.append(gap + traffic.accumulation_time)
@@ -210,12 +206,10 @@ def init_state(
 def step_frame(
     state: EpisodeState,
     params: SystemParams,
-    geom: SensingGeometry,
     traffic: TrafficModel,
     streams: StreamFactory,
     profiles: Sequence[UserProfile],
     grid: DesignGrid,
-    gain_mean: float = 1.0,
 ) -> FrameTrace:
     """Advance one frame and return its trace.
 
@@ -247,10 +241,7 @@ def step_frame(
     # selected (zero upper bounds), so the optimization is skipped whole.
     if any(buffers_at_start):
         gains = [
-            sample_exponential_gain(
-                gain_mean if p.gain_mean is None else p.gain_mean,
-                streams.stream("gain", i),
-            )
+            sample_exponential_gain(p.gain_mean, streams.stream("gain", i))
             for i, p in enumerate(profiles)
         ]
         sus = [
@@ -263,14 +254,16 @@ def step_frame(
             )
             for i in range(n)
         ]
-        outcome = joint_optimize(sus, geom, params, grid)
+        outcome = joint_optimize(sus, params, grid)
 
     if outcome is not None and outcome.feasible:
         design = outcome.best_design
         chosen_pfa, chosen_k = design.pfa_local, design.k_threshold
         alloc = outcome.best_allocation
         selected = alloc.selected_ids
-        p_vote = local_pd(design.pfa_local, geom) if pu_active else design.pfa_local
+        p_vote = design.pfa_local
+        if pu_active:
+            p_vote = local_pd(design.pfa_local, params.geometry())
         votes = tuple(
             bool(streams.stream("vote", i).random() < p_vote) for i in selected
         )
@@ -315,18 +308,16 @@ def step_frame(
 def run_episode(
     n_frames: int,
     params: SystemParams,
-    geom: SensingGeometry,
     traffic: TrafficModel,
     rng_seed: int,
-    n_users: int = 5,
-    profiles: Optional[Sequence[UserProfile]] = None,
+    profiles: Sequence[UserProfile],
     grid: Optional[DesignGrid] = None,
     trial: int = 0,
-    initial_bits: int = 10,
-    gain_mean: float = 1.0,
     keep_traces: bool = True,
 ) -> tuple:
-    """Run ``n_frames`` frames and aggregate per-user clearance delays.
+    """Run ``n_frames`` frames for one user per profile (its gain mean,
+    backlog at t=0 and prices) and aggregate per-user clearance delays.
+    ``grid`` defaults to :meth:`DesignGrid.uniform` over the users.
 
     A batch's delay runs from its arrival instant to the end of the frame
     that drains its last bit; batches still pending at the horizon are
@@ -339,36 +330,19 @@ def run_episode(
     """
     if n_frames < 1:
         raise ValueError(f"n_frames must be >= 1, got {n_frames}")
-    if profiles is None:
-        profiles = [UserProfile() for _ in range(n_users)]
     profiles = list(profiles)
     n = len(profiles)
+    if not n:
+        raise ValueError("profiles must hold at least one user")
     if grid is None:
         grid = DesignGrid.uniform(n)
     streams = StreamFactory(rng_seed, trial)
-    state = init_state(
-        n,
-        traffic,
-        streams,
-        initial_bits=[
-            initial_bits if p.initial_bits is None else p.initial_bits
-            for p in profiles
-        ],
-    )
+    state = init_state(profiles, traffic, streams)
     delays: list = [[] for _ in range(n)]
     traces = []
 
     for _ in range(n_frames):
-        trace = step_frame(
-            state,
-            params,
-            geom,
-            traffic,
-            streams,
-            profiles,
-            grid,
-            gain_mean=gain_mean,
-        )
+        trace = step_frame(state, params, traffic, streams, profiles, grid)
         for i in range(n):
             delays[i].extend(delay for _, delay in state.last_completions[i])
         if keep_traces:

@@ -57,9 +57,9 @@ from cogalloc.allocator import (
 from cogalloc.optimizer import _infeasible_outcome
 
 
-def grid_table(geom, params, grid):
+def grid_table(params, grid):
     """The shared design table of a :class:`cogalloc.DesignGrid`."""
-    return design_table(geom, params, grid.pfa_values, grid.k_values)
+    return design_table(params, grid.pfa_values, grid.k_values)
 
 
 def normal_tail_quad(x: float) -> float:
@@ -165,11 +165,11 @@ def make_users(
     ]
 
 
-def scalar_effective_rate(su, design, geom, params, l_active) -> float:
+def scalar_effective_rate(su, design, params, l_active) -> float:
     """P(H0)(1-P_FA) r0 + P(H1)(1-P_D) r1 for one user, in plain floats:
     the scalar reference for the library's array pricing kernel."""
     p_fa = global_pfa(design, l_active)
-    p_d = global_pd(design, geom, l_active)
+    p_d = global_pd(design, params.geometry(), l_active)
     return params.p_h0 * (1.0 - p_fa) * rate_idle(su, params) + params.p_h1 * (
         1.0 - p_d
     ) * rate_interfered(su, params)
@@ -189,9 +189,10 @@ def greedy_fill_oracle(lowers, uppers, priorities, budget):
     return times
 
 
-def subset_oracle_fixed_design(all_sus, design, geom, params) -> float:
+def subset_oracle_fixed_design(all_sus, design, params) -> float:
     """Best fusion-center utility at one fixed design over every subset,
     every feasibility check done from scratch."""
+    geom = params.geometry()
     cost = params.sensing_cost
     candidates = [su for su in all_sus if su.earn_rate > su.pay_rate]
     best = 0.0
@@ -202,7 +203,7 @@ def subset_oracle_fixed_design(all_sus, design, geom, params) -> float:
             continue
         for subset in itertools.combinations(candidates, size):
             rates = [
-                scalar_effective_rate(su, design, geom, params, size) for su in subset
+                scalar_effective_rate(su, design, params, size) for su in subset
             ]
             lowers = [
                 cost / (r * (su.earn_rate - su.pay_rate))
@@ -229,11 +230,12 @@ def table_params(**overrides):
     return default_system_params(**overrides)
 
 
-def scalar_exhaustive_oracle(all_sus, geom, params, grid):
+def scalar_exhaustive_oracle(all_sus, params, grid):
     """The exhaustive oracle written one (subset, design) at a time with
     the scalar rate, bound and greedy-fill code: the reference the
     batched :func:`cogalloc.exhaustive_oracle` must reproduce bit
     for bit. A zero-rate member makes the pair infeasible."""
+    geom = params.geometry()
     cost = params.sensing_cost
     positions = [i for i, su in enumerate(all_sus) if su.earn_rate > su.pay_rate]
     best_key = None
@@ -252,7 +254,7 @@ def scalar_exhaustive_oracle(all_sus, geom, params, grid):
                     if global_pd(design, geom, size) < params.zeta:
                         continue
                     rates = [
-                        scalar_effective_rate(su, design, geom, params, size)
+                        scalar_effective_rate(su, design, params, size)
                         for su in subset
                     ]
                     if any(r == 0.0 for r in rates):
@@ -296,10 +298,10 @@ def scalar_exhaustive_oracle(all_sus, geom, params, grid):
     return OptimizationOutcome(design, alloc, 0.0)
 
 
-def evaluate_set(sus, design, geom, params):
+def evaluate_set(sus, design, params):
     """Bounds, priorities, budget and case of a user list as one candidate
     set at its own cardinality."""
-    return UserTable(sus, geom, params).evaluate(design, tuple(range(len(sus))))
+    return UserTable(sus, params).evaluate(design, tuple(range(len(sus))))
 
 
 def reference_screen(table: UserTable, design: SensingDesign):
@@ -314,7 +316,8 @@ def reference_screen(table: UserTable, design: SensingDesign):
     reduced = tuple(np.flatnonzero(lowers < uppers).tolist())
     if design.k_threshold > len(reduced):
         return None
-    l_lb = min_active_users(design, table.geom, table.params.zeta, len(reduced))
+    params = table.params
+    l_lb = min_active_users(design, params.geometry(), params.zeta, len(reduced))
     if l_lb is None:
         return None
     return reduced, l_lb
@@ -336,7 +339,7 @@ def reference_utility_bound(table: UserTable, design: SensingDesign):
     )
 
 
-def classify_case(sus, design, geom, params) -> CaseLabel:
+def classify_case(sus, design, params) -> CaseLabel:
     """Which budget regime the set falls in at its own cardinality.
 
     Equality with the upper-bound sum is Case-1, equality with the
@@ -356,20 +359,20 @@ def classify_case(sus, design, geom, params) -> CaseLabel:
         )
     if any(su.earn_rate <= su.pay_rate for su in sus):
         raise ValueError("never-profitable user present; reduce the set first")
-    return UserTable(sus, geom, params).evaluate(design, tuple(range(len(sus)))).case
+    return UserTable(sus, params).evaluate(design, tuple(range(len(sus)))).case
 
 
-def reduce_feasible_set(all_sus, design, geom, params) -> list:
+def reduce_feasible_set(all_sus, design, params) -> list:
     """Keep exactly the users whose bounds are well ordered at the full
     set size (lower < upper): the users of the design's reduced set."""
     if not all_sus:
         return []
-    table = UserTable(all_sus, geom, params)
+    table = UserTable(all_sus, params)
     _, lowers, uppers, _ = table.level(design, len(table.sus))
     return [table.sus[i] for i in np.flatnonzero(lowers < uppers).tolist()]
 
 
-def waterfill_allocate(sus, design, geom, params) -> AllocationResult:
+def waterfill_allocate(sus, design, params) -> AllocationResult:
     """Contested-time allocation: lower bounds first, then greedy top-up
     by descending per-second payment R_i a_i.
 
@@ -378,14 +381,14 @@ def waterfill_allocate(sus, design, geom, params) -> AllocationResult:
     ValueError
         If the set is not in the contested-time case.
     """
-    table = UserTable(sus, geom, params)
+    table = UserTable(sus, params)
     ev = table.evaluate(design, tuple(range(len(sus))))
     if ev.case is not CaseLabel.CASE2:
         raise ValueError(f"water-filling requires Case-2, set is {ev.case}")
     return _result(table, _score(table, ev), len(sus), ev.idx)
 
 
-def exchange_search(kept, excluded, design, geom, params) -> tuple:
+def exchange_search(kept, excluded, design, params) -> tuple:
     """Same-cardinality exchange refinement between the kept set and the
     eliminated pool, through the allocator's exchange core.
 
@@ -401,10 +404,10 @@ def exchange_search(kept, excluded, design, geom, params) -> tuple:
     if {su.id for su in kept} & {su.id for su in excluded}:
         raise ValueError("kept and excluded sets overlap")
     pool = kept + excluded
-    table = UserTable(pool, geom, params)
+    table = UserTable(pool, params)
     kept_idx = tuple(range(len(kept)))
     ex_idx = tuple(range(len(kept), len(pool)))
-    designs = _one_design_table(geom, params, design)
+    designs = _one_design_table(params, design)
     best = _exchange_core(table, designs, 0, kept_idx, ex_idx)
     if best is None:
         return tuple(kept), None
@@ -425,7 +428,7 @@ def monte_carlo_average(instance_metric, n_trials: int) -> tuple:
     return mean, float(values.std(ddof=1) / math.sqrt(n_trials))
 
 
-def reference_joint_optimize(all_sus, geom, params, grid, keep_surface=False):
+def reference_joint_optimize(all_sus, params, grid, keep_surface=False):
     """The grid search as one full :func:`cogalloc.select_and_allocate`
     per grid point, nothing skipped: the reference the pruned
     :func:`cogalloc.joint_optimize` must reproduce bit for bit.
@@ -439,7 +442,7 @@ def reference_joint_optimize(all_sus, geom, params, grid, keep_surface=False):
     for k in grid.k_values:
         for pfa in grid.pfa_values:
             design = SensingDesign(pfa_local=pfa, k_threshold=k)
-            alloc = select_and_allocate(all_sus, design, geom, params)
+            alloc = select_and_allocate(all_sus, design, params)
             surface[(pfa, k)] = alloc.fc_utility if alloc.feasible else None
             if not alloc.feasible:
                 continue

@@ -17,6 +17,7 @@ from cogalloc import (
     SecondaryUser,
     SensingDesign,
     TrafficModel,
+    UserProfile,
     count_negative_utility,
     default_system_params,
     exhaustive_oracle,
@@ -61,11 +62,10 @@ def test_criterion_01_oracle_exactness():
         grid = DesignGrid.uniform(m)
         for zeta in ZETAS:
             params = default_system_params(p_h0=0.8, gamma_db=-7.0, zeta=zeta)
-            geom = params.geometry()
             for seed in range(14):
                 sus = _users(seed * 31 + m, m)
-                joint = joint_optimize(sus, geom, params, grid)
-                oracle = exhaustive_oracle(sus, geom, params, grid)
+                joint = joint_optimize(sus, params, grid)
+                oracle = exhaustive_oracle(sus, params, grid)
                 instances += 1
                 if oracle.feasible:
                     gap = abs(joint.fc_utility - oracle.fc_utility) / oracle.fc_utility
@@ -82,17 +82,16 @@ def test_criterion_02_complexity_trend():
     # Oracle wall time grows exponentially in M (log-time slope above
     # 0.5 ln 2); joint's log-log slope stays below 2, over M = 3..10.
     params = default_system_params(zeta=0.6)
-    geom = params.geometry()
     ms = list(range(3, 11))
     joint_t, oracle_t = [], []
     for m in ms:
         sus = _users(m, m)
         grid = DesignGrid.uniform(m)
         joint_t.append(
-            min(joint_optimize(sus, geom, params, grid).wall_time for _ in range(3))
+            min(joint_optimize(sus, params, grid).wall_time for _ in range(3))
         )
         oracle_t.append(
-            min(exhaustive_oracle(sus, geom, params, grid).wall_time for _ in range(3))
+            min(exhaustive_oracle(sus, params, grid).wall_time for _ in range(3))
         )
     oracle_slope = float(np.polyfit(ms, np.log(oracle_t), 1)[0])
     joint_slope = float(np.polyfit(np.log(ms), np.log(joint_t), 1)[0])
@@ -118,12 +117,11 @@ def test_criterion_03_baseline_dominance():
         worst = 0.0
         for zeta in ZETAS:
             params = default_system_params(gamma_db=gamma, zeta=zeta)
-            geom = params.geometry()
             grid = DesignGrid.uniform(5)
             for seed in range(100):
                 sus = _users(int(abs(gamma)) * 1000 + seed, 5)
-                joint = joint_optimize(sus, geom, params, grid).fc_utility
-                nj = nonjoint_baseline(sus, geom, params, grid).fc_utility
+                joint = joint_optimize(sus, params, grid).fc_utility
+                nj = nonjoint_baseline(sus, params, grid).fc_utility
                 gaps.append(joint - nj)
                 if joint < nj:
                     violations += 1
@@ -156,7 +154,6 @@ def test_criterion_04_negative_utility_trend():
     # Non-joint negative-utility counts rise with buffer size; the joint
     # method never leaves an active user negative.
     params = default_system_params(gamma_db=-5.0, zeta=0.7)
-    geom = params.geometry()
     grid = DesignGrid.uniform(5)
     means = []
     joint_total = 0
@@ -164,9 +161,9 @@ def test_criterion_04_negative_utility_trend():
         counts = []
         for seed in range(1000):
             sus = _users(seed, 5, buffer_bits=buffer_bits)
-            counts.append(count_negative_utility(nonjoint_baseline(sus, geom, params, grid)))
+            counts.append(count_negative_utility(nonjoint_baseline(sus, params, grid)))
             joint_total += count_negative_utility(
-                joint_optimize(sus, geom, params, grid).best_allocation
+                joint_optimize(sus, params, grid).best_allocation
             )
         means.append(float(np.mean(counts)))
     non_decreasing = all(a <= b + 1e-12 for a, b in zip(means, means[1:]))
@@ -189,9 +186,8 @@ def test_criterion_05_monotone_sweeps():
         grid = DesignGrid.uniform(m)
         for zeta in ZETAS:
             params = default_system_params(zeta=zeta, gamma_db=-7.0)
-            geom = params.geometry()
             utilities = [
-                joint_optimize(_users(seed, m), geom, params, grid).fc_utility
+                joint_optimize(_users(seed, m), params, grid).fc_utility
                 for seed in range(200)
             ]
             mean_curve[(m, zeta)] = float(np.mean(utilities))
@@ -223,18 +219,15 @@ def _delay_sweep(points, seeds, frames=80):
     fairness = []
     for p_h0, zeta, gamma in points:
         params = default_system_params(p_h0=p_h0, zeta=zeta, gamma_db=gamma)
-        geom = params.geometry()
         per_su = []
         for trial in range(seeds):
             stats, _ = run_episode(
                 frames,
                 params,
-                geom,
                 traffic,
                 rng_seed=42,
-                n_users=5,
+                profiles=[UserProfile()] * 5,
                 trial=trial,
-                initial_bits=10,
                 keep_traces=False,
             )
             per_su.append(stats.per_su_mean_delay)
@@ -312,13 +305,11 @@ def test_criterion_09_simulation_vs_closed_forms():
         _, traces = run_episode(
             20_000,
             params,
-            geom,
             traffic,
             rng_seed=9,
-            n_users=3,
+            profiles=[UserProfile(initial_bits=5000)] * 3,
             grid=grid,
             trial=trial,
-            initial_bits=5000,
         )
         all_traces.extend(traces)
     assert len(all_traces) >= 100_000
@@ -355,9 +346,9 @@ def test_criterion_10_unit_invariant_suites():
     from cogalloc import local_pd
     from cogalloc.allocator import UserTable
 
-    def priced(sus, design, geom, params, l_active):
+    def priced(sus, design, params, l_active):
         # (rates, lowers, uppers) of the users from the pricing kernel.
-        return UserTable(sus, geom, params).level(design, l_active)[:3]
+        return UserTable(sus, params).level(design, l_active)[:3]
 
     params = default_system_params()
     geom = params.geometry()
@@ -373,7 +364,7 @@ def test_criterion_10_unit_invariant_suites():
                     id=0, gain_to_fc=gain, buffer_bits=1000, pay_rate=0.1, earn_rate=10.0
                 )
                 rate, lb, _ = (
-                    float(v[0]) for v in priced([su], design, geom, params, l_active)
+                    float(v[0]) for v in priced([su], design, params, l_active)
                 )
                 utility = rate * lb * (su.earn_rate - su.pay_rate) - params.sensing_cost
                 worst = max(worst, abs(utility))
@@ -386,7 +377,7 @@ def test_criterion_10_unit_invariant_suites():
         su = SecondaryUser(
             id=0, gain_to_fc=gain, buffer_bits=1234, pay_rate=0.1, earn_rate=10.0
         )
-        rate, _, ub = (float(v[0]) for v in priced([su], design, geom, params, 5))
+        rate, _, ub = (float(v[0]) for v in priced([su], design, params, 5))
         worst = max(worst, abs(rate * ub - su.buffer_bits) / su.buffer_bits)
     checks["buffer-clearing <= 1e-9"] = worst <= 1e-9
 
@@ -425,10 +416,10 @@ def test_criterion_10_unit_invariant_suites():
 
     # Proposition 2: abundant-time removal strictly loses utility.
     sus = _users(31, 5, buffer_bits=10)
-    full = cg.select_and_allocate(sus, SensingDesign(0.1, 2), geom, params)
+    full = cg.select_and_allocate(sus, SensingDesign(0.1, 2), params)
     prop2 = full.case is CaseLabel.CASE1 and all(
         cg.select_and_allocate(
-            [s for s in sus if s is not drop], SensingDesign(0.1, 2), geom, params
+            [s for s in sus if s is not drop], SensingDesign(0.1, 2), params
         ).fc_utility
         < full.fc_utility
         for drop in sus
@@ -445,7 +436,7 @@ def test_criterion_10_unit_invariant_suites():
             rng = np.random.default_rng(seed)
             base = default_system_params()
             sus = make_users(seed + 700, m, buffer_bits=int(rng.integers(300, 1500)))
-            ev = evaluate_set(sus, design, base.geometry(), base)
+            ev = evaluate_set(sus, design, base)
             budget = float(rng.uniform(0.3, 0.7)) * float(ev.uppers.sum())
             overhead = (
                 base.tau2 + base.n_samples * base.sample_interval + base.tau5
@@ -453,8 +444,7 @@ def test_criterion_10_unit_invariant_suites():
             params_m = default_system_params(
                 frame_duration=budget + overhead + m * base.tau_r_prime
             )
-            geom_m = params_m.geometry()
-            ev = evaluate_set(sus, design, geom_m, params_m)
+            ev = evaluate_set(sus, design, params_m)
             if ev.case is not CaseLabel.CASE2:
                 continue
             times = greedy_topup(
@@ -465,7 +455,7 @@ def test_criterion_10_unit_invariant_suites():
             removals = {}
             for drop in range(m):
                 rest = [su for i, su in enumerate(sus) if i != drop]
-                ev_r = evaluate_set(rest, design, geom_m, params_m)
+                ev_r = evaluate_set(rest, design, params_m)
                 if ev_r.case is not CaseLabel.CASE2:
                     removals = None
                     break
@@ -491,16 +481,15 @@ def test_criterion_10_unit_invariant_suites():
         by_gain = sorted(pool, key=lambda su: -su.gain_to_fc)
         kept, excluded = by_gain[:3], by_gain[3:]
         base = default_system_params()
-        ev = evaluate_set(kept, design, base.geometry(), base)
+        ev = evaluate_set(kept, design, base)
         budget = float(rng.uniform(0.4, 0.8)) * float(ev.uppers.sum())
         overhead = base.tau2 + base.n_samples * base.sample_interval + base.tau5
         params_m = default_system_params(
             frame_duration=budget + overhead + 3 * base.tau_r_prime
         )
-        geom_m = params_m.geometry()
 
         def value_of(subset):
-            ev = evaluate_set(subset, design, geom_m, params_m)
+            ev = evaluate_set(subset, design, params_m)
             if ev.case is CaseLabel.CASE1:
                 return float(np.dot(ev.priorities, ev.uppers))
             if ev.case is CaseLabel.CASE2:
@@ -511,7 +500,7 @@ def test_criterion_10_unit_invariant_suites():
             return None
 
         lbs = {}
-        rates = priced(pool, design, geom_m, params_m, 3)[0].tolist()
+        rates = priced(pool, design, params_m, 3)[0].tolist()
         for su, rate in zip(pool, rates):
             lbs[su.id] = params_m.sensing_cost / (rate * (su.earn_rate - su.pay_rate))
         kept_lb = sorted(kept, key=lambda su: (-lbs[su.id], su.id))
@@ -519,8 +508,8 @@ def test_criterion_10_unit_invariant_suites():
         g3 = [su for su in kept if su is not kept_lb[-1]] + [ex_lb[0]]
         g4 = [su for su in kept if su is not kept_lb[0]] + [ex_lb[-1]]
         if not (
-            evaluate_set(g3, design, geom_m, params_m).case is CaseLabel.CASE2
-            and evaluate_set(g4, design, geom_m, params_m).case is CaseLabel.CASE2
+            evaluate_set(g3, design, params_m).case is CaseLabel.CASE2
+            and evaluate_set(g4, design, params_m).case is CaseLabel.CASE2
         ):
             continue
         depth1 = []

@@ -54,36 +54,34 @@ class TestClassifyCase:
         sum (well above the lower-bound sum for factors near one)."""
         params = default_system_params()
         sus = make_users(seed, m)
-        geom = params.geometry()
-        ev = evaluate_set(sus, DESIGN, geom, params)
+        ev = evaluate_set(sus, DESIGN, params)
         budget = budget_factor * sum(ev.uppers)
         params = sized_params(frame_for_budget(budget, m))
-        return sus, params.geometry(), params
+        return sus, params
 
     def test_case1_when_budget_exceeds_upper_sum(self):
-        sus, geom, params = self._setup(1.5)
-        assert classify_case(sus, DESIGN, geom, params) is CaseLabel.CASE1
+        sus, params = self._setup(1.5)
+        assert classify_case(sus, DESIGN, params) is CaseLabel.CASE1
 
     def test_case2_between_sums(self):
-        sus, geom, params = self._setup(0.5)
-        assert classify_case(sus, DESIGN, geom, params) is CaseLabel.CASE2
+        sus, params = self._setup(0.5)
+        assert classify_case(sus, DESIGN, params) is CaseLabel.CASE2
 
     def test_case3_below_lower_sum(self):
-        sus, geom, params = self._setup(1e-9)
-        assert classify_case(sus, DESIGN, geom, params) is CaseLabel.CASE3
+        sus, params = self._setup(1e-9)
+        assert classify_case(sus, DESIGN, params) is CaseLabel.CASE3
 
     def test_equality_with_upper_sum_is_case1(self):
-        sus, geom, params = self._setup(1.0)
+        sus, params = self._setup(1.0)
         # Budget was set to the exact upper-bound sum at this set size.
-        assert classify_case(sus, DESIGN, geom, params) is CaseLabel.CASE1
+        assert classify_case(sus, DESIGN, params) is CaseLabel.CASE1
 
     def test_equality_with_lower_sum_is_case2(self):
         params = default_system_params()
         sus = make_users(3, 4)
-        geom = params.geometry()
-        ev = evaluate_set(sus, DESIGN, geom, params)
+        ev = evaluate_set(sus, DESIGN, params)
         params = sized_params(frame_for_budget(sum(ev.lowers), 4))
-        assert classify_case(sus, DESIGN, params.geometry(), params) is CaseLabel.CASE2
+        assert classify_case(sus, DESIGN, params) is CaseLabel.CASE2
 
     def test_never_profitable_rejected(self):
         params = default_system_params()
@@ -91,21 +89,21 @@ class TestClassifyCase:
             SecondaryUser(id=9, gain_to_fc=1.0, buffer_bits=10, pay_rate=1.0, earn_rate=1.0)
         ]
         with pytest.raises(ValueError, match="never-profitable"):
-            classify_case(sus, DESIGN, params.geometry(), params)
+            classify_case(sus, DESIGN, params)
 
     def test_empty_and_small_sets_rejected(self):
         params = default_system_params()
         with pytest.raises(ValueError):
-            classify_case([], DESIGN, params.geometry(), params)
+            classify_case([], DESIGN, params)
         with pytest.raises(ValueError):
-            classify_case(make_users(0, 1), DESIGN, params.geometry(), params)
+            classify_case(make_users(0, 1), DESIGN, params)
 
 
 class TestReduceFeasibleSet:
     def test_well_ordered_bounds_keep_everyone(self):
         params = default_system_params()
         sus = make_users(1, 5, buffer_bits=10_000)
-        assert reduce_feasible_set(sus, DESIGN, params.geometry(), params) == sus
+        assert reduce_feasible_set(sus, DESIGN, params) == sus
 
     def test_tiny_buffer_with_thin_margin_dropped(self):
         # Bound ordering needs buffer_bits > cost/(earn-pay); a thin margin
@@ -115,20 +113,20 @@ class TestReduceFeasibleSet:
         drop = SecondaryUser(
             id=7, gain_to_fc=1.0, buffer_bits=1000, pay_rate=0.1, earn_rate=0.1 + 1e-6
         )
-        reduced = reduce_feasible_set(keep + [drop], DESIGN, params.geometry(), params)
+        reduced = reduce_feasible_set(keep + [drop], DESIGN, params)
         assert drop not in reduced and len(reduced) == 3
 
     def test_never_profitable_dropped(self):
         params = default_system_params()
         flat = SecondaryUser(id=8, gain_to_fc=1.0, buffer_bits=1000, pay_rate=0.1, earn_rate=0.1)
         reduced = reduce_feasible_set(
-            make_users(3, 2) + [flat], DESIGN, params.geometry(), params
+            make_users(3, 2) + [flat], DESIGN, params
         )
         assert flat not in reduced
 
     def test_empty_input(self):
         params = default_system_params()
-        assert reduce_feasible_set([], DESIGN, params.geometry(), params) == []
+        assert reduce_feasible_set([], DESIGN, params) == []
 
 
 class TestGreedyTopup:
@@ -166,32 +164,31 @@ class TestWaterfillAllocate:
     def _case2_instance(self, seed, m=4):
         params = default_system_params()
         sus = make_users(seed, m, buffer_bits=int(np.random.default_rng(seed).integers(200, 3000)))
-        geom = params.geometry()
-        ev = evaluate_set(sus, DESIGN, geom, params)
+        ev = evaluate_set(sus, DESIGN, params)
         rng = np.random.default_rng(seed + 1)
         lo, hi = sum(ev.lowers), sum(ev.uppers)
         budget = lo + float(rng.uniform(0.1, 0.9)) * (hi - lo)
         params = sized_params(frame_for_budget(budget, m))
-        return sus, params.geometry(), params
+        return sus, params
 
     def test_requires_case2(self):
         params = default_system_params()
         sus = make_users(5, 3, buffer_bits=1)
         with pytest.raises(ValueError, match="Case-2"):
-            waterfill_allocate(sus, DESIGN, params.geometry(), params)
+            waterfill_allocate(sus, DESIGN, params)
 
     def test_budget_exhausted_exactly(self):
-        sus, geom, params = self._case2_instance(11)
-        alloc = waterfill_allocate(sus, DESIGN, geom, params)
+        sus, params = self._case2_instance(11)
+        alloc = waterfill_allocate(sus, DESIGN, params)
         assert sum(alloc.times) == pytest.approx(
             effective_time(params, len(sus)), abs=1e-12
         )
 
     @pytest.mark.parametrize("seed", range(150))
     def test_lp_optimality_end_to_end(self, seed):
-        sus, geom, params = self._case2_instance(seed)
-        ev = evaluate_set(sus, DESIGN, geom, params)
-        alloc = waterfill_allocate(sus, DESIGN, geom, params)
+        sus, params = self._case2_instance(seed)
+        ev = evaluate_set(sus, DESIGN, params)
+        alloc = waterfill_allocate(sus, DESIGN, params)
         optimum = lp_time_allocation(
             list(ev.lowers), list(ev.uppers), list(ev.priorities), ev.t_prime
         )
@@ -206,8 +203,7 @@ class TestExchangeSearch:
     def test_empty_excluded_returns_kept(self):
         params = default_system_params()
         sus = make_users(7, 4, buffer_bits=10)
-        geom = params.geometry()
-        best_set, alloc = exchange_search(sus, [], DESIGN, geom, params)
+        best_set, alloc = exchange_search(sus, [], DESIGN, params)
         assert [su.id for su in best_set] == [su.id for su in sus]
         assert alloc is not None and alloc.feasible
 
@@ -215,7 +211,7 @@ class TestExchangeSearch:
         params = default_system_params()
         pool = make_users(13, 3, buffer_bits=5)
         kept, excluded = pool[:2], pool[2:]
-        best_set, alloc = exchange_search(kept, excluded, DESIGN, params.geometry(), params)
+        best_set, alloc = exchange_search(kept, excluded, DESIGN, params)
         candidates = {
             tuple(sorted(su.id for su in kept)),
             tuple(sorted([kept[0].id, excluded[0].id])),
@@ -230,19 +226,17 @@ class TestExchangeSearch:
         rng = np.random.default_rng(seed)
         params = default_system_params()
         pool = make_users(seed + 100, 5, buffer_bits=int(rng.integers(50, 500)))
-        geom = params.geometry()
-        ev = evaluate_set(pool, DESIGN, geom, params)
+        ev = evaluate_set(pool, DESIGN, params)
         budget = float(rng.uniform(0.3, 1.4)) * sum(ev.uppers) * 3.0 / 5.0
         params = sized_params(frame_for_budget(budget, 3))
-        geom = params.geometry()
         kept, excluded = pool[:3], pool[3:]
-        if classify_case(kept, DESIGN, geom, params) is not CaseLabel.CASE1:
+        if classify_case(kept, DESIGN, params) is not CaseLabel.CASE1:
             pytest.skip("exchange precondition (kept set abundant) not met")
-        _, alloc = exchange_search(kept, excluded, DESIGN, geom, params)
+        _, alloc = exchange_search(kept, excluded, DESIGN, params)
 
         best = -math.inf
         for subset in itertools.combinations(pool, 3):
-            ev = evaluate_set(subset, DESIGN, geom, params)
+            ev = evaluate_set(subset, DESIGN, params)
             case = ev.case
             if case is CaseLabel.CASE1:
                 value = sum(p * u for p, u in zip(ev.priorities, ev.uppers))
@@ -260,7 +254,7 @@ class TestSelectAndAllocate:
         # Tiny buffers, default 1 ms frame: revenue is the buffered value.
         params = default_system_params()
         sus = make_users(21, 5, buffer_bits=10)
-        alloc = select_and_allocate(sus, DESIGN, params.geometry(), params)
+        alloc = select_and_allocate(sus, DESIGN, params)
         assert alloc.feasible and alloc.case is CaseLabel.CASE1
         assert all(alloc.active)
         assert alloc.fc_utility == pytest.approx(
@@ -270,14 +264,14 @@ class TestSelectAndAllocate:
     def test_unreachable_detection_floor_is_infeasible(self):
         params = default_system_params(zeta=0.9999)
         sus = make_users(22, 3, buffer_bits=10)
-        alloc = select_and_allocate(sus, DESIGN, params.geometry(), params)
+        alloc = select_and_allocate(sus, DESIGN, params)
         assert not alloc.feasible
         assert not any(alloc.active)
 
     def test_alignment_with_input_order(self):
         params = default_system_params()
         sus = make_users(23, 5, buffer_bits=10)
-        alloc = select_and_allocate(sus, DESIGN, params.geometry(), params)
+        alloc = select_and_allocate(sus, DESIGN, params)
         assert len(alloc.active) == len(sus) == len(alloc.times)
 
     @pytest.mark.parametrize("seed", range(60))
@@ -288,13 +282,11 @@ class TestSelectAndAllocate:
         params = default_system_params()
         buffer_bits = int(rng.integers(100, 2000))
         sus = make_users(seed + 300, 5, buffer_bits=buffer_bits)
-        geom = params.geometry()
-        ev = evaluate_set(sus, DESIGN, geom, params)
+        ev = evaluate_set(sus, DESIGN, params)
         budget = float(rng.uniform(0.05, 0.9)) * sum(ev.uppers)
         params = sized_params(frame_for_budget(budget, 5))
-        geom = params.geometry()
-        alloc = select_and_allocate(sus, DESIGN, geom, params)
-        oracle = subset_oracle_fixed_design(sus, DESIGN, geom, params)
+        alloc = select_and_allocate(sus, DESIGN, params)
+        oracle = subset_oracle_fixed_design(sus, DESIGN, params)
         if oracle is None:
             assert not alloc.feasible
         else:
@@ -311,7 +303,7 @@ class TestSelectAndAllocate:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             grid = DesignGrid.uniform(20)
-            outcome = joint_optimize(sus, params.geometry(), params, grid)
+            outcome = joint_optimize(sus, params, grid)
         assert outcome.fc_utility == 58.58482794032329
         assert outcome.best_design == SensingDesign(0.1, 4)
 
@@ -320,16 +312,14 @@ class TestSelectAndAllocate:
         rng = np.random.default_rng(seed)
         params = default_system_params()
         sus = make_users(seed + 500, 5, buffer_bits=int(rng.integers(50, 3000)))
-        geom = params.geometry()
-        ev = evaluate_set(sus, DESIGN, geom, params)
+        ev = evaluate_set(sus, DESIGN, params)
         budget = float(rng.uniform(0.02, 1.5)) * sum(ev.uppers)
         params = sized_params(frame_for_budget(budget, 5))
-        geom = params.geometry()
-        alloc = select_and_allocate(sus, DESIGN, geom, params)
+        alloc = select_and_allocate(sus, DESIGN, params)
         if not alloc.feasible:
             return
         chosen = [su for su, a in zip(sus, alloc.active) if a]
-        ev = evaluate_set(chosen, DESIGN, geom, params)
+        ev = evaluate_set(chosen, DESIGN, params)
         times = [t for t, a in zip(alloc.times, alloc.active) if a]
         assert sum(times) <= ev.t_prime + 1e-12
         for lo, t, up in zip(ev.lowers, times, ev.uppers):
@@ -344,23 +334,21 @@ class TestPropositionProperties:
         # value, so dropping anyone loses that user's contribution.
         params = default_system_params()
         sus = make_users(31, 5, buffer_bits=10)
-        geom = params.geometry()
-        full = select_and_allocate(sus, DESIGN, geom, params)
+        full = select_and_allocate(sus, DESIGN, params)
         assert full.case is CaseLabel.CASE1
         for drop in sus:
             rest = [su for su in sus if su is not drop]
-            smaller = select_and_allocate(rest, DESIGN, geom, params)
+            smaller = select_and_allocate(rest, DESIGN, params)
             assert smaller.fc_utility < full.fc_utility
 
     def _case2_chain_instance(self, seed, m):
         rng = np.random.default_rng(seed)
         params = default_system_params()
         sus = make_users(seed + 700, m, buffer_bits=int(rng.integers(300, 1500)))
-        geom = params.geometry()
-        ev = evaluate_set(sus, DESIGN, geom, params)
+        ev = evaluate_set(sus, DESIGN, params)
         budget = float(rng.uniform(0.3, 0.7)) * sum(ev.uppers)
         params = sized_params(frame_for_budget(budget, m))
-        return sus, params.geometry(), params
+        return sus, params
 
     @pytest.mark.parametrize("seed", range(40))
     def test_argmin_elimination_is_best_single_removal(self, seed):
@@ -368,20 +356,20 @@ class TestPropositionProperties:
         # dropping the lowest-paying user beats dropping anyone else and
         # improves on keeping the full set.
         for m in (5, 6):
-            sus, geom, params = self._case2_chain_instance(seed, m)
-            if classify_case(sus, DESIGN, geom, params) is not CaseLabel.CASE2:
+            sus, params = self._case2_chain_instance(seed, m)
+            if classify_case(sus, DESIGN, params) is not CaseLabel.CASE2:
                 continue
-            ev = evaluate_set(sus, DESIGN, geom, params)
+            ev = evaluate_set(sus, DESIGN, params)
             times = greedy_topup(ev.lowers, ev.uppers, ev.priorities, ev.t_prime)
             full_value = sum(p * t for p, t in zip(ev.priorities, times))
             j = min(range(m), key=lambda i: (ev.priorities[i], sus[i].id))
             removal_values = {}
             for drop_idx in range(m):
                 rest = [su for i, su in enumerate(sus) if i != drop_idx]
-                if classify_case(rest, DESIGN, geom, params) is not CaseLabel.CASE2:
+                if classify_case(rest, DESIGN, params) is not CaseLabel.CASE2:
                     removal_values = None
                     break
-                alloc = waterfill_allocate(rest, DESIGN, geom, params)
+                alloc = waterfill_allocate(rest, DESIGN, params)
                 removal_values[drop_idx] = alloc.fc_utility
             if not removal_values:
                 continue
@@ -399,16 +387,14 @@ class TestPropositionProperties:
         rng = np.random.default_rng(seed)
         params = default_system_params()
         pool = make_users(seed + 900, 6, buffer_bits=int(rng.integers(100, 800)))
-        geom = params.geometry()
         by_gain = sorted(pool, key=lambda su: -su.gain_to_fc)
         kept, excluded = by_gain[:3], by_gain[3:]
-        ev = evaluate_set(kept, DESIGN, geom, params)
+        ev = evaluate_set(kept, DESIGN, params)
         budget = float(rng.uniform(0.4, 0.8)) * sum(ev.uppers)
         params = sized_params(frame_for_budget(budget, 3))
-        geom = params.geometry()
 
         def value_of(subset):
-            ev = evaluate_set(subset, DESIGN, geom, params)
+            ev = evaluate_set(subset, DESIGN, params)
             if ev.case is CaseLabel.CASE1:
                 return sum(p * u for p, u in zip(ev.priorities, ev.uppers))
             if ev.case is CaseLabel.CASE2:
@@ -424,7 +410,7 @@ class TestPropositionProperties:
 
         # Depth-1 extreme lower-bound swap sets both contested?
         l_active = len(kept)
-        lowers = UserTable(pool, geom, params).level(DESIGN, l_active)[1]
+        lowers = UserTable(pool, params).level(DESIGN, l_active)[1]
         lbs = {su.id: lb for su, lb in zip(pool, lowers.tolist())}
         kept_by_lb = sorted(kept, key=lambda su: (-lbs[su.id], su.id))
         ex_by_lb = sorted(excluded, key=lambda su: (-lbs[su.id], su.id))
@@ -432,8 +418,8 @@ class TestPropositionProperties:
         g4 = [su for su in kept if su is not kept_by_lb[0]] + [ex_by_lb[-1]]
         try:
             both_case2 = (
-                classify_case(g3, DESIGN, geom, params) is CaseLabel.CASE2
-                and classify_case(g4, DESIGN, geom, params) is CaseLabel.CASE2
+                classify_case(g3, DESIGN, params) is CaseLabel.CASE2
+                and classify_case(g4, DESIGN, params) is CaseLabel.CASE2
             )
         except ValueError:
             both_case2 = False

@@ -242,7 +242,7 @@ class TestSubcommands:
         # more than 1e-9 (relative) sets the mismatch exit code.
         import cogalloc.cli as cli
 
-        def ahead(sus, geom, params, grid):
+        def ahead(sus, params, grid):
             return SimpleNamespace(fc_utility=1e6, wall_time=0.0)
 
         monkeypatch.setattr(cli, "exhaustive_oracle", ahead)
@@ -589,6 +589,51 @@ class TestMainEntry:
                 assert {f.name for f in out.iterdir()} == names
                 outputs.append({name: masked(out / name) for name in names})
             assert outputs[0] == outputs[1], command
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exit_code(self, tmp_path, capsys, jobs):
+        # Refused in one line before the config is read or anything written.
+        out = tmp_path / "out"
+        args = ["optimize", "--config", str(_cfg(tmp_path, {})), "--out", str(out)]
+        assert main([*args, "--jobs", jobs]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--jobs" in err and jobs in err
+        assert not out.exists()
+
+    def test_pool_gets_at_most_one_worker_per_run(self, tmp_path, monkeypatch):
+        # A process pool starts all its workers up front, so --jobs 64 on a
+        # sweep of 4 runs asks for 4 workers, and a single run gets no pool.
+        # The stand-in records the request and maps in this process.
+        import concurrent.futures
+
+        requested = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        outputs = []
+        for name, payload, jobs in (
+            ("seq", SMALL_SWEEP, "1"),
+            ("pool", SMALL_SWEEP, "64"),
+            ("one", {"trials": 1}, "2"),
+        ):
+            out = tmp_path / name
+            args = ["optimize", "--config", str(_cfg(tmp_path, payload)), "--out", str(out)]
+            assert main([*args, "--jobs", jobs]) == EXIT_OK
+            outputs.append((out / "optimize.csv").read_bytes())
+        assert requested == [4]
+        assert outputs[0] == outputs[1]
 
     def test_module_invocation_subprocess(self, tmp_path, src_env):
         path = _cfg(tmp_path, {"trials": 1, "seed": 8})

@@ -1,8 +1,10 @@
 """The demos stay runnable: every name they import from cogalloc exists,
-and the quick ones run to completion."""
+every call to such a name fits its signature, and the quick ones run to
+completion."""
 
 import ast
 import importlib
+import inspect
 import subprocess
 import sys
 from pathlib import Path
@@ -44,6 +46,40 @@ def test_demo_imports_exist(demo):
         if not hasattr(importlib.import_module(module), name)
     ]
     assert not missing, f"{demo} imports names cogalloc lacks: {missing}"
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in DEMOS.glob("demo_*.py")))
+def test_demo_calls_fit_signatures(demo):
+    # Each call to an imported cogalloc name is bound, by its positional
+    # count and keyword names alone, to that name's signature; nothing in
+    # the demo runs, so the slow demo is checked too. Calls that unpack
+    # * or ** arguments cannot be counted and are left out.
+    path = DEMOS / demo
+    names = {
+        name: getattr(importlib.import_module(module), name)
+        for module, name in _cogalloc_imports(path)
+    }
+    calls, stale = 0, []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in names
+        ):
+            continue
+        if any(isinstance(a, ast.Starred) for a in node.args) or any(
+            k.arg is None for k in node.keywords
+        ):
+            continue
+        calls += 1
+        try:
+            inspect.signature(names[node.func.id]).bind(
+                *node.args, **{k.arg: k.value for k in node.keywords}
+            )
+        except TypeError as exc:
+            stale.append(f"line {node.lineno}: {node.func.id}: {exc}")
+    assert calls, f"{demo} calls nothing it imports from cogalloc"
+    assert not stale, f"{demo} calls that do not fit: {stale}"
 
 
 @pytest.mark.parametrize("demo", QUICK)

@@ -114,7 +114,7 @@ class TestDesignTable:
         params = default_system_params(gamma_db=gamma_db, zeta=zeta)
         geom = params.geometry()
         # k above m as well: no L in [k, m] exists for those.
-        table = DesignTable(geom, params, GRID_PFAS, tuple(range(1, m + 3)))
+        table = DesignTable(params, GRID_PFAS, tuple(range(1, m + 3)))
         l_first, at_m, at_first, budget_first = table.at_users(m)
         for d, design in enumerate(map(table.design, range(len(table.k)))):
             first = _scan_first(design, geom, zeta, m)
@@ -136,9 +136,8 @@ class TestDesignTable:
         # Two tables of one grid, asked for M = 20 and M = 40 in opposite
         # orders, agree everywhere (nan where a design has no l_first).
         params = default_system_params()
-        geom = params.geometry()
         grid = (GRID_PFAS, tuple(range(1, 41)))
-        up, down = DesignTable(geom, params, *grid), DesignTable(geom, params, *grid)
+        up, down = DesignTable(params, *grid), DesignTable(params, *grid)
         first = [up.at_users(20), up.at_users(40)]
         second = [down.at_users(40), down.at_users(20)][::-1]
         for got, want in zip(first, second):
@@ -147,7 +146,7 @@ class TestDesignTable:
 
     def test_threshold_above_set_size_is_an_error(self):
         params = default_system_params()
-        table = DesignTable(params.geometry(), params, (0.3,), (4,))
+        table = DesignTable(params, (0.3,), (4,))
         with pytest.raises(ValueError, match="exceeds active users"):
             table.weights((0,), 3)
 
@@ -160,7 +159,7 @@ class TestOracleAdmissibility:
         params = default_system_params(gamma_db=gamma_db, zeta=zeta)
         geom = params.geometry()
         grid = DesignGrid(GRID_PFAS, tuple(range(1, 21)))
-        table = grid_table(geom, params, grid)
+        table = grid_table(params, grid)
         l_first = table.at_users(20)[0]
         apart = 0
         for size in range(1, 21):
@@ -189,7 +188,7 @@ class TestOracleAdmissibility:
         p = local_pd(0.6, geom)
         assert reference_binom_tail(p, 1, 13) >= params.zeta
         assert reference_binom_tail(p, 1, 14) < params.zeta
-        table = grid_table(geom, params, DesignGrid((0.6,), (1,)))
+        table = grid_table(params, DesignGrid((0.6,), (1,)))
         assert table.at_users(14)[0][0] <= 13
         assert table.admissible(13)[0].tolist() == [0]
         assert table.admissible(14)[0].size == 0

@@ -30,10 +30,10 @@ def user(gain=1.0, buffer_bits=1000, pay=0.1, earn=10.0, uid=0):
     )
 
 
-def priced(su, design, geom, params, l_active):
+def priced(su, design, params, l_active):
     """(rate, lower bound, upper bound) of one user from the library's
     pricing kernel, with ``l_active`` reporting users."""
-    rates, lowers, uppers, _ = UserTable([su], geom, params).level(design, l_active)
+    rates, lowers, uppers, _ = UserTable([su], params).level(design, l_active)
     return float(rates[0]), float(lowers[0]), float(uppers[0])
 
 
@@ -117,7 +117,7 @@ class TestEffectiveRate:
         r0, r1 = rate_idle(su, params), rate_interfered(su, params)
         p_fa, p_d = global_pfa(design, 5), global_pd(design, geom, 5)
         expected = params.p_h0 * (1 - p_fa) * r0 + params.p_h1 * (1 - p_d) * r1
-        assert priced(su, design, geom, params, 5)[0] == pytest.approx(
+        assert priced(su, design, params, 5)[0] == pytest.approx(
             expected, rel=1e-12
         )
 
@@ -125,7 +125,7 @@ class TestEffectiveRate:
         # Both access opportunities vanish at unit tails; full access at zero.
         su = user()
         r0, r1 = rate_idle(su, params), rate_interfered(su, params)
-        table = UserTable([su], params.geometry(), params)
+        table = UserTable([su], params)
         blend = lambda fa, d: table.price(
             params.p_h0 * (1 - fa), params.p_h1 * (1 - d)
         )[0][0]
@@ -146,23 +146,23 @@ class TestEffectiveRate:
             params.p_h0 * (1 - p_fa) * rate_idle(su, params)
             + params.p_h1 * (1 - p_d) * rate_interfered(su, params)
         )
-        assert priced(su, design, geom, params, 5)[0] == pytest.approx(
+        assert priced(su, design, params, 5)[0] == pytest.approx(
             expected, rel=1e-12
         )
 
-    def test_k_above_l_propagates(self, params, geom):
+    def test_k_above_l_propagates(self, params):
         with pytest.raises(ValueError):
-            priced(user(), SensingDesign(0.1, 6), geom, params, 5)
+            priced(user(), SensingDesign(0.1, 6), params, 5)
 
 
 class TestTimeBounds:
     def test_sensing_cost_value(self, params):
         assert params.sensing_cost == pytest.approx(0.005, rel=1e-12)
 
-    def test_lower_bound_arithmetic(self, params, geom):
+    def test_lower_bound_arithmetic(self, params):
         su = user()
         design = SensingDesign(0.2, 2)
-        rate, lb, _ = priced(su, design, geom, params, 4)
+        rate, lb, _ = priced(su, design, params, 4)
         assert lb * rate * (su.earn_rate - su.pay_rate) == pytest.approx(
             params.sensing_cost, rel=1e-12
         )
@@ -171,7 +171,7 @@ class TestTimeBounds:
         # 0.005 / (1000 * 9.9) with rate and margin frozen by hand.
         assert 0.005 / (1000.0 * 9.9) == pytest.approx(5.0505e-7, rel=1e-4)
 
-    def test_never_profitable_marker(self, params, geom):
+    def test_never_profitable_marker(self, params):
         # b <= a: the lower bound is infinite, whatever the rate.
         lowers, _ = time_bound_arrays(
             np.array([1000.0, 1000.0]),
@@ -181,43 +181,43 @@ class TestTimeBounds:
         )
         assert lowers.tolist() == [math.inf, math.inf]
         design = SensingDesign(0.2, 1)
-        assert priced(user(pay=1.0, earn=1.0), design, geom, params, 3)[1] == math.inf
-        assert priced(user(pay=2.0, earn=1.0), design, geom, params, 3)[1] == math.inf
+        assert priced(user(pay=1.0, earn=1.0), design, params, 3)[1] == math.inf
+        assert priced(user(pay=2.0, earn=1.0), design, params, 3)[1] == math.inf
 
-    def test_upper_bound_empty_buffer(self, params, geom):
+    def test_upper_bound_empty_buffer(self, params):
         design = SensingDesign(0.2, 1)
-        assert priced(user(buffer_bits=0), design, geom, params, 3)[2] == 0.0
+        assert priced(user(buffer_bits=0), design, params, 3)[2] == 0.0
 
-    def test_upper_bound_clears_buffer_exactly(self, params, geom):
+    def test_upper_bound_clears_buffer_exactly(self, params):
         design = SensingDesign(0.3, 2)
         su = user(buffer_bits=1000)
-        rate, _, ub = priced(su, design, geom, params, 5)
+        rate, _, ub = priced(su, design, params, 5)
         assert rate * ub == pytest.approx(su.buffer_bits, rel=1e-9)
 
-    def test_upper_bound_linearity(self, params, geom):
+    def test_upper_bound_linearity(self, params):
         design = SensingDesign(0.3, 2)
-        one = priced(user(buffer_bits=700), design, geom, params, 5)[2]
-        two = priced(user(buffer_bits=1400), design, geom, params, 5)[2]
+        one = priced(user(buffer_bits=700), design, params, 5)[2]
+        two = priced(user(buffer_bits=1400), design, params, 5)[2]
         assert two == pytest.approx(2.0 * one, rel=1e-12)
 
-    def test_bounds_pair_matches_scalar_ops(self, params, geom):
+    def test_bounds_pair_matches_scalar_ops(self, params):
         # The array kernel and the scalar formulas agree bit for bit.
         design = SensingDesign(0.4, 3)
         su = user(gain=0.8)
-        rate, lb, ub = priced(su, design, geom, params, 5)
-        scalar = scalar_effective_rate(su, design, geom, params, 5)
+        rate, lb, ub = priced(su, design, params, 5)
+        scalar = scalar_effective_rate(su, design, params, 5)
         assert rate == scalar
         assert lb == params.sensing_cost / (scalar * (su.earn_rate - su.pay_rate))
         assert ub == su.buffer_bits / scalar
 
-    def test_bounds_shrink_and_rates_grow_when_set_shrinks(self, params, geom):
+    def test_bounds_shrink_and_rates_grow_when_set_shrinks(self, params):
         # One fewer reporting user lowers both fused tails, so each
         # remaining user's rate rises and both bounds contract.
         design = SensingDesign(0.2, 2)
         su = user()
         for l_active in range(3, 8):
-            small = priced(su, design, geom, params, l_active - 1)
-            large = priced(su, design, geom, params, l_active)
+            small = priced(su, design, params, l_active - 1)
+            large = priced(su, design, params, l_active)
             assert small[0] > large[0]
             assert small[1] < large[1]
             assert small[2] < large[2]
@@ -251,42 +251,42 @@ class TestEffectiveTime:
 
 
 class TestUtilities:
-    def test_su_utility_inactive_is_zero(self, params, geom):
+    def test_su_utility_inactive_is_zero(self, params):
         # A never-profitable user is pruned: inactive, zero time, zero utility.
         sus = [user(uid=0), user(uid=1, pay=1.0, earn=1.0), user(uid=2), user(uid=3)]
-        alloc = select_and_allocate(sus, SensingDesign(0.2, 2), geom, params)
+        alloc = select_and_allocate(sus, SensingDesign(0.2, 2), params)
         assert alloc.feasible and not alloc.active[1]
         assert alloc.times[1] == 0.0 and alloc.su_utilities[1] == 0.0
 
-    def test_break_even_identity(self, params, geom):
+    def test_break_even_identity(self, params):
         design = SensingDesign(0.2, 2)
         su = user()
-        rate, lb, _ = priced(su, design, geom, params, 5)
+        rate, lb, _ = priced(su, design, params, 5)
         assert net_utility(su, rate, lb, params) == pytest.approx(0.0, abs=1e-12)
 
-    def test_double_break_even_earns_one_sensing_cost(self, params, geom):
+    def test_double_break_even_earns_one_sensing_cost(self, params):
         design = SensingDesign(0.2, 2)
         su = user()
-        rate, lb, _ = priced(su, design, geom, params, 5)
+        rate, lb, _ = priced(su, design, params, 5)
         assert net_utility(su, rate, 2 * lb, params) == pytest.approx(
             params.sensing_cost, rel=1e-9
         )
 
-    def test_break_even_identity_over_design_grid(self, params, geom):
+    def test_break_even_identity_over_design_grid(self, params):
         for pfa in (0.1, 0.4, 0.7):
             for k, l_active in ((1, 2), (2, 4), (3, 6)):
                 design = SensingDesign(pfa, k)
                 for gain in (0.3, 1.0, 2.5):
                     su = user(gain=gain)
-                    rate, lb, _ = priced(su, design, geom, params, l_active)
+                    rate, lb, _ = priced(su, design, params, l_active)
                     assert net_utility(su, rate, lb, params) == pytest.approx(
                         0.0, abs=1e-12
                     )
 
-    def test_positivity_iff_above_lower_bound(self, params, geom):
+    def test_positivity_iff_above_lower_bound(self, params):
         design = SensingDesign(0.3, 2)
         su = user()
-        rate, lb, _ = priced(su, design, geom, params, 5)
+        rate, lb, _ = priced(su, design, params, 5)
         for factor in (0.2, 0.9, 0.999):
             assert net_utility(su, rate, factor * lb, params) < 0
         for factor in (1.001, 3.0):

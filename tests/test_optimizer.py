@@ -15,6 +15,7 @@ from cogalloc import (
     SecondaryUser,
     SensingDesign,
     TrafficModel,
+    UserProfile,
     count_negative_utility,
     default_system_params,
     effective_time,
@@ -65,27 +66,27 @@ class TestDesignGrid:
 
 
 class TestJointOptimize:
-    def test_single_grid_point_equals_inner_solver(self, params, geom):
+    def test_single_grid_point_equals_inner_solver(self, params):
         sus = make_users(1, 4)
         grid = DesignGrid(pfa_values=(0.3,), k_values=(2,))
-        outcome = joint_optimize(sus, geom, params, grid)
-        direct = select_and_allocate(sus, SensingDesign(0.3, 2), geom, params)
+        outcome = joint_optimize(sus, params, grid)
+        direct = select_and_allocate(sus, SensingDesign(0.3, 2), params)
         assert outcome.best_allocation == direct
         assert outcome.best_design == SensingDesign(0.3, 2)
 
     def test_unreachable_floor_all_infeasible(self):
         params = default_system_params(zeta=0.999999, gamma_db=-15.0)
         sus = make_users(2, 3)
-        outcome = joint_optimize(sus, params.geometry(), params, DesignGrid.uniform(3))
+        outcome = joint_optimize(sus, params, DesignGrid.uniform(3))
         assert not outcome.feasible
         assert outcome.best_design is None
         assert outcome.fc_utility == 0.0
 
-    def test_surface_collection(self, params, geom):
+    def test_surface_collection(self, params):
         sus = make_users(3, 3)
         grid = DesignGrid(pfa_values=(0.1, 0.5), k_values=(1, 2))
-        outcome = joint_optimize(sus, geom, params, grid)
-        _, surface = reference_joint_optimize(sus, geom, params, grid, keep_surface=True)
+        outcome = joint_optimize(sus, params, grid)
+        _, surface = reference_joint_optimize(sus, params, grid, keep_surface=True)
         assert set(surface) == {(0.1, 1), (0.5, 1), (0.1, 2), (0.5, 2)}
         feasible_values = [v for v in surface.values() if v is not None]
         assert outcome.fc_utility == pytest.approx(max(feasible_values), rel=1e-12)
@@ -100,21 +101,21 @@ class TestJointOptimize:
         for zeta in (0.6, 0.7, 0.8, 0.9, 0.95):
             params = default_system_params(zeta=zeta)
             utilities.append(
-                joint_optimize(sus, params.geometry(), params, grid).fc_utility
+                joint_optimize(sus, params, grid).fc_utility
             )
         assert all(a >= b - 1e-12 for a, b in zip(utilities, utilities[1:]))
 
-    def test_tie_break_prefers_small_pfa_then_small_k(self, params, geom):
+    def test_tie_break_prefers_small_pfa_then_small_k(self, params):
         # Abundant time: every feasible design clears every buffer, so the
         # utility surface is flat and the tie-break decides.
         sus = make_users(4, 4, buffer_bits=5)
-        outcome = joint_optimize(sus, geom, params, DesignGrid.uniform(4))
+        outcome = joint_optimize(sus, params, DesignGrid.uniform(4))
         surface_best = outcome.best_design
         grid = DesignGrid.uniform(4)
         candidates = []
         for k in grid.k_values:
             for pfa in grid.pfa_values:
-                alloc = select_and_allocate(sus, SensingDesign(pfa, k), geom, params)
+                alloc = select_and_allocate(sus, SensingDesign(pfa, k), params)
                 if alloc.feasible and alloc.fc_utility == pytest.approx(
                     outcome.fc_utility, rel=1e-12
                 ):
@@ -208,11 +209,10 @@ class TestPrunedGridSearch:
     )
     def test_matches_per_point_loop(self, m, seed, kind):
         params, sus = _mixed_instance(seed * 31 + m, m, kind)
-        geom = params.geometry()
         grid = DesignGrid.uniform(max(m, 1))
         _assert_same_outcome(
-            joint_optimize(sus, geom, params, grid),
-            reference_joint_optimize(sus, geom, params, grid),
+            joint_optimize(sus, params, grid),
+            reference_joint_optimize(sus, params, grid),
         )
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -220,15 +220,14 @@ class TestPrunedGridSearch:
     def test_matches_with_zero_rate_designs(self, seed, kind):
         # At pfa 0.99 every effective rate is 0 from a few users on.
         params, sus = _mixed_instance(seed + 500, 9, kind)
-        geom = params.geometry()
         grid = DesignGrid(pfa_values=(0.05, 0.5, 0.99), k_values=tuple(range(1, 10)))
         _assert_same_outcome(
-            joint_optimize(sus, geom, params, grid),
-            reference_joint_optimize(sus, geom, params, grid),
+            joint_optimize(sus, params, grid),
+            reference_joint_optimize(sus, params, grid),
         )
 
     @pytest.mark.parametrize("k_values", [(1, 2, 3, 4), (4, 3, 2, 1)])
-    def test_flat_surface_tie_break(self, monkeypatch, params, geom, k_values):
+    def test_flat_surface_tie_break(self, monkeypatch, params, k_values):
         # Users who pay nothing make every feasible design worth exactly 0,
         # so the bound never falls below the incumbent and the (pfa, k)
         # tie-break decides, also when the grid visits k downwards. No
@@ -244,16 +243,16 @@ class TestPrunedGridSearch:
         feasible = [
             (pfa, k)
             for (pfa, k), u in reference_joint_optimize(
-                sus, geom, params, grid, keep_surface=True
+                sus, params, grid, keep_surface=True
             )[1].items()
             if u is not None
         ]
         assert len(feasible) > 1
         visited, allocated = _record_visits(monkeypatch)
-        got = joint_optimize(sus, geom, params, grid)
+        got = joint_optimize(sus, params, grid)
         assert [(d.pfa_local, d.k_threshold) for d in visited] == feasible
         assert allocated == []
-        _assert_same_outcome(got, reference_joint_optimize(sus, geom, params, grid))
+        _assert_same_outcome(got, reference_joint_optimize(sus, params, grid))
         assert got.feasible and got.fc_utility == 0.0
         design = got.best_design
         assert (design.pfa_local, design.k_threshold) == min(feasible)
@@ -267,7 +266,6 @@ class TestPrunedGridSearch:
         # the utility; the slack must keep such a design in the search
         # (the grid visits k downwards, so later designs win ties).
         params = default_system_params()
-        geom = params.geometry()
         rng = np.random.default_rng(seed + 70)
         sus = [
             SecondaryUser(
@@ -281,8 +279,8 @@ class TestPrunedGridSearch:
         ]
         grid = DesignGrid(pfa_values=(0.1, 0.3, 0.5, 0.7), k_values=(5, 4, 3, 2, 1))
         _assert_same_outcome(
-            joint_optimize(sus, geom, params, grid),
-            reference_joint_optimize(sus, geom, params, grid),
+            joint_optimize(sus, params, grid),
+            reference_joint_optimize(sus, params, grid),
         )
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -291,23 +289,22 @@ class TestPrunedGridSearch:
         # The reference searches every design; the pruned search must
         # pick the same result.
         params, sus = _mixed_instance(seed + 300, 8, kind)
-        geom = params.geometry()
         grid = DesignGrid.uniform(8)
-        full, surface = reference_joint_optimize(sus, geom, params, grid, keep_surface=True)
-        _assert_same_outcome(joint_optimize(sus, geom, params, grid), full)
+        full, surface = reference_joint_optimize(sus, params, grid, keep_surface=True)
+        _assert_same_outcome(joint_optimize(sus, params, grid), full)
         assert len(surface) == len(grid.pfa_values) * len(grid.k_values)
 
     @pytest.mark.parametrize("m", [1, 3, 6])
-    def test_vote_threshold_above_user_count_is_infeasible(self, params, geom, m):
+    def test_vote_threshold_above_user_count_is_infeasible(self, params, m):
         sus = make_users(m + 20, m)
         pfas = DesignGrid.uniform(m).pfa_values
         wide = DesignGrid(pfa_values=pfas, k_values=tuple(range(1, m + 3)))
         narrow = DesignGrid(pfa_values=pfas, k_values=tuple(range(1, m + 1)))
         _assert_same_outcome(
-            joint_optimize(sus, geom, params, wide),
-            joint_optimize(sus, geom, params, narrow),
+            joint_optimize(sus, params, wide),
+            joint_optimize(sus, params, narrow),
         )
-        surface = reference_joint_optimize(sus, geom, params, wide, keep_surface=True)[1]
+        surface = reference_joint_optimize(sus, params, wide, keep_surface=True)[1]
         assert all(
             surface[(pfa, k)] is None
             for pfa in pfas
@@ -324,7 +321,6 @@ class TestPrunedGridSearch:
         rng = np.random.default_rng(seed)
         m = int(rng.integers(3, 9))
         params = default_system_params(zeta=float(rng.choice([0.6, 0.7, 0.9])))
-        geom = params.geometry()
         sus = [
             SecondaryUser(
                 id=i,
@@ -337,14 +333,14 @@ class TestPrunedGridSearch:
         ]
         grid = DesignGrid.uniform(m)
         visited, allocated = _record_visits(monkeypatch)
-        got = joint_optimize(sus, geom, params, grid)
+        got = joint_optimize(sus, params, grid)
         assert got.feasible and visited[0] != got.best_design
         assert got.best_design in visited
         assert allocated == []
-        _assert_same_outcome(got, reference_joint_optimize(sus, geom, params, grid))
+        _assert_same_outcome(got, reference_joint_optimize(sus, params, grid))
 
     def test_flat_abundant_surface_settles_every_tie(
-        self, monkeypatch, params, geom
+        self, monkeypatch, params
     ):
         # Identical users with tiny backlogs: every feasible design clears
         # every buffer, so every utility and every bound tie. The screen
@@ -358,28 +354,28 @@ class TestPrunedGridSearch:
             for i in range(5)
         ]
         grid = DesignGrid(pfa_values=(0.1, 0.2, 0.3, 0.4), k_values=(5, 4, 3, 2, 1))
-        surface = reference_joint_optimize(sus, geom, params, grid, keep_surface=True)[1]
+        surface = reference_joint_optimize(sus, params, grid, keep_surface=True)[1]
         feasible = [key for key, u in surface.items() if u is not None]
         assert len(feasible) > 1
         assert len({surface[key] for key in feasible}) == 1
         visited, allocated = _record_visits(monkeypatch)
-        got = joint_optimize(sus, geom, params, grid)
+        got = joint_optimize(sus, params, grid)
         assert visited == []
         assert allocated == [got.best_design]
         assert (got.best_design.pfa_local, got.best_design.k_threshold) == min(feasible)
-        _assert_same_outcome(got, reference_joint_optimize(sus, geom, params, grid))
+        _assert_same_outcome(got, reference_joint_optimize(sus, params, grid))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_designs_tied_with_the_settled_winner_are_not_walked(
-        self, monkeypatch, params, geom, seed
+        self, monkeypatch, params, seed
     ):
         # Unsettled designs share the settled winner's reduced set, so
         # the reference bound sum_R a_i B_i alone reaches the winner's
         # utility; none of them can earn it, and none is walked.
         sus = _small_buffer_users(seed)
         grid = DesignGrid.uniform(5)
-        table = UserTable(sus, geom, params)
-        weights = grid_table(geom, params, grid)
+        table = UserTable(sus, params)
+        weights = grid_table(params, grid)
         screen = table.screen(weights)
         settled = screen.settled
         best = np.nanmax(settled)
@@ -392,19 +388,20 @@ class TestPrunedGridSearch:
         ]
         assert tied
         visited, allocated = _record_visits(monkeypatch)
-        got = joint_optimize(sus, geom, params, grid)
+        got = joint_optimize(sus, params, grid)
         assert visited == []
         assert allocated == [got.best_design]
         assert got.fc_utility == best
-        _assert_same_outcome(got, reference_joint_optimize(sus, geom, params, grid))
+        _assert_same_outcome(got, reference_joint_optimize(sus, params, grid))
 
-    def test_episode_matches_reference_search(self, monkeypatch, params, geom):
+    def test_episode_matches_reference_search(self, monkeypatch, params):
         # Thirty frames with batches every few frames: the weights shared
         # across frames must give every frame the reference's decision.
         traffic = TrafficModel(scale=0.002)
 
         def episode():
-            return run_episode(30, params, geom, traffic, rng_seed=5, n_users=5)[1]
+            profiles = [UserProfile()] * 5
+            return run_episode(30, params, traffic, rng_seed=5, profiles=profiles)[1]
 
         got = episode()
         monkeypatch.setattr(simkit, "joint_optimize", reference_joint_optimize)
@@ -459,12 +456,12 @@ class TestBatchedScreen:
     its bound covers the utility the search finds there."""
 
     @staticmethod
-    def _check(sus, geom, params, grid):
+    def _check(sus, params, grid):
         # Also returns the number of unsettled designs whose shortfall cap
         # lies below the reference bound (the cap binds there).
         m = len(sus)
-        table = UserTable(sus, geom, params)
-        weights = grid_table(geom, params, grid)
+        table = UserTable(sus, params)
+        weights = grid_table(params, grid)
         screen = table.screen(weights)
         bounds, settled = screen.bounds, screen.settled
         # The cap of every feasible design the screen leaves unsettled,
@@ -492,7 +489,7 @@ class TestBatchedScreen:
                     assert bound <= reference_utility_bound(table, design) * (
                         1.0 + 1e-12
                     )
-                alloc = select_and_allocate(sus, design, geom, params)
+                alloc = select_and_allocate(sus, design, params)
                 if want is None:
                     assert not alloc.feasible
                 elif alloc.feasible:
@@ -511,10 +508,10 @@ class TestBatchedScreen:
             pfa_values=(0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99),
             k_values=tuple(range(1, m + 3)),
         )
-        self._check(sus, params.geometry(), params, grid)
+        self._check(sus, params, grid)
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_bound_taken_where_the_walk_ends(self, params, geom, seed):
+    def test_bound_taken_where_the_walk_ends(self, params, seed):
         # The walk ends below |R| here (see TestUtilityBound), where rates
         # and the budget are larger than at |R|.
         sus = [
@@ -525,23 +522,23 @@ class TestBatchedScreen:
             for i in range(12)
         ]
         grid = DesignGrid(pfa_values=(0.1, 0.3, 0.5), k_values=(1, 2, 3, 4, 5))
-        self._check(sus, geom, params, grid)
+        self._check(sus, params, grid)
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_shortfall_caps_small_buffer_designs(self, params, geom, seed):
+    def test_shortfall_caps_small_buffer_designs(self, params, seed):
         # Many designs share sum_R a_i B_i; the cap binds at some of them.
-        assert self._check(_small_buffer_users(seed), geom, params, DesignGrid.uniform(5))
+        assert self._check(_small_buffer_users(seed), params, DesignGrid.uniform(5))
 
     @pytest.mark.parametrize("steps", [1, 3])
     @pytest.mark.parametrize("seed", range(4))
-    def test_shortfall_just_past_the_budget(self, params, geom, seed, steps):
+    def test_shortfall_just_past_the_budget(self, params, seed, steps):
         # The frame length puts the budget check T'(|R|) + TIME_TOL of an
         # unsettled design a few TIME_TOL below its members' clearing-time
         # sum, so the overflow e is at most that.
         sus = _small_buffer_users(seed)
         grid = DesignGrid.uniform(5)
-        table = UserTable(sus, geom, params)
-        weights = grid_table(geom, params, grid)
+        table = UserTable(sus, params)
+        weights = grid_table(params, grid)
         screen = table.screen(weights)
         bounds, settled = screen.bounds, screen.settled
         d = int(np.flatnonzero((bounds > -np.inf) & np.isnan(settled))[0])
@@ -549,12 +546,12 @@ class TestBatchedScreen:
         reduced = screen.start(d)[0]
         total = float(table.evaluate(design, reduced).uppers.sum())
         edge = _budget_edge(params, len(reduced), total - steps * TIME_TOL, above=True)
-        table = UserTable(sus, geom, edge)
-        weights = grid_table(geom, edge, grid)
+        table = UserTable(sus, edge)
+        weights = grid_table(edge, grid)
         assert np.isnan(table.screen(weights).settled[d])
         excess = total - (table.budgets[len(reduced)] + TIME_TOL)
         assert 0.0 < excess <= steps * TIME_TOL
-        self._check(sus, geom, edge, grid)
+        self._check(sus, edge, grid)
 
     @pytest.mark.parametrize("bits", [7, 20])
     @pytest.mark.parametrize("pfa,k", [(0.1, 1), (0.5, 3)])
@@ -564,7 +561,6 @@ class TestBatchedScreen:
         # T'(|R|) + TIME_TOL]: the Case-2 fill then grants the lower
         # bounds, TIME_TOL beyond T'. The cap must count that slack in e.
         params = default_system_params(zeta=0.6)
-        geom = params.geometry()
         earn = 0.1 + params.sensing_cost * 1.05 / bits
         sus = [
             SecondaryUser(
@@ -574,17 +570,17 @@ class TestBatchedScreen:
         ]
         design = SensingDesign(pfa, k)
         every = tuple(range(5))
-        lowers = float(UserTable(sus, geom, params).evaluate(design, every).lowers.sum())
+        lowers = float(UserTable(sus, params).evaluate(design, every).lowers.sum())
         edge = _budget_edge(params, 5, lowers, above=True)
-        table = UserTable(sus, geom, edge)
-        screen = table.screen(grid_table(geom, edge, DesignGrid((pfa,), (k,))))
+        table = UserTable(sus, edge)
+        screen = table.screen(grid_table(edge, DesignGrid((pfa,), (k,))))
         assert screen.start(0)[0] == every
         ev = table.evaluate(design, every)
         assert ev.case is CaseLabel.CASE2 and float(ev.lowers.sum()) > ev.t_prime
-        self._check(sus, geom, edge, DesignGrid((pfa,), (k,)))
+        self._check(sus, edge, DesignGrid((pfa,), (k,)))
 
     @pytest.mark.parametrize("bits", [10**4, 10**6, 10**9])
-    def test_shortfall_with_a_dominant_member(self, params, geom, bits):
+    def test_shortfall_with_a_dominant_member(self, params, bits):
         # One profitable user with a backlog far beyond a frame, the rest
         # never profitable: R is that user alone, the cut is nearly all of
         # sum_R a_i B_i, and the cap's difference cancels.
@@ -599,22 +595,21 @@ class TestBatchedScreen:
             for i in range(1, 5)
         ]
         grid = DesignGrid(pfa_values=(0.3, 0.5, 0.7, 0.9), k_values=(1, 2))
-        table = UserTable(sus, geom, params)
-        weights = grid_table(geom, params, grid)
+        table = UserTable(sus, params)
+        weights = grid_table(params, grid)
         screen = table.screen(weights)
         bounds, settled = screen.bounds, screen.settled
         rows = np.flatnonzero((bounds > -np.inf) & np.isnan(settled))
         assert rows.size
         assert all(screen.start(d)[0] == (0,) for d in rows)
-        self._check(sus, geom, params, grid)
+        self._check(sus, params, grid)
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("m", [1, 5, 7, 8, 9, 16, 40, 200])
     def test_settles_exactly_the_abundant_designs(self, m, kind):
         params, sus = _mixed_instance(m + 800, m, kind)
-        geom = params.geometry()
-        table = UserTable(sus, geom, params)
-        weights = grid_table(geom, params, _sparse_grid(m))
+        table = UserTable(sus, params)
+        weights = grid_table(params, _sparse_grid(m))
         screen = table.screen(weights)
         bounds, settled = screen.bounds, screen.settled
         _assert_settled_as_walked(table, screen)
@@ -632,10 +627,9 @@ class TestBatchedScreen:
         # or just below: only the exact sum (members in order, weights at
         # |R|, TIME_TOL included) decides the case as the walk does.
         params, sus = _mixed_instance(m + 800, m, kind)
-        geom = params.geometry()
         grid = _sparse_grid(m)
-        table = UserTable(sus, geom, params)
-        weights = grid_table(geom, params, grid)
+        table = UserTable(sus, params)
+        weights = grid_table(params, grid)
         screen = table.screen(weights)
         edges = {}
         for d, design in enumerate(map(weights.design, range(len(weights.k)))):
@@ -647,8 +641,8 @@ class TestBatchedScreen:
             total = float(table.evaluate(design, reduced).uppers.sum())
             for above in (True, False):
                 edge = _budget_edge(params, len(reduced), total, above)
-                table = UserTable(sus, geom, edge)
-                weights = grid_table(geom, edge, grid)
+                table = UserTable(sus, edge)
+                weights = grid_table(edge, grid)
                 screen = table.screen(weights)
                 settled = screen.settled
                 assert np.isnan(settled[d]) != above
@@ -656,18 +650,17 @@ class TestBatchedScreen:
 
     def test_shared_weights_follow_every_key_field(self):
         # One process, calls interleaved so that each differs from the
-        # last in exactly one of zeta, p_h0, the geometry, the grid or M:
+        # last in exactly one of zeta, p_h0, the sensing SNR, the grid or M:
         # a weight table shared across a key field would serve a stale one.
         params, sus = _mixed_instance(41, 8, "heterogeneous")
-        geom = params.geometry()
         grid = DesignGrid.uniform(8)
         cases = [
-            (sus, geom, params, grid),
-            (sus, geom, replace(params, zeta=0.95), grid),
-            (sus, geom, replace(params, p_h0=0.4), grid),
-            (sus, replace(geom, gamma=geom.gamma * 0.5), params, grid),
-            (sus, geom, params, DesignGrid(grid.pfa_values[1:], grid.k_values)),
-            (sus[:6], geom, params, grid),
+            (sus, params, grid),
+            (sus, replace(params, zeta=0.95), grid),
+            (sus, replace(params, p_h0=0.4), grid),
+            (sus, replace(params, gamma_db=params.gamma_db - 3.0), grid),
+            (sus, params, DesignGrid(grid.pfa_values[1:], grid.k_values)),
+            (sus[:6], params, grid),
         ]
         wants = [reference_joint_optimize(*case) for case in cases]
         base = (wants[0].best_design, wants[0].fc_utility)
@@ -683,8 +676,7 @@ class TestUtilityBound:
         rng = np.random.default_rng(seed)
         m = int(rng.integers(1, 13))
         params, sus = _mixed_instance(seed + 900, m, kind)
-        geom = params.geometry()
-        table = UserTable(sus, geom, params)
+        table = UserTable(sus, params)
         grid = DesignGrid(
             pfa_values=(0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99),
             k_values=tuple(range(1, m + 2)),
@@ -692,7 +684,7 @@ class TestUtilityBound:
         for k in grid.k_values:
             for pfa in grid.pfa_values:
                 design = SensingDesign(pfa, k)
-                alloc = select_and_allocate(sus, design, geom, params)
+                alloc = select_and_allocate(sus, design, params)
                 bound = reference_utility_bound(table, design)
                 if bound is None:
                     assert not alloc.feasible
@@ -700,7 +692,7 @@ class TestUtilityBound:
                     assert alloc.fc_utility <= bound * (1.0 + BOUND_SLACK)
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_bound_holds_when_the_walk_shrinks_the_set(self, params, geom, seed):
+    def test_bound_holds_when_the_walk_shrinks_the_set(self, params, seed):
         # Identical users with large backlogs contest the budget at every
         # size, so the walk ends below the reduced set's size, where rates
         # and the budget are larger: the bound has to be taken at l_lb.
@@ -711,12 +703,12 @@ class TestUtilityBound:
             )
             for i in range(12)
         ]
-        table = UserTable(sus, geom, params)
+        table = UserTable(sus, params)
         checked = 0
         for k in range(1, 6):
             for pfa in (0.1, 0.3, 0.5):
                 design = SensingDesign(pfa, k)
-                alloc = select_and_allocate(sus, design, geom, params)
+                alloc = select_and_allocate(sus, design, params)
                 if alloc.feasible:
                     checked += 1
                     assert alloc.n_selected < len(sus)
@@ -727,26 +719,25 @@ class TestUtilityBound:
 
 
 class TestExhaustiveOracle:
-    def test_user_cap(self, params, geom):
+    def test_user_cap(self, params):
         sus = make_users(5, 13)
         with pytest.raises(ValueError, match="capped"):
-            exhaustive_oracle(sus, geom, params, DesignGrid.uniform(13))
+            exhaustive_oracle(sus, params, DesignGrid.uniform(13))
 
-    def test_single_user_reduces_to_grid_scan(self, params, geom):
+    def test_single_user_reduces_to_grid_scan(self, params):
         sus = make_users(6, 1, buffer_bits=500)
         grid = DesignGrid.uniform(1)
-        oracle = exhaustive_oracle(sus, geom, params, grid)
-        joint = joint_optimize(sus, geom, params, grid)
+        oracle = exhaustive_oracle(sus, params, grid)
+        joint = joint_optimize(sus, params, grid)
         assert oracle.fc_utility == pytest.approx(joint.fc_utility, rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(25))
     def test_dominates_joint_everywhere(self, seed):
         # Heterogeneous costs allowed: the oracle scans a superset.
         params, sus = _heterogeneous_instance(seed)
-        geom = params.geometry()
         grid = DesignGrid.uniform(5)
-        oracle = exhaustive_oracle(sus, geom, params, grid)
-        joint = joint_optimize(sus, geom, params, grid)
+        oracle = exhaustive_oracle(sus, params, grid)
+        joint = joint_optimize(sus, params, grid)
         assert oracle.fc_utility >= joint.fc_utility - 1e-9 * max(oracle.fc_utility, 1.0)
 
     @pytest.mark.parametrize("seed", range(30))
@@ -755,10 +746,9 @@ class TestExhaustiveOracle:
         m = int(rng.choice([3, 5, 7]))
         params = default_system_params(zeta=float(rng.choice([0.6, 0.7, 0.8, 0.9])))
         sus = make_users(seed + 40, m, buffer_bits=1000)
-        geom = params.geometry()
         grid = DesignGrid.uniform(m)
-        oracle = exhaustive_oracle(sus, geom, params, grid)
-        joint = joint_optimize(sus, geom, params, grid)
+        oracle = exhaustive_oracle(sus, params, grid)
+        joint = joint_optimize(sus, params, grid)
         if oracle.feasible:
             assert joint.fc_utility == pytest.approx(oracle.fc_utility, rel=1e-9)
         else:
@@ -770,18 +760,17 @@ class TestExhaustiveOracle:
         # effective rate is 0 at that design: the oracle must skip it, as
         # the allocator does, without dividing by zero.
         params = default_system_params()
-        geom = params.geometry()
         grid = DesignGrid(pfa_values=(0.5, 0.99), k_values=tuple(range(1, 10)))
         sus = make_users(seed, 9)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            oracle = exhaustive_oracle(sus, geom, params, grid)
-            joint = joint_optimize(sus, geom, params, grid)
+            oracle = exhaustive_oracle(sus, params, grid)
+            joint = joint_optimize(sus, params, grid)
         assert oracle.feasible
         assert oracle.fc_utility == pytest.approx(joint.fc_utility, rel=1e-9)
         assert oracle.best_design == joint.best_design
 
-    def test_repeated_ids_placed_by_position(self, params, geom):
+    def test_repeated_ids_placed_by_position(self, params):
         # Two users share id 3; the second is unprofitable and never a
         # candidate. The time must go to the first, as the joint search
         # and the baseline place it.
@@ -791,9 +780,9 @@ class TestExhaustiveOracle:
             SecondaryUser(id=5, gain_to_fc=1.0, buffer_bits=1000, pay_rate=0.1, earn_rate=10.0),
         ]
         grid = DesignGrid.uniform(3)
-        oracle = exhaustive_oracle(sus, geom, params, grid)
-        joint = joint_optimize(sus, geom, params, grid)
-        baseline = nonjoint_baseline(sus, geom, params, grid)
+        oracle = exhaustive_oracle(sus, params, grid)
+        joint = joint_optimize(sus, params, grid)
+        baseline = nonjoint_baseline(sus, params, grid)
         assert oracle.best_allocation.active == (True, False, True)
         assert joint.best_allocation.active == (True, False, True)
         assert oracle.best_allocation.times[1] == 0.0
@@ -801,15 +790,15 @@ class TestExhaustiveOracle:
         assert baseline.best_allocation.active == (True, False, True)
         assert baseline.best_allocation.times[1] == 0.0
 
-    def test_memory_stays_flat_at_twelve_users(self, params, geom):
+    def test_memory_stays_flat_at_twelve_users(self, params):
         # The chunk cap bounds the working arrays, so the peak does not
         # grow with the C(12, 6) = 924 subsets of the largest size.
         sus = make_users(4, 12, buffer_bits=20000)
         grid = DesignGrid.uniform(12)
-        exhaustive_oracle(sus, geom, params, grid)  # fills the shared caches
+        exhaustive_oracle(sus, params, grid)  # fills the shared caches
         tracemalloc.start()
         try:
-            exhaustive_oracle(sus, geom, params, grid)
+            exhaustive_oracle(sus, params, grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -820,25 +809,25 @@ class TestEdgeRegimes:
     """Empty buffers and hundreds of users, with warnings as errors."""
 
     @pytest.mark.parametrize("m", [1, 5, 9])
-    def test_all_zero_buffers_are_infeasible(self, params, geom, m):
+    def test_all_zero_buffers_are_infeasible(self, params, m):
         sus = make_users(m, m, buffer_bits=0)
         grid = DesignGrid.uniform(m)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            joint = joint_optimize(sus, geom, params, grid)
-            oracle = exhaustive_oracle(sus, geom, params, grid)
-            nj = nonjoint_baseline(sus, geom, params, grid)
+            joint = joint_optimize(sus, params, grid)
+            oracle = exhaustive_oracle(sus, params, grid)
+            nj = nonjoint_baseline(sus, params, grid)
         assert not joint.feasible and not oracle.feasible and not nj.feasible
         assert joint.fc_utility == oracle.fc_utility == nj.fc_utility == 0.0
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_two_hundred_users_match_reference(self, params, geom, seed):
+    def test_two_hundred_users_match_reference(self, params, seed):
         sus = make_users(seed, 200)
         grid = DesignGrid((0.25, 0.5, 0.75), (1, 2, 3))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = joint_optimize(sus, geom, params, grid)
-            want = reference_joint_optimize(sus, geom, params, grid)
+            got = joint_optimize(sus, params, grid)
+            want = reference_joint_optimize(sus, params, grid)
         assert got.feasible
         assert got.best_design == want.best_design
         assert got.best_allocation == want.best_allocation
@@ -861,9 +850,8 @@ def _heterogeneous_instance(seed):
 
 
 def _assert_same_as_scalar_oracle(sus, params, grid):
-    geom = params.geometry()
-    got = exhaustive_oracle(sus, geom, params, grid)
-    want = scalar_exhaustive_oracle(sus, geom, params, grid)
+    got = exhaustive_oracle(sus, params, grid)
+    want = scalar_exhaustive_oracle(sus, params, grid)
     assert got.best_design == want.best_design
     assert got.best_allocation.active == want.best_allocation.active
     assert got.best_allocation.times == want.best_allocation.times
@@ -875,7 +863,7 @@ def _assert_same_as_scalar_oracle(sus, params, grid):
 
 def _chunk_step(params, grid, m, size):
     # How many subsets of ``size`` the oracle scores per chunk.
-    rows = grid_table(params.geometry(), params, grid).admissible(size)[0]
+    rows = grid_table(params, grid).admissible(size)[0]
     return max(1, optimizer._ORACLE_CHUNK // (m * len(rows)))
 
 
@@ -1037,8 +1025,7 @@ class TestOracleMatchesScalarReference:
         # scored in the same chunks as feasible ones and never wins.
         params = default_system_params(zeta=0.6)
         grid = DesignGrid((0.3, 0.99), (1, 2, 3))
-        geom = params.geometry()
-        table = grid_table(geom, params, grid)
+        table = grid_table(params, grid)
         designs = [table.design(d) for d in table.admissible(5)[0]]
         assert SensingDesign(0.99, 1) in designs and len(designs) > 1
         sus = make_users(seed + 70, 10, buffer_bits=20000)
@@ -1049,24 +1036,24 @@ class TestOracleMatchesScalarReference:
 
 
 class TestNonJointBaseline:
-    def test_worthless_buffer_excluded(self, params, geom):
+    def test_worthless_buffer_excluded(self, params):
         # One user whose full buffer earns less than the sensing cost.
         good = make_users(7, 3, buffer_bits=1000)
         marginal = SecondaryUser(
             id=9, gain_to_fc=1.0, buffer_bits=10, pay_rate=0.1, earn_rate=0.1004
         )
-        nj = nonjoint_baseline(good + [marginal], geom, params, DesignGrid.uniform(4))
+        nj = nonjoint_baseline(good + [marginal], params, DesignGrid.uniform(4))
         assert nj.feasible
         assert not nj.best_allocation.active[3]
 
-    def test_budget_slack_clears_every_buffer(self, params, geom):
+    def test_budget_slack_clears_every_buffer(self, params):
         sus = make_users(8, 4, buffer_bits=20)
-        nj = nonjoint_baseline(sus, geom, params, DesignGrid.uniform(4))
+        nj = nonjoint_baseline(sus, params, DesignGrid.uniform(4))
         alloc = nj.best_allocation
         assert all(alloc.active)
         design, size = nj.best_design, 4
         for su, t in zip(sus, alloc.times):
-            ub = su.buffer_bits / scalar_effective_rate(su, design, geom, params, size)
+            ub = su.buffer_bits / scalar_effective_rate(su, design, params, size)
             assert t == pytest.approx(ub, rel=1e-9)
 
     def test_stage1_minimizes_false_alarm(self, params, geom):
@@ -1074,7 +1061,7 @@ class TestNonJointBaseline:
 
         sus = make_users(9, 5)
         grid = DesignGrid.uniform(5)
-        nj = nonjoint_baseline(sus, geom, params, grid)
+        nj = nonjoint_baseline(sus, params, grid)
         chosen = nj.best_design
         best_pfa = min(
             global_pfa(SensingDesign(p, k), 5)
@@ -1084,9 +1071,9 @@ class TestNonJointBaseline:
         )
         assert global_pfa(chosen, 5) == pytest.approx(best_pfa, rel=1e-12)
 
-    def test_infeasible_when_floor_unreachable(self, geom):
+    def test_infeasible_when_floor_unreachable(self):
         params = default_system_params(zeta=0.999999, gamma_db=-15.0)
-        nj = nonjoint_baseline(make_users(10, 3), params.geometry(), params, DesignGrid.uniform(3))
+        nj = nonjoint_baseline(make_users(10, 3), params, DesignGrid.uniform(3))
         assert not nj.feasible
 
     @pytest.mark.parametrize("seed", range(40))
@@ -1100,34 +1087,33 @@ class TestNonJointBaseline:
             gamma_db=float(rng.choice([-5.0, -7.0])),
         )
         sus = make_users(seed + 60, 5, buffer_bits=1000)
-        geom = params.geometry()
         grid = DesignGrid.uniform(5)
-        joint = joint_optimize(sus, geom, params, grid)
-        nj = nonjoint_baseline(sus, geom, params, grid)
+        joint = joint_optimize(sus, params, grid)
+        nj = nonjoint_baseline(sus, params, grid)
         if not nj.feasible:
             return
-        _, lbs, _, prios = UserTable(sus, geom, params).level(
+        _, lbs, _, prios = UserTable(sus, params).level(
             nj.best_design, 5
         )
         slack = sum(lb * max(prios) for lb in lbs.tolist())
         assert joint.fc_utility >= nj.fc_utility - slack - 1e-12
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_zero_rate_design_is_inadmissible(self, params, geom, seed):
+    def test_zero_rate_design_is_inadmissible(self, params, seed):
         # At pfa 0.99 with k=1 both opportunity weights round to 0, so
         # every eligible user's effective rate is 0: the design must not
         # be chosen (it used to divide by zero in the upper bounds).
         sus = make_users(seed, 20)
         design = SensingDesign(0.99, 1)
-        assert not UserTable(sus, geom, params).level(design, 20)[0].any()
+        assert not UserTable(sus, params).level(design, 20)[0].any()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            alone = nonjoint_baseline(sus, geom, params, DesignGrid((0.99,), (1,)))
-            mixed = nonjoint_baseline(sus, geom, params, DesignGrid((0.99,), (1, 20)))
+            alone = nonjoint_baseline(sus, params, DesignGrid((0.99,), (1,)))
+            mixed = nonjoint_baseline(sus, params, DesignGrid((0.99,), (1, 20)))
         assert not alone.feasible and alone.su_utilities == (0.0,) * 20
         assert mixed.feasible and mixed.best_design == SensingDesign(0.99, 20)
 
-    def test_nonpositive_budget_is_infeasible(self, params, geom):
+    def test_nonpositive_budget_is_infeasible(self, params):
         # 200 reporting users use up the whole frame: T'(200) < 0 leaves
         # no time to split, so the baseline has no allocation (it used to
         # report 200 active users at zero time and utility 0).
@@ -1135,7 +1121,7 @@ class TestNonJointBaseline:
         assert effective_time(params, 200) < 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            nj = nonjoint_baseline(sus, geom, params, DesignGrid.uniform(200, levels=4))
+            nj = nonjoint_baseline(sus, params, DesignGrid.uniform(200, levels=4))
         assert not nj.feasible
         assert nj.best_design is None
         assert not any(nj.best_allocation.active)
@@ -1147,27 +1133,26 @@ class TestNonJointBaseline:
             for zeta in (0.6, 0.75, 0.9):
                 params = default_system_params(zeta=zeta, gamma_db=-7.0)
                 sus = make_users(seed + 120, 5, buffer_bits=1000)
-                geom = params.geometry()
                 grid = DesignGrid.uniform(5)
                 gaps.append(
-                    joint_optimize(sus, geom, params, grid).fc_utility
-                    - nonjoint_baseline(sus, geom, params, grid).fc_utility
+                    joint_optimize(sus, params, grid).fc_utility
+                    - nonjoint_baseline(sus, params, grid).fc_utility
                 )
         assert np.mean(gaps) > 0.0
 
 
 class TestCountNegativeUtility:
-    def test_joint_never_negative(self, params, geom):
+    def test_joint_never_negative(self, params):
         for seed in range(10):
             sus = make_users(seed, 5)
-            outcome = joint_optimize(sus, geom, params, DesignGrid.uniform(5))
+            outcome = joint_optimize(sus, params, DesignGrid.uniform(5))
             assert count_negative_utility(outcome.best_allocation) == 0
 
-    def test_zero_time_active_users_pay_sensing_cost(self, params, geom):
+    def test_zero_time_active_users_pay_sensing_cost(self, params):
         # Deep contest: the baseline zeroes some users' time but they
         # still sense and report.
         sus = make_users(11, 5, buffer_bits=100_000)
-        nj = nonjoint_baseline(sus, geom, params, DesignGrid.uniform(5))
+        nj = nonjoint_baseline(sus, params, DesignGrid.uniform(5))
         zero_time = [
             u
             for t, u in zip(nj.best_allocation.times, nj.su_utilities)

@@ -124,30 +124,29 @@ class TestBufferState:
 
 def _episode_setup(p_h0=0.8, zeta=0.7, gamma_db=-7.0, n_users=3, seed=17):
     params = default_system_params(p_h0=p_h0, zeta=zeta, gamma_db=gamma_db)
-    geom = params.geometry()
     traffic = TrafficModel(shape=1.0, scale=7.0, batch_bits=10)
     profiles = [UserProfile() for _ in range(n_users)]
     streams = StreamFactory(seed, trial=0)
-    state = init_state(n_users, traffic, streams, initial_bits=10)
+    state = init_state(profiles, traffic, streams)
     grid = DesignGrid.uniform(n_users)
-    return params, geom, traffic, profiles, streams, state, grid
+    return params, traffic, profiles, streams, state, grid
 
 
 class TestStepFrame:
     def test_busy_declaration_moves_no_bits(self):
-        params, geom, traffic, profiles, streams, state, grid = _episode_setup()
+        params, traffic, profiles, streams, state, grid = _episode_setup()
         for _ in range(30):
-            trace = step_frame(state, params, geom, traffic, streams, profiles, grid)
+            trace = step_frame(state, params, traffic, streams, profiles, grid)
             if trace.fc_decision_busy:
                 assert trace.bits_out == (0, 0, 0)
                 assert trace.realized_rate_hypothesis is None
 
     def test_drain_bounded_by_backlog(self):
-        params, geom, traffic, profiles, streams, state, grid = _episode_setup(seed=23)
+        params, traffic, profiles, streams, state, grid = _episode_setup(seed=23)
         checked = 0
         for _ in range(40):
             buffers = tuple(b.bits for b in state.buffers)
-            trace = step_frame(state, params, geom, traffic, streams, profiles, grid)
+            trace = step_frame(state, params, traffic, streams, profiles, grid)
             if trace.fc_decision_busy or not trace.selected_set:
                 continue
             for i in trace.selected_set:
@@ -161,13 +160,13 @@ class TestStepFrame:
         # bits_out = min(backlog, floor(rate_truth * t)).
         from cogalloc import SecondaryUser, rate_idle, rate_interfered
 
-        params, geom, traffic, profiles, streams, state, grid = _episode_setup(seed=47)
+        params, traffic, profiles, streams, state, grid = _episode_setup(seed=47)
         twin = StreamFactory(47, trial=0)
         n = len(profiles)
         checked = 0
         for _ in range(50):
             buffers = tuple(b.bits for b in state.buffers)
-            trace = step_frame(state, params, geom, traffic, streams, profiles, grid)
+            trace = step_frame(state, params, traffic, streams, profiles, grid)
             if not any(buffers):
                 continue
             gains = [
@@ -196,19 +195,19 @@ class TestStepFrame:
         assert checked > 0
 
     def test_idle_frames_use_true_hypothesis_label(self):
-        params, geom, traffic, profiles, streams, state, grid = _episode_setup(seed=29)
+        params, traffic, profiles, streams, state, grid = _episode_setup(seed=29)
         seen = set()
         for _ in range(60):
-            trace = step_frame(state, params, geom, traffic, streams, profiles, grid)
+            trace = step_frame(state, params, traffic, streams, profiles, grid)
             if not trace.fc_decision_busy and trace.selected_set:
                 assert trace.realized_rate_hypothesis == (1 if trace.pu_active else 0)
                 seen.add(trace.realized_rate_hypothesis)
         assert 0 in seen
 
     def test_votes_only_from_selected_users(self):
-        params, geom, traffic, profiles, streams, state, grid = _episode_setup(seed=31)
+        params, traffic, profiles, streams, state, grid = _episode_setup(seed=31)
         for _ in range(20):
-            trace = step_frame(state, params, geom, traffic, streams, profiles, grid)
+            trace = step_frame(state, params, traffic, streams, profiles, grid)
             assert len(trace.local_votes) == len(trace.selected_set)
 
 
@@ -216,7 +215,7 @@ class TestBufferConservation:
     def test_recursion_with_replayed_arrivals(self):
         # Replay each user's arrival process from a twin stream factory and
         # check bits(n+1) = bits(n) - out(n) + in(n) exactly, frame by frame.
-        params, geom, traffic, profiles, streams, state, grid = _episode_setup(seed=37)
+        params, traffic, profiles, streams, state, grid = _episode_setup(seed=37)
         n_users = len(profiles)
         twin = StreamFactory(37, trial=0)
         arrivals = {i: [] for i in range(n_users)}
@@ -229,7 +228,7 @@ class TestBufferConservation:
                 t += traffic.accumulation_time
         prev_bits = tuple(b.bits for b in state.buffers)
         for n in range(50):
-            trace = step_frame(state, params, geom, traffic, streams, profiles, grid)
+            trace = step_frame(state, params, traffic, streams, profiles, grid)
             start, end = n * params.frame_duration, (n + 1) * params.frame_duration
             for i in range(n_users):
                 landed = sum(
@@ -243,26 +242,25 @@ class TestBufferConservation:
 class TestRunEpisode:
     def test_deterministic_traces(self):
         params = default_system_params()
-        geom = params.geometry()
         traffic = TrafficModel()
-        one = run_episode(50, params, geom, traffic, rng_seed=5, n_users=4)
-        two = run_episode(50, params, geom, traffic, rng_seed=5, n_users=4)
+        one = run_episode(50, params, traffic, rng_seed=5, profiles=[UserProfile()] * 4)
+        two = run_episode(50, params, traffic, rng_seed=5, profiles=[UserProfile()] * 4)
         assert one[0] == two[0]
         assert repr(one[1]) == repr(two[1])
 
     def test_different_trials_differ(self):
         params = default_system_params()
-        geom = params.geometry()
         traffic = TrafficModel()
-        a = run_episode(50, params, geom, traffic, rng_seed=5, n_users=4, trial=0)
-        b = run_episode(50, params, geom, traffic, rng_seed=5, n_users=4, trial=1)
+        profiles = [UserProfile()] * 4
+        a = run_episode(50, params, traffic, rng_seed=5, profiles=profiles, trial=0)
+        b = run_episode(50, params, traffic, rng_seed=5, profiles=profiles, trial=1)
         assert repr(a[1]) != repr(b[1])
 
     def test_delays_nonnegative_and_fifo_ordered(self):
-        params, geom, traffic, profiles, streams, state, grid = _episode_setup(seed=41)
+        params, traffic, profiles, streams, state, grid = _episode_setup(seed=41)
         completions = {i: [] for i in range(len(profiles))}
         for _ in range(80):
-            step_frame(state, params, geom, traffic, streams, profiles, grid)
+            step_frame(state, params, traffic, streams, profiles, grid)
             for i, done in enumerate(state.last_completions):
                 completions[i].extend(done)
         for i, done in completions.items():
@@ -274,10 +272,9 @@ class TestRunEpisode:
         # Near-certain idle band and tiny backlog: the initial batch clears
         # in the first idle-declared frame, delay about one frame.
         params = default_system_params(p_h0=0.99, zeta=0.6)
-        geom = params.geometry()
         traffic = TrafficModel(shape=1.0, scale=100.0, batch_bits=0)
         stats, _ = run_episode(
-            30, params, geom, traffic, rng_seed=11, n_users=2, initial_bits=5
+            30, params, traffic, rng_seed=11, profiles=[UserProfile(initial_bits=5)] * 2
         )
         for d in stats.per_su_mean_delay:
             assert d < 6 * params.frame_duration
@@ -285,30 +282,22 @@ class TestRunEpisode:
     def test_dropped_batches_counted(self):
         # A band that is never declared idle leaves every batch pending.
         params = default_system_params(p_h0=0.01, zeta=0.6)
-        geom = params.geometry()
         traffic = TrafficModel(shape=1.0, scale=1000.0, batch_bits=0)
         stats, _ = run_episode(
-            10, params, geom, traffic, rng_seed=13, n_users=2, initial_bits=5
+            10, params, traffic, rng_seed=13, profiles=[UserProfile(initial_bits=5)] * 2
         )
         assert sum(stats.dropped_batches) >= 1
 
-    def test_profile_gain_and_backlog_override_the_shared_values(self):
-        # A profile's own gain mean and initial backlog replace the
-        # episode's; a profile that leaves them unset keeps the shared ones.
+    def test_profile_gain_and_backlog_are_per_user(self):
+        # Each profile's own gain mean and initial backlog drive its user.
         params = default_system_params()
-        geom = params.geometry()
         traffic = TrafficModel(scale=0.002)
 
         def first_frames(profiles):
-            _, traces = run_episode(
-                3, params, geom, traffic, rng_seed=7, profiles=profiles,
-                initial_bits=10, gain_mean=1.0,
-            )
+            _, traces = run_episode(3, params, traffic, rng_seed=7, profiles=profiles)
             return traces
 
         shared = first_frames([UserProfile()] * 3)
-        same = first_frames([UserProfile(gain_mean=1.0, initial_bits=10)] * 3)
-        assert repr(same) == repr(shared)
         own = first_frames(
             [UserProfile(gain_mean=50.0, initial_bits=b) for b in (0, 5, 700)]
         )
@@ -320,6 +309,18 @@ class TestRunEpisode:
         with pytest.raises(ValueError, match="initial_bits"):
             UserProfile(initial_bits=-1)
 
+    def test_profile_prices_must_be_non_negative(self):
+        # Checked when the profile is built, as SecondaryUser checks them:
+        # an empty backlog never builds a SecondaryUser in any frame.
+        with pytest.raises(ValueError, match="price"):
+            UserProfile(pay_rate=-1.0, initial_bits=0)
+        with pytest.raises(ValueError, match="price"):
+            UserProfile(earn_rate=-1.0)
+
+    def test_empty_profiles_rejected(self):
+        with pytest.raises(ValueError, match="profiles"):
+            run_episode(5, default_system_params(), TrafficModel(), rng_seed=1, profiles=[])
+
 
 class TestDecisionStatistics:
     def test_empirical_frequencies_match_closed_forms(self):
@@ -330,7 +331,11 @@ class TestDecisionStatistics:
         geom = params.geometry()
         traffic = TrafficModel(shape=1.0, scale=2e-3, batch_bits=200)
         _, traces = run_episode(
-            20_000, params, geom, traffic, rng_seed=3, n_users=3, initial_bits=5000
+            20_000,
+            params,
+            traffic,
+            rng_seed=3,
+            profiles=[UserProfile(initial_bits=5000)] * 3,
         )
         for truth in (False, True):
             frames = [
