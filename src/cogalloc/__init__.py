@@ -36,6 +36,7 @@ from .optimizer import (
     count_negative_utility,
     exhaustive_oracle,
     joint_optimize,
+    joint_optimize_many,
     nonjoint_baseline,
     quasiconcavity_probe,
 )
@@ -58,6 +59,7 @@ from .simkit import (
     UserProfile,
     jain_index,
     run_episode,
+    run_episodes,
     sample_exponential_gain,
     sample_pareto_idle,
     step_frame,
@@ -92,6 +94,7 @@ __all__ = [
     "greedy_topup",
     "jain_index",
     "joint_optimize",
+    "joint_optimize_many",
     "local_pd",
     "min_active_users",
     "nonjoint_baseline",
@@ -101,6 +104,7 @@ __all__ = [
     "rate_idle",
     "rate_interfered",
     "run_episode",
+    "run_episodes",
     "sample_exponential_gain",
     "sample_pareto_idle",
     "select_and_allocate",

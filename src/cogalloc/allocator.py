@@ -37,8 +37,8 @@ from .economics import (
     SecondaryUser,
     SystemParams,
     effective_time,
+    interfered_rates,
     rate_idle,
-    rate_interfered,
 )
 from .sensing import (
     SensingDesign,
@@ -263,6 +263,10 @@ class UserTable:
     effective rates, time bounds and priorities at a set size L are
     computed for all users on first use and cached per (design table,
     row, L).
+
+    A stacked table (:meth:`stack`) holds N instances of M users each
+    for one batched :meth:`screen`, which only a stacked table runs;
+    :meth:`instance` gives each one's own table, which the walk reads.
     """
 
     __slots__ = (
@@ -272,16 +276,64 @@ class UserTable:
 
     def __init__(self, sus: Sequence[SecondaryUser], params: SystemParams):
         self.sus = list(sus)
+        self._fill(self.sus, params, (len(self.sus),))
+
+    @classmethod
+    def stack(cls, instances: Sequence[Sequence[SecondaryUser]], params: SystemParams):
+        """One table over N user lists of one length M: ``sus`` holds the
+        lists, and every column is N x 1 x M, so that it broadcasts
+        against one weight per design into instance x design x user."""
+        table = cls.__new__(cls)
+        table.sus = [list(sus) for sus in instances]
+        m = len(table.sus[0]) if table.sus else 0
+        users = [su for sus in table.sus for su in sus]
+        table._fill(users, params, (len(table.sus), 1, m))
+        return table
+
+    def _fill(self, users: list, params: SystemParams, shape: tuple) -> None:
+        # Every user's columns in one pass, shaped ``shape``, and T'(L)
+        # for L = 0..M.
         self.params = params
-        self.r0 = np.array([rate_idle(su, params) for su in self.sus])
-        self.r1 = np.array([rate_interfered(su, params) for su in self.sus])
-        self.margin = np.array([su.earn_rate - su.pay_rate for su in self.sus])
-        self.buffers = np.array([float(su.buffer_bits) for su in self.sus])
-        self.pay = np.array([su.pay_rate for su in self.sus])
-        self.ids = np.array([su.id for su in self.sus])
+        gains = [su.gain_to_fc for su in users]
+        columns = (
+            [rate_idle(su, params) for su in users],
+            interfered_rates(gains, params),
+            [su.earn_rate - su.pay_rate for su in users],
+            [float(su.buffer_bits) for su in users],
+            [su.pay_rate for su in users],
+        )
+        self.r0, self.r1, self.margin, self.buffers, self.pay = np.array(
+            columns, dtype=float
+        ).reshape((len(columns),) + shape)
+        self.ids = np.array([su.id for su in users]).reshape(shape)
         self.cost = params.sensing_cost
-        self.budgets = np.array([effective_time(params, l) for l in range(len(self.sus) + 1)])
+        self.budgets = np.array([effective_time(params, l) for l in range(shape[-1] + 1)])
         self._levels: dict = {}
+
+    def instance(self, n: int) -> "UserTable":
+        """Instance ``n`` of a stacked table as a table of its own: views
+        of its row of every column, sharing the params and budgets."""
+        return self._with(self.sus[n], (column[n, 0] for column in self._columns()))
+
+    def _instances(self, which: np.ndarray) -> "UserTable":
+        # A table whose row j holds the columns of instance which[j]
+        # (K x M), to price against K x 1 weight columns.
+        columns = (column[:, 0].take(which, axis=0) for column in self._columns())
+        return self._with(None, columns)
+
+    def _columns(self) -> tuple:
+        return self.r0, self.r1, self.margin, self.buffers, self.pay, self.ids
+
+    def _with(self, sus, columns) -> "UserTable":
+        # A table of ``sus`` over ``columns`` (in :meth:`_columns` order),
+        # with these params and budgets and no rate recomputed.
+        table = UserTable.__new__(UserTable)
+        table.sus, table.params, table.cost, table.budgets = (
+            sus, self.params, self.cost, self.budgets
+        )
+        table.r0, table.r1, table.margin, table.buffers, table.pay, table.ids = columns
+        table._levels = {}
+        return table
 
     def _rates(self, q0, q1):
         # The effective rates q0 r0 + q1 r1.
@@ -326,12 +378,13 @@ class UserTable:
         return _SetEval(idx, members, *level, self.budgets.item(len(idx)))
 
     def screen(self, designs: DesignTable) -> "Screen":
-        """Screen every design of ``designs`` at this table's user count m
-        in one pass, from the shared weights, l_first and budgets
-        (:meth:`DesignTable.at_users`, and the weights at each |R|), and
-        return the :class:`Screen`: each design's utility bound, -inf
-        where it admits no feasible set, and the utility of each design
-        whose reduced set is in abundant time, nan elsewhere.
+        """Screen every (instance, design) pair of this stacked table
+        and ``designs`` at its user count m in one pass, from the shared
+        weights, l_first and budgets (:meth:`DesignTable.at_users`, and
+        the weights at each |R|), and return the :class:`Screen`: each
+        pair's utility bound, -inf where the design admits no feasible
+        set, and its utility where the reduced set is in abundant time,
+        nan elsewhere.
 
         A design's reduced set R holds the users whose bounds are well
         ordered at m (lower < upper); never-profitable and zero-rate users
@@ -352,60 +405,75 @@ class UserTable:
         R} a_i B_i, with no walk. The rates, bounds and sums are the same
         floating-point operations :meth:`evaluate` and the scoring run on
         R (each sum over the members in order, one contiguous row per
-        design), so the case and utility are bit for bit the walk's. A
-        design not settled cannot earn sum_{i in R} a_i B_i; where its
-        bound reaches the best settled utility it is capped below it
+        (instance, design)), so the case and utility are bit for bit the
+        walk's, whatever the instances screened with it. A design not
+        settled cannot earn sum_{i in R} a_i B_i; where its bound reaches
+        the best utility its instance settled it is capped below it
         (:meth:`_shortfall`).
         """
-        l_first, at_m, at_first, budget_first = designs.at_users(len(self.sus))
+        m = self.r0.shape[-1]
+        n_designs = len(designs.k)
+        l_first, at_m, at_first, budget_first = designs.at_users(m)
         _, lowers, uppers, _ = self.price(at_m[:, :1], at_m[:, 1:])
         reduced = lowers < uppers
-        sizes = reduced.sum(axis=1)
+        sizes = reduced.sum(axis=-1)
         feasible = l_first <= sizes
-        buffered = np.where(reduced, self.pay * self.buffers, 0.0).sum(axis=1)
+        buffered = np.where(reduced, self.pay * self.buffers, 0.0).sum(axis=-1)
         prios = self.priorities(at_first[:, :1], at_first[:, 1:])
         bounds = np.minimum(
-            buffered, budget_first * prios.max(axis=1, where=reduced, initial=0.0)
+            buffered, budget_first * prios.max(axis=-1, where=reduced, initial=0.0)
         )
         bounds[~feasible] = -np.inf
-        settled = np.full(len(sizes), np.nan)
-        clearing = np.full(len(sizes), np.nan)
-        for size in sorted(set(sizes[feasible].tolist())):
-            rows = np.flatnonzero(feasible & (sizes == size))
-            if size == len(self.sus):
-                at_size = uppers[rows]
+        # Flat views of the instance x design arrays: row r is design
+        # r % n_designs of instance r // n_designs, one row per pair, so
+        # that each gather takes whole rows (``take``: a fancy index costs
+        # several times as much on arrays this small).
+        row_sizes, row_feasible = sizes.reshape(-1), feasible.reshape(-1)
+        row_members = reduced.reshape(sizes.size, m)
+        row_uppers = uppers.reshape(sizes.size, m)
+        settled = np.full(row_sizes.shape, np.nan)
+        clearing = np.full(row_sizes.shape, np.nan)
+        pay, buffers = self.pay[:, 0], self.buffers[:, 0]
+        for size in sorted(set(row_sizes[row_feasible].tolist())):
+            rows = (row_feasible & (row_sizes == size)).nonzero()[0]
+            if size == m:
+                at_size = row_uppers.take(rows, axis=0)
             else:
-                w = designs.weights(rows, size)
-                at_size = self.price(w[:, :1], w[:, 1:])[2]
+                w = designs.weights(rows % n_designs, size)
+                at_size = self._instances(rows // n_designs).price(w[:, :1], w[:, 1:])[2]
             # A boolean gather keeps each row's members in member order, as
             # one contiguous row: the layout of a lone set's gather.
-            members = reduced[rows]
+            members = row_members.take(rows, axis=0)
             sums = at_size[members].reshape(-1, size).sum(axis=1)
             clearing[rows] = sums
             abundant = _fits(sums, self.budgets[size])
-            cols = np.nonzero(members[abundant])[1]
+            kept, users = members[abundant], rows[abundant] // n_designs
             settled[rows[abundant]] = _buffered_value(
-                self.pay[cols].reshape(-1, size), self.buffers[cols].reshape(-1, size)
+                pay.take(users, axis=0)[kept].reshape(-1, size),
+                buffers.take(users, axis=0)[kept].reshape(-1, size),
             )
+        settled, clearing = settled.reshape(sizes.shape), clearing.reshape(sizes.shape)
         screen = Screen(
             designs, bounds, settled, reduced, feasible, l_first, sizes, clearing, buffered
         )
-        resolved = ~np.isnan(settled)
-        if resolved.any():
-            rows = np.flatnonzero(
-                feasible
-                & ~resolved
-                & (bounds * (1.0 + BOUND_SLACK) >= settled[resolved].max())
-            )
+        if not np.isnan(settled).all():
+            # Each instance's best settled utility (nan where it settled
+            # none, which no bound reaches).
+            best = np.fmax.reduce(settled, axis=1, keepdims=True)
+            reach = feasible & np.isnan(settled) & (bounds * (1.0 + BOUND_SLACK) >= best)
+            rows = reach.reshape(-1).nonzero()[0]
             if rows.size:
-                bounds[rows] = np.minimum(bounds[rows], self._shortfall(screen, rows))
+                row_bounds = bounds.reshape(-1)
+                row_bounds[rows] = np.minimum(row_bounds[rows], self._shortfall(screen, rows))
         return screen
 
     def _shortfall(self, screen: "Screen", rows: np.ndarray) -> np.ndarray:
-        """A cap on the utility of each feasible design at ``rows`` of
-        ``screen`` whose reduced set R is not Case 1 at |R|:
-        sum_{i in R} a_i B_i less a cut that is positive when every
-        member pays for a non-empty buffer (a_i B_i > 0).
+        """A cap on the utility of each feasible design at flat rows
+        ``rows`` of ``screen`` (design r % designs of instance r //
+        designs, as :meth:`screen` numbers them) whose reduced set R is
+        not Case 1 at |R|: sum_{i in R} a_i B_i less a cut that is
+        positive when every member pays for a non-empty buffer (a_i B_i >
+        0).
 
         Let e = sum_{i in R} u_i(|R|) - (T'(|R|) + TIME_TOL) > 0, the
         overflow of the screen's Case-1 test, and p_i(|R|) = R_i(|R|)
@@ -429,30 +497,35 @@ class UserTable:
         the cap is (1 + BOUND_SLACK) sum_R a_i B_i minus the cut, and its
         rounding error, a few ulps of the sum, stays inside that margin.
         """
-        sizes = screen.sizes[rows]
-        at_size = screen.designs.weights(rows, sizes)
-        members = screen.reduced[rows]
-        lowest = self.priorities(at_size[:, :1], at_size[:, 1:]).min(
+        n_designs = len(screen.designs.k)
+        sizes = screen.sizes.reshape(-1)[rows]
+        at_size = screen.designs.weights(rows % n_designs, sizes)
+        by_row = screen.reduced.reshape(screen.sizes.size, self.r0.shape[-1])
+        members = by_row.take(rows, axis=0)
+        users = self._instances(rows // n_designs)
+        lowest = users.priorities(at_size[:, :1], at_size[:, 1:]).min(
             axis=1, where=members, initial=np.inf
         )
-        excess = screen.clearing[rows] - (self.budgets[sizes] + TIME_TOL)
+        excess = screen.clearing.reshape(-1)[rows] - (self.budgets[sizes] + TIME_TOL)
         with np.errstate(invalid="ignore"):
             cut = np.fmin(
                 excess * lowest,
-                np.where(members, self.pay * self.buffers, np.inf).min(
+                np.where(members, users.pay * users.buffers, np.inf).min(
                     axis=1, initial=np.inf
                 ),
             )
-        return (1.0 + BOUND_SLACK) * screen.buffered[rows] - cut
+        return (1.0 + BOUND_SLACK) * screen.buffered.reshape(-1)[rows] - cut
 
 
 class Screen:
-    """What :meth:`UserTable.screen` finds for every row d of its design
-    table ``designs``: the utility ``bounds`` and ``settled`` utilities,
-    the reduced-set mask ``reduced`` (design x user), ``feasible``,
-    ``l_first``, and per design the reduced set's size ``sizes``, its
-    members' clearing-time sum at that size ``clearing`` and their
-    buffered value ``buffered``."""
+    """What :meth:`UserTable.screen` finds for every instance and row d
+    of its design table ``designs``: the utility ``bounds`` and
+    ``settled`` utilities, the reduced-set mask ``reduced`` (instance x
+    design x user), ``feasible``, ``l_first`` (per design), and per
+    (instance, design) the reduced set's size ``sizes``, its members'
+    clearing-time sum at that size ``clearing`` and their buffered value
+    ``buffered``. :meth:`instance` drops the instance axis for one
+    instance's walk."""
 
     __slots__ = (
         "designs", "bounds", "settled", "reduced", "feasible", "l_first", "sizes",
@@ -466,10 +539,20 @@ class Screen:
         self.reduced, self.feasible, self.l_first = reduced, feasible, l_first
         self.sizes, self.clearing, self.buffered = sizes, clearing, buffered
 
+    def instance(self, n: int) -> "Screen":
+        """Instance ``n`` of a stacked table's screen, as the screen of
+        :meth:`UserTable.instance` of ``n``: views of its rows."""
+        return Screen(
+            self.designs, self.bounds[n], self.settled[n], self.reduced[n],
+            self.feasible[n], self.l_first, self.sizes[n], self.clearing[n],
+            self.buffered[n],
+        )
+
     def start(self, d: int) -> Optional[tuple]:
-        """(reduced set R, minimum viable set size l_lb) of row ``d``, or
-        None when the design admits no feasible set (k > |R|, or no size
-        up to |R| meets the detection floor)."""
+        """(reduced set R, minimum viable set size l_lb) of row ``d`` of
+        one instance's screen (:meth:`instance`), or None when the design
+        admits no feasible set (k > |R|, or no size up to |R| meets the
+        detection floor)."""
         if not self.feasible[d]:
             return None
         return tuple(np.flatnonzero(self.reduced[d]).tolist()), int(self.l_first[d])
@@ -754,5 +837,6 @@ def select_and_allocate(
     The design is screened as the one row of its own shared
     :class:`DesignTable` and walked by :func:`_allocate`.
     """
-    table = UserTable(all_sus, params)
-    return _allocate(table, table.screen(_one_design_table(params, design)), 0)
+    table = UserTable.stack([all_sus], params)
+    screen = table.screen(_one_design_table(params, design))
+    return _allocate(table.instance(0), screen.instance(0), 0)

@@ -23,6 +23,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -40,7 +41,10 @@ from .optimizer import (
     nonjoint_baseline,
     quasiconcavity_probe,
 )
-from .simkit import TrafficModel, UserProfile, run_episode
+# The CLI runs episodes through ``run_episodes`` alone; ``run_episode``
+# stays importable from this module, where perfbench's traced mode looks
+# it up by name (perfbench/child.py).
+from .simkit import TrafficModel, UserProfile, run_episode, run_episodes  # noqa: F401
 from .units import db_to_linear, dbm_to_watts
 
 log = logging.getLogger("cogalloc")
@@ -467,37 +471,49 @@ def _mean_rows(rows, value_col: int) -> list:
     return out
 
 
-def _sweep_point(job) -> tuple:
-    # One (sweep point, trial): the task's cells behind the row prefix
-    # (sweep value or "", trial), and the task's extra.
-    task, cfg, si, trial = job
+def _sweep_chunk(job) -> list:
+    # One (sweep point, chunk of trials): per trial, the task's cells
+    # behind the row prefix (sweep value or "", trial), and its extra.
+    task, cfg, si, trials = job
     value = cfg.sweep_values[si]
-    cells, extra = task(cfg, si, trial, *_apply_sweep(cfg, value))
-    return ("" if value is None else value, trial, *cells), extra
+    results = task(cfg, si, trials, *_apply_sweep(cfg, value))
+    prefix = "" if value is None else value
+    return [((prefix, trial, *cells), extra) for trial, (cells, extra) in zip(trials, results)]
 
 
 def _run_sweep(cfg: RunConfig, jobs: int, task) -> tuple:
-    """Run ``task(cfg, sweep index, trial, system, users) -> (cells,
-    extra)`` on every (sweep point, trial), sequentially or in a process
-    pool, and return (rows, extras) in (sweep index, trial) order: map
-    keeps its input order, so output never depends on scheduling."""
+    """Run ``task(cfg, sweep index, trials, system, users) -> [(cells,
+    extra) per trial]`` on every sweep point's trials, split into
+    min(jobs, trials) contiguous chunks of trials, one task each:
+    ``--jobs 1`` runs a point's trials in one task, and ``--jobs`` of at
+    least ``trials`` one trial per task. The tasks run sequentially or
+    in a process pool, and (rows, extras) come back in (sweep index,
+    trial) order: map keeps its input order, and a task's results do not
+    depend on the trials it runs with, so output never depends on
+    ``--jobs`` or on scheduling."""
+    chunks = min(jobs, cfg.trials)
     work = [
-        (task, cfg, si, trial)
+        (task, cfg, si, range(c * cfg.trials // chunks, (c + 1) * cfg.trials // chunks))
         for si in range(len(cfg.sweep_values))
-        for trial in range(cfg.trials)
+        for c in range(chunks)
     ]
     # A pool starts all its workers up front, so it gets no more than the work.
     workers = min(jobs, len(work))
     if workers <= 1:
-        results = list(map(_sweep_point, work))
+        results = list(map(_sweep_chunk, work))
     else:
         # Imported here: multiprocessing costs start-up time and only a pool uses it.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_point, work, chunksize=8))
-    rows, extras = zip(*results)
+            results = list(pool.map(_sweep_chunk, work))
+    rows, extras = zip(*(result for chunk in results for result in chunk))
     return list(rows), list(extras)
+
+
+def _each_trial(task, cfg, si, trials, system, users) -> list:
+    # A one-instance task run on each trial of a chunk in turn.
+    return [task(cfg, si, trial, system, users) for trial in trials]
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +538,7 @@ def _optimize_task(cfg, si, trial, system, users) -> tuple:
 def cmd_optimize(cfg: RunConfig, out_dir: Path, jobs: int = 1) -> int:
     """Joint optimization across the sweep x trials; per-run CSV plus a
     mean-aggregated companion."""
-    rows, feasible = _run_sweep(cfg, jobs, _optimize_task)
+    rows, feasible = _run_sweep(cfg, jobs, partial(_each_trial, _optimize_task))
     _write_csv(
         out_dir,
         "optimize",
@@ -558,7 +574,7 @@ def cmd_compare_oracle(cfg: RunConfig, out_dir: Path, jobs: int = 1) -> int:
     for count in _user_counts(cfg):
         if count > ORACLE_MAX_USERS:
             raise ConfigError(f"compare-oracle refuses M={count} > {ORACLE_MAX_USERS} users")
-    rows, mismatch = _run_sweep(cfg, jobs, _compare_oracle_task)
+    rows, mismatch = _run_sweep(cfg, jobs, partial(_each_trial, _compare_oracle_task))
     _write_csv(
         out_dir,
         "compare_oracle",
@@ -591,7 +607,7 @@ def _compare_nonjoint_task(cfg, si, trial, system, users) -> tuple:
 
 def cmd_compare_nonjoint(cfg: RunConfig, out_dir: Path, jobs: int = 1) -> int:
     """Joint vs the detection-first baseline, with negative-utility counts."""
-    rows, feasible = _run_sweep(cfg, jobs, _compare_nonjoint_task)
+    rows, feasible = _run_sweep(cfg, jobs, partial(_each_trial, _compare_nonjoint_task))
     _write_csv(
         out_dir,
         "compare_nonjoint",
@@ -620,7 +636,8 @@ def cmd_compare_nonjoint(cfg: RunConfig, out_dir: Path, jobs: int = 1) -> int:
     return EXIT_OK if any(feasible) else EXIT_INFEASIBLE
 
 
-def _simulate_task(cfg, si, trial, system, users) -> tuple:
+def _simulate_task(cfg, si, trials, system, users) -> list:
+    # The chunk's episodes in lockstep; trial 0 alone keeps its traces.
     if cfg.explicit_users is not None:
         profiles = [
             UserProfile(
@@ -640,23 +657,26 @@ def _simulate_task(cfg, si, trial, system, users) -> tuple:
                 initial_bits=cfg.initial_bits,
             )
         ] * users["count"]
-    stats, traces = run_episode(
+    episodes = run_episodes(
         cfg.n_frames,
         system,
         cfg.traffic,
         rng_seed=cfg.seed + si,
         profiles=profiles,
+        trials=trials,
         grid=_grid_for(cfg, len(profiles)),
-        trial=trial,
-        keep_traces=trial == 0,
+        traced_trials=(0,),
     )
-    mean_delay = (
-        float(np.nanmean(np.array(stats.per_su_mean_delay)))
-        if any(not math.isnan(d) for d in stats.per_su_mean_delay)
-        else math.nan
-    )
-    cells = (mean_delay, stats.jain, *stats.per_su_mean_delay)
-    return cells, [_trace_record(t) for t in traces]
+    results = []
+    for stats, traces in episodes:
+        mean_delay = (
+            float(np.nanmean(np.array(stats.per_su_mean_delay)))
+            if any(not math.isnan(d) for d in stats.per_su_mean_delay)
+            else math.nan
+        )
+        cells = (mean_delay, stats.jain, *stats.per_su_mean_delay)
+        results.append((cells, [_trace_record(t) for t in traces]))
+    return results
 
 
 def _trace_record(trace) -> dict:

@@ -202,16 +202,26 @@ def rate_interfered(su: SecondaryUser, params: SystemParams) -> float:
     Strictly below :func:`rate_idle`, as :class:`SystemParams` requires
     a positive primary power.
     """
+    return interfered_rates([su.gain_to_fc], params)[0]
+
+
+def interfered_rates(gains, params: SystemParams) -> list:
+    """:func:`rate_interfered` of one user per gain to the FC in
+    ``gains``, with the half that depends on params alone computed once."""
     # E_x[log2(1 + gP_ST/(xP_PT+N0))] for x ~ Exp(1), in closed form:
     # the integrand splits into ln(x+c1) - ln(x+c2) with c1=(1+A)/B,
     # c2=1/B (A = gP_ST/N0, B = P_PT/N0), and
-    # integral e^-x ln(x+c) dx = ln c + e^c E1(c).
-    a = su.gain_to_fc * params.p_st / params.noise_power
+    # integral e^-x ln(x+c) dx = ln c + e^c E1(c).  Each rate sums
+    # ((ln c1 + e^c1 E1(c1)) - ln c2) - e^c2 E1(c2) in that order.
     b = params.p_pt / params.noise_power
-    c1 = (1.0 + a) / b
     c2 = 1.0 / b
-    nats = math.log(c1) + _exp_scaled_e1(c1) - math.log(c2) - _exp_scaled_e1(c2)
-    return params.bandwidth * nats / math.log(2.0)
+    log_c2, scaled_e1_c2 = math.log(c2), _exp_scaled_e1(c2)
+    rates = []
+    for gain in gains:
+        c1 = (1.0 + gain * params.p_st / params.noise_power) / b
+        nats = math.log(c1) + _exp_scaled_e1(c1) - log_c2 - scaled_e1_c2
+        rates.append(params.bandwidth * nats / math.log(2.0))
+    return rates
 
 
 def effective_time(params: SystemParams, l_active: int) -> float:

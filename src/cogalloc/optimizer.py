@@ -96,54 +96,127 @@ def _incumbent(best: Optional[tuple], designs, d: int, utility: float, alloc):
     return best
 
 
+#: Elements (instances x designs x users) in one stacked screen of
+#: :func:`joint_optimize_many`: each of its working arrays holds at most
+#: this many values (256 kB of floats), however many instances a call
+#: takes. An instance larger than that is screened alone.
+_SCREEN_CHUNK = 1 << 15
+
+
 def joint_optimize(
     all_sus: Sequence[SecondaryUser],
     params: SystemParams,
     grid: DesignGrid,
 ) -> OptimizationOutcome:
-    """Grid search over designs, inner selection/allocation per point.
+    """Grid search over designs, inner selection/allocation per point:
+    :func:`joint_optimize_many` of this one instance.
 
     Feasible ties break toward the smallest false-alarm value, then the
     smallest vote threshold: the winner maximizes (utility, -pfa, -k).
     Returns an all-infeasible outcome when no grid point admits a
     feasible allocation.
+    """
+    return joint_optimize_many([all_sus], params, grid)[0]
 
-    The users' columns are built once per call (one
-    :class:`~cogalloc.allocator.UserTable`); the designs' tails,
+
+def joint_optimize_many(
+    instances: Sequence[Sequence[SecondaryUser]],
+    params: SystemParams,
+    grid: DesignGrid,
+) -> list:
+    """:func:`joint_optimize` of every user list in ``instances``, in
+    order, bit for bit, with the per-call work shared: the instances of
+    one user count are screened together, up to ``_SCREEN_CHUNK``
+    elements a pass. Every outcome's ``wall_time`` is the whole call's.
+
+    The users' columns are built in one pass over each batch (one
+    stacked :class:`~cogalloc.allocator.UserTable`); the designs' tails,
     weights, l_first and budgets come from the
     :class:`~cogalloc.allocator.DesignTable` of (params, grid), shared
     by every call. One batched
-    :meth:`~cogalloc.allocator.UserTable.screen` gives every design a
-    utility bound U_max, and settles the designs whose reduced set is in
-    abundant time with their utility, bit for bit as the walk computes
-    it, capping U_max strictly below the best settled utility where the
-    design cannot reach it (the screen gives the proofs). The incumbent
-    is the best settled key, with no walk. The other feasible designs'
+    :meth:`~cogalloc.allocator.UserTable.screen` gives every (instance,
+    design) a utility bound U_max, and settles the designs whose reduced
+    set is in abundant time with their utility, bit for bit as the walk
+    computes it, capping U_max strictly below the instance's best
+    settled utility where the design cannot reach it (the screen gives
+    the proofs). Each instance's incumbent is its best settled key, all
+    picked in one pass, with no walk. The other feasible designs'
     rows are walked in descending order of U_max, equal bounds in grid
     order, until one has U_max * (1 + BOUND_SLACK) below the
     incumbent's utility: no later design can reach it. The slack covers
     rounding in the sums, and the strict comparison lets a tying design
     reach the (pfa, k) tie-break. An allocation is built per walked
     design and, when a settled design wins, for the winner alone, by the
-    same walk entry.
+    same walk entry on the instance's own table and screen.
 
     The result is bit for bit that of searching every design in grid
     order: a design's allocation does not depend on when or whether it
     is walked, the maximum of (utility, -pfa, -k) does not depend on the
     order, and a design is skipped only below the incumbent's utility.
+    Nor does it depend on the other instances of a batch: every screen
+    sum runs over one instance's members alone, in member order.
     """
     start = time.perf_counter()
-    table = UserTable(all_sus, params)
     designs = design_table(params, grid.pfa_values, grid.k_values)
-    screen = table.screen(designs)
-    bounds, settled = screen.bounds, screen.settled
-    best: Optional[tuple] = None
-    resolved = np.flatnonzero(~np.isnan(settled))
-    if resolved.size:  # the settled design maximizing (utility, -pfa, -k)
-        keys = (designs.k[resolved], designs.pfa[resolved], -settled[resolved])
-        d = int(resolved[np.lexsort(keys)[0]])
-        best = _incumbent(None, designs, d, float(settled[d]), None)
-    walked = np.flatnonzero((bounds > -np.inf) & np.isnan(settled))
+    instances = list(instances)
+    by_count: dict = {}
+    for i, sus in enumerate(instances):
+        by_count.setdefault(len(sus), []).append(i)
+    found: list = [None] * len(instances)
+    for m, group in by_count.items():
+        step = max(1, _SCREEN_CHUNK // (len(designs.k) * max(m, 1)))
+        for first in range(0, len(group), step):
+            batch = group[first : first + step]
+            table = UserTable.stack([instances[i] for i in batch], params)
+            for i, best in zip(batch, _search(table, table.screen(designs))):
+                found[i] = best
+    elapsed = time.perf_counter() - start
+    return [
+        _infeasible_outcome(len(sus), elapsed)
+        if best is None
+        else OptimizationOutcome(designs.design(best[0]), best[1], elapsed)
+        for sus, best in zip(instances, found)
+    ]
+
+
+def _search(table: UserTable, screen) -> list:
+    # The (design row, allocation) of every instance of a stacked table's
+    # screen, None where no design is feasible.
+    designs, bounds, settled = screen.designs, screen.bounds, screen.settled
+    unsettled = np.isnan(settled)
+    # Per instance, the ceiling of its best unsettled feasible design and
+    # its best settled utility, -inf where it has none.
+    ceilings = np.where(unsettled, bounds, -np.inf).max(axis=1) * (1.0 + BOUND_SLACK)
+    ranked = np.where(unsettled, -np.inf, settled)
+    utilities = ranked.max(axis=1).tolist()
+    winners: list = []
+    if max(utilities) > -np.inf:
+        # The settled design maximizing (utility, -pfa, -k): the first
+        # maximum with the designs in (pfa, k) order.
+        by_tie = np.lexsort((designs.k, designs.pfa))
+        winners = by_tie[ranked[:, by_tie].argmax(axis=1)].tolist()
+    found = []
+    for n, (ceiling, utility) in enumerate(zip(ceilings.tolist(), utilities)):
+        best = None
+        if utility > -np.inf:
+            best = _incumbent(None, designs, winners[n], utility, None)
+        # The instance walks only where a ceiling reaches its incumbent's
+        # utility; a settled winner is then allocated by the walk entry,
+        # on the instance's own table and screen.
+        if ceiling > -np.inf and ceiling >= utility:
+            best = _walk(table.instance(n), screen.instance(n), best)
+        if best is not None and best[2] is None:
+            best = best[:2] + (_allocate(table.instance(n), screen.instance(n), best[1]),)
+        found.append(None if best is None else best[1:])
+    return found
+
+
+def _walk(table: UserTable, screen, best: Optional[tuple]) -> Optional[tuple]:
+    # The incumbent after walking one instance's unsettled feasible
+    # designs (its own table and screen) by descending bound, until the
+    # next ceiling falls below the incumbent's utility.
+    designs, bounds = screen.designs, screen.bounds
+    walked = np.flatnonzero((bounds > -np.inf) & np.isnan(screen.settled))
     order = walked[np.argsort(-bounds[walked], kind="stable")]
     ceilings = (bounds[order] * (1.0 + BOUND_SLACK)).tolist()
     for d, ceiling in zip(order.tolist(), ceilings):
@@ -152,12 +225,7 @@ def joint_optimize(
         alloc = _allocate(table, screen, d)
         if alloc.feasible:
             best = _incumbent(best, designs, d, alloc.fc_utility, alloc)
-    if best is None:
-        return _infeasible_outcome(len(table.sus), time.perf_counter() - start)
-    _, d, alloc = best
-    if alloc is None:
-        alloc = _allocate(table, screen, d)
-    return OptimizationOutcome(designs.design(d), alloc, time.perf_counter() - start)
+    return best
 
 
 #: The most users :func:`exhaustive_oracle` takes (its cost is O(2^M)).

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Collection, Optional, Sequence
 
 import numpy as np
 
@@ -23,10 +23,10 @@ from .allocator import AllocationResult
 from .economics import (
     SecondaryUser,
     SystemParams,
+    interfered_rates,
     rate_idle,
-    rate_interfered,
 )
-from .optimizer import DesignGrid, joint_optimize
+from .optimizer import DesignGrid, joint_optimize_many
 from .sensing import local_pd
 
 
@@ -122,16 +122,17 @@ class StreamFactory:
         self._streams: dict = {}
 
     def stream(self, purpose: str, su: int = -1) -> np.random.Generator:
-        if purpose not in self._PURPOSES:
-            raise ValueError(f"unknown stream purpose {purpose!r}")
         key = (purpose, su)
-        if key not in self._streams:
+        got = self._streams.get(key)
+        if got is None:
+            if purpose not in self._PURPOSES:
+                raise ValueError(f"unknown stream purpose {purpose!r}")
             seq = np.random.SeedSequence(
                 entropy=self.master_seed,
                 spawn_key=(self.trial, su + 1, self._PURPOSES.index(purpose)),
             )
-            self._streams[key] = np.random.Generator(np.random.PCG64(seq))
-        return self._streams[key]
+            got = self._streams[key] = np.random.Generator(np.random.PCG64(seq))
+        return got
 
 
 def sample_pareto_idle(model: TrafficModel, rng: np.random.Generator) -> float:
@@ -218,14 +219,72 @@ def step_frame(
     selected users vote through Bernoulli draws of the closed-form local
     probabilities, and on an idle declaration each selected user drains
     floor(rate * t) bits at the rate of the true hypothesis.
+
+    The one-trial case of the lockstep frame of :func:`run_episodes`.
     """
-    n = len(profiles)
+    return _step_frames([(state, streams)], params, traffic, profiles, grid)[0]
+
+
+def _step_frames(
+    episodes: Sequence[tuple],
+    params: SystemParams,
+    traffic: TrafficModel,
+    profiles: Sequence[UserProfile],
+    grid: DesignGrid,
+) -> list:
+    # One frame of every (state, streams) pair in ``episodes``, in
+    # lockstep: each trial draws its PU state and gains, every trial with
+    # a non-empty buffer is optimized in one joint_optimize_many call, and
+    # then each trial votes, drains and takes its traffic. Every draw
+    # comes from the trial's own streams, so each trace is the one the
+    # trial gives alone.
+    starts = []
+    for state, streams in episodes:
+        buffers_at_start = tuple(buf.bits for buf in state.buffers)
+        pu_active = bool(streams.stream("pu").random() < (1.0 - params.p_h0))
+        sus = None
+        # With every buffer empty there is nothing to sell: no user can be
+        # selected (zero upper bounds), so the optimization is skipped whole.
+        if any(buffers_at_start):
+            sus = [
+                SecondaryUser(
+                    id=i,
+                    gain_to_fc=sample_exponential_gain(p.gain_mean, streams.stream("gain", i)),
+                    buffer_bits=buffers_at_start[i],
+                    pay_rate=p.pay_rate,
+                    earn_rate=p.earn_rate,
+                )
+                for i, p in enumerate(profiles)
+            ]
+        starts.append((buffers_at_start, pu_active, sus))
+    optimized = [sus for _, _, sus in starts if sus is not None]
+    outcomes = iter(joint_optimize_many(optimized, params, grid) if optimized else ())
+    traces = []
+    for (state, streams), (buffers_at_start, pu_active, sus) in zip(episodes, starts):
+        outcome = None if sus is None else next(outcomes)
+        traces.append(
+            _finish_frame(
+                state, streams, params, traffic, buffers_at_start, pu_active, sus, outcome
+            )
+        )
+    return traces
+
+
+def _finish_frame(
+    state: EpisodeState,
+    streams: StreamFactory,
+    params: SystemParams,
+    traffic: TrafficModel,
+    buffers_at_start: tuple,
+    pu_active: bool,
+    sus: Optional[list],
+    outcome,
+) -> FrameTrace:
+    # The vote, drain and traffic half of one trial's frame, after its
+    # optimization (``outcome``, None when every buffer was empty).
+    n = len(state.buffers)
     frame_start = state.frame_index * params.frame_duration
     frame_end = frame_start + params.frame_duration
-    buffers_at_start = tuple(buf.bits for buf in state.buffers)
-
-    pu_active = bool(streams.stream("pu").random() < (1.0 - params.p_h0))
-
     votes: tuple = ()
     fc_busy = True
     selected: tuple = ()
@@ -235,26 +294,6 @@ def step_frame(
     chosen_pfa = None
     chosen_k = None
     alloc = None
-    outcome = None
-
-    # With every buffer empty there is nothing to sell: no user can be
-    # selected (zero upper bounds), so the optimization is skipped whole.
-    if any(buffers_at_start):
-        gains = [
-            sample_exponential_gain(p.gain_mean, streams.stream("gain", i))
-            for i, p in enumerate(profiles)
-        ]
-        sus = [
-            SecondaryUser(
-                id=i,
-                gain_to_fc=gains[i],
-                buffer_bits=buffers_at_start[i],
-                pay_rate=profiles[i].pay_rate,
-                earn_rate=profiles[i].earn_rate,
-            )
-            for i in range(n)
-        ]
-        outcome = joint_optimize(sus, params, grid)
 
     if outcome is not None and outcome.feasible:
         design = outcome.best_design
@@ -270,9 +309,11 @@ def step_frame(
         fc_busy = sum(votes) >= design.k_threshold
         if not fc_busy:
             realized = 1 if pu_active else 0
-            for i in selected:
-                su = sus[i]
-                rate = rate_interfered(su, params) if pu_active else rate_idle(su, params)
+            if pu_active:
+                rates = interfered_rates([sus[i].gain_to_fc for i in selected], params)
+            else:
+                rates = [rate_idle(sus[i], params) for i in selected]
+            for i, rate in zip(selected, rates):
                 drained = min(
                     buffers_at_start[i], math.floor(rate * alloc.times[i])
                 )
@@ -322,11 +363,41 @@ def run_episode(
     A batch's delay runs from its arrival instant to the end of the frame
     that drains its last bit; batches still pending at the horizon are
     dropped from the averages and counted in ``dropped_batches``.
-    Deterministic for a fixed (seed, trial, config).
+    Deterministic for a fixed (seed, trial, config): the one-trial case
+    of :func:`run_episodes`, which gives every trial this same result.
 
     Returns
     -------
     (DelayStats, list of FrameTrace)
+    """
+    traced = (trial,) if keep_traces else ()
+    return run_episodes(
+        n_frames, params, traffic, rng_seed, profiles, (trial,), grid, traced
+    )[0]
+
+
+def run_episodes(
+    n_frames: int,
+    params: SystemParams,
+    traffic: TrafficModel,
+    rng_seed: int,
+    profiles: Sequence[UserProfile],
+    trials: Sequence[int],
+    grid: Optional[DesignGrid] = None,
+    traced_trials: Collection[int] = (),
+) -> list:
+    """:func:`run_episode` of every trial in ``trials``, in order, stepped
+    frame by frame in lockstep: each trial keeps its own
+    :class:`StreamFactory` and :class:`EpisodeState`, and each frame the
+    trials with a non-empty buffer are optimized in one
+    :func:`~cogalloc.optimizer.joint_optimize_many` call. So each trial's
+    result is the one it gives alone, whichever trials run with it. Only
+    the trials in ``traced_trials`` keep their frame traces; the others
+    return an empty list.
+
+    Returns
+    -------
+    list of (DelayStats, list of FrameTrace), one per trial
     """
     if n_frames < 1:
         raise ValueError(f"n_frames must be >= 1, got {n_frames}")
@@ -336,33 +407,41 @@ def run_episode(
         raise ValueError("profiles must hold at least one user")
     if grid is None:
         grid = DesignGrid.uniform(n)
-    streams = StreamFactory(rng_seed, trial)
-    state = init_state(profiles, traffic, streams)
-    delays: list = [[] for _ in range(n)]
-    traces = []
+    trials = list(trials)
+    episodes = []
+    for trial in trials:
+        streams = StreamFactory(rng_seed, trial)
+        episodes.append((init_state(profiles, traffic, streams), streams))
+    delays: list = [[[] for _ in range(n)] for _ in trials]
+    traces: list = [[] for _ in trials]
+    kept = [trial in traced_trials for trial in trials]
 
     for _ in range(n_frames):
-        trace = step_frame(state, params, traffic, streams, profiles, grid)
-        for i in range(n):
-            delays[i].extend(delay for _, delay in state.last_completions[i])
-        if keep_traces:
-            traces.append(trace)
+        frame = _step_frames(episodes, params, traffic, profiles, grid)
+        for j, ((state, _), trace) in enumerate(zip(episodes, frame)):
+            for i in range(n):
+                delays[j][i].extend(delay for _, delay in state.last_completions[i])
+            if kept[j]:
+                traces[j].append(trace)
 
+    return [
+        (_delay_stats(waits, state), kept_traces)
+        for (state, _), waits, kept_traces in zip(episodes, delays, traces)
+    ]
+
+
+def _delay_stats(delays: list, state: EpisodeState) -> DelayStats:
+    # One trial's statistics from its per-user delays and final state.
     per_su_mean = tuple(
         (sum(d) / len(d)) if d else math.nan for d in delays
     )
-    completed = tuple(len(d) for d in delays)
-    dropped = tuple(len(buf.pending) for buf in state.buffers)
     finite = [d for d in per_su_mean if not math.isnan(d)]
     jain = jain_index(finite) if finite and any(d > 0 for d in finite) else math.nan
-    return (
-        DelayStats(
-            per_su_mean_delay=per_su_mean,
-            jain=jain,
-            completed_batches=completed,
-            dropped_batches=dropped,
-        ),
-        traces,
+    return DelayStats(
+        per_su_mean_delay=per_su_mean,
+        jain=jain,
+        completed_batches=tuple(len(d) for d in delays),
+        dropped_batches=tuple(len(buf.pending) for buf in state.buffers),
     )
 
 

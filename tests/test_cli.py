@@ -25,6 +25,7 @@ from cogalloc.cli import (
     main,
     parse_config,
 )
+from cogalloc import cli
 from cogalloc.cli import _SCHEMA
 from cogalloc.economics import default_system_params
 from cogalloc.optimizer import HessianProbeConfig
@@ -589,6 +590,68 @@ class TestMainEntry:
                 assert {f.name for f in out.iterdir()} == names
                 outputs.append({name: masked(out / name) for name in names})
             assert outputs[0] == outputs[1], command
+
+    def test_simulate_trial_chunks_equivalent_output(self, tmp_path):
+        # --jobs splits a point's trials into min(jobs, trials) contiguous
+        # chunks, each run in lockstep: one chunk of 10, uneven chunks
+        # (3 + 3 + 4) and one trial per chunk write the same bytes.
+        payload = {"trials": 10, "seed": 5, "traffic": {"scale": 0.002},
+                   "experiment": {"n_frames": 40}}
+        path = _cfg(tmp_path, payload)
+        outputs = []
+        for jobs in ("1", "3", "16"):
+            out = tmp_path / f"jobs{jobs}"
+            args = ["simulate", "--config", str(path), "--out", str(out), "--jobs", jobs]
+            assert main(args) == EXIT_OK
+            outputs.append({f.name: f.read_bytes() for f in out.iterdir()})
+        assert set(outputs[0]) == {"simulate.csv", "simulate_mean.csv", "trace_sweep0.jsonl"}
+        assert len(outputs[0]["simulate.csv"].splitlines()) == 2 + 10
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize(
+        "jobs,chunks",
+        [
+            (1, [(0, 10)]),
+            (3, [(0, 3), (3, 6), (6, 10)]),
+            (16, [(t, t + 1) for t in range(10)]),
+        ],
+    )
+    def test_trials_split_into_contiguous_chunks(self, tmp_path, monkeypatch, jobs, chunks):
+        # Each sweep point's trials, in min(jobs, trials) contiguous chunks.
+        import concurrent.futures
+
+        seen = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                work = list(iterable)
+                seen.extend((job[2], job[3].start, job[3].stop) for job in work)
+                return map(fn, work)
+
+        calls = []
+
+        def chunk(job):
+            # (sweep index, trial) per trial of the chunk, with no extra.
+            calls.append(job)
+            return [((job[2], trial), None) for trial in job[3]]
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli, "_sweep_chunk", chunk)
+        cfg = load_config(_cfg(tmp_path, {**SMALL_SWEEP, "trials": 10}))
+        rows, _ = cli._run_sweep(cfg, jobs, None)
+        assert rows == [(si, trial) for si in (0, 1) for trial in range(10)]
+        got = [(job[2], job[3].start, job[3].stop) for job in calls]
+        assert got == [(si, a, b) for si in (0, 1) for a, b in chunks]
+        assert seen == ([] if jobs == 1 else got)
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_exit_code(self, tmp_path, capsys, jobs):

@@ -19,6 +19,7 @@ from cogalloc import (
     select_and_allocate,
 )
 from cogalloc.allocator import UserTable, time_bound_arrays
+from cogalloc.economics import _exp_scaled_e1, interfered_rates
 from cogalloc.units import dbm_to_watts
 
 from helpers import rate_interfered_quadrature, scalar_effective_rate
@@ -100,6 +101,32 @@ class TestRateInterfered:
         mc = float(samples.mean())
         se = float(samples.std(ddof=1) / math.sqrt(n))
         assert abs(rate_interfered(su, params) - mc) < 3.0 * se
+
+    @pytest.mark.parametrize("p_pt", [None, 1e-300, 1.0, 1e30])
+    def test_equals_the_literal_formula(self, p_pt):
+        # The params-only term is computed once per call of
+        # interfered_rates; every rate must still be the literal
+        # ((ln c1 + e^c1 E1(c1)) - ln c2) - e^c2 E1(c2), bit for bit.
+        params = custom_params() if p_pt is None else custom_params(p_pt=p_pt)
+
+        def literal(gain):
+            a = gain * params.p_st / params.noise_power
+            b = params.p_pt / params.noise_power
+            c1 = (1.0 + a) / b
+            c2 = 1.0 / b
+            nats = (
+                math.log(c1) + _exp_scaled_e1(c1) - math.log(c2) - _exp_scaled_e1(c2)
+            )
+            return params.bandwidth * nats / math.log(2.0)
+
+        rng = np.random.default_rng(1905)
+        gains = rng.exponential(1.0, 2000).tolist()
+        gains += (10.0 ** rng.uniform(-300, 200, 500)).tolist()
+        gains += [5e-324, 1e-300, 1e-17, 1e-12, 0.5, 1.0, 50.0, 1e6, 1e15, 1e100, 1e200]
+        batch = interfered_rates(gains, params)
+        for gain, rate in zip(gains, batch):
+            want = literal(gain)
+            assert rate == want and rate_interfered(user(gain=gain), params) == want
 
     def test_quadrature_route_agrees(self):
         params = custom_params()

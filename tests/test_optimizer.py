@@ -374,9 +374,8 @@ class TestPrunedGridSearch:
         # utility; none of them can earn it, and none is walked.
         sus = _small_buffer_users(seed)
         grid = DesignGrid.uniform(5)
-        table = UserTable(sus, params)
         weights = grid_table(params, grid)
-        screen = table.screen(weights)
+        table, screen = _screened(sus, params, weights)
         settled = screen.settled
         best = np.nanmax(settled)
         tied = [
@@ -403,11 +402,136 @@ class TestPrunedGridSearch:
             profiles = [UserProfile()] * 5
             return run_episode(30, params, traffic, rng_seed=5, profiles=profiles)[1]
 
+        def reference_many(instances, params, grid):
+            return [reference_joint_optimize(sus, params, grid) for sus in instances]
+
         got = episode()
-        monkeypatch.setattr(simkit, "joint_optimize", reference_joint_optimize)
+        monkeypatch.setattr(simkit, "joint_optimize_many", reference_many)
         want = episode()
         assert sum(t.allocation is not None for t in want) > 5
         assert got == want
+
+
+def _thin_margin_users(seed, m):
+    # Thin margins and large backlogs: the break-even grants take most of
+    # the budget, the screen settles few designs, and the search walks.
+    rng = np.random.default_rng(seed)
+    return [
+        SecondaryUser(
+            id=i,
+            gain_to_fc=float(rng.exponential(1.0)),
+            buffer_bits=int(rng.integers(100, 50000)),
+            pay_rate=0.1,
+            earn_rate=0.1 + float(rng.uniform(0.0005, 0.05)),
+        )
+        for i in range(m)
+    ]
+
+
+class TestJointOptimizeMany:
+    """One batched call gives every instance what joint_optimize gives it
+    alone, bit for bit, whatever else the batch holds and however the
+    element cap splits it."""
+
+    @staticmethod
+    def _batch():
+        never_profitable = make_users(40, 5, pay_rate=1.0, earn_rate=0.5)
+        repeated = [replace(su, id=su.id % 2) for su in make_users(41, 5)]
+        return [
+            [],
+            make_users(42, 1),
+            _small_buffer_users(0),
+            _thin_margin_users(29, 5),
+            never_profitable,
+            repeated,
+            [],
+            make_users(43, 1, buffer_bits=0),
+            *(_mixed_instance(44 + j, 40, kind)[1] for j, kind in enumerate(KINDS)),
+            _thin_margin_users(156, 5),
+            _small_buffer_users(1),
+            make_users(48, 5, buffer_bits=0),
+        ]
+
+    @staticmethod
+    def _assert_each_alone(instances, params, grid, got):
+        assert len(got) == len(instances)
+        for sus, outcome in zip(instances, got):
+            alone = joint_optimize(sus, params, grid)
+            assert outcome.best_design == alone.best_design
+            assert outcome.best_allocation == alone.best_allocation
+            assert len(outcome.best_allocation.active) == len(sus)
+
+    def test_mixed_batch_equals_each_instance_alone(self, monkeypatch, params):
+        instances = self._batch()
+        grid = DesignGrid.uniform(40)
+        visited, allocated = _record_visits(monkeypatch)
+        got = optimizer.joint_optimize_many(instances, params, grid)
+        # The batch both settles winners and walks designs, and holds
+        # infeasible instances.
+        assert visited and allocated
+        assert not all(outcome.feasible for outcome in got)
+        monkeypatch.undo()
+        self._assert_each_alone(instances, params, grid, got)
+        for sus, outcome in zip(instances, got):
+            _assert_same_outcome(outcome, reference_joint_optimize(sus, params, grid))
+
+    def test_element_cap_splits_the_batch(self, monkeypatch, params):
+        # At M = 40 on the 360-design grid an instance screens 14,400
+        # elements, so the cap takes two per pass; a cap of one element
+        # screens every instance alone.
+        instances = self._batch()
+        grid = DesignGrid.uniform(40)
+        passes = []
+        stack = UserTable.stack.__func__
+
+        def counting(cls, batch, params):
+            passes.append(len(batch[0]) if batch else 0)
+            return stack(cls, batch, params)
+
+        monkeypatch.setattr(UserTable, "stack", classmethod(counting))
+        got = optimizer.joint_optimize_many(instances, params, grid)
+        assert optimizer._SCREEN_CHUNK // (360 * 40) == 2
+        assert passes.count(40) == 2
+        passes.clear()
+        monkeypatch.setattr(optimizer, "_SCREEN_CHUNK", 1)
+        alone = optimizer.joint_optimize_many(instances, params, grid)
+        assert len(passes) == len(instances)
+        monkeypatch.setattr(UserTable, "stack", classmethod(stack))
+        self._assert_each_alone(instances, params, grid, got)
+        self._assert_each_alone(instances, params, grid, alone)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_shuffled_batches_agree(self, params, seed):
+        # The same instances in another order and another company.
+        rng = np.random.default_rng(seed)
+        pool = [_mixed_instance(seed * 10 + j, 5, KINDS[j % 4])[1] for j in range(12)]
+        pool += [_thin_margin_users(int(s), 5) for s in rng.integers(0, 200, 4)]
+        grid = DesignGrid.uniform(5)
+        whole = optimizer.joint_optimize_many(pool, params, grid)
+        order = rng.permutation(len(pool))
+        half = order[: len(pool) // 2]
+        part = optimizer.joint_optimize_many([pool[i] for i in half], params, grid)
+        for i, outcome in zip(half.tolist(), part):
+            assert outcome.best_design == whole[i].best_design
+            assert outcome.best_allocation == whole[i].best_allocation
+        self._assert_each_alone(pool, params, grid, whole)
+
+    def test_empty_batch(self, params):
+        assert optimizer.joint_optimize_many([], params, DesignGrid.uniform(3)) == []
+
+
+def _screened(sus, params, weights) -> tuple:
+    # One instance's table and screen as the search walks them: instance
+    # 0 of a stacked table of it alone.
+    stacked = UserTable.stack([sus], params)
+    return stacked.instance(0), stacked.screen(weights).instance(0)
+
+
+def _caps(sus, params, weights, rows):
+    # The shortfall cap of each design row ``rows`` of the instance's
+    # screen (a stack of one instance numbers its rows as the designs).
+    stacked = UserTable.stack([sus], params)
+    return stacked._shortfall(stacked.screen(weights), rows)
 
 
 def _assert_settled_as_walked(table, screen):
@@ -460,15 +584,14 @@ class TestBatchedScreen:
         # Also returns the number of unsettled designs whose shortfall cap
         # lies below the reference bound (the cap binds there).
         m = len(sus)
-        table = UserTable(sus, params)
         weights = grid_table(params, grid)
-        screen = table.screen(weights)
+        table, screen = _screened(sus, params, weights)
         bounds, settled = screen.bounds, screen.settled
         # The cap of every feasible design the screen leaves unsettled,
         # not only of those it caps (the ones that reach the best
         # settled utility).
         unsettled = np.flatnonzero((bounds > -np.inf) & np.isnan(settled))
-        caps = dict(zip(unsettled.tolist(), table._shortfall(screen, unsettled).tolist()))
+        caps = dict(zip(unsettled.tolist(), _caps(sus, params, weights, unsettled).tolist()))
         _assert_settled_as_walked(table, screen)
         binding = 0
         assert len(weights.k) == len(grid.k_values) * len(grid.pfa_values)
@@ -537,18 +660,17 @@ class TestBatchedScreen:
         # sum, so the overflow e is at most that.
         sus = _small_buffer_users(seed)
         grid = DesignGrid.uniform(5)
-        table = UserTable(sus, params)
         weights = grid_table(params, grid)
-        screen = table.screen(weights)
+        table, screen = _screened(sus, params, weights)
         bounds, settled = screen.bounds, screen.settled
         d = int(np.flatnonzero((bounds > -np.inf) & np.isnan(settled))[0])
         design = weights.design(d)
         reduced = screen.start(d)[0]
         total = float(table.evaluate(design, reduced).uppers.sum())
         edge = _budget_edge(params, len(reduced), total - steps * TIME_TOL, above=True)
-        table = UserTable(sus, edge)
         weights = grid_table(edge, grid)
-        assert np.isnan(table.screen(weights).settled[d])
+        table, screen = _screened(sus, edge, weights)
+        assert np.isnan(screen.settled[d])
         excess = total - (table.budgets[len(reduced)] + TIME_TOL)
         assert 0.0 < excess <= steps * TIME_TOL
         self._check(sus, edge, grid)
@@ -572,8 +694,7 @@ class TestBatchedScreen:
         every = tuple(range(5))
         lowers = float(UserTable(sus, params).evaluate(design, every).lowers.sum())
         edge = _budget_edge(params, 5, lowers, above=True)
-        table = UserTable(sus, edge)
-        screen = table.screen(grid_table(edge, DesignGrid((pfa,), (k,))))
+        table, screen = _screened(sus, edge, grid_table(edge, DesignGrid((pfa,), (k,))))
         assert screen.start(0)[0] == every
         ev = table.evaluate(design, every)
         assert ev.case is CaseLabel.CASE2 and float(ev.lowers.sum()) > ev.t_prime
@@ -595,9 +716,8 @@ class TestBatchedScreen:
             for i in range(1, 5)
         ]
         grid = DesignGrid(pfa_values=(0.3, 0.5, 0.7, 0.9), k_values=(1, 2))
-        table = UserTable(sus, params)
         weights = grid_table(params, grid)
-        screen = table.screen(weights)
+        _, screen = _screened(sus, params, weights)
         bounds, settled = screen.bounds, screen.settled
         rows = np.flatnonzero((bounds > -np.inf) & np.isnan(settled))
         assert rows.size
@@ -608,16 +728,15 @@ class TestBatchedScreen:
     @pytest.mark.parametrize("m", [1, 5, 7, 8, 9, 16, 40, 200])
     def test_settles_exactly_the_abundant_designs(self, m, kind):
         params, sus = _mixed_instance(m + 800, m, kind)
-        table = UserTable(sus, params)
         weights = grid_table(params, _sparse_grid(m))
-        screen = table.screen(weights)
+        table, screen = _screened(sus, params, weights)
         bounds, settled = screen.bounds, screen.settled
         _assert_settled_as_walked(table, screen)
         # Every unsettled design gets a finite cap, also where a member's
         # rate vanishes at |R| (pfa 0.99): e is then inf and its zero
         # priority must not make a nan or a warning.
         unsettled = np.flatnonzero((bounds > -np.inf) & np.isnan(settled))
-        assert np.isfinite(table._shortfall(screen, unsettled)).all()
+        assert np.isfinite(_caps(sus, params, weights, unsettled)).all()
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("m", [1, 5, 7, 8, 9, 16, 40, 200])
@@ -628,9 +747,8 @@ class TestBatchedScreen:
         # |R|, TIME_TOL included) decides the case as the walk does.
         params, sus = _mixed_instance(m + 800, m, kind)
         grid = _sparse_grid(m)
-        table = UserTable(sus, params)
         weights = grid_table(params, grid)
-        screen = table.screen(weights)
+        table, screen = _screened(sus, params, weights)
         edges = {}
         for d, design in enumerate(map(weights.design, range(len(weights.k)))):
             screened = screen.start(d)
@@ -641,9 +759,8 @@ class TestBatchedScreen:
             total = float(table.evaluate(design, reduced).uppers.sum())
             for above in (True, False):
                 edge = _budget_edge(params, len(reduced), total, above)
-                table = UserTable(sus, edge)
                 weights = grid_table(edge, grid)
-                screen = table.screen(weights)
+                table, screen = _screened(sus, edge, weights)
                 settled = screen.settled
                 assert np.isnan(settled[d]) != above
                 _assert_settled_as_walked(table, screen)

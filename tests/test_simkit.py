@@ -15,6 +15,7 @@ from cogalloc import (
     global_pfa,
     jain_index,
     run_episode,
+    run_episodes,
     sample_exponential_gain,
     sample_pareto_idle,
     step_frame,
@@ -237,6 +238,70 @@ class TestBufferConservation:
                 expected = prev_bits[i] - trace.bits_out[i] + landed
                 assert state.buffers[i].bits == expected
             prev_bits = tuple(b.bits for b in state.buffers)
+
+
+def _nan_as_none(stats):
+    # DelayStats with every NaN replaced by None, so == treats NaN as equal.
+    def clean(value):
+        return None if isinstance(value, float) and math.isnan(value) else value
+
+    return (
+        tuple(map(clean, stats.per_su_mean_delay)),
+        clean(stats.jain),
+        stats.completed_batches,
+        stats.dropped_batches,
+    )
+
+
+class TestRunEpisodes:
+    """Trials stepped frame by frame in lockstep, with one batched joint
+    search per frame, give each trial what it gives alone."""
+
+    PROFILES = {
+        "shared": [UserProfile(initial_bits=5)] * 5,
+        "distinct": [
+            UserProfile(pay_rate=0.1, earn_rate=10.0, gain_mean=1.0, initial_bits=5),
+            UserProfile(pay_rate=0.3, earn_rate=6.0, gain_mean=0.4, initial_bits=40),
+            UserProfile(pay_rate=0.05, earn_rate=12.0, gain_mean=2.5, initial_bits=0),
+            UserProfile(pay_rate=0.2, earn_rate=8.0, gain_mean=1.0, initial_bits=25),
+        ],
+    }
+
+    @pytest.mark.parametrize("kind", sorted(PROFILES))
+    def test_lockstep_equals_each_trial_alone(self, kind):
+        params = default_system_params()
+        traffic = TrafficModel(scale=0.002)
+        profiles = self.PROFILES[kind]
+        trials = tuple(range(8))
+        together = run_episodes(
+            60, params, traffic, 21, profiles, trials, traced_trials=trials
+        )
+        alone = [
+            run_episode(60, params, traffic, rng_seed=21, profiles=profiles, trial=t)
+            for t in trials
+        ]
+        for (stats, traces), (want_stats, want_traces) in zip(together, alone):
+            assert _nan_as_none(stats) == _nan_as_none(want_stats)
+            assert traces == want_traces
+        # Some frame optimizes some trials while others have nothing to sell.
+        mixed = [
+            frame
+            for frame in zip(*(traces for _, traces in alone))
+            if any(trace.allocation is not None for trace in frame)
+            and any(not any(trace.buffers_at_start) for trace in frame)
+        ]
+        assert mixed
+
+    def test_traced_trials_and_order(self):
+        params = default_system_params()
+        traffic = TrafficModel(scale=0.002)
+        profiles = self.PROFILES["distinct"]
+        got = run_episodes(25, params, traffic, 3, profiles, (5, 0, 2), traced_trials=(0,))
+        assert [len(traces) for _, traces in got] == [0, 25, 0]
+        for trial, (stats, _) in zip((5, 0, 2), got):
+            want = run_episode(25, params, traffic, rng_seed=3, profiles=profiles, trial=trial)
+            assert _nan_as_none(stats) == _nan_as_none(want[0])
+        assert got[1][1] == run_episode(25, params, traffic, rng_seed=3, profiles=profiles)[1]
 
 
 class TestRunEpisode:
