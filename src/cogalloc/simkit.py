@@ -222,7 +222,7 @@ def step_frame(
 
     The one-trial case of the lockstep frame of :func:`run_episodes`.
     """
-    return _step_frames([(state, streams)], params, traffic, profiles, grid)[0]
+    return _step_frames([(state, streams)], params, traffic, profiles, grid, (True,))[0]
 
 
 def _step_frames(
@@ -231,13 +231,15 @@ def _step_frames(
     traffic: TrafficModel,
     profiles: Sequence[UserProfile],
     grid: DesignGrid,
+    traced: Sequence[bool],
 ) -> list:
     # One frame of every (state, streams) pair in ``episodes``, in
     # lockstep: each trial draws its PU state and gains, every trial with
     # a non-empty buffer is optimized in one joint_optimize_many call, and
     # then each trial votes, drains and takes its traffic. Every draw
     # comes from the trial's own streams, so each trace is the one the
-    # trial gives alone.
+    # trial gives alone. A trial's trace is built only where its flag in
+    # ``traced`` is set, None elsewhere.
     starts = []
     for state, streams in episodes:
         buffers_at_start = tuple(buf.bits for buf in state.buffers)
@@ -260,13 +262,9 @@ def _step_frames(
     optimized = [sus for _, _, sus in starts if sus is not None]
     outcomes = iter(joint_optimize_many(optimized, params, grid) if optimized else ())
     traces = []
-    for (state, streams), (buffers_at_start, pu_active, sus) in zip(episodes, starts):
-        outcome = None if sus is None else next(outcomes)
-        traces.append(
-            _finish_frame(
-                state, streams, params, traffic, buffers_at_start, pu_active, sus, outcome
-            )
-        )
+    for (state, streams), start, keep in zip(episodes, starts, traced):
+        outcome = None if start[2] is None else next(outcomes)
+        traces.append(_finish_frame(state, streams, params, traffic, *start, outcome, keep))
     return traces
 
 
@@ -279,9 +277,11 @@ def _finish_frame(
     pu_active: bool,
     sus: Optional[list],
     outcome,
-) -> FrameTrace:
+    traced: bool,
+) -> Optional[FrameTrace]:
     # The vote, drain and traffic half of one trial's frame, after its
-    # optimization (``outcome``, None when every buffer was empty).
+    # optimization (``outcome``, None when every buffer was empty); its
+    # trace where ``traced``, None elsewhere.
     n = len(state.buffers)
     frame_start = state.frame_index * params.frame_duration
     frame_end = frame_start + params.frame_duration
@@ -330,7 +330,8 @@ def _finish_frame(
             state.next_batch_time[i] += gap + traffic.accumulation_time
     state.frame_index += 1
     state.last_completions = completions
-
+    if not traced:
+        return None
     return FrameTrace(
         frame_index=state.frame_index - 1,
         pu_active=pu_active,
@@ -417,11 +418,11 @@ def run_episodes(
     kept = [trial in traced_trials for trial in trials]
 
     for _ in range(n_frames):
-        frame = _step_frames(episodes, params, traffic, profiles, grid)
+        frame = _step_frames(episodes, params, traffic, profiles, grid, kept)
         for j, ((state, _), trace) in enumerate(zip(episodes, frame)):
             for i in range(n):
                 delays[j][i].extend(delay for _, delay in state.last_completions[i])
-            if kept[j]:
+            if trace is not None:
                 traces[j].append(trace)
 
     return [
