@@ -17,11 +17,13 @@ from cogalloc import (
     effective_time,
     select_and_allocate,
 )
-from cogalloc.allocator import UserTable
+from cogalloc.allocator import UserTable, design_table
 
 rng = np.random.default_rng(7)
 params = default_system_params()
 design = SensingDesign(pfa_local=0.1, k_threshold=2)
+# The design as row 0 of its own design table, which prices it.
+designs = design_table(params, (design.pfa_local,), (design.k_threshold,))
 
 users = [
     SecondaryUser(
@@ -36,14 +38,14 @@ users = [
 
 print("per-user bounds at the full set size (L=5):")
 table = UserTable(users, params)
-_, lowers, uppers, _ = table.level(design, 5)
+_, lowers, uppers, _ = table.level(designs, 0, 5)
 for su, lower, upper in zip(users, lowers, uppers):
     print(
         f"  SU{su.id}: gain={su.gain_to_fc:.3f}  "
         f"T_LB={lower * 1e6:8.3f} us  T_UB={upper * 1e3:7.3f} ms"
     )
 print(f"usable frame time T'(5) = {effective_time(params, 5) * 1e3:.4f} ms")
-print(f"budget regime: {table.evaluate(design, tuple(range(5))).case.name}\n")
+print(f"budget regime: {table.evaluate(designs, 0, tuple(range(5))).case.name}\n")
 
 alloc = select_and_allocate(users, design, params)
 print("allocation at the default 1 ms frame:")

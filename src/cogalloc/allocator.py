@@ -113,7 +113,10 @@ class DesignTable:
 
     Row d is design d in grid order (k as listed, then pfa ascending):
     :meth:`design` builds it, ``pfa`` and ``k`` hold the rows' values.
-    Per design and set size L the table gives the fused tails
+    ``order`` lists the rows in the (pfa, k) tie-break order, equal
+    designs in grid order, and ``rank`` is its inverse: of two designs
+    at one utility, the joint search and the oracle keep the one of
+    lower rank. Per design and set size L the table gives the fused tails
     (:meth:`tails`, the shared binomial rows' values) and weights
     (:meth:`weights`); per user count m, l_first (:meth:`at_users`); per
     L, the designs meeting the floor (:meth:`admissible`).
@@ -127,8 +130,8 @@ class DesignTable:
     """
 
     __slots__ = (
-        "pfa", "k", "_params", "_ps", "_row", "_reach", "_weights",
-        "_pairs", "_users", "_admissible",
+        "pfa", "k", "order", "rank", "_params", "_ps", "_row", "_reach",
+        "_weights", "_users", "_admissible",
     )
 
     def __init__(self, params: SystemParams, pfas, ks):
@@ -138,11 +141,13 @@ class DesignTable:
         self._row = np.tile(np.arange(len(pfas)), len(ks))
         self.pfa = _read_only(np.array(pfas, dtype=float)[self._row])
         self.k = _read_only(np.repeat(np.array(ks, dtype=np.intp), len(pfas)))
+        self.order = _read_only(np.lexsort((self.k, self.pfa)))
+        self.rank = _read_only(np.argsort(self.order))
         # K(L) per pfa for L = 0, 1, ...; the weights per L and design
-        # (nan until filled) and per (design, L) as floats.
+        # (nan until filled).
         self._reach = [np.zeros(len(pfas), dtype=np.intp)]
         self._weights = np.full((1, len(self.k), 2), np.nan)
-        self._pairs, self._users, self._admissible = {}, {}, {}
+        self._users, self._admissible = {}, {}
 
     def design(self, d: int) -> SensingDesign:
         return SensingDesign(self._ps[self._row[d]], int(self.k[d]))
@@ -200,13 +205,10 @@ class DesignTable:
         """The weights of design ``d`` at ``l_active`` users as two floats.
         A selection walk asks for a design at every size from its reduced
         set's down, so a miss fills every size from k up at once."""
-        got = self._pairs.get((d, l_active))
-        if got is None:
+        if l_active >= len(self._weights) or np.isnan(self._weights[l_active, d, 0]):
             sizes = np.arange(min(int(self.k[d]), l_active), l_active + 1)
-            pairs = self.weights(np.full(len(sizes), d), sizes).tolist()
-            self._pairs.update(((d, l), tuple(w)) for l, w in zip(sizes.tolist(), pairs))
-            got = self._pairs[(d, l_active)]
-        return got
+            self.weights(np.full(len(sizes), d), sizes)
+        return tuple(self._weights[l_active, d].tolist())
 
     def at_users(self, m: int) -> tuple:
         """(l_first, at_m, at_first, budget_first) for ``m`` users, one
@@ -234,8 +236,8 @@ class DesignTable:
         weights at size."""
         got = self._admissible.get(size)
         if got is None:
-            rows = np.flatnonzero(self.k <= self._reach_to(size)[size][self._row])
-            rows = rows[np.lexsort((self.k[rows], self._row[rows]))]
+            met = self.k <= self._reach_to(size)[size][self._row]
+            rows = self.order[met[self.order]]
             got = _read_only(rows), _read_only(self.weights(rows, size))
             self._admissible[size] = got
         return got
@@ -247,11 +249,6 @@ def design_table(params: SystemParams, pfas, ks) -> DesignTable:
     ``pfas`` and ``ks``): for every frame of an episode, every trial of a
     sweep point, and the joint search, oracle and baseline."""
     return DesignTable(params, pfas, ks)
-
-
-def _one_design_table(params: SystemParams, design: SensingDesign) -> DesignTable:
-    # The shared table of ``design`` alone: its row 0.
-    return design_table(params, (design.pfa_local,), (design.k_threshold,))
 
 
 class UserTable:
@@ -353,18 +350,9 @@ class UserTable:
         elementwise operations."""
         return self._rates(q0, q1) * self.pay
 
-    def level(self, design: SensingDesign, l_active: int) -> tuple:
-        """:meth:`price` at ``design`` with ``l_active`` reporting users."""
-        return self._level(_one_design_table(self.params, design), 0, l_active)
-
-    def evaluate(self, design: SensingDesign, idx: tuple) -> "_SetEval":
-        """The candidate set ``idx`` (positions in this table) at ``design``
-        and its own size."""
-        return self._evaluate(_one_design_table(self.params, design), 0, idx)
-
-    def _level(self, designs: DesignTable, d: int, l_active: int) -> tuple:
-        # :meth:`price` at row d of ``designs`` with ``l_active`` reporting
-        # users, cached per (designs, d, l_active).
+    def level(self, designs: DesignTable, d: int, l_active: int) -> tuple:
+        """:meth:`price` at row ``d`` of ``designs`` with ``l_active``
+        reporting users, cached per (designs, d, l_active)."""
         key = (designs, d, l_active)
         got = self._levels.get(key)
         if got is None:
@@ -372,9 +360,11 @@ class UserTable:
             self._levels[key] = got
         return got
 
-    def _evaluate(self, designs: DesignTable, d: int, idx: tuple) -> "_SetEval":
+    def evaluate(self, designs: DesignTable, d: int, idx: tuple) -> "_SetEval":
+        """The candidate set ``idx`` (positions in this table) at row ``d``
+        of ``designs`` and its own size."""
         members = np.array(idx, dtype=np.intp)
-        level = [column[members] for column in self._level(designs, d, len(idx))]
+        level = [column[members] for column in self.level(designs, d, len(idx))]
         return _SetEval(idx, members, *level, self.budgets.item(len(idx)))
 
     def screen(self, designs: DesignTable) -> "Screen":
@@ -453,9 +443,7 @@ class UserTable:
                 buffers.take(users, axis=0)[kept].reshape(-1, size),
             )
         settled, clearing = settled.reshape(sizes.shape), clearing.reshape(sizes.shape)
-        screen = Screen(
-            designs, bounds, settled, reduced, feasible, l_first, sizes, clearing, buffered
-        )
+        screen = Screen(designs, bounds, settled, reduced, feasible, sizes, clearing, buffered)
         if not np.isnan(settled).all():
             # Each instance's best settled utility (nan where it settled
             # none, which no bound reaches).
@@ -521,22 +509,19 @@ class Screen:
     """What :meth:`UserTable.screen` finds for every instance and row d
     of its design table ``designs``: the utility ``bounds`` and
     ``settled`` utilities, the reduced-set mask ``reduced`` (instance x
-    design x user), ``feasible``, ``l_first`` (per design), and per
-    (instance, design) the reduced set's size ``sizes``, its members'
-    clearing-time sum at that size ``clearing`` and their buffered value
-    ``buffered``. :meth:`instance` drops the instance axis for one
-    instance's walk."""
+    design x user), ``feasible``, and per (instance, design) the reduced
+    set's size ``sizes``, its members' clearing-time sum at that size
+    ``clearing`` and their buffered value ``buffered``. :meth:`instance`
+    drops the instance axis for one instance's walk."""
 
     __slots__ = (
-        "designs", "bounds", "settled", "reduced", "feasible", "l_first", "sizes",
-        "clearing", "buffered",
+        "designs", "bounds", "settled", "reduced", "feasible", "sizes", "clearing",
+        "buffered",
     )
 
-    def __init__(
-        self, designs, bounds, settled, reduced, feasible, l_first, sizes, clearing, buffered
-    ):
+    def __init__(self, designs, bounds, settled, reduced, feasible, sizes, clearing, buffered):
         self.designs, self.bounds, self.settled = designs, bounds, settled
-        self.reduced, self.feasible, self.l_first = reduced, feasible, l_first
+        self.reduced, self.feasible = reduced, feasible
         self.sizes, self.clearing, self.buffered = sizes, clearing, buffered
 
     def instance(self, n: int) -> "Screen":
@@ -544,18 +529,19 @@ class Screen:
         :meth:`UserTable.instance` of ``n``: views of its rows."""
         return Screen(
             self.designs, self.bounds[n], self.settled[n], self.reduced[n],
-            self.feasible[n], self.l_first, self.sizes[n], self.clearing[n],
-            self.buffered[n],
+            self.feasible[n], self.sizes[n], self.clearing[n], self.buffered[n],
         )
 
     def start(self, d: int) -> Optional[tuple]:
         """(reduced set R, minimum viable set size l_lb) of row ``d`` of
         one instance's screen (:meth:`instance`), or None when the design
         admits no feasible set (k > |R|, or no size up to |R| meets the
-        detection floor)."""
+        detection floor). l_lb is the design's l_first
+        (:meth:`DesignTable.at_users`)."""
         if not self.feasible[d]:
             return None
-        return tuple(np.flatnonzero(self.reduced[d]).tolist()), int(self.l_first[d])
+        l_first = self.designs.at_users(self.reduced.shape[-1])[0]
+        return tuple(np.flatnonzero(self.reduced[d]).tolist()), int(l_first[d])
 
 
 def _fits(total, t_prime: float):
@@ -708,19 +694,19 @@ def _exchange_core(
     # swap and go deeper; all-Case-2: score the payment-ordered swap and
     # stop; min-lower-bound set Case-3: stop); otherwise every n-for-n swap
     # is enumerated.
-    best = _score(table, table._evaluate(designs, d, kept))
+    best = _score(table, table.evaluate(designs, d, kept))
     if not excluded or not kept:
         return best
 
     def consider(candidate: tuple) -> None:
         nonlocal best
-        best = _better(best, _score(table, table._evaluate(designs, d, candidate)))
+        best = _better(best, _score(table, table.evaluate(designs, d, candidate)))
 
     def case(candidate: tuple) -> CaseLabel:
-        return table._evaluate(designs, d, candidate).case
+        return table.evaluate(designs, d, candidate).case
 
     # Orderings are taken at the current candidate cardinality |kept|.
-    _, lb_keys, ub_keys, pay_keys = table._level(designs, d, len(kept))
+    _, lb_keys, ub_keys, pay_keys = table.level(designs, d, len(kept))
 
     def ordered(keys: np.ndarray) -> tuple:
         return (_ordered_desc(table, kept, keys), _ordered_desc(table, excluded, keys))
@@ -768,7 +754,7 @@ def _select(
     # The elimination walk at row d of ``designs`` with a global
     # best-so-far contested-time incumbent; the scored winner, or None
     # when every set it reaches at the minimum size overflows the budget.
-    ev = table._evaluate(designs, d, reduced)
+    ev = table.evaluate(designs, d, reduced)
     if ev.case is CaseLabel.CASE1 or len(reduced) == l_lb:
         return _score(table, ev)
 
@@ -780,7 +766,7 @@ def _select(
         # Drop the user paying the least per second at this set size.
         j = int(np.lexsort((table.ids[ev.members], ev.priorities))[0])
         current = current[:j] + current[j + 1 :]
-        ev = table._evaluate(designs, d, current)
+        ev = table.evaluate(designs, d, current)
 
         if ev.case is CaseLabel.CASE1:
             excluded = tuple(i for i in reduced if i not in current)
@@ -838,5 +824,5 @@ def select_and_allocate(
     :class:`DesignTable` and walked by :func:`_allocate`.
     """
     table = UserTable.stack([all_sus], params)
-    screen = table.screen(_one_design_table(params, design))
+    screen = table.screen(design_table(params, (design.pfa_local,), (design.k_threshold,)))
     return _allocate(table.instance(0), screen.instance(0), 0)

@@ -388,7 +388,7 @@ def _grid_for(cfg: RunConfig, m: int) -> DesignGrid:
     spec = cfg.grid_spec
     grid = DesignGrid.uniform(spec["k_max"] or m, spec["levels"])
     if spec["pfa_values"]:
-        return DesignGrid(tuple(spec["pfa_values"]), grid.k_values)
+        return DesignGrid(spec["pfa_values"], grid.k_values)
     return grid
 
 
@@ -699,6 +699,9 @@ def _trace_record(trace) -> dict:
 def cmd_simulate(cfg: RunConfig, out_dir: Path, jobs: int = 1) -> int:
     """Multi-frame delay simulation across the sweep; per-episode CSV,
     aggregated CSV, and one trace log per sweep point (trial 0)."""
+    if cfg.sweep == "buffer_bits":
+        msg = "simulate refuses a buffer_bits sweep: users start with traffic.initial_bits bits"
+        raise ConfigError(msg)
     n_users = max(_user_counts(cfg))
     rows, traces = _run_sweep(cfg, jobs, _simulate_task)
     header = [

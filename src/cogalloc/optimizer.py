@@ -31,18 +31,20 @@ from .allocator import (
     greedy_topup,
 )
 from .economics import _EULER_GAMMA, SecondaryUser, SystemParams
-from .sensing import SensingDesign, SensingGeometry, _read_only, local_pd
+from .sensing import SensingDesign, SensingGeometry, _check_vote_threshold, _read_only, local_pd
 from .units import db_to_linear
 
 
 @dataclass(frozen=True)
 class DesignGrid:
-    """Search grid over local false-alarm probabilities and vote thresholds."""
+    """Search grid over local false-alarm values and vote thresholds, kept as tuples."""
 
     pfa_values: tuple
     k_values: tuple
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "pfa_values", tuple(self.pfa_values))
+        object.__setattr__(self, "k_values", tuple(self.k_values))
         pfas = self.pfa_values
         if not pfas:
             raise ValueError("pfa grid is empty")
@@ -50,8 +52,10 @@ class DesignGrid:
             raise ValueError("pfa grid values must lie strictly inside (0,1)")
         if list(pfas) != sorted(set(pfas)):
             raise ValueError("pfa grid must be ascending with no duplicates")
-        if not self.k_values or any(k < 1 for k in self.k_values):
-            raise ValueError("k grid must contain integers >= 1")
+        if not self.k_values:
+            raise ValueError("k grid is empty")
+        for k in self.k_values:
+            _check_vote_threshold(k, "k grid value")
 
     @classmethod
     def uniform(cls, m_users: int, levels: int = 10) -> "DesignGrid":
@@ -89,8 +93,8 @@ def _infeasible_outcome(m: int, elapsed: float) -> OptimizationOutcome:
 
 def _incumbent(best: Optional[tuple], designs, d: int, utility: float, alloc):
     # The better of the incumbent (key, row, allocation or None) and row d
-    # of ``designs`` at ``utility``: the winner maximizes (utility, -pfa, -k).
-    key = (utility, -designs.pfa.item(d), -designs.k.item(d))
+    # of ``designs`` at ``utility``: the winner maximizes (utility, -rank).
+    key = (utility, -designs.rank.item(d))
     if best is None or key > best[0]:
         return key, d, alloc
     return best
@@ -193,8 +197,7 @@ def _search(table: UserTable, screen) -> list:
     if max(utilities) > -np.inf:
         # The settled design maximizing (utility, -pfa, -k): the first
         # maximum with the designs in (pfa, k) order.
-        by_tie = np.lexsort((designs.k, designs.pfa))
-        winners = by_tie[ranked[:, by_tie].argmax(axis=1)].tolist()
+        winners = designs.order[ranked[:, designs.order].argmax(axis=1)].tolist()
     found = []
     for n, (ceiling, utility) in enumerate(zip(ceilings.tolist(), utilities)):
         best = None
@@ -353,13 +356,12 @@ def exhaustive_oracle(
                 times = lo + grant.reshape(-1, lo.shape[2])[back].reshape(lo.shape)
                 utility = np.where(fits, _member_sum(user_prio * times), -np.inf)
                 d, s = divmod(int(utility.argmax()), utility.shape[1])
-                design = grid_table.design(rows[d])
-                key = (float(utility[d, s]), -design.pfa_local, -design.k_threshold)
+                key = (float(utility[d, s]), -grid_table.rank.item(rows[d]))
                 if best_key is None or key > best_key:
                     best_key = key
                     members = subsets[first + s]
                     best = (
-                        design,
+                        grid_table.design(rows[d]),
                         members,
                         times[members, d, s],
                         rates[d, members],

@@ -50,6 +50,12 @@ class SensingGeometry:
             raise ValueError(f"noise_var must be positive, got {self.noise_var}")
 
 
+def _check_vote_threshold(k, what: str) -> None:
+    # ValueError unless ``k`` is an integer >= 1 (a numpy integer too, never a bool).
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+        raise ValueError(f"{what} must be an integer >= 1, got {k!r}")
+
+
 @dataclass(frozen=True)
 class SensingDesign:
     """A (local false-alarm probability, fusion vote threshold) operating point."""
@@ -60,8 +66,7 @@ class SensingDesign:
     def __post_init__(self) -> None:
         if not 0.0 < self.pfa_local < 1.0:
             raise ValueError(f"pfa_local must lie in (0,1), got {self.pfa_local}")
-        if self.k_threshold < 1:
-            raise ValueError(f"k_threshold must be >= 1, got {self.k_threshold}")
+        _check_vote_threshold(self.k_threshold, "k_threshold")
 
 
 _STANDARD_NORMAL = NormalDist()

@@ -14,8 +14,9 @@ kept here.
 
 The public wrappers around the allocator's cores that only tests call
 (:func:`classify_case`, :func:`reduce_feasible_set`,
-:func:`waterfill_allocate`, :func:`exchange_search`), the forward false-alarm map and the trial
-averager live here too.
+:func:`waterfill_allocate`, :func:`exchange_search`), the by-design
+pricing of a user table (:func:`level_at`, :func:`evaluate_at`), the
+forward false-alarm map and the trial averager live here too.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from cogalloc.allocator import (
     UserTable,
     design_table,
     _exchange_core,
-    _one_design_table,
     _result,
     _score,
 )
@@ -60,6 +60,22 @@ from cogalloc.optimizer import _infeasible_outcome
 def grid_table(params, grid):
     """The shared design table of a :class:`cogalloc.DesignGrid`."""
     return design_table(params, grid.pfa_values, grid.k_values)
+
+
+def one_design_table(params, design: SensingDesign):
+    """The shared design table of ``design`` alone: its row 0."""
+    return design_table(params, (design.pfa_local,), (design.k_threshold,))
+
+
+def level_at(table: UserTable, design: SensingDesign, l_active: int) -> tuple:
+    """:meth:`UserTable.level` at ``design`` with ``l_active`` reporting
+    users."""
+    return table.level(one_design_table(table.params, design), 0, l_active)
+
+
+def evaluate_at(table: UserTable, design: SensingDesign, idx: tuple):
+    """:meth:`UserTable.evaluate` of the set ``idx`` at ``design``."""
+    return table.evaluate(one_design_table(table.params, design), 0, idx)
 
 
 def normal_tail_quad(x: float) -> float:
@@ -301,7 +317,7 @@ def scalar_exhaustive_oracle(all_sus, params, grid):
 def evaluate_set(sus, design, params):
     """Bounds, priorities, budget and case of a user list as one candidate
     set at its own cardinality."""
-    return UserTable(sus, params).evaluate(design, tuple(range(len(sus))))
+    return evaluate_at(UserTable(sus, params), design, tuple(range(len(sus))))
 
 
 def reference_screen(table: UserTable, design: SensingDesign):
@@ -312,7 +328,7 @@ def reference_screen(table: UserTable, design: SensingDesign):
     reaches)."""
     if design.k_threshold > len(table.sus):
         return None
-    _, lowers, uppers, _ = table.level(design, len(table.sus))
+    _, lowers, uppers, _ = level_at(table, design, len(table.sus))
     reduced = tuple(np.flatnonzero(lowers < uppers).tolist())
     if design.k_threshold > len(reduced):
         return None
@@ -332,7 +348,7 @@ def reference_utility_bound(table: UserTable, design: SensingDesign):
         return None
     reduced, l_lb = screened
     members = np.array(reduced, dtype=np.intp)
-    prios = table.level(design, l_lb)[3]
+    prios = level_at(table, design, l_lb)[3]
     return min(
         float((table.pay[members] * table.buffers[members]).sum()),
         (table.budgets[l_lb] + TIME_TOL) * float(prios[members].max()),
@@ -359,7 +375,7 @@ def classify_case(sus, design, params) -> CaseLabel:
         )
     if any(su.earn_rate <= su.pay_rate for su in sus):
         raise ValueError("never-profitable user present; reduce the set first")
-    return UserTable(sus, params).evaluate(design, tuple(range(len(sus)))).case
+    return evaluate_at(UserTable(sus, params), design, tuple(range(len(sus)))).case
 
 
 def reduce_feasible_set(all_sus, design, params) -> list:
@@ -368,7 +384,7 @@ def reduce_feasible_set(all_sus, design, params) -> list:
     if not all_sus:
         return []
     table = UserTable(all_sus, params)
-    _, lowers, uppers, _ = table.level(design, len(table.sus))
+    _, lowers, uppers, _ = level_at(table, design, len(table.sus))
     return [table.sus[i] for i in np.flatnonzero(lowers < uppers).tolist()]
 
 
@@ -382,7 +398,7 @@ def waterfill_allocate(sus, design, params) -> AllocationResult:
         If the set is not in the contested-time case.
     """
     table = UserTable(sus, params)
-    ev = table.evaluate(design, tuple(range(len(sus))))
+    ev = evaluate_at(table, design, tuple(range(len(sus))))
     if ev.case is not CaseLabel.CASE2:
         raise ValueError(f"water-filling requires Case-2, set is {ev.case}")
     return _result(table, _score(table, ev), len(sus), ev.idx)
@@ -407,7 +423,7 @@ def exchange_search(kept, excluded, design, params) -> tuple:
     table = UserTable(pool, params)
     kept_idx = tuple(range(len(kept)))
     ex_idx = tuple(range(len(kept), len(pool)))
-    designs = _one_design_table(params, design)
+    designs = one_design_table(params, design)
     best = _exchange_core(table, designs, 0, kept_idx, ex_idx)
     if best is None:
         return tuple(kept), None

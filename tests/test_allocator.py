@@ -26,6 +26,7 @@ from helpers import (
     classify_case,
     evaluate_set,
     exchange_search,
+    level_at,
     lp_time_allocation,
     make_users,
     reduce_feasible_set,
@@ -224,14 +225,19 @@ class TestExchangeSearch:
         # 3-vs-2 identical-cost instances: the search must find the best
         # size-3 subset of the 5-user pool.
         rng = np.random.default_rng(seed)
-        params = default_system_params()
+        base = default_system_params()
         pool = make_users(seed + 100, 5, buffer_bits=int(rng.integers(50, 500)))
-        ev = evaluate_set(pool, DESIGN, params)
+        ev = evaluate_set(pool, DESIGN, base)
         budget = float(rng.uniform(0.3, 1.4)) * sum(ev.uppers) * 3.0 / 5.0
         params = sized_params(frame_for_budget(budget, 3))
         kept, excluded = pool[:3], pool[3:]
         if classify_case(kept, DESIGN, params) is not CaseLabel.CASE1:
-            pytest.skip("exchange precondition (kept set abundant) not met")
+            # The exchange starts from an abundant kept set: give this seed
+            # a budget of 1.0-1.4 times the kept set's clearing times at L = 3.
+            clearing = sum(evaluate_set(kept, DESIGN, base).uppers)
+            budget = float(rng.uniform(1.0, 1.4)) * clearing
+            params = sized_params(frame_for_budget(budget, 3))
+        assert classify_case(kept, DESIGN, params) is CaseLabel.CASE1
         _, alloc = exchange_search(kept, excluded, DESIGN, params)
 
         best = -math.inf
@@ -410,7 +416,7 @@ class TestPropositionProperties:
 
         # Depth-1 extreme lower-bound swap sets both contested?
         l_active = len(kept)
-        lowers = UserTable(pool, params).level(DESIGN, l_active)[1]
+        lowers = level_at(UserTable(pool, params), DESIGN, l_active)[1]
         lbs = {su.id: lb for su, lb in zip(pool, lowers.tolist())}
         kept_by_lb = sorted(kept, key=lambda su: (-lbs[su.id], su.id))
         ex_by_lb = sorted(excluded, key=lambda su: (-lbs[su.id], su.id))

@@ -390,6 +390,22 @@ class TestMainEntry:
         assert err.count("\n") == 1 and level in err and "DEBUG, INFO" in err
         assert not out.exists()
 
+    def test_simulate_refuses_a_buffer_bits_sweep(self, tmp_path, capsys):
+        # Generated users start with traffic.initial_bits bits, so the
+        # swept value would go unused: the sweep is refused, and nothing
+        # is written.
+        payload = {
+            "experiment": {"sweep": "buffer_bits", "values": [5, 5000], "n_frames": 30},
+            "trials": 2,
+            "traffic": {"scale": 0.002},
+        }
+        out = tmp_path / "out"
+        code = main(["simulate", "--config", str(_cfg(tmp_path, payload)), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "buffer_bits sweep" in err and "traffic.initial_bits" in err
+        assert not any(out.iterdir())
+
     def test_seed_override_changes_rows(self, tmp_path):
         path = _cfg(tmp_path, SMALL_SWEEP)
         out_a, out_b = tmp_path / "a", tmp_path / "b"

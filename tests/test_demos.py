@@ -1,10 +1,11 @@
 """The demos stay runnable: every name they import from cogalloc exists,
 every call to such a name fits its signature, and the quick ones run to
-completion."""
+completion and print what ``tests/expected/<demo>.txt`` holds."""
 
 import ast
 import importlib
 import inspect
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
+EXPECTED = Path(__file__).resolve().parent / "expected"
 
 #: Demos that finish in about a second; demo_delay_simulation.py runs
 #: for tens of seconds and is only import-checked.
@@ -21,6 +23,10 @@ QUICK = (
     "demo_selection_and_allocation.py",
     "demo_sensing_statistics.py",
 )
+
+#: The wall-clock seconds demo_joint_vs_oracle.py prints, which differ
+#: from run to run; the expected output holds them masked.
+_SECONDS = re.compile(r"(joint|exhaustive) \d+\.\d+ s")
 
 
 def _cogalloc_imports(path: Path) -> list:
@@ -93,3 +99,6 @@ def test_quick_demo_runs(demo, tmp_path, src_env):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    printed = _SECONDS.sub(r"\1 <seconds> s", proc.stdout)
+    expected = (EXPECTED / demo).with_suffix(".txt").read_text(encoding="utf-8")
+    assert printed == expected

@@ -22,7 +22,7 @@ from cogalloc.allocator import UserTable, time_bound_arrays
 from cogalloc.economics import _exp_scaled_e1, interfered_rates
 from cogalloc.units import dbm_to_watts
 
-from helpers import rate_interfered_quadrature, scalar_effective_rate
+from helpers import level_at, rate_interfered_quadrature, scalar_effective_rate
 
 
 def user(gain=1.0, buffer_bits=1000, pay=0.1, earn=10.0, uid=0):
@@ -34,7 +34,7 @@ def user(gain=1.0, buffer_bits=1000, pay=0.1, earn=10.0, uid=0):
 def priced(su, design, params, l_active):
     """(rate, lower bound, upper bound) of one user from the library's
     pricing kernel, with ``l_active`` reporting users."""
-    rates, lowers, uppers, _ = UserTable([su], params).level(design, l_active)
+    rates, lowers, uppers, _ = level_at(UserTable([su], params), design, l_active)
     return float(rates[0]), float(lowers[0]), float(uppers[0])
 
 

@@ -37,7 +37,9 @@ from cogalloc.optimizer import (
 from cogalloc.sensing import global_pd, local_pd
 
 from helpers import (
+    evaluate_at,
     grid_table,
+    level_at,
     make_users,
     reference_joint_optimize,
     reference_screen,
@@ -60,9 +62,23 @@ class TestDesignGrid:
         with pytest.raises(ValueError):
             DesignGrid(pfa_values=pfas, k_values=(1,))
 
-    def test_bad_k_grid(self):
+    # A fractional or boolean vote threshold is refused, not truncated.
+    @pytest.mark.parametrize("ks", [(), (0, 1), (1.5,), (1, 2.0), (True,), (1, False), ("2",)])
+    def test_bad_k_grid(self, ks):
         with pytest.raises(ValueError):
-            DesignGrid(pfa_values=(0.5,), k_values=(0, 1))
+            DesignGrid(pfa_values=(0.5,), k_values=ks)
+
+    @pytest.mark.parametrize("convert", [list, np.array])
+    def test_any_sequence_is_kept_as_a_tuple(self, params, convert):
+        # A list grid must reach the design-table cache as a hashable
+        # key, and numpy integers are vote thresholds.
+        given = DesignGrid(convert([0.1, 0.5]), convert([1, 2]))
+        assert given == DesignGrid((0.1, 0.5), (1, 2))
+        sus = make_users(3, 4)
+        got = joint_optimize(sus, params, given)
+        want = joint_optimize(sus, params, DesignGrid((0.1, 0.5), (1, 2)))
+        assert got.best_design == want.best_design
+        assert got.best_allocation == want.best_allocation
 
 
 class TestJointOptimize:
@@ -543,7 +559,7 @@ def _assert_settled_as_walked(table, screen):
         if screened is None:
             assert np.isnan(settled[d])
             continue
-        ev = table._evaluate(screen.designs, d, screened[0])
+        ev = table.evaluate(screen.designs, d, screened[0])
         assert (not np.isnan(settled[d])) == (ev.case is CaseLabel.CASE1)
         if ev.case is CaseLabel.CASE1:
             assert float(settled[d]) == _score(table, ev)[0]
@@ -666,7 +682,7 @@ class TestBatchedScreen:
         d = int(np.flatnonzero((bounds > -np.inf) & np.isnan(settled))[0])
         design = weights.design(d)
         reduced = screen.start(d)[0]
-        total = float(table.evaluate(design, reduced).uppers.sum())
+        total = float(evaluate_at(table, design, reduced).uppers.sum())
         edge = _budget_edge(params, len(reduced), total - steps * TIME_TOL, above=True)
         weights = grid_table(edge, grid)
         table, screen = _screened(sus, edge, weights)
@@ -692,11 +708,11 @@ class TestBatchedScreen:
         ]
         design = SensingDesign(pfa, k)
         every = tuple(range(5))
-        lowers = float(UserTable(sus, params).evaluate(design, every).lowers.sum())
+        lowers = float(evaluate_at(UserTable(sus, params), design, every).lowers.sum())
         edge = _budget_edge(params, 5, lowers, above=True)
         table, screen = _screened(sus, edge, grid_table(edge, DesignGrid((pfa,), (k,))))
         assert screen.start(0)[0] == every
-        ev = table.evaluate(design, every)
+        ev = evaluate_at(table, design, every)
         assert ev.case is CaseLabel.CASE2 and float(ev.lowers.sum()) > ev.t_prime
         self._check(sus, edge, DesignGrid((pfa,), (k,)))
 
@@ -756,7 +772,7 @@ class TestBatchedScreen:
                 edges.setdefault(len(screened[0]), (d, design, screened[0]))
         assert edges or all(su.buffer_bits == 0 for su in sus)
         for d, design, reduced in edges.values():
-            total = float(table.evaluate(design, reduced).uppers.sum())
+            total = float(evaluate_at(table, design, reduced).uppers.sum())
             for above in (True, False):
                 edge = _budget_edge(params, len(reduced), total, above)
                 weights = grid_table(edge, grid)
@@ -833,6 +849,56 @@ class TestUtilityBound:
                         1.0 + BOUND_SLACK
                     )
         assert checked > 0
+
+
+def _tie_instance(seed):
+    # M = 2..8 users. Even seeds get backlogs a frame clears at most
+    # designs, so many designs tie on sum a_i B_i and the (pfa, k)
+    # tie-break decides; odd seeds get larger, varied backlogs.
+    rng = np.random.default_rng(seed + 500)
+    m = 2 + seed % 7
+    params = default_system_params(zeta=float(rng.choice([0.6, 0.7, 0.8, 0.9])))
+    high = 60 if seed % 2 == 0 else 2000
+    sus = [
+        SecondaryUser(
+            id=i,
+            gain_to_fc=float(rng.exponential(1.0)),
+            buffer_bits=int(rng.integers(10, high)),
+            pay_rate=float(rng.uniform(0.05, 0.3)),
+            earn_rate=10.0,
+        )
+        for i in range(m)
+    ]
+    return params, sus, rng
+
+
+class TestTieBreakOrder:
+    """A grid whose k values are shuffled and repeated picks what the
+    sorted grid without repeats picks: every search breaks ties by
+    (pfa, k), not by grid position."""
+
+    PFAS = (0.1, 0.3, 0.5, 0.7, 0.9)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_shuffled_repeated_k_grid(self, seed):
+        params, sus, rng = _tie_instance(seed)
+        m = len(sus)
+        shuffled = [int(k) for k in rng.permutation(np.arange(1, m + 1))]
+        messy = DesignGrid(self.PFAS, (*shuffled, 1, m))
+        clean = DesignGrid(self.PFAS, tuple(range(1, m + 1)))
+        batch = [sus, sus[::-1]]
+        pairs = [
+            (joint_optimize(sus, params, messy), joint_optimize(sus, params, clean)),
+            *zip(
+                optimizer.joint_optimize_many(batch, params, messy),
+                optimizer.joint_optimize_many(batch, params, clean),
+            ),
+            (exhaustive_oracle(sus, params, messy), exhaustive_oracle(sus, params, clean)),
+            (nonjoint_baseline(sus, params, messy), nonjoint_baseline(sus, params, clean)),
+        ]
+        for got, want in pairs:
+            assert got.best_design == want.best_design
+            assert got.best_allocation == want.best_allocation
 
 
 class TestExhaustiveOracle:
@@ -1209,9 +1275,7 @@ class TestNonJointBaseline:
         nj = nonjoint_baseline(sus, params, grid)
         if not nj.feasible:
             return
-        _, lbs, _, prios = UserTable(sus, params).level(
-            nj.best_design, 5
-        )
+        _, lbs, _, prios = level_at(UserTable(sus, params), nj.best_design, 5)
         slack = sum(lb * max(prios) for lb in lbs.tolist())
         assert joint.fc_utility >= nj.fc_utility - slack - 1e-12
 
@@ -1222,7 +1286,7 @@ class TestNonJointBaseline:
         # be chosen (it used to divide by zero in the upper bounds).
         sus = make_users(seed, 20)
         design = SensingDesign(0.99, 1)
-        assert not UserTable(sus, params).level(design, 20)[0].any()
+        assert not level_at(UserTable(sus, params), design, 20)[0].any()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             alone = nonjoint_baseline(sus, params, DesignGrid((0.99,), (1,)))

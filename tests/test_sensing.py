@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -225,5 +226,9 @@ class TestValidation:
             SensingDesign(0.0, 1)
         with pytest.raises(ValueError):
             SensingDesign(1.0, 1)
-        with pytest.raises(ValueError):
-            SensingDesign(0.5, 0)
+        # A fractional or boolean vote threshold is refused, not
+        # truncated; a numpy integer is a vote threshold.
+        for k in (0, 2.5, 2.0, True, False, "2", None):
+            with pytest.raises(ValueError):
+                SensingDesign(0.5, k)
+        assert SensingDesign(0.5, np.int64(2)) == SensingDesign(0.5, 2)
