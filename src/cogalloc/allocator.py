@@ -16,8 +16,9 @@ call holds the users' columns and each design's rates, bounds and
 priorities per set size. Candidate sets are index tuples into it,
 compared by utility alone; an :class:`AllocationResult` is built only
 for the set that is returned. The screen runs for every design of a
-table at once and returns a :class:`Screen` (:meth:`UserTable.screen`);
-:func:`_allocate` walks one of its rows.
+table at once and returns a :class:`Screen` (:meth:`UserTable.screen`),
+which keeps what it priced; :func:`_allocate` allocates one of its rows:
+a settled row from that pricing, any other by the elimination walk.
 
 Ties (argmax/argmin over users, exchange orderings on equal keys) go to
 the lowest user id, so results are bit-reproducible.
@@ -112,7 +113,7 @@ class DesignTable:
     every call sharing the table.
 
     Row d is design d in grid order (k as listed, then pfa ascending):
-    :meth:`design` builds it, ``pfa`` and ``k`` hold the rows' values.
+    :meth:`design` builds it once, ``pfa`` and ``k`` hold the rows' values.
     ``order`` lists the rows in the (pfa, k) tie-break order, equal
     designs in grid order, and ``rank`` is its inverse: of two designs
     at one utility, the joint search and the oracle keep the one of
@@ -131,7 +132,7 @@ class DesignTable:
 
     __slots__ = (
         "pfa", "k", "order", "rank", "_params", "_ps", "_row", "_reach",
-        "_weights", "_users", "_admissible",
+        "_weights", "_users", "_admissible", "_designs",
     )
 
     def __init__(self, params: SystemParams, pfas, ks):
@@ -147,10 +148,13 @@ class DesignTable:
         # (nan until filled).
         self._reach = [np.zeros(len(pfas), dtype=np.intp)]
         self._weights = np.full((1, len(self.k), 2), np.nan)
-        self._users, self._admissible = {}, {}
+        self._users, self._admissible, self._designs = {}, {}, {}
 
     def design(self, d: int) -> SensingDesign:
-        return SensingDesign(self._ps[self._row[d]], int(self.k[d]))
+        got = self._designs.get(d)
+        if got is None:
+            got = self._designs[d] = SensingDesign(self._ps[self._row[d]], int(self.k[d]))
+        return got
 
     def _reach_to(self, n: int) -> np.ndarray:
         # K(L) for L = 0..n, one row per L (0 where no k meets the floor).
@@ -396,55 +400,85 @@ class UserTable:
         floating-point operations :meth:`evaluate` and the scoring run on
         R (each sum over the members in order, one contiguous row per
         (instance, design)), so the case and utility are bit for bit the
-        walk's, whatever the instances screened with it. A design not
-        settled cannot earn sum_{i in R} a_i B_i; where its bound reaches
-        the best utility its instance settled it is capped below it
-        (:meth:`_shortfall`).
+        walk's, whatever the instances screened with it. The screen keeps
+        each settled row's times (the upper bounds at |R|) and SU
+        utilities, computed as :func:`_result` computes them, so that
+        :func:`_allocate` places a settled row without pricing it again.
+        A design not settled cannot earn sum_{i in R} a_i B_i; where its
+        bound reaches the best utility its instance settled it is capped
+        below it (:meth:`_shortfall`), from each feasible row's lowest
+        member priority at |R|, which the screen also keeps.
         """
         m = self.r0.shape[-1]
         n_designs = len(designs.k)
         l_first, at_m, at_first, budget_first = designs.at_users(m)
-        _, lowers, uppers, _ = self.price(at_m[:, :1], at_m[:, 1:])
-        reduced = lowers < uppers
+        priced = self.price(at_m[:, :1], at_m[:, 1:])
+        reduced = priced[1] < priced[2]
         sizes = reduced.sum(axis=-1)
         feasible = l_first <= sizes
         buffered = np.where(reduced, self.pay * self.buffers, 0.0).sum(axis=-1)
-        prios = self.priorities(at_first[:, :1], at_first[:, 1:])
-        bounds = np.minimum(
-            buffered, budget_first * prios.max(axis=-1, where=reduced, initial=0.0)
-        )
-        bounds[~feasible] = -np.inf
         # Flat views of the instance x design arrays: row r is design
         # r % n_designs of instance r // n_designs, one row per pair, so
         # that each gather takes whole rows (``take``: a fancy index costs
         # several times as much on arrays this small).
         row_sizes, row_feasible = sizes.reshape(-1), feasible.reshape(-1)
         row_members = reduced.reshape(sizes.size, m)
-        row_uppers = uppers.reshape(sizes.size, m)
-        settled = np.full(row_sizes.shape, np.nan)
-        clearing = np.full(row_sizes.shape, np.nan)
-        pay, buffers = self.pay[:, 0], self.buffers[:, 0]
+        priced = [column.reshape(sizes.size, m) for column in priced]
+        at_first = self.priorities(at_first[:, :1], at_first[:, 1:]).reshape(sizes.size, m)
+        highest = _masked_reduce(np.maximum, at_first, row_members, 0.0).reshape(sizes.shape)
+        bounds = np.minimum(buffered, budget_first * highest)
+        bounds[~feasible] = -np.inf
+        settled, clearing, lowest = np.full((3, sizes.size), np.nan)
+        placed = []
         for size in sorted(set(row_sizes[row_feasible].tolist())):
             rows = (row_feasible & (row_sizes == size)).nonzero()[0]
-            if size == m:
-                at_size = row_uppers.take(rows, axis=0)
-            else:
-                w = designs.weights(rows % n_designs, size)
-                at_size = self._instances(rows // n_designs).price(w[:, :1], w[:, 1:])[2]
             # A boolean gather keeps each row's members in member order, as
             # one contiguous row: the layout of a lone set's gather.
             members = row_members.take(rows, axis=0)
-            sums = at_size[members].reshape(-1, size).sum(axis=1)
+            if size == m:
+                # Priced at m above: gather only what is read.
+                uppers, prios = (priced[j].take(rows, axis=0) for j in (2, 3))
+            else:
+                users = self._instances(rows // n_designs)
+                w = designs.weights(rows % n_designs, size)
+                rates, lowers, uppers, prios = users.price(w[:, :1], w[:, 1:])
+            lowest[rows] = _masked_reduce(np.minimum, prios, members, np.inf)
+            sums = uppers[members].reshape(-1, size).sum(axis=1)
             clearing[rows] = sums
             abundant = _fits(sums, self.budgets[size])
-            kept, users = members[abundant], rows[abundant] // n_designs
-            settled[rows[abundant]] = _buffered_value(
-                pay.take(users, axis=0)[kept].reshape(-1, size),
-                buffers.take(users, axis=0)[kept].reshape(-1, size),
+            done = rows[abundant]
+            if not done.size:
+                continue
+            if size == m:
+                users = self._instances(done // n_designs)
+                rates, lowers, uppers = (column.take(done, axis=0) for column in priced[:3])
+                served = members[abundant]
+            else:
+                served = members & abundant[:, None]
+            settled[done] = _buffered_value(
+                users.pay[served].reshape(-1, size), users.buffers[served].reshape(-1, size)
             )
-        settled, clearing = settled.reshape(sizes.shape), clearing.reshape(sizes.shape)
-        screen = Screen(designs, bounds, settled, reduced, feasible, sizes, clearing, buffered)
-        if not np.isnan(settled).all():
+            # Each settled row's members at their upper bounds, and their
+            # SU utilities as :func:`_result` computes them, row after row.
+            times = uppers[served]
+            utilities = rates[served] * users.margin[served] * (times - lowers[served])
+            placed.append((done, times, utilities))
+        # The settled rows' data back to back in placing order, and each
+        # settled row's offset into it.
+        first = np.zeros(sizes.size, dtype=np.intp)
+        times = utilities = np.empty(0)
+        if placed:
+            done, times, utilities = (np.concatenate(column) for column in zip(*placed))
+            counts = row_sizes[done]
+            first[done] = counts.cumsum() - counts
+        shape = sizes.shape
+        screen = Screen(
+            designs, bounds, settled.reshape(shape), reduced, feasible, sizes,
+            clearing.reshape(shape), buffered, lowest.reshape(shape), first.reshape(shape),
+            times, utilities,
+        )
+        settled = screen.settled
+        if placed:
             # Each instance's best settled utility (nan where it settled
             # none, which no bound reaches).
             best = np.fmax.reduce(settled, axis=1, keepdims=True)
@@ -477,6 +511,9 @@ class UserTable:
         subset S misses a member, so its utility, at most sum_S a_i B_i,
         is at most sum_R a_i B_i - min_R a_i B_i.
 
+        The clearing-time sum and min_R p_i(|R|) are the screen's
+        ``clearing`` and ``lowest``, priced once, in its per-size pass.
+
         A member whose rate is 0 at |R| has an infinite lower bound, so
         R is then Case 3 and only the second term applies (e is inf
         there, and inf times the member's zero priority is not taken). The
@@ -485,22 +522,15 @@ class UserTable:
         the cap is (1 + BOUND_SLACK) sum_R a_i B_i minus the cut, and its
         rounding error, a few ulps of the sum, stays inside that margin.
         """
-        n_designs = len(screen.designs.k)
         sizes = screen.sizes.reshape(-1)[rows]
-        at_size = screen.designs.weights(rows % n_designs, sizes)
         by_row = screen.reduced.reshape(screen.sizes.size, self.r0.shape[-1])
         members = by_row.take(rows, axis=0)
-        users = self._instances(rows // n_designs)
-        lowest = users.priorities(at_size[:, :1], at_size[:, 1:]).min(
-            axis=1, where=members, initial=np.inf
-        )
+        values = (self.pay * self.buffers)[:, 0].take(rows // len(screen.designs.k), axis=0)
         excess = screen.clearing.reshape(-1)[rows] - (self.budgets[sizes] + TIME_TOL)
         with np.errstate(invalid="ignore"):
             cut = np.fmin(
-                excess * lowest,
-                np.where(members, users.pay * users.buffers, np.inf).min(
-                    axis=1, initial=np.inf
-                ),
+                excess * screen.lowest.reshape(-1)[rows],
+                _masked_reduce(np.minimum, values, members, np.inf),
             )
         return (1.0 + BOUND_SLACK) * screen.buffered.reshape(-1)[rows] - cut
 
@@ -510,19 +540,28 @@ class Screen:
     of its design table ``designs``: the utility ``bounds`` and
     ``settled`` utilities, the reduced-set mask ``reduced`` (instance x
     design x user), ``feasible``, and per (instance, design) the reduced
-    set's size ``sizes``, its members' clearing-time sum at that size
-    ``clearing`` and their buffered value ``buffered``. :meth:`instance`
-    drops the instance axis for one instance's walk."""
+    set's size ``sizes``, its members' clearing-time sum ``clearing``
+    and lowest priority ``lowest`` at that size, and their buffered
+    value ``buffered``. A settled row's members' times and SU utilities
+    at |R| lie in member order at ``times[first:first + |R|]`` and
+    ``su_utilities[first:first + |R|]``, flat arrays holding the settled
+    rows alone. :meth:`instance` drops the instance axis for one
+    instance's walk."""
 
     __slots__ = (
         "designs", "bounds", "settled", "reduced", "feasible", "sizes", "clearing",
-        "buffered",
+        "buffered", "lowest", "first", "times", "su_utilities",
     )
 
-    def __init__(self, designs, bounds, settled, reduced, feasible, sizes, clearing, buffered):
+    def __init__(
+        self, designs, bounds, settled, reduced, feasible, sizes, clearing, buffered,
+        lowest, first, times, su_utilities,
+    ):
         self.designs, self.bounds, self.settled = designs, bounds, settled
         self.reduced, self.feasible = reduced, feasible
         self.sizes, self.clearing, self.buffered = sizes, clearing, buffered
+        self.lowest, self.first = lowest, first
+        self.times, self.su_utilities = times, su_utilities
 
     def instance(self, n: int) -> "Screen":
         """Instance ``n`` of a stacked table's screen, as the screen of
@@ -530,6 +569,7 @@ class Screen:
         return Screen(
             self.designs, self.bounds[n], self.settled[n], self.reduced[n],
             self.feasible[n], self.sizes[n], self.clearing[n], self.buffered[n],
+            self.lowest[n], self.first[n], self.times, self.su_utilities,
         )
 
     def start(self, d: int) -> Optional[tuple]:
@@ -541,7 +581,7 @@ class Screen:
         if not self.feasible[d]:
             return None
         l_first = self.designs.at_users(self.reduced.shape[-1])[0]
-        return tuple(np.flatnonzero(self.reduced[d]).tolist()), int(l_first[d])
+        return tuple(self.reduced[d].nonzero()[0].tolist()), int(l_first[d])
 
 
 def _fits(total, t_prime: float):
@@ -549,6 +589,15 @@ def _fits(total, t_prime: float):
     # T' = ``t_prime``, with the TIME_TOL slack: applied to the upper
     # bounds it is the Case-1 test, to the lower bounds the Case-2 test.
     return total <= t_prime + TIME_TOL
+
+
+def _masked_reduce(extreme, values, mask, fill):
+    # ``extreme`` (np.minimum or np.maximum) of each row of the 2-D
+    # ``values`` where ``mask`` holds, ``fill`` where it never does. The
+    # reduction runs down the columns of a transposed copy: numpy reduces
+    # short rows one at a time, several times slower. Exact: neither ufunc
+    # rounds, so the order does not matter.
+    return extreme.reduce(np.where(mask, values, fill).T.copy(), axis=0, initial=fill)
 
 
 def _buffered_value(pay, buffers):
@@ -755,7 +804,7 @@ def _select(
     # best-so-far contested-time incumbent; the scored winner, or None
     # when every set it reaches at the minimum size overflows the budget.
     ev = table.evaluate(designs, d, reduced)
-    if ev.case is CaseLabel.CASE1 or len(reduced) == l_lb:
+    if len(reduced) == l_lb:
         return _score(table, ev)
 
     current = reduced
@@ -789,10 +838,20 @@ def _select(
 
 def _allocate(table: UserTable, screen: Screen, d: int) -> AllocationResult:
     """Selection + allocation at row ``d`` of the design table that
-    ``screen`` covers, from the screen's reduced set and minimum viable
-    set size: the walk of every design a search visits, and the
-    allocation of a settled one."""
+    ``screen`` covers. A settled row serves its reduced set R at the
+    upper bounds, placed from the times and SU utilities the screen
+    priced at |R|; any other feasible row is walked from R and its
+    minimum viable set size."""
     m = len(table.sus)
+    utility = screen.settled.item(d)
+    if utility == utility:  # settled (not nan)
+        members = screen.reduced[d].nonzero()[0].tolist()
+        first = screen.first.item(d)
+        served = slice(first, first + len(members))
+        return _placed(
+            m, members, screen.times[served].tolist(),
+            screen.su_utilities[served].tolist(), utility, CaseLabel.CASE1,
+        )
     start = screen.start(d)
     if start is None:
         return _infeasible(m, None)

@@ -31,7 +31,8 @@ from .allocator import (
     greedy_topup,
 )
 from .economics import _EULER_GAMMA, SecondaryUser, SystemParams
-from .sensing import SensingDesign, SensingGeometry, _check_vote_threshold, _read_only, local_pd
+from .sensing import SensingDesign, SensingGeometry, _read_only, local_pd
+from .sensing import _check_false_alarm, _check_vote_threshold
 from .units import db_to_linear
 
 
@@ -48,8 +49,8 @@ class DesignGrid:
         pfas = self.pfa_values
         if not pfas:
             raise ValueError("pfa grid is empty")
-        if any(not 0.0 < p < 1.0 for p in pfas):
-            raise ValueError("pfa grid values must lie strictly inside (0,1)")
+        for p in pfas:
+            _check_false_alarm(p, "pfa grid value")
         if list(pfas) != sorted(set(pfas)):
             raise ValueError("pfa grid must be ascending with no duplicates")
         if not self.k_values:
@@ -150,8 +151,10 @@ def joint_optimize_many(
     incumbent's utility: no later design can reach it. The slack covers
     rounding in the sums, and the strict comparison lets a tying design
     reach the (pfa, k) tie-break. An allocation is built per walked
-    design and, when a settled design wins, for the winner alone, by the
-    same walk entry on the instance's own table and screen.
+    design and, when a settled design wins, for the winner alone, by
+    :func:`~cogalloc.allocator._allocate` on the instance's own table and
+    screen; a settled winner's times and SU utilities are those the
+    screen priced at |R|, placed without a walk.
 
     The result is bit for bit that of searching every design in grid
     order: a design's allocation does not depend on when or whether it
@@ -204,8 +207,8 @@ def _search(table: UserTable, screen) -> list:
         if utility > -np.inf:
             best = _incumbent(None, designs, winners[n], utility, None)
         # The instance walks only where a ceiling reaches its incumbent's
-        # utility; a settled winner is then allocated by the walk entry,
-        # on the instance's own table and screen.
+        # utility; a settled winner is then placed by _allocate from the
+        # screen's pricing, on the instance's own table and screen.
         if ceiling > -np.inf and ceiling >= utility:
             best = _walk(table.instance(n), screen.instance(n), best)
         if best is not None and best[2] is None:
@@ -219,7 +222,7 @@ def _walk(table: UserTable, screen, best: Optional[tuple]) -> Optional[tuple]:
     # designs (its own table and screen) by descending bound, until the
     # next ceiling falls below the incumbent's utility.
     designs, bounds = screen.designs, screen.bounds
-    walked = np.flatnonzero((bounds > -np.inf) & np.isnan(screen.settled))
+    walked = ((bounds > -np.inf) & np.isnan(screen.settled)).nonzero()[0]
     order = walked[np.argsort(-bounds[walked], kind="stable")]
     ceilings = (bounds[order] * (1.0 + BOUND_SLACK)).tolist()
     for d, ceiling in zip(order.tolist(), ceilings):

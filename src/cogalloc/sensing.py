@@ -50,6 +50,14 @@ class SensingGeometry:
             raise ValueError(f"noise_var must be positive, got {self.noise_var}")
 
 
+def _check_false_alarm(p, what: str) -> None:
+    # ValueError unless ``p`` is a real number strictly inside (0, 1) (a
+    # numpy float or integer too, never a bool).
+    real = isinstance(p, (int, float, np.integer, np.floating)) and not isinstance(p, bool)
+    if not real or not 0.0 < p < 1.0:
+        raise ValueError(f"{what} must be a real number strictly inside (0,1), got {p!r}")
+
+
 def _check_vote_threshold(k, what: str) -> None:
     # ValueError unless ``k`` is an integer >= 1 (a numpy integer too, never a bool).
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
@@ -64,8 +72,7 @@ class SensingDesign:
     k_threshold: int
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.pfa_local < 1.0:
-            raise ValueError(f"pfa_local must lie in (0,1), got {self.pfa_local}")
+        _check_false_alarm(self.pfa_local, "pfa_local")
         _check_vote_threshold(self.k_threshold, "k_threshold")
 
 

@@ -27,7 +27,7 @@ from cogalloc import (
     select_and_allocate,
 )
 from cogalloc import optimizer, simkit
-from cogalloc.allocator import TIME_TOL, CaseLabel, UserTable, _score
+from cogalloc.allocator import TIME_TOL, CaseLabel, UserTable, _allocate, _result, _score
 from cogalloc.optimizer import (
     BOUND_SLACK,
     binom_term,
@@ -55,8 +55,10 @@ class TestDesignGrid:
         assert grid.pfa_values == tuple((i) / 10 for i in range(1, 10))
         assert grid.k_values == tuple(range(1, 6))
 
+    # A non-numeric or boolean value is a ValueError too, not a TypeError.
     @pytest.mark.parametrize(
-        "pfas", [(), (0.0, 0.5), (0.5, 0.5), (0.9, 0.1), (0.2, 1.0)]
+        "pfas",
+        [(), (0.0, 0.5), (0.5, 0.5), (0.9, 0.1), (0.2, 1.0), ("a",), (0.2, "0.5"), (True,)],
     )
     def test_bad_pfa_grids(self, pfas):
         with pytest.raises(ValueError):
@@ -552,7 +554,9 @@ def _caps(sus, params, weights, rows):
 
 def _assert_settled_as_walked(table, screen):
     # A design is settled exactly when the walk starts on a Case-1 reduced
-    # set, at the walk's utility, bit for bit.
+    # set, at the walk's utility, bit for bit; and _allocate places a
+    # settled row, from the screen's pricing at |R|, exactly as the walk's
+    # scoring of R would.
     settled = screen.settled
     for d in range(len(screen.designs.k)):
         screened = screen.start(d)
@@ -563,6 +567,14 @@ def _assert_settled_as_walked(table, screen):
         assert (not np.isnan(settled[d])) == (ev.case is CaseLabel.CASE1)
         if ev.case is CaseLabel.CASE1:
             assert float(settled[d]) == _score(table, ev)[0]
+            got = _allocate(table, screen, d)
+            want = _result(table, _score(table, ev), len(table.sus), ev.idx)
+            assert got.times == want.times
+            assert got.su_utilities == want.su_utilities
+            assert got.fc_utility == want.fc_utility
+            assert type(got.fc_utility) is float
+            assert got.case is want.case is CaseLabel.CASE1
+            assert got == want
 
 
 def _budget_edge(params, size, total, above):
@@ -640,7 +652,7 @@ class TestBatchedScreen:
         return binding
 
     @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("m", [0, 1, 2, 3, 5, 8, 13, 21, 40])
+    @pytest.mark.parametrize("m", [0, 1, 2, 3, 5, 8, 9, 12, 13, 20, 21, 40])
     def test_matches_reference_screen(self, m, kind):
         params, sus = _mixed_instance(m + 700, m, kind)
         grid = DesignGrid(
@@ -741,13 +753,27 @@ class TestBatchedScreen:
         self._check(sus, params, grid)
 
     @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("m", [1, 5, 7, 8, 9, 16, 40, 200])
+    @pytest.mark.parametrize("m", [1, 2, 5, 7, 8, 9, 12, 16, 20, 40, 200])
     def test_settles_exactly_the_abundant_designs(self, m, kind):
         params, sus = _mixed_instance(m + 800, m, kind)
         weights = grid_table(params, _sparse_grid(m))
         table, screen = _screened(sus, params, weights)
         bounds, settled = screen.bounds, screen.settled
         _assert_settled_as_walked(table, screen)
+        # The instance screened third in a stack of every kind with
+        # backlogs cut 200-fold, which settle rows up to M = 40 (with |R| <
+        # M where buffers are empty or users never profitable): each
+        # instance settles and places its rows as it does alone.
+        batch = [
+            [replace(su, buffer_bits=su.buffer_bits // 200) for su in other]
+            for other in (_mixed_instance(m + 900 + j, m, k)[1] for j, k in enumerate(KINDS))
+        ]
+        batch.insert(2, sus)
+        stacked = UserTable.stack(batch, params)
+        mixed = stacked.screen(weights)
+        assert m > 40 or not np.isnan(mixed.settled).all()
+        for n in range(len(batch)):
+            _assert_settled_as_walked(stacked.instance(n), mixed.instance(n))
         # Every unsettled design gets a finite cap, also where a member's
         # rate vanishes at |R| (pfa 0.99): e is then inf and its zero
         # priority must not make a nan or a warning.

@@ -232,3 +232,14 @@ class TestValidation:
             with pytest.raises(ValueError):
                 SensingDesign(0.5, k)
         assert SensingDesign(0.5, np.int64(2)) == SensingDesign(0.5, 2)
+
+    # A false-alarm value that is not a real number, or is a bool, is a
+    # ValueError, not a TypeError from the range comparison.
+    @pytest.mark.parametrize("pfa", ["a", "0.5", None, True, False, float("nan"), [0.5]])
+    def test_design_refuses_a_non_real_false_alarm(self, pfa):
+        with pytest.raises(ValueError):
+            SensingDesign(pfa, 1)
+
+    def test_design_takes_numpy_false_alarm_values(self):
+        assert SensingDesign(np.float64(0.25), 1) == SensingDesign(0.25, 1)
+        assert SensingDesign(np.float32(0.5), 1).pfa_local == 0.5
