@@ -38,8 +38,8 @@ from .economics import (
     SecondaryUser,
     SystemParams,
     effective_time,
+    idle_rates,
     interfered_rates,
-    rate_idle,
 )
 from .sensing import (
     SensingDesign,
@@ -113,7 +113,8 @@ class DesignTable:
     every call sharing the table.
 
     Row d is design d in grid order (k as listed, then pfa ascending):
-    :meth:`design` builds it once, ``pfa`` and ``k`` hold the rows' values.
+    :meth:`design` builds it once, ``pfa`` and ``k`` hold the rows'
+    values and ``pd`` the local P_d at each row's pfa.
     ``order`` lists the rows in the (pfa, k) tie-break order, equal
     designs in grid order, and ``rank`` is its inverse: of two designs
     at one utility, the joint search and the oracle keep the one of
@@ -131,7 +132,7 @@ class DesignTable:
     """
 
     __slots__ = (
-        "pfa", "k", "order", "rank", "_params", "_ps", "_row", "_reach",
+        "pfa", "pd", "k", "order", "rank", "_params", "_ps", "_row", "_reach",
         "_weights", "_users", "_admissible", "_designs",
     )
 
@@ -141,6 +142,7 @@ class DesignTable:
         self._ps = tuple(pfas) + tuple(local_pd(p, params.geometry()) for p in pfas)
         self._row = np.tile(np.arange(len(pfas)), len(ks))
         self.pfa = _read_only(np.array(pfas, dtype=float)[self._row])
+        self.pd = _read_only(np.array(self._ps[len(pfas):], dtype=float)[self._row])
         self.k = _read_only(np.repeat(np.array(ks, dtype=np.intp), len(pfas)))
         self.order = _read_only(np.lexsort((self.k, self.pfa)))
         self.rank = _read_only(np.argsort(self.order))
@@ -265,9 +267,12 @@ class UserTable:
     computed for all users on first use and cached per (design table,
     row, L).
 
-    A stacked table (:meth:`stack`) holds N instances of M users each
-    for one batched :meth:`screen`, which only a stacked table runs;
-    :meth:`instance` gives each one's own table, which the walk reads.
+    A stacked table (:meth:`from_columns`, or :meth:`stack` of user
+    lists) holds N instances of M users each for one batched
+    :meth:`screen`, which only a stacked table runs; :meth:`instance`
+    gives each one's own table, which the walk reads. ``sus`` holds the
+    users a table was built from (one list per instance when stacked),
+    None for a table built from columns.
     """
 
     __slots__ = (
@@ -277,36 +282,40 @@ class UserTable:
 
     def __init__(self, sus: Sequence[SecondaryUser], params: SystemParams):
         self.sus = list(sus)
-        self._fill(self.sus, params, (len(self.sus),))
+        self._fill(params, (len(self.sus),), *_user_columns(self.sus))
 
     @classmethod
     def stack(cls, instances: Sequence[Sequence[SecondaryUser]], params: SystemParams):
-        """One table over N user lists of one length M: ``sus`` holds the
-        lists, and every column is N x 1 x M, so that it broadcasts
-        against one weight per design into instance x design x user."""
-        table = cls.__new__(cls)
-        table.sus = [list(sus) for sus in instances]
-        m = len(table.sus[0]) if table.sus else 0
-        users = [su for sus in table.sus for su in sus]
-        table._fill(users, params, (len(table.sus), 1, m))
+        """:meth:`from_columns` of N user lists of one length M, whose
+        lists ``sus`` holds."""
+        lists = [list(sus) for sus in instances]
+        shape = (len(lists), len(lists[0]) if lists else 0)
+        table = cls.from_columns(params, shape, *_user_columns([su for sus in lists for su in sus]))
+        table.sus = lists
         return table
 
-    def _fill(self, users: list, params: SystemParams, shape: tuple) -> None:
+    @classmethod
+    def from_columns(cls, params: SystemParams, shape: tuple, gains, buffers, pay, earn, ids):
+        """One table over ``shape`` = (N, M): N instances of M users, user
+        j of instance n at position n M + j of the flat sequences of gains
+        to the FC, backlogs in bits, pay and earn rates (a_i, b_i) and
+        ids. Every column is N x 1 x M, so that it broadcasts against one
+        weight per design into instance x design x user."""
+        table = cls.__new__(cls)
+        table.sus = None
+        table._fill(params, (shape[0], 1, shape[1]), gains, buffers, pay, earn, ids)
+        return table
+
+    def _fill(self, params: SystemParams, shape: tuple, gains, buffers, pay, earn, ids) -> None:
         # Every user's columns in one pass, shaped ``shape``, and T'(L)
         # for L = 0..M.
         self.params = params
-        gains = [su.gain_to_fc for su in users]
-        columns = (
-            [rate_idle(su, params) for su in users],
-            interfered_rates(gains, params),
-            [su.earn_rate - su.pay_rate for su in users],
-            [float(su.buffer_bits) for su in users],
-            [su.pay_rate for su in users],
-        )
-        self.r0, self.r1, self.margin, self.buffers, self.pay = np.array(
+        columns = (idle_rates(gains, params), interfered_rates(gains, params), earn, buffers, pay)
+        self.r0, self.r1, earn, self.buffers, self.pay = np.array(
             columns, dtype=float
         ).reshape((len(columns),) + shape)
-        self.ids = np.array([su.id for su in users]).reshape(shape)
+        self.margin = earn - self.pay
+        self.ids = np.array(ids).reshape(shape)
         self.cost = params.sensing_cost
         self.budgets = np.array([effective_time(params, l) for l in range(shape[-1] + 1)])
         self._levels: dict = {}
@@ -314,7 +323,14 @@ class UserTable:
     def instance(self, n: int) -> "UserTable":
         """Instance ``n`` of a stacked table as a table of its own: views
         of its row of every column, sharing the params and budgets."""
-        return self._with(self.sus[n], (column[n, 0] for column in self._columns()))
+        sus = None if self.sus is None else self.sus[n]
+        return self._with(sus, (column[n, 0] for column in self._columns()))
+
+    def rows(self, start: int, stop: int) -> "UserTable":
+        """Instances ``start`` to ``stop`` of a stacked table as a stacked
+        table of their own: views, sharing the params and budgets."""
+        sus = None if self.sus is None else self.sus[start:stop]
+        return self._with(sus, (column[start:stop] for column in self._columns()))
 
     def _instances(self, which: np.ndarray) -> "UserTable":
         # A table whose row j holds the columns of instance which[j]
@@ -584,6 +600,18 @@ class Screen:
         return tuple(self.reduced[d].nonzero()[0].tolist()), int(l_first[d])
 
 
+def _user_columns(users: Sequence[SecondaryUser]) -> tuple:
+    # The gains, backlogs, pay and earn rates and ids of ``users``, the
+    # columns :meth:`UserTable.from_columns` takes.
+    return (
+        [su.gain_to_fc for su in users],
+        [su.buffer_bits for su in users],
+        [su.pay_rate for su in users],
+        [su.earn_rate for su in users],
+        [su.id for su in users],
+    )
+
+
 def _fits(total, t_prime: float):
     # Whether summed times (a float or an array of them) fit the budget
     # T' = ``t_prime``, with the TIME_TOL slack: applied to the upper
@@ -842,7 +870,7 @@ def _allocate(table: UserTable, screen: Screen, d: int) -> AllocationResult:
     upper bounds, placed from the times and SU utilities the screen
     priced at |R|; any other feasible row is walked from R and its
     minimum viable set size."""
-    m = len(table.sus)
+    m = table.r0.shape[-1]
     utility = screen.settled.item(d)
     if utility == utility:  # settled (not nan)
         members = screen.reduced[d].nonzero()[0].tolist()

@@ -148,9 +148,15 @@ def rate_idle(su: SecondaryUser, params: SystemParams) -> float:
     """Access rate (bits/s) when the primary is truly absent:
     B_w log2(1 + g P_ST / N0).
     """
-    return params.bandwidth * math.log2(
-        1.0 + su.gain_to_fc * params.p_st / params.noise_power
-    )
+    return idle_rates([su.gain_to_fc], params)[0]
+
+
+def idle_rates(gains, params: SystemParams) -> list:
+    """:func:`rate_idle` of one user per gain to the FC in ``gains``."""
+    return [
+        params.bandwidth * math.log2(1.0 + gain * params.p_st / params.noise_power)
+        for gain in gains
+    ]
 
 
 _EULER_GAMMA = 0.5772156649015329

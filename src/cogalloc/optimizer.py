@@ -23,6 +23,7 @@ import numpy as np
 from .allocator import (
     BOUND_SLACK,
     AllocationResult,
+    DesignTable,
     UserTable,
     _allocate,
     _infeasible,
@@ -134,8 +135,9 @@ def joint_optimize_many(
     one user count are screened together, up to ``_SCREEN_CHUNK``
     elements a pass. Every outcome's ``wall_time`` is the whole call's.
 
-    The users' columns are built in one pass over each batch (one
-    stacked :class:`~cogalloc.allocator.UserTable`); the designs' tails,
+    The users' columns are built in one pass over the instances of each
+    user count (one stacked :class:`~cogalloc.allocator.UserTable`),
+    which :func:`optimize_table` searches; the designs' tails,
     weights, l_first and budgets come from the
     :class:`~cogalloc.allocator.DesignTable` of (params, grid), shared
     by every call. One batched
@@ -170,25 +172,37 @@ def joint_optimize_many(
     for i, sus in enumerate(instances):
         by_count.setdefault(len(sus), []).append(i)
     found: list = [None] * len(instances)
-    for m, group in by_count.items():
-        step = max(1, _SCREEN_CHUNK // (len(designs.k) * max(m, 1)))
-        for first in range(0, len(group), step):
-            batch = group[first : first + step]
-            table = UserTable.stack([instances[i] for i in batch], params)
-            for i, best in zip(batch, _search(table, table.screen(designs))):
-                found[i] = best
+    for group in by_count.values():
+        table = UserTable.stack([instances[i] for i in group], params)
+        for i, best in zip(group, optimize_table(table, designs)):
+            found[i] = best
     elapsed = time.perf_counter() - start
     return [
-        _infeasible_outcome(len(sus), elapsed)
-        if best is None
-        else OptimizationOutcome(designs.design(best[0]), best[1], elapsed)
-        for sus, best in zip(instances, found)
+        OptimizationOutcome(None if d is None else designs.design(d), alloc, elapsed)
+        for d, alloc in found
     ]
+
+
+def optimize_table(table: UserTable, designs: DesignTable) -> list:
+    """The (design row, allocation) of every instance of the stacked
+    ``table`` over the rows of ``designs``, (None, an infeasible
+    allocation) where no design is feasible: for each instance, the
+    design and allocation :func:`joint_optimize` gives its users alone,
+    bit for bit. The instances are screened and searched up to
+    ``_SCREEN_CHUNK`` elements a pass."""
+    n, m = table.r0.shape[0], table.r0.shape[-1]
+    step = max(1, _SCREEN_CHUNK // (len(designs.k) * max(m, 1)))
+    found = []
+    for first in range(0, n, step):
+        part = table if step >= n else table.rows(first, first + step)
+        found += _search(part, part.screen(designs))
+    return found
 
 
 def _search(table: UserTable, screen) -> list:
     # The (design row, allocation) of every instance of a stacked table's
-    # screen, None where no design is feasible.
+    # screen, (None, an infeasible allocation) where no design is feasible.
+    m = table.r0.shape[-1]
     designs, bounds, settled = screen.designs, screen.bounds, screen.settled
     unsettled = np.isnan(settled)
     # Per instance, the ceiling of its best unsettled feasible design and
@@ -213,7 +227,7 @@ def _search(table: UserTable, screen) -> list:
             best = _walk(table.instance(n), screen.instance(n), best)
         if best is not None and best[2] is None:
             best = best[:2] + (_allocate(table.instance(n), screen.instance(n), best[1]),)
-        found.append(None if best is None else best[1:])
+        found.append((None, _infeasible(m, None)) if best is None else best[1:])
     return found
 
 

@@ -1,5 +1,6 @@
 """Config ingestion, subcommand reports, determinism, and exit codes."""
 
+import hashlib
 import json
 import math
 import subprocess
@@ -355,6 +356,36 @@ class TestSubcommands:
         explicit = self._simulate_bytes(tmp_path, "explicit", [entry] * 3)
         generated = self._simulate_bytes(tmp_path, "generated", {"count": 3})
         assert explicit == generated
+
+    #: sha256 of each file ``simulate`` writes for ``PINNED_SIMULATE``.
+    #: A change that moves simulated draws or decisions on purpose updates
+    #: these digests and states the cause.
+    SIMULATE_DIGESTS = {
+        "simulate.csv": "90bfbf21b6f6b81b7d61cc46fb8dcc79424e58f861140342db9a7953d5c9fe7f",
+        "simulate_mean.csv": "0352d919cb6f7b86c13acfaa22348b5dab3d5f3143eebfeee495d15df8167032",
+        "trace_sweep0.jsonl": "46c711854bd5108970ba8ca1128c637fd46bb5ecc5ac4af1637a62173177aef1",
+        "trace_sweep1.jsonl": "1fe89ba7c3555f4f60e00a764beac23131f865f4e1cdd4684aa3d578d0708ed5",
+    }
+
+    #: Five users, a two-point p_h0 sweep, three trials and traffic that
+    #: keeps the buffers filling. Traffic shape 4 bounds the idle gaps'
+    #: tail, so that over 500 frames every (trial, user, purpose) stream
+    #: takes at least 170 draws, past several refills of its block.
+    PINNED_SIMULATE = {
+        "users": {"count": 5},
+        "experiment": {"sweep": "p_h0", "values": [0.7, 0.9], "n_frames": 500},
+        "traffic": {"scale": 0.002, "shape": 4.0},
+        "trials": 3,
+        "seed": 11,
+    }
+
+    def test_simulate_bytes_pinned(self, tmp_path):
+        cfg = load_config(_cfg(tmp_path, self.PINNED_SIMULATE))
+        out = tmp_path / "out"
+        out.mkdir()
+        assert cmd_simulate(cfg, out) == EXIT_OK
+        digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
+        assert digests == self.SIMULATE_DIGESTS
 
     def test_probe_hessian_summary_and_rows(self, tmp_path, capsys):
         cfg = load_config(_cfg(tmp_path, {}))

@@ -14,6 +14,7 @@ from cogalloc import (
     HessianProbeConfig,
     SecondaryUser,
     SensingDesign,
+    StreamFactory,
     TrafficModel,
     UserProfile,
     count_negative_utility,
@@ -24,9 +25,10 @@ from cogalloc import (
     nonjoint_baseline,
     quasiconcavity_probe,
     run_episode,
+    sample_exponential_gain,
     select_and_allocate,
 )
-from cogalloc import optimizer, simkit
+from cogalloc import optimizer
 from cogalloc.allocator import TIME_TOL, CaseLabel, UserTable, _allocate, _result, _score
 from cogalloc.optimizer import (
     BOUND_SLACK,
@@ -411,23 +413,39 @@ class TestPrunedGridSearch:
         assert got.fc_utility == best
         _assert_same_outcome(got, reference_joint_optimize(sus, params, grid))
 
-    def test_episode_matches_reference_search(self, monkeypatch, params):
+    def test_episode_matches_reference_search(self, params):
         # Thirty frames with batches every few frames: the weights shared
-        # across frames must give every frame the reference's decision.
+        # across frames must give every frame the reference's decision on
+        # its users, whose gains a twin stream factory replays.
         traffic = TrafficModel(scale=0.002)
-
-        def episode():
-            profiles = [UserProfile()] * 5
-            return run_episode(30, params, traffic, rng_seed=5, profiles=profiles)[1]
-
-        def reference_many(instances, params, grid):
-            return [reference_joint_optimize(sus, params, grid) for sus in instances]
-
-        got = episode()
-        monkeypatch.setattr(simkit, "joint_optimize_many", reference_many)
-        want = episode()
-        assert sum(t.allocation is not None for t in want) > 5
-        assert got == want
+        profiles = [UserProfile()] * 5
+        traces = run_episode(30, params, traffic, rng_seed=5, profiles=profiles)[1]
+        twin = StreamFactory(5, trial=0)
+        grid = DesignGrid.uniform(5)
+        checked = 0
+        for trace in traces:
+            if not any(trace.buffers_at_start):
+                assert trace.allocation is None
+                continue
+            sus = [
+                SecondaryUser(
+                    id=i,
+                    gain_to_fc=sample_exponential_gain(p.gain_mean, twin.stream("gain", i)),
+                    buffer_bits=bits,
+                    pay_rate=p.pay_rate,
+                    earn_rate=p.earn_rate,
+                )
+                for i, (p, bits) in enumerate(zip(profiles, trace.buffers_at_start))
+            ]
+            want = reference_joint_optimize(sus, params, grid)
+            assert trace.allocation == want.best_allocation
+            design = want.best_design
+            if design is None:
+                assert trace.chosen_pfa is None and trace.chosen_k is None
+            else:
+                assert (trace.chosen_pfa, trace.chosen_k) == (design.pfa_local, design.k_threshold)
+            checked += 1
+        assert checked > 5
 
 
 def _thin_margin_users(seed, m):
@@ -500,21 +518,22 @@ class TestJointOptimizeMany:
         instances = self._batch()
         grid = DesignGrid.uniform(40)
         passes = []
-        stack = UserTable.stack.__func__
+        screen = UserTable.screen
 
-        def counting(cls, batch, params):
-            passes.append(len(batch[0]) if batch else 0)
-            return stack(cls, batch, params)
+        def counting(table, designs):
+            passes.append(table.r0.shape[:1] + table.r0.shape[2:])
+            return screen(table, designs)
 
-        monkeypatch.setattr(UserTable, "stack", classmethod(counting))
+        monkeypatch.setattr(UserTable, "screen", counting)
         got = optimizer.joint_optimize_many(instances, params, grid)
         assert optimizer._SCREEN_CHUNK // (360 * 40) == 2
-        assert passes.count(40) == 2
+        assert sorted(n for n, m in passes if m == 40) == [2, 2]
         passes.clear()
         monkeypatch.setattr(optimizer, "_SCREEN_CHUNK", 1)
         alone = optimizer.joint_optimize_many(instances, params, grid)
         assert len(passes) == len(instances)
-        monkeypatch.setattr(UserTable, "stack", classmethod(stack))
+        assert {n for n, _ in passes} == {1}
+        monkeypatch.setattr(UserTable, "screen", screen)
         self._assert_each_alone(instances, params, grid, got)
         self._assert_each_alone(instances, params, grid, alone)
 

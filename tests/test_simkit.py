@@ -21,6 +21,7 @@ from cogalloc import (
     step_frame,
 )
 from cogalloc.sensing import SensingDesign
+from cogalloc import simkit
 from cogalloc.simkit import BufferState, init_state
 
 from helpers import monte_carlo_average
@@ -93,6 +94,24 @@ class TestStreamFactory:
         assert StreamFactory(5, trial=0).stream("gain", 1).random() != base
         assert StreamFactory(5, trial=1).stream("gain", 0).random() != base
 
+    def test_block_draws_equal_scalar_draws(self):
+        # Each stream's uniforms, drawn in blocks, are its scalar random()
+        # draws in order, bit for bit, across several refills, whatever
+        # the order in which the streams are read.
+        blocks = StreamFactory(29, trial=3)
+        twin = StreamFactory(29, trial=3)
+        keys = [("pu", -1), ("gain", 0), ("gain", 4), ("vote", 2), ("traffic", 1)]
+        count = 3 * simkit._BLOCK + 5
+        got = {key: [] for key in keys}
+        for j in range(count * len(keys)):
+            key = keys[(j * 7 + j // len(keys)) % len(keys)]
+            got[key].append(next(blocks.uniforms(*key)))
+        for key in keys:
+            want = [twin.stream(*key).random() for _ in range(len(got[key]))]
+            assert len(want) > 2 * simkit._BLOCK
+            assert got[key] == want
+        assert blocks.uniforms("gain", 0) is blocks.uniforms("gain", 0)
+
     def test_unknown_purpose_rejected(self):
         with pytest.raises(ValueError):
             StreamFactory(1).stream("nope")
@@ -104,6 +123,17 @@ class TestBufferState:
         buf.add_batch(0.0, 10)
         buf.add_batch(1.0, 7)
         assert buf.bits == 17
+        # The count add_batch and drain keep follows random sequences of
+        # both, with empty batches and drains past the backlog.
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            buf = BufferState()
+            for step in range(100):
+                if rng.random() < 0.5:
+                    buf.add_batch(float(step), int(rng.integers(0, 30)))
+                else:
+                    buf.drain(int(rng.integers(0, 60)), completion_time=float(step))
+                assert buf.bits == sum(b.bits_remaining for b in buf.pending)
 
     def test_fifo_drain_and_delays(self):
         buf = BufferState()
