@@ -37,7 +37,7 @@ users = [
 ]
 
 print("per-user bounds at the full set size (L=5):")
-table = UserTable(users, params)
+table = UserTable.stack([users], params).instance(0)
 _, lowers, uppers, _ = table.level(designs, 0, 5)
 for su, lower, upper in zip(users, lowers, uppers):
     print(

@@ -36,7 +36,6 @@ from .optimizer import (
     count_negative_utility,
     exhaustive_oracle,
     joint_optimize,
-    joint_optimize_many,
     nonjoint_baseline,
     quasiconcavity_probe,
 )
@@ -94,7 +93,6 @@ __all__ = [
     "greedy_topup",
     "jain_index",
     "joint_optimize",
-    "joint_optimize_many",
     "local_pd",
     "min_active_users",
     "nonjoint_baseline",

@@ -12,8 +12,10 @@ payments (:meth:`UserTable.price`), the time bounds
 (:func:`time_bound_arrays`) and the greedy fill (:func:`greedy_topup`).
 One :class:`DesignTable` per (params, grid) holds the user-independent
 half of every search, shared across calls; one :class:`UserTable` per
-call holds the users' columns and each design's rates, bounds and
-priorities per set size. Candidate sets are index tuples into it,
+call holds the columns of N instances of M users (built from the
+columns, or by :meth:`UserTable.stack` of user lists) and each design's
+rates, bounds and priorities per set size. Candidate sets are index
+tuples into one instance's table (:meth:`UserTable.instance`),
 compared by utility alone; an :class:`AllocationResult` is built only
 for the set that is returned. The screen runs for every design of a
 table at once and returns a :class:`Screen` (:meth:`UserTable.screen`),
@@ -267,49 +269,26 @@ class UserTable:
     computed for all users on first use and cached per (design table,
     row, L).
 
-    A stacked table (:meth:`from_columns`, or :meth:`stack` of user
-    lists) holds N instances of M users each for one batched
-    :meth:`screen`, which only a stacked table runs; :meth:`instance`
-    gives each one's own table, which the walk reads. ``sus`` holds the
-    users a table was built from (one list per instance when stacked),
-    None for a table built from columns.
+    A table holds N instances of M users each, built from their columns
+    or by :meth:`stack` of N user lists, for one batched :meth:`screen`;
+    :meth:`instance` gives each one's own table (columns of M users),
+    which the walk reads.
     """
 
     __slots__ = (
-        "sus", "params", "r0", "r1", "margin", "buffers", "pay", "ids",
+        "params", "r0", "r1", "margin", "buffers", "pay", "ids",
         "cost", "budgets", "_levels",
     )
 
-    def __init__(self, sus: Sequence[SecondaryUser], params: SystemParams):
-        self.sus = list(sus)
-        self._fill(params, (len(self.sus),), *_user_columns(self.sus))
-
-    @classmethod
-    def stack(cls, instances: Sequence[Sequence[SecondaryUser]], params: SystemParams):
-        """:meth:`from_columns` of N user lists of one length M, whose
-        lists ``sus`` holds."""
-        lists = [list(sus) for sus in instances]
-        shape = (len(lists), len(lists[0]) if lists else 0)
-        table = cls.from_columns(params, shape, *_user_columns([su for sus in lists for su in sus]))
-        table.sus = lists
-        return table
-
-    @classmethod
-    def from_columns(cls, params: SystemParams, shape: tuple, gains, buffers, pay, earn, ids):
+    def __init__(self, params: SystemParams, shape: tuple, gains, buffers, pay, earn, ids):
         """One table over ``shape`` = (N, M): N instances of M users, user
         j of instance n at position n M + j of the flat sequences of gains
         to the FC, backlogs in bits, pay and earn rates (a_i, b_i) and
         ids. Every column is N x 1 x M, so that it broadcasts against one
-        weight per design into instance x design x user."""
-        table = cls.__new__(cls)
-        table.sus = None
-        table._fill(params, (shape[0], 1, shape[1]), gains, buffers, pay, earn, ids)
-        return table
-
-    def _fill(self, params: SystemParams, shape: tuple, gains, buffers, pay, earn, ids) -> None:
-        # Every user's columns in one pass, shaped ``shape``, and T'(L)
-        # for L = 0..M.
+        weight per design into instance x design x user; T'(L) is kept
+        for L = 0..M."""
         self.params = params
+        shape = (shape[0], 1, shape[1])
         columns = (idle_rates(gains, params), interfered_rates(gains, params), earn, buffers, pay)
         self.r0, self.r1, earn, self.buffers, self.pay = np.array(
             columns, dtype=float
@@ -320,34 +299,46 @@ class UserTable:
         self.budgets = np.array([effective_time(params, l) for l in range(shape[-1] + 1)])
         self._levels: dict = {}
 
+    @classmethod
+    def stack(cls, instances: Sequence[Sequence[SecondaryUser]], params: SystemParams):
+        """The table of N user lists of one length M: the one adapter from
+        :class:`~cogalloc.economics.SecondaryUser` lists to columns."""
+        lists = [list(sus) for sus in instances]
+        users = [su for sus in lists for su in sus]
+        return cls(
+            params,
+            (len(lists), len(lists[0]) if lists else 0),
+            [su.gain_to_fc for su in users],
+            [su.buffer_bits for su in users],
+            [su.pay_rate for su in users],
+            [su.earn_rate for su in users],
+            [su.id for su in users],
+        )
+
     def instance(self, n: int) -> "UserTable":
-        """Instance ``n`` of a stacked table as a table of its own: views
-        of its row of every column, sharing the params and budgets."""
-        sus = None if self.sus is None else self.sus[n]
-        return self._with(sus, (column[n, 0] for column in self._columns()))
+        """Instance ``n`` as a table of its own: views of its row of every
+        column (each of M users), sharing the params and budgets."""
+        return self._with(column[n, 0] for column in self._columns())
 
     def rows(self, start: int, stop: int) -> "UserTable":
-        """Instances ``start`` to ``stop`` of a stacked table as a stacked
-        table of their own: views, sharing the params and budgets."""
-        sus = None if self.sus is None else self.sus[start:stop]
-        return self._with(sus, (column[start:stop] for column in self._columns()))
+        """Instances ``start`` to ``stop`` as a table of their own: views,
+        sharing the params and budgets."""
+        return self._with(column[start:stop] for column in self._columns())
 
     def _instances(self, which: np.ndarray) -> "UserTable":
         # A table whose row j holds the columns of instance which[j]
         # (K x M), to price against K x 1 weight columns.
         columns = (column[:, 0].take(which, axis=0) for column in self._columns())
-        return self._with(None, columns)
+        return self._with(columns)
 
     def _columns(self) -> tuple:
         return self.r0, self.r1, self.margin, self.buffers, self.pay, self.ids
 
-    def _with(self, sus, columns) -> "UserTable":
-        # A table of ``sus`` over ``columns`` (in :meth:`_columns` order),
-        # with these params and budgets and no rate recomputed.
+    def _with(self, columns) -> "UserTable":
+        # A table over ``columns`` (in :meth:`_columns` order), with these
+        # params and budgets and no rate recomputed.
         table = UserTable.__new__(UserTable)
-        table.sus, table.params, table.cost, table.budgets = (
-            sus, self.params, self.cost, self.budgets
-        )
+        table.params, table.cost, table.budgets = self.params, self.cost, self.budgets
         table.r0, table.r1, table.margin, table.buffers, table.pay, table.ids = columns
         table._levels = {}
         return table
@@ -598,18 +589,6 @@ class Screen:
             return None
         l_first = self.designs.at_users(self.reduced.shape[-1])[0]
         return tuple(self.reduced[d].nonzero()[0].tolist()), int(l_first[d])
-
-
-def _user_columns(users: Sequence[SecondaryUser]) -> tuple:
-    # The gains, backlogs, pay and earn rates and ids of ``users``, the
-    # columns :meth:`UserTable.from_columns` takes.
-    return (
-        [su.gain_to_fc for su in users],
-        [su.buffer_bits for su in users],
-        [su.pay_rate for su in users],
-        [su.earn_rate for su in users],
-        [su.id for su in users],
-    )
 
 
 def _fits(total, t_prime: float):

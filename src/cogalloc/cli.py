@@ -324,7 +324,8 @@ def parse_config(raw: dict) -> RunConfig:
     ------
     ConfigError
         Listing every violated rule; or, once every rule holds, the
-        frame-budget violation :class:`SystemParams` reports.
+        frame-budget violation :class:`SystemParams` reports, or probe
+        rate lists that do not hold one rate per user.
     """
     eff = effective_config(raw)
     try:
@@ -345,6 +346,12 @@ def parse_config(raw: dict) -> RunConfig:
     exp = eff["experiment"]
     probe = dict(eff["probe"])
     probe_grid = probe.pop("pfa_grid")
+    try:
+        probe_cfg = HessianProbeConfig(
+            **{**probe, "r0": tuple(probe["r0"]), "r1": tuple(probe["r1"])}
+        )
+    except ValueError as exc:
+        raise ConfigError(f"probe: {exc}") from exc
     return RunConfig(
         system=system,
         users=users,
@@ -357,9 +364,7 @@ def parse_config(raw: dict) -> RunConfig:
         n_frames=exp["n_frames"],
         seed=eff["seed"],
         trials=eff["trials"],
-        probe=HessianProbeConfig(
-            **{**probe, "r0": tuple(probe["r0"]), "r1": tuple(probe["r1"])}
-        ),
+        probe=probe_cfg,
         probe_pfa_grid=tuple(probe_grid) if probe_grid is not None else None,
         effective=eff,
     )

@@ -103,9 +103,9 @@ def _incumbent(best: Optional[tuple], designs, d: int, utility: float, alloc):
 
 
 #: Elements (instances x designs x users) in one stacked screen of
-#: :func:`joint_optimize_many`: each of its working arrays holds at most
-#: this many values (256 kB of floats), however many instances a call
-#: takes. An instance larger than that is screened alone.
+#: :func:`optimize_table`: each of its working arrays holds at most this
+#: many values (256 kB of floats), however many instances a table holds.
+#: An instance larger than that is screened alone.
 _SCREEN_CHUNK = 1 << 15
 
 
@@ -115,32 +115,31 @@ def joint_optimize(
     grid: DesignGrid,
 ) -> OptimizationOutcome:
     """Grid search over designs, inner selection/allocation per point:
-    :func:`joint_optimize_many` of this one instance.
+    :func:`optimize_table` of the one-instance table of these users over
+    the shared :class:`~cogalloc.allocator.DesignTable` of (params, grid).
 
     Feasible ties break toward the smallest false-alarm value, then the
     smallest vote threshold: the winner maximizes (utility, -pfa, -k).
     Returns an all-infeasible outcome when no grid point admits a
     feasible allocation.
     """
-    return joint_optimize_many([all_sus], params, grid)[0]
+    start = time.perf_counter()
+    designs = design_table(params, grid.pfa_values, grid.k_values)
+    d, alloc = optimize_table(UserTable.stack([all_sus], params), designs)[0]
+    best = None if d is None else designs.design(d)
+    return OptimizationOutcome(best, alloc, time.perf_counter() - start)
 
 
-def joint_optimize_many(
-    instances: Sequence[Sequence[SecondaryUser]],
-    params: SystemParams,
-    grid: DesignGrid,
-) -> list:
-    """:func:`joint_optimize` of every user list in ``instances``, in
-    order, bit for bit, with the per-call work shared: the instances of
-    one user count are screened together, up to ``_SCREEN_CHUNK``
-    elements a pass. Every outcome's ``wall_time`` is the whole call's.
+def optimize_table(table: UserTable, designs: DesignTable) -> list:
+    """The (design row, allocation) of every instance of ``table`` over
+    the rows of ``designs``, (None, an infeasible allocation) where no
+    design is feasible: for each instance, the design and allocation
+    :func:`joint_optimize` gives its users alone, bit for bit. The
+    instances are screened and searched up to ``_SCREEN_CHUNK`` elements
+    a pass.
 
-    The users' columns are built in one pass over the instances of each
-    user count (one stacked :class:`~cogalloc.allocator.UserTable`),
-    which :func:`optimize_table` searches; the designs' tails,
-    weights, l_first and budgets come from the
-    :class:`~cogalloc.allocator.DesignTable` of (params, grid), shared
-    by every call. One batched
+    The designs' tails, weights, l_first and budgets come from
+    ``designs``, shared by every call. One batched
     :meth:`~cogalloc.allocator.UserTable.screen` gives every (instance,
     design) a utility bound U_max, and settles the designs whose reduced
     set is in abundant time with their utility, bit for bit as the walk
@@ -162,34 +161,9 @@ def joint_optimize_many(
     order: a design's allocation does not depend on when or whether it
     is walked, the maximum of (utility, -pfa, -k) does not depend on the
     order, and a design is skipped only below the incumbent's utility.
-    Nor does it depend on the other instances of a batch: every screen
+    Nor does it depend on the other instances of a table: every screen
     sum runs over one instance's members alone, in member order.
     """
-    start = time.perf_counter()
-    designs = design_table(params, grid.pfa_values, grid.k_values)
-    instances = list(instances)
-    by_count: dict = {}
-    for i, sus in enumerate(instances):
-        by_count.setdefault(len(sus), []).append(i)
-    found: list = [None] * len(instances)
-    for group in by_count.values():
-        table = UserTable.stack([instances[i] for i in group], params)
-        for i, best in zip(group, optimize_table(table, designs)):
-            found[i] = best
-    elapsed = time.perf_counter() - start
-    return [
-        OptimizationOutcome(None if d is None else designs.design(d), alloc, elapsed)
-        for d, alloc in found
-    ]
-
-
-def optimize_table(table: UserTable, designs: DesignTable) -> list:
-    """The (design row, allocation) of every instance of the stacked
-    ``table`` over the rows of ``designs``, (None, an infeasible
-    allocation) where no design is feasible: for each instance, the
-    design and allocation :func:`joint_optimize` gives its users alone,
-    bit for bit. The instances are screened and searched up to
-    ``_SCREEN_CHUNK`` elements a pass."""
     n, m = table.r0.shape[0], table.r0.shape[-1]
     step = max(1, _SCREEN_CHUNK // (len(designs.k) * max(m, 1)))
     found = []
@@ -317,7 +291,7 @@ def exhaustive_oracle(
         )
     start = time.perf_counter()
     positions = [i for i, su in enumerate(all_sus) if su.earn_rate > su.pay_rate]
-    table = UserTable([all_sus[i] for i in positions], params)
+    table = UserTable.stack([[all_sus[i] for i in positions]], params).instance(0)
     grid_table = design_table(params, grid.pfa_values, grid.k_values)
     n = len(positions)
     best_key = None
@@ -422,8 +396,8 @@ def nonjoint_baseline(
         for i, su in enumerate(all_sus)
         if su.buffer_bits * (su.earn_rate - su.pay_rate) - cost >= 0.0
     ]
-    table = UserTable([all_sus[i] for i in kept], params)
-    size = len(table.sus)
+    table = UserTable.stack([[all_sus[i] for i in kept]], params).instance(0)
+    size = len(kept)
     budget = table.budgets.item(size)
 
     best = None
@@ -467,7 +441,8 @@ def count_negative_utility(report) -> int:
 class HessianProbeConfig:
     """Worked example for the bordered-Hessian probe.
 
-    ``pay_times_t`` is the fixed product a_i * t_i shared by all users.
+    ``pay_times_t`` is the fixed product a_i * t_i shared by all users,
+    and ``r0``/``r1`` hold one rate per user (ValueError otherwise).
     Defaults reproduce the non-quasiconcavity demonstration instance.
     """
 
@@ -478,6 +453,13 @@ class HessianProbeConfig:
     r0: tuple = (7.4, 8.0, 8.2, 0.2, 9.5)
     r1: tuple = (2.3, 3.5, 2.7, 0.02, 3.3)
     pay_times_t: float = 0.1
+
+    def __post_init__(self) -> None:
+        if not len(self.r0) == len(self.r1) == self.m_users:
+            raise ValueError(
+                f"r0 and r1 need one rate per user (m_users={self.m_users}),"
+                f" got {len(self.r0)} and {len(self.r1)}"
+            )
 
     def geometry(self) -> SensingGeometry:
         return SensingGeometry(

@@ -303,7 +303,7 @@ def _step_frames(
     found: list = []
     if backlogs:
         count = len(backlogs) // n
-        table = UserTable.from_columns(
+        table = UserTable(
             params, (count, n), gains, backlogs,
             [p.pay_rate for p in profiles] * count,
             [p.earn_rate for p in profiles] * count,

@@ -14,9 +14,10 @@ kept here.
 
 The public wrappers around the allocator's cores that only tests call
 (:func:`classify_case`, :func:`reduce_feasible_set`,
-:func:`waterfill_allocate`, :func:`exchange_search`), the by-design
-pricing of a user table (:func:`level_at`, :func:`evaluate_at`), the
-forward false-alarm map and the trial averager live here too.
+:func:`waterfill_allocate`, :func:`exchange_search`), the table of one
+user list (:func:`user_table`), the by-design pricing of a user table
+(:func:`level_at`, :func:`evaluate_at`), the forward false-alarm map
+and the trial averager live here too.
 """
 
 from __future__ import annotations
@@ -65,6 +66,12 @@ def grid_table(params, grid):
 def one_design_table(params, design: SensingDesign):
     """The shared design table of ``design`` alone: its row 0."""
     return design_table(params, (design.pfa_local,), (design.k_threshold,))
+
+
+def user_table(sus, params) -> UserTable:
+    """The table of the user list ``sus`` alone: instance 0 of its
+    one-instance stack, columns of M users."""
+    return UserTable.stack([sus], params).instance(0)
 
 
 def level_at(table: UserTable, design: SensingDesign, l_active: int) -> tuple:
@@ -317,7 +324,7 @@ def scalar_exhaustive_oracle(all_sus, params, grid):
 def evaluate_set(sus, design, params):
     """Bounds, priorities, budget and case of a user list as one candidate
     set at its own cardinality."""
-    return evaluate_at(UserTable(sus, params), design, tuple(range(len(sus))))
+    return evaluate_at(user_table(sus, params), design, tuple(range(len(sus))))
 
 
 def reference_screen(table: UserTable, design: SensingDesign):
@@ -326,9 +333,10 @@ def reference_screen(table: UserTable, design: SensingDesign):
     or None when the design admits no feasible set (a vote threshold
     above the reduced set's size, or a detection floor no size up to it
     reaches)."""
-    if design.k_threshold > len(table.sus):
+    m = table.r0.shape[-1]
+    if design.k_threshold > m:
         return None
-    _, lowers, uppers, _ = level_at(table, design, len(table.sus))
+    _, lowers, uppers, _ = level_at(table, design, m)
     reduced = tuple(np.flatnonzero(lowers < uppers).tolist())
     if design.k_threshold > len(reduced):
         return None
@@ -375,7 +383,7 @@ def classify_case(sus, design, params) -> CaseLabel:
         )
     if any(su.earn_rate <= su.pay_rate for su in sus):
         raise ValueError("never-profitable user present; reduce the set first")
-    return evaluate_at(UserTable(sus, params), design, tuple(range(len(sus)))).case
+    return evaluate_at(user_table(sus, params), design, tuple(range(len(sus)))).case
 
 
 def reduce_feasible_set(all_sus, design, params) -> list:
@@ -383,9 +391,9 @@ def reduce_feasible_set(all_sus, design, params) -> list:
     set size (lower < upper): the users of the design's reduced set."""
     if not all_sus:
         return []
-    table = UserTable(all_sus, params)
-    _, lowers, uppers, _ = level_at(table, design, len(table.sus))
-    return [table.sus[i] for i in np.flatnonzero(lowers < uppers).tolist()]
+    table = user_table(all_sus, params)
+    _, lowers, uppers, _ = level_at(table, design, len(all_sus))
+    return [all_sus[i] for i in np.flatnonzero(lowers < uppers).tolist()]
 
 
 def waterfill_allocate(sus, design, params) -> AllocationResult:
@@ -397,7 +405,7 @@ def waterfill_allocate(sus, design, params) -> AllocationResult:
     ValueError
         If the set is not in the contested-time case.
     """
-    table = UserTable(sus, params)
+    table = user_table(sus, params)
     ev = evaluate_at(table, design, tuple(range(len(sus))))
     if ev.case is not CaseLabel.CASE2:
         raise ValueError(f"water-filling requires Case-2, set is {ev.case}")
@@ -420,7 +428,7 @@ def exchange_search(kept, excluded, design, params) -> tuple:
     if {su.id for su in kept} & {su.id for su in excluded}:
         raise ValueError("kept and excluded sets overlap")
     pool = kept + excluded
-    table = UserTable(pool, params)
+    table = user_table(pool, params)
     kept_idx = tuple(range(len(kept)))
     ex_idx = tuple(range(len(kept), len(pool)))
     designs = one_design_table(params, design)

@@ -344,12 +344,11 @@ def test_criterion_09_simulation_vs_closed_forms():
 def test_criterion_10_unit_invariant_suites():
     # Compact re-run of the module-invariant suites at acceptance scale.
     from cogalloc import local_pd
-    from cogalloc.allocator import UserTable
-    from helpers import level_at
+    from helpers import level_at, user_table
 
     def priced(sus, design, params, l_active):
         # (rates, lowers, uppers) of the users from the pricing kernel.
-        return level_at(UserTable(sus, params), design, l_active)[:3]
+        return level_at(user_table(sus, params), design, l_active)[:3]
 
     params = default_system_params()
     geom = params.geometry()

@@ -20,8 +20,6 @@ from cogalloc import (
     select_and_allocate,
 )
 
-from cogalloc.allocator import UserTable
-
 from helpers import (
     classify_case,
     evaluate_set,
@@ -31,6 +29,7 @@ from helpers import (
     make_users,
     reduce_feasible_set,
     subset_oracle_fixed_design,
+    user_table,
     waterfill_allocate,
 )
 
@@ -416,7 +415,7 @@ class TestPropositionProperties:
 
         # Depth-1 extreme lower-bound swap sets both contested?
         l_active = len(kept)
-        lowers = level_at(UserTable(pool, params), DESIGN, l_active)[1]
+        lowers = level_at(user_table(pool, params), DESIGN, l_active)[1]
         lbs = {su.id: lb for su, lb in zip(pool, lowers.tolist())}
         kept_by_lb = sorted(kept, key=lambda su: (-lbs[su.id], su.id))
         ex_by_lb = sorted(excluded, key=lambda su: (-lbs[su.id], su.id))

@@ -555,6 +555,18 @@ class TestMainEntry:
             assert code == EXIT_CONFIG
             assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "probe", [{"r0": [1.0], "r1": [1.0, 2.0, 3.0]}, {"m_users": 3}]
+    )
+    def test_probe_rates_not_one_per_user_exit_code(self, tmp_path, capsys, probe):
+        # r0 and r1 must hold m_users rates each; no report is written.
+        path = _cfg(tmp_path, {"probe": probe})
+        out = tmp_path / "out"
+        code = main(["probe-hessian", "--config", str(path), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "probe: r0 and r1 need one rate per user" in capsys.readouterr().err
+        assert not (out / "probe_hessian.csv").exists()
+
     @pytest.mark.parametrize("pfa", [0.00005, 0.0001, 0.9999, 0.99995])
     def test_probe_pfa_within_the_step_of_an_end_exit_code(self, tmp_path, capsys, pfa):
         # The probe differences pfa by +-1e-4, which must stay inside (0, 1).

@@ -18,11 +18,16 @@ from cogalloc import (
     rate_interfered,
     select_and_allocate,
 )
-from cogalloc.allocator import UserTable, time_bound_arrays
+from cogalloc.allocator import time_bound_arrays
 from cogalloc.economics import _exp_scaled_e1, interfered_rates
 from cogalloc.units import dbm_to_watts
 
-from helpers import level_at, rate_interfered_quadrature, scalar_effective_rate
+from helpers import (
+    level_at,
+    rate_interfered_quadrature,
+    scalar_effective_rate,
+    user_table,
+)
 
 
 def user(gain=1.0, buffer_bits=1000, pay=0.1, earn=10.0, uid=0):
@@ -34,7 +39,7 @@ def user(gain=1.0, buffer_bits=1000, pay=0.1, earn=10.0, uid=0):
 def priced(su, design, params, l_active):
     """(rate, lower bound, upper bound) of one user from the library's
     pricing kernel, with ``l_active`` reporting users."""
-    rates, lowers, uppers, _ = level_at(UserTable([su], params), design, l_active)
+    rates, lowers, uppers, _ = level_at(user_table([su], params), design, l_active)
     return float(rates[0]), float(lowers[0]), float(uppers[0])
 
 
@@ -152,7 +157,7 @@ class TestEffectiveRate:
         # Both access opportunities vanish at unit tails; full access at zero.
         su = user()
         r0, r1 = rate_idle(su, params), rate_interfered(su, params)
-        table = UserTable([su], params)
+        table = user_table([su], params)
         blend = lambda fa, d: table.price(
             params.p_h0 * (1 - fa), params.p_h1 * (1 - d)
         )[0][0]

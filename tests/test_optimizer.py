@@ -12,6 +12,7 @@ import pytest
 from cogalloc import (
     DesignGrid,
     HessianProbeConfig,
+    OptimizationOutcome,
     SecondaryUser,
     SensingDesign,
     StreamFactory,
@@ -48,6 +49,7 @@ from helpers import (
     reference_utility_bound,
     scalar_effective_rate,
     scalar_exhaustive_oracle,
+    user_table,
 )
 
 
@@ -464,10 +466,25 @@ def _thin_margin_users(seed, m):
     ]
 
 
-class TestJointOptimizeMany:
-    """One batched call gives every instance what joint_optimize gives it
-    alone, bit for bit, whatever else the batch holds and however the
-    element cap splits it."""
+def _optimize_batch(instances, params, grid) -> list:
+    # optimize_table of the instances of each user count in one stacked
+    # table, as one outcome per instance, in order.
+    designs = grid_table(params, grid)
+    by_count: dict = {}
+    for i, sus in enumerate(instances):
+        by_count.setdefault(len(sus), []).append(i)
+    got: list = [None] * len(instances)
+    for group in by_count.values():
+        table = UserTable.stack([instances[i] for i in group], params)
+        for i, (d, alloc) in zip(group, optimizer.optimize_table(table, designs)):
+            got[i] = OptimizationOutcome(None if d is None else designs.design(d), alloc, 0.0)
+    return got
+
+
+class TestOptimizeTableBatch:
+    """optimize_table of a stacked table gives every instance what
+    joint_optimize gives it alone, bit for bit, whatever else the table
+    holds and however the element cap splits it."""
 
     @staticmethod
     def _batch():
@@ -501,7 +518,7 @@ class TestJointOptimizeMany:
         instances = self._batch()
         grid = DesignGrid.uniform(40)
         visited, allocated = _record_visits(monkeypatch)
-        got = optimizer.joint_optimize_many(instances, params, grid)
+        got = _optimize_batch(instances, params, grid)
         # The batch both settles winners and walks designs, and holds
         # infeasible instances.
         assert visited and allocated
@@ -525,12 +542,12 @@ class TestJointOptimizeMany:
             return screen(table, designs)
 
         monkeypatch.setattr(UserTable, "screen", counting)
-        got = optimizer.joint_optimize_many(instances, params, grid)
+        got = _optimize_batch(instances, params, grid)
         assert optimizer._SCREEN_CHUNK // (360 * 40) == 2
         assert sorted(n for n, m in passes if m == 40) == [2, 2]
         passes.clear()
         monkeypatch.setattr(optimizer, "_SCREEN_CHUNK", 1)
-        alone = optimizer.joint_optimize_many(instances, params, grid)
+        alone = _optimize_batch(instances, params, grid)
         assert len(passes) == len(instances)
         assert {n for n, _ in passes} == {1}
         monkeypatch.setattr(UserTable, "screen", screen)
@@ -544,17 +561,18 @@ class TestJointOptimizeMany:
         pool = [_mixed_instance(seed * 10 + j, 5, KINDS[j % 4])[1] for j in range(12)]
         pool += [_thin_margin_users(int(s), 5) for s in rng.integers(0, 200, 4)]
         grid = DesignGrid.uniform(5)
-        whole = optimizer.joint_optimize_many(pool, params, grid)
+        whole = _optimize_batch(pool, params, grid)
         order = rng.permutation(len(pool))
         half = order[: len(pool) // 2]
-        part = optimizer.joint_optimize_many([pool[i] for i in half], params, grid)
+        part = _optimize_batch([pool[i] for i in half], params, grid)
         for i, outcome in zip(half.tolist(), part):
             assert outcome.best_design == whole[i].best_design
             assert outcome.best_allocation == whole[i].best_allocation
         self._assert_each_alone(pool, params, grid, whole)
 
     def test_empty_batch(self, params):
-        assert optimizer.joint_optimize_many([], params, DesignGrid.uniform(3)) == []
+        designs = grid_table(params, DesignGrid.uniform(3))
+        assert optimizer.optimize_table(UserTable.stack([], params), designs) == []
 
 
 def _screened(sus, params, weights) -> tuple:
@@ -587,7 +605,7 @@ def _assert_settled_as_walked(table, screen):
         if ev.case is CaseLabel.CASE1:
             assert float(settled[d]) == _score(table, ev)[0]
             got = _allocate(table, screen, d)
-            want = _result(table, _score(table, ev), len(table.sus), ev.idx)
+            want = _result(table, _score(table, ev), table.r0.shape[-1], ev.idx)
             assert got.times == want.times
             assert got.su_utilities == want.su_utilities
             assert got.fc_utility == want.fc_utility
@@ -739,7 +757,7 @@ class TestBatchedScreen:
         ]
         design = SensingDesign(pfa, k)
         every = tuple(range(5))
-        lowers = float(evaluate_at(UserTable(sus, params), design, every).lowers.sum())
+        lowers = float(evaluate_at(user_table(sus, params), design, every).lowers.sum())
         edge = _budget_edge(params, 5, lowers, above=True)
         table, screen = _screened(sus, edge, grid_table(edge, DesignGrid((pfa,), (k,))))
         assert screen.start(0)[0] == every
@@ -854,7 +872,7 @@ class TestUtilityBound:
         rng = np.random.default_rng(seed)
         m = int(rng.integers(1, 13))
         params, sus = _mixed_instance(seed + 900, m, kind)
-        table = UserTable(sus, params)
+        table = user_table(sus, params)
         grid = DesignGrid(
             pfa_values=(0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99),
             k_values=tuple(range(1, m + 2)),
@@ -881,7 +899,7 @@ class TestUtilityBound:
             )
             for i in range(12)
         ]
-        table = UserTable(sus, params)
+        table = user_table(sus, params)
         checked = 0
         for k in range(1, 6):
             for pfa in (0.1, 0.3, 0.5):
@@ -935,8 +953,8 @@ class TestTieBreakOrder:
         pairs = [
             (joint_optimize(sus, params, messy), joint_optimize(sus, params, clean)),
             *zip(
-                optimizer.joint_optimize_many(batch, params, messy),
-                optimizer.joint_optimize_many(batch, params, clean),
+                _optimize_batch(batch, params, messy),
+                _optimize_batch(batch, params, clean),
             ),
             (exhaustive_oracle(sus, params, messy), exhaustive_oracle(sus, params, clean)),
             (nonjoint_baseline(sus, params, messy), nonjoint_baseline(sus, params, clean)),
@@ -1320,7 +1338,7 @@ class TestNonJointBaseline:
         nj = nonjoint_baseline(sus, params, grid)
         if not nj.feasible:
             return
-        _, lbs, _, prios = level_at(UserTable(sus, params), nj.best_design, 5)
+        _, lbs, _, prios = level_at(user_table(sus, params), nj.best_design, 5)
         slack = sum(lb * max(prios) for lb in lbs.tolist())
         assert joint.fc_utility >= nj.fc_utility - slack - 1e-12
 
@@ -1331,7 +1349,7 @@ class TestNonJointBaseline:
         # be chosen (it used to divide by zero in the upper bounds).
         sus = make_users(seed, 20)
         design = SensingDesign(0.99, 1)
-        assert not level_at(UserTable(sus, params), design, 20)[0].any()
+        assert not level_at(user_table(sus, params), design, 20)[0].any()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             alone = nonjoint_baseline(sus, params, DesignGrid((0.99,), (1,)))
@@ -1438,6 +1456,16 @@ class TestQuasiconcavityProbe:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             quasiconcavity_probe(HessianProbeConfig(), pfa_grid=[])
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"r0": (1.0,), "r1": (1.0, 2.0, 3.0)}, {"m_users": 3}, {"r1": (1.0,) * 4}],
+    )
+    def test_rates_not_one_per_user_rejected(self, fields):
+        # The rates sum over len(r0) users while the tails count m_users
+        # voters: both must be one rate per user.
+        with pytest.raises(ValueError, match="one rate per user"):
+            HessianProbeConfig(**fields)
 
     @pytest.mark.parametrize("pfa", [0.00005, 0.0001, 0.9999, 0.99995])
     def test_grid_point_within_the_step_of_an_end_rejected(self, pfa):
