@@ -26,8 +26,6 @@ from .economics import (
     SystemParams,
     default_system_params,
     effective_time,
-    rate_idle,
-    rate_interfered,
 )
 from .optimizer import (
     DesignGrid,
@@ -59,9 +57,6 @@ from .simkit import (
     jain_index,
     run_episode,
     run_episodes,
-    sample_exponential_gain,
-    sample_pareto_idle,
-    step_frame,
 )
 from .units import db_to_linear, dbm_to_watts
 
@@ -99,13 +94,8 @@ __all__ = [
     "q_function",
     "q_inverse",
     "quasiconcavity_probe",
-    "rate_idle",
-    "rate_interfered",
     "run_episode",
     "run_episodes",
-    "sample_exponential_gain",
-    "sample_pareto_idle",
     "select_and_allocate",
-    "step_frame",
     "threshold_from_pfa",
 ]

@@ -79,8 +79,6 @@ class AllocationResult:
 
     def __post_init__(self) -> None:
         for is_active, t in zip(self.active, self.times):
-            if t > 0.0 and not is_active:
-                raise ValueError("positive time allocated to an inactive user")
             if not is_active and t != 0.0:
                 raise ValueError("inactive users must have zero time")
 

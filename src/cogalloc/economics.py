@@ -4,9 +4,10 @@ accounting.
 The fusion center sells Phase-6 transmission time to secondary users.
 Everything here is a deterministic function of the radio constants
 (:class:`SystemParams`) and a user's channel/price state
-(:class:`SecondaryUser`). The design-dependent pricing (effective rate,
-time bounds, priorities, the greedy fill) lives in
-:mod:`cogalloc.allocator`.
+(:class:`SecondaryUser`); the access rates come one per gain in a list
+(:func:`idle_rates`, :func:`interfered_rates`). The design-dependent
+pricing (effective rate, time bounds, priorities, the greedy fill) lives
+in :mod:`cogalloc.allocator`.
 
 Money is an abstract unit; the price fields are plain reals.
 """
@@ -144,15 +145,9 @@ class SecondaryUser:
             raise ValueError("price fields must be non-negative")
 
 
-def rate_idle(su: SecondaryUser, params: SystemParams) -> float:
-    """Access rate (bits/s) when the primary is truly absent:
-    B_w log2(1 + g P_ST / N0).
-    """
-    return idle_rates([su.gain_to_fc], params)[0]
-
-
 def idle_rates(gains, params: SystemParams) -> list:
-    """:func:`rate_idle` of one user per gain to the FC in ``gains``."""
+    """Access rate B_w log2(1 + g P_ST / N0) (bits/s), the primary truly
+    absent, of one user per gain g to the FC in ``gains``."""
     return [
         params.bandwidth * math.log2(1.0 + gain * params.p_st / params.noise_power)
         for gain in gains
@@ -201,19 +196,12 @@ def _e1_fraction(c: float, depth: int) -> float:
     return 1.0 / t
 
 
-def rate_interfered(su: SecondaryUser, params: SystemParams) -> float:
-    """Access rate (bits/s) under a missed detection, averaged over the
-    unit-mean exponential primary-to-FC gain.
-
-    Strictly below :func:`rate_idle`, as :class:`SystemParams` requires
-    a positive primary power.
-    """
-    return interfered_rates([su.gain_to_fc], params)[0]
-
-
 def interfered_rates(gains, params: SystemParams) -> list:
-    """:func:`rate_interfered` of one user per gain to the FC in
-    ``gains``, with the half that depends on params alone computed once."""
+    """Access rate (bits/s) under a missed detection, averaged over the
+    unit-mean exponential primary-to-FC gain, of one user per gain to the
+    FC in ``gains``: strictly below its :func:`idle_rates`, as
+    :class:`SystemParams` requires a positive primary power. The half
+    that depends on params alone is computed once."""
     # E_x[log2(1 + gP_ST/(xP_PT+N0))] for x ~ Exp(1), in closed form:
     # the integrand splits into ln(x+c1) - ln(x+c2) with c1=(1+A)/B,
     # c2=1/B (A = gP_ST/N0, B = P_PT/N0), and

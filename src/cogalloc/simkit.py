@@ -164,30 +164,16 @@ def _blocks(rng: np.random.Generator) -> Iterator[float]:
         yield from rng.random(_BLOCK).tolist()
 
 
-def sample_pareto_idle(model: TrafficModel, rng: np.random.Generator) -> float:
-    """One Pareto(shape, scale) idle gap via inverse-CDF: scale * u^(-1/shape)
-    with u uniform on (0, 1]; support is [scale, inf). The one-draw case
-    of the gaps the simulator takes from a stream's blocks."""
-    return _pareto_gap(model, rng.random())
-
-
-def sample_exponential_gain(mean: float, rng: np.random.Generator) -> float:
-    """One exponential channel gain via inverse-CDF: -mean * ln(u). The
-    one-draw case of the gains the simulator takes from the streams'
-    blocks."""
-    if mean <= 0.0:
-        raise ValueError(f"mean must be positive, got {mean}")
-    return _exponential_gains((mean,), (rng.random(),))[0]
-
-
 def _pareto_gap(model: TrafficModel, r: float) -> float:
-    # The Pareto idle gap of a uniform draw r on [0, 1), from u = 1 - r.
+    # The Pareto idle gap of a uniform draw r on [0, 1), by inverse CDF:
+    # scale * u^(-1/shape) with u = 1 - r, on the support [scale, inf).
     return model.scale * (1.0 - r) ** (-1.0 / model.shape)
 
 
 def _exponential_gains(means, uniforms) -> list:
-    # One exponential gain per (mean, uniform draw r on [0, 1)) pair,
-    # from u = 1 - r, each by math.log (numpy's log may differ by an ulp).
+    # One exponential gain per (mean, uniform draw r on [0, 1)) pair, by
+    # inverse CDF: -mean * ln(u) with u = 1 - r, each by math.log (numpy's
+    # log may differ by an ulp).
     return [-mean * math.log(1.0 - r) for mean, r in zip(means, uniforms)]
 
 
@@ -246,27 +232,6 @@ def init_state(
     return EpisodeState(buffers=buffers, next_batch_time=next_batch)
 
 
-def step_frame(
-    state: EpisodeState,
-    params: SystemParams,
-    traffic: TrafficModel,
-    streams: StreamFactory,
-    profiles: Sequence[UserProfile],
-    grid: DesignGrid,
-) -> FrameTrace:
-    """Advance one frame and return its trace.
-
-    The fusion center re-optimizes the design and allocation from the
-    frame-start buffer snapshot (its computation time is neglected), the
-    selected users vote through Bernoulli draws of the closed-form local
-    probabilities, and on an idle declaration each selected user drains
-    floor(rate * t) bits at the rate of the true hypothesis.
-
-    The one-trial case of the lockstep frame of :func:`run_episodes`.
-    """
-    return _step_frames([(state, streams)], params, traffic, profiles, grid, (True,))[0]
-
-
 def _step_frames(
     episodes: Sequence[tuple],
     params: SystemParams,
@@ -279,9 +244,12 @@ def _step_frames(
     # lockstep: each trial draws its PU state and gains, every trial with
     # a non-empty buffer is optimized in one stacked table built from the
     # columns (gains, backlogs, the profiles' prices), and then each trial
-    # votes, drains and takes its traffic. Every draw comes from the
-    # trial's own streams, so each trace is the one the trial gives alone.
-    # A trial's trace is built only where its flag in ``traced`` is set,
+    # votes, drains and takes its traffic. The optimization reads the
+    # frame-start backlogs (its computation time is neglected), and on an
+    # idle declaration each selected user drains floor(rate * t) bits at
+    # the rate of the true hypothesis. Every draw comes from the trial's
+    # own streams, so each trace is the one the trial gives alone. A
+    # trial's trace is built only where its flag in ``traced`` is set,
     # None elsewhere.
     n = len(profiles)
     means = [p.gain_mean for p in profiles]

@@ -16,8 +16,9 @@ The public wrappers around the allocator's cores that only tests call
 (:func:`classify_case`, :func:`reduce_feasible_set`,
 :func:`waterfill_allocate`, :func:`exchange_search`), the table of one
 user list (:func:`user_table`), the by-design pricing of a user table
-(:func:`level_at`, :func:`evaluate_at`), the forward false-alarm map
-and the trial averager live here too.
+(:func:`level_at`, :func:`evaluate_at`), one simulated frame of one
+trial (:func:`step_frame`), the forward false-alarm map and the trial
+averager live here too.
 """
 
 from __future__ import annotations
@@ -43,8 +44,6 @@ from cogalloc import (
     global_pfa,
     min_active_users,
     q_function,
-    rate_idle,
-    rate_interfered,
     select_and_allocate,
 )
 from cogalloc.allocator import (
@@ -55,7 +54,9 @@ from cogalloc.allocator import (
     _result,
     _score,
 )
+from cogalloc.economics import idle_rates, interfered_rates
 from cogalloc.optimizer import _infeasible_outcome
+from cogalloc.simkit import _step_frames
 
 
 def grid_table(params, grid):
@@ -193,9 +194,9 @@ def scalar_effective_rate(su, design, params, l_active) -> float:
     the scalar reference for the library's array pricing kernel."""
     p_fa = global_pfa(design, l_active)
     p_d = global_pd(design, params.geometry(), l_active)
-    return params.p_h0 * (1.0 - p_fa) * rate_idle(su, params) + params.p_h1 * (
-        1.0 - p_d
-    ) * rate_interfered(su, params)
+    r0 = idle_rates([su.gain_to_fc], params)[0]
+    r1 = interfered_rates([su.gain_to_fc], params)[0]
+    return params.p_h0 * (1.0 - p_fa) * r0 + params.p_h1 * (1.0 - p_d) * r1
 
 
 def greedy_fill_oracle(lowers, uppers, priorities, budget):
@@ -440,6 +441,12 @@ def exchange_search(kept, excluded, design, params) -> tuple:
     return tuple(pool[i] for i in idx), alloc
 
 
+def step_frame(state, params, traffic, streams, profiles, grid):
+    """One frame of one trial, traced: the one-trial case of the
+    simulator's lockstep frame."""
+    return _step_frames([(state, streams)], params, traffic, profiles, grid, (True,))[0]
+
+
 def monte_carlo_average(instance_metric, n_trials: int) -> tuple:
     """Mean and standard error of ``instance_metric(trial)`` over seeded,
     reproducible trials."""
@@ -490,7 +497,8 @@ def rate_interfered_quadrature(su, params, rel_tol: float = 1e-8) -> float:
     """Quadrature route for the interfered rate: 128-node Gauss-Laguerre,
     validated against a 64-node rule, with adaptive integration as the
     fallback when the two disagree beyond ``rel_tol``. An independent
-    check on the closed form of :func:`cogalloc.rate_interfered`.
+    check on the closed form of
+    :func:`cogalloc.economics.interfered_rates`.
 
     Raises
     ------

@@ -14,12 +14,10 @@ from cogalloc import (
     effective_time,
     global_pd,
     global_pfa,
-    rate_idle,
-    rate_interfered,
     select_and_allocate,
 )
 from cogalloc.allocator import time_bound_arrays
-from cogalloc.economics import _exp_scaled_e1, interfered_rates
+from cogalloc.economics import _exp_scaled_e1, idle_rates, interfered_rates
 from cogalloc.units import dbm_to_watts
 
 from helpers import (
@@ -55,44 +53,41 @@ def custom_params(**overrides):
 class TestRateIdle:
     def test_unit_snr_gives_bandwidth(self):
         params = custom_params()
-        su = user(gain=params.noise_power / params.p_st)
-        assert rate_idle(su, params) == pytest.approx(params.bandwidth, rel=1e-12)
+        gain = params.noise_power / params.p_st
+        assert idle_rates([gain], params)[0] == pytest.approx(params.bandwidth, rel=1e-12)
 
     def test_vanishing_gain(self):
         params = custom_params()
-        assert rate_idle(user(gain=1e-30), params) < 1e-9
+        assert idle_rates([1e-30], params)[0] < 1e-9
 
     def test_table_operating_point(self):
         # Independent recomputation from the quoted constants.
         params = custom_params()
         noise = dbm_to_watts(-174.0 + 10.0 * math.log10(15000.0))
         expected = 15000.0 * math.log2(1.0 + dbm_to_watts(23.0) / noise)
-        assert rate_idle(user(gain=1.0), params) == pytest.approx(expected, rel=1e-12)
+        assert idle_rates([1.0], params)[0] == pytest.approx(expected, rel=1e-12)
 
     def test_monotone_in_gain(self):
         params = custom_params()
-        rates = [rate_idle(user(gain=g), params) for g in (0.1, 0.5, 1.0, 3.0)]
+        rates = [idle_rates([g], params)[0] for g in (0.1, 0.5, 1.0, 3.0)]
         assert all(a < b for a, b in zip(rates, rates[1:]))
 
 
 class TestRateInterfered:
     def test_no_primary_power_recovers_idle_rate(self):
         params = custom_params(p_pt=1e-300)
-        su = user()
-        assert rate_interfered(su, params) == pytest.approx(
-            rate_idle(su, params), rel=1e-9
+        assert interfered_rates([1.0], params)[0] == pytest.approx(
+            idle_rates([1.0], params)[0], rel=1e-9
         )
 
     def test_overwhelming_primary_power(self):
         params = custom_params(p_pt=1e30)
-        assert rate_interfered(user(), params) < 1e-6
+        assert interfered_rates([1.0], params)[0] < 1e-6
 
     def test_below_idle_rate(self):
         params = custom_params()
         for g in (0.2, 1.0, 4.0):
-            assert rate_interfered(user(gain=g), params) < rate_idle(
-                user(gain=g), params
-            )
+            assert interfered_rates([g], params)[0] < idle_rates([g], params)[0]
 
     def test_monte_carlo_oracle_at_table_point(self):
         params = custom_params()
@@ -105,7 +100,7 @@ class TestRateInterfered:
         )
         mc = float(samples.mean())
         se = float(samples.std(ddof=1) / math.sqrt(n))
-        assert abs(rate_interfered(su, params) - mc) < 3.0 * se
+        assert abs(interfered_rates([su.gain_to_fc], params)[0] - mc) < 3.0 * se
 
     @pytest.mark.parametrize("p_pt", [None, 1e-300, 1.0, 1e30])
     def test_equals_the_literal_formula(self, p_pt):
@@ -131,14 +126,14 @@ class TestRateInterfered:
         batch = interfered_rates(gains, params)
         for gain, rate in zip(gains, batch):
             want = literal(gain)
-            assert rate == want and rate_interfered(user(gain=gain), params) == want
+            assert rate == want and interfered_rates([gain], params)[0] == want
 
     def test_quadrature_route_agrees(self):
         params = custom_params()
         for g in (0.3, 1.0, 2.7):
             su = user(gain=g)
             assert rate_interfered_quadrature(su, params) == pytest.approx(
-                rate_interfered(su, params), rel=1e-9
+                interfered_rates([su.gain_to_fc], params)[0], rel=1e-9
             )
 
 
@@ -146,7 +141,8 @@ class TestEffectiveRate:
     def test_convex_combination_structure(self, params, geom):
         su = user()
         design = SensingDesign(0.1, 2)
-        r0, r1 = rate_idle(su, params), rate_interfered(su, params)
+        r0 = idle_rates([su.gain_to_fc], params)[0]
+        r1 = interfered_rates([su.gain_to_fc], params)[0]
         p_fa, p_d = global_pfa(design, 5), global_pd(design, geom, 5)
         expected = params.p_h0 * (1 - p_fa) * r0 + params.p_h1 * (1 - p_d) * r1
         assert priced(su, design, params, 5)[0] == pytest.approx(
@@ -156,7 +152,8 @@ class TestEffectiveRate:
     def test_degenerate_tails(self, params):
         # Both access opportunities vanish at unit tails; full access at zero.
         su = user()
-        r0, r1 = rate_idle(su, params), rate_interfered(su, params)
+        r0 = idle_rates([su.gain_to_fc], params)[0]
+        r1 = interfered_rates([su.gain_to_fc], params)[0]
         table = user_table([su], params)
         blend = lambda fa, d: table.price(
             params.p_h0 * (1 - fa), params.p_h1 * (1 - d)
@@ -175,8 +172,8 @@ class TestEffectiveRate:
         p_fa = fused_tail_enumeration(0.1, 2, 5)
         p_d = fused_tail_enumeration(local_pd(0.1, geom), 2, 5)
         expected = (
-            params.p_h0 * (1 - p_fa) * rate_idle(su, params)
-            + params.p_h1 * (1 - p_d) * rate_interfered(su, params)
+            params.p_h0 * (1 - p_fa) * idle_rates([su.gain_to_fc], params)[0]
+            + params.p_h1 * (1 - p_d) * interfered_rates([su.gain_to_fc], params)[0]
         )
         assert priced(su, design, params, 5)[0] == pytest.approx(
             expected, rel=1e-12

@@ -26,7 +26,6 @@ from cogalloc import (
     nonjoint_baseline,
     quasiconcavity_probe,
     run_episode,
-    sample_exponential_gain,
     select_and_allocate,
 )
 from cogalloc import optimizer
@@ -38,6 +37,7 @@ from cogalloc.optimizer import (
     smooth_binom_tail,
 )
 from cogalloc.sensing import global_pd, local_pd
+from cogalloc.simkit import _exponential_gains
 
 from helpers import (
     evaluate_at,
@@ -429,15 +429,21 @@ class TestPrunedGridSearch:
             if not any(trace.buffers_at_start):
                 assert trace.allocation is None
                 continue
+            gains = _exponential_gains(
+                [p.gain_mean for p in profiles],
+                [twin.stream("gain", i).random() for i in range(len(profiles))],
+            )
             sus = [
                 SecondaryUser(
                     id=i,
-                    gain_to_fc=sample_exponential_gain(p.gain_mean, twin.stream("gain", i)),
+                    gain_to_fc=gain,
                     buffer_bits=bits,
                     pay_rate=p.pay_rate,
                     earn_rate=p.earn_rate,
                 )
-                for i, (p, bits) in enumerate(zip(profiles, trace.buffers_at_start))
+                for i, (p, gain, bits) in enumerate(
+                    zip(profiles, gains, trace.buffers_at_start)
+                )
             ]
             want = reference_joint_optimize(sus, params, grid)
             assert trace.allocation == want.best_allocation

@@ -16,36 +16,43 @@ from cogalloc import (
     jain_index,
     run_episode,
     run_episodes,
-    sample_exponential_gain,
-    sample_pareto_idle,
-    step_frame,
 )
 from cogalloc.sensing import SensingDesign
 from cogalloc import simkit
 from cogalloc.simkit import BufferState, init_state
 
-from helpers import monte_carlo_average
+from helpers import monte_carlo_average, step_frame
+
+
+def _pareto_draws(model, rng, n):
+    # n idle gaps from rng's next n uniforms, as the simulator draws them.
+    return [simkit._pareto_gap(model, r) for r in rng.random(n).tolist()]
+
+
+def _exponential_draws(rng, n):
+    # n unit-mean gains from rng's next n uniforms, as the simulator draws them.
+    return simkit._exponential_gains([1.0] * n, rng.random(n).tolist())
 
 
 class TestParetoSampler:
     def test_support_starts_at_scale(self):
         model = TrafficModel(shape=2.0, scale=3.0)
         rng = np.random.default_rng(0)
-        draws = [sample_pareto_idle(model, rng) for _ in range(10_000)]
+        draws = _pareto_draws(model, rng, 10_000)
         assert min(draws) >= 3.0
 
     def test_finite_mean_case(self):
         # shape 2, scale 1: mean is 2.
         model = TrafficModel(shape=2.0, scale=1.0)
         rng = np.random.default_rng(42)
-        draws = np.array([sample_pareto_idle(model, rng) for _ in range(1_000_000)])
+        draws = np.array(_pareto_draws(model, rng, 1_000_000))
         assert draws.mean() == pytest.approx(2.0, rel=0.01)
 
     def test_heavy_tail_at_unit_shape(self):
         # shape 1 has no mean: the sample average drifts far above scale.
         model = TrafficModel(shape=1.0, scale=7.0)
         rng = np.random.default_rng(7)
-        draws = np.array([sample_pareto_idle(model, rng) for _ in range(1_000_000)])
+        draws = np.array(_pareto_draws(model, rng, 1_000_000))
         assert draws.mean() > 5.0 * model.scale
 
     def test_validation(self):
@@ -60,25 +67,20 @@ class TestParetoSampler:
 class TestExponentialSampler:
     def test_non_negative_support(self):
         rng = np.random.default_rng(1)
-        draws = [sample_exponential_gain(1.0, rng) for _ in range(10_000)]
+        draws = _exponential_draws(rng, 10_000)
         assert min(draws) >= 0.0
 
     def test_law_of_large_numbers(self):
         rng = np.random.default_rng(2)
-        draws = np.array([sample_exponential_gain(1.0, rng) for _ in range(1_000_000)])
+        draws = np.array(_exponential_draws(rng, 1_000_000))
         assert draws.mean() == pytest.approx(1.0, abs=0.01)
 
     def test_memorylessness_spot_check(self):
         rng = np.random.default_rng(3)
-        draws = np.array([sample_exponential_gain(1.0, rng) for _ in range(500_000)])
+        draws = np.array(_exponential_draws(rng, 500_000))
         p_gt_1 = (draws > 1.0).mean()
         p_gt_2_given_1 = (draws > 2.0).sum() / (draws > 1.0).sum()
         assert p_gt_2_given_1 == pytest.approx(p_gt_1, abs=0.01)
-
-    def test_positive_mean_required(self):
-        rng = np.random.default_rng(4)
-        with pytest.raises(ValueError):
-            sample_exponential_gain(0.0, rng)
 
 
 class TestStreamFactory:
@@ -189,7 +191,7 @@ class TestStepFrame:
         # Exact arithmetic replay: reconstruct each frame's drawn gains
         # from a twin stream factory and verify
         # bits_out = min(backlog, floor(rate_truth * t)).
-        from cogalloc import SecondaryUser, rate_idle, rate_interfered
+        from cogalloc.economics import idle_rates, interfered_rates
 
         params, traffic, profiles, streams, state, grid = _episode_setup(seed=47)
         twin = StreamFactory(47, trial=0)
@@ -200,23 +202,16 @@ class TestStepFrame:
             trace = step_frame(state, params, traffic, streams, profiles, grid)
             if not any(buffers):
                 continue
-            gains = [
-                sample_exponential_gain(1.0, twin.stream("gain", i)) for i in range(n)
-            ]
+            gains = simkit._exponential_gains(
+                [1.0] * n, [twin.stream("gain", i).random() for i in range(n)]
+            )
             if trace.fc_decision_busy:
                 continue
             for i in trace.selected_set:
-                su = SecondaryUser(
-                    id=i,
-                    gain_to_fc=gains[i],
-                    buffer_bits=buffers[i],
-                    pay_rate=profiles[i].pay_rate,
-                    earn_rate=profiles[i].earn_rate,
-                )
                 rate = (
-                    rate_interfered(su, params)
+                    interfered_rates([gains[i]], params)[0]
                     if trace.pu_active
-                    else rate_idle(su, params)
+                    else idle_rates([gains[i]], params)[0]
                 )
                 expected = min(
                     buffers[i], math.floor(rate * trace.allocation.times[i])
@@ -251,11 +246,11 @@ class TestBufferConservation:
         twin = StreamFactory(37, trial=0)
         arrivals = {i: [] for i in range(n_users)}
         for i in range(n_users):
-            t = sample_pareto_idle(traffic, twin.stream("traffic", i))
+            t = simkit._pareto_gap(traffic, twin.stream("traffic", i).random())
             t += traffic.accumulation_time
             while t < 60 * params.frame_duration:
                 arrivals[i].append(t)
-                t += sample_pareto_idle(traffic, twin.stream("traffic", i))
+                t += simkit._pareto_gap(traffic, twin.stream("traffic", i).random())
                 t += traffic.accumulation_time
         prev_bits = tuple(b.bits for b in state.buffers)
         for n in range(50):

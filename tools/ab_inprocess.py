@@ -4,6 +4,8 @@
         --sets 24 25 --pairs 30
     python3 tools/ab_inprocess.py A_ROOT B_ROOT --mode lone --workload oracle-exact --m 5
     python3 tools/ab_inprocess.py A_ROOT B_ROOT --mode chunks --workload sim-traffic
+    python3 tools/ab_inprocess.py A_ROOT B_ROOT --mode startup --workload joint-large \
+        --pairs 30
 
 A_ROOT and B_ROOT are source checkouts (each with ``src/cogalloc``); A
 is the reference side of every ratio (B / A). Configs are those
@@ -27,10 +29,17 @@ Modes (the seconds each sample reports):
 * ``chunks``: the ``simulate`` work of ``--jobs`` >= trials without the
   process pool: each trial of sweep point 0 as its own chunk
   (``cli._sweep_chunk``), the sample one pass over all of them.
+* ``startup``: a fresh interpreter from spawn until ``cli.load_config``
+  returns inside ``cli.main`` of the workload's subcommand and config
+  (nothing is preloaded; the command stops there). The spawn instant is
+  the parent's ``time.perf_counter()`` just before it starts the child
+  (CLOCK_MONOTONIC, shared by processes on Linux), as in perfbench's
+  ``setup_s``.
 
 In ``lone`` and ``chunks`` the two sides' results must have equal
-``repr``. The last line printed is one JSON object with the medians,
-quartiles and per-pair ratios.
+``repr``, and in ``startup`` equal effective configs. The last line
+printed is one JSON object with the medians, quartiles and per-pair
+ratios.
 """
 
 from __future__ import annotations
@@ -65,15 +74,42 @@ def _workloads() -> dict:
 # ---------------------------------------------------------------------------
 
 
+class _Loaded(Exception):
+    """Raised when ``cli.load_config`` returns, to stop a ``startup`` sample."""
+
+
+def _startup(args) -> None:
+    sys.path.insert(0, args.src)
+    from cogalloc import cli
+
+    load_config = cli.load_config
+
+    def timed_load_config(path):
+        cfg = load_config(path)
+        raise _Loaded(time.perf_counter() - args.spawn, cfg)
+
+    cli.load_config = timed_load_config
+    try:
+        cli.main([args.command, "--config", args.config, "--jobs", "1", "--out", args.out])
+    except _Loaded as loaded:
+        seconds, cfg = loaded.args
+    else:
+        raise SystemExit("cli.main returned before load_config did")
+    effective = json.dumps(cfg.effective, sort_keys=True)
+    print(json.dumps({"seconds": seconds, "result": effective}))
+
+
 def _child(args) -> None:
+    if args.mode == "startup":
+        _startup(args)
+        return
     import numpy.random  # noqa: F401  (outside every timed span)
 
     sys.path.insert(0, args.src)
     from cogalloc import cli
 
-    command = _workloads()[args.workload]["command"]
     if args.mode == "cli":
-        argv = [command, "--config", args.config, "--jobs", "1", "--out", args.out]
+        argv = [args.command, "--config", args.config, "--jobs", "1", "--out", args.out]
         start = time.perf_counter()
         code = cli.main(argv)
         seconds = time.perf_counter() - start
@@ -137,9 +173,11 @@ def _sample(args, root: str, config: str, work: str) -> tuple:
     argv = [
         sys.executable, os.path.abspath(__file__), "--child", "--src",
         os.path.join(root, "src"), "--mode", args.mode, "--workload", args.workload,
-        "--config", config, "--out", out, "--repeats", str(args.repeats),
+        "--command", args.command, "--config", config, "--out", out,
+        "--repeats", str(args.repeats),
     ]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    argv += ["--spawn", repr(time.perf_counter())]
     done = subprocess.run(argv, cwd=work, env=env, capture_output=True, text=True, check=False)
     if done.returncode != 0:
         raise SystemExit(f"sample failed in {root}:\n{done.stderr[-2000:]}")
@@ -157,7 +195,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("a_root", nargs="?")
     ap.add_argument("b_root", nargs="?")
-    ap.add_argument("--mode", choices=("cli", "lone", "chunks"), default="cli")
+    ap.add_argument("--mode", choices=("cli", "lone", "chunks", "startup"), default="cli")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--sets", type=int, nargs="+", default=[24])
     ap.add_argument("--pairs", type=int, default=20)
@@ -167,6 +205,8 @@ def main(argv=None) -> int:
     ap.add_argument("--src", help=argparse.SUPPRESS)
     ap.add_argument("--config", help=argparse.SUPPRESS)
     ap.add_argument("--out", help=argparse.SUPPRESS)
+    ap.add_argument("--command", help=argparse.SUPPRESS)
+    ap.add_argument("--spawn", type=float, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.child:
         _child(args)
@@ -175,6 +215,7 @@ def main(argv=None) -> int:
         ap.error("two checkouts are needed: A_ROOT B_ROOT")
 
     spec = _workloads()[args.workload]
+    args.command = spec["command"]
     roots = (os.path.abspath(args.a_root), os.path.abspath(args.b_root))
     seconds = ([], [])
     with tempfile.TemporaryDirectory(prefix="ab_inprocess_") as work:
