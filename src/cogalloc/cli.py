@@ -290,6 +290,12 @@ def effective_config(raw: dict) -> dict:
             )
         if section == "users" and isinstance(eff.get("users"), list):
             errors.append(f"sweep {sweep!r} requires generated users, not an explicit list")
+    elif sweep == "none" and isinstance(eff["experiment"]["values"], list):
+        # Values without a sweep would run one unswept point and ignore them.
+        errors.append(
+            "experiment.values must be null when experiment.sweep is 'none', got "
+            f"{eff['experiment']['values']!r}"
+        )
 
     if errors:
         raise ConfigError("; ".join(errors))

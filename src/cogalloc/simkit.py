@@ -177,21 +177,6 @@ def _exponential_gains(means, uniforms) -> list:
     return [-mean * math.log(1.0 - r) for mean, r in zip(means, uniforms)]
 
 
-@dataclass
-class EpisodeState:
-    """Mutable per-trial simulation state.
-
-    ``last_completions`` holds, per user, the (arrival_time, delay) pairs
-    of batches fully drained by the most recent frame (an empty sequence
-    where none completed).
-    """
-
-    buffers: list
-    next_batch_time: list
-    frame_index: int = 0
-    last_completions: list = field(default_factory=list)
-
-
 @dataclass(frozen=True)
 class UserProfile:
     """Static description of one simulated user (prices fixed per run).
@@ -214,56 +199,76 @@ class UserProfile:
             raise ValueError("price fields must be non-negative")
 
 
-def init_state(
-    profiles: Sequence[UserProfile],
-    traffic: TrafficModel,
-    streams: StreamFactory,
-) -> EpisodeState:
-    """Fresh buffers holding each profile's initial batch at t=0, with
-    each user's first arrival countdown already sampled."""
-    buffers = []
-    next_batch = []
-    for i, profile in enumerate(profiles):
-        buf = BufferState()
-        buf.add_batch(0.0, profile.initial_bits)
-        buffers.append(buf)
-        gap = _pareto_gap(traffic, next(streams.uniforms("traffic", i)))
-        next_batch.append(gap + traffic.accumulation_time)
-    return EpisodeState(buffers=buffers, next_batch_time=next_batch)
+class _Trial:
+    """One simulated trial: its streams, each user's buffer (holding the
+    profile's initial batch at t=0) and next arrival instant (the first
+    countdown already sampled), the index of its next frame, each user's
+    (arrival, delay) pairs of fully drained batches, and its frame traces
+    (None when the trial is not traced)."""
+
+    def __init__(
+        self, profiles: Sequence[UserProfile], traffic: TrafficModel, seed: int,
+        trial: int, traced: bool,
+    ):
+        self.streams = StreamFactory(seed, trial)
+        self.buffers = []
+        self.next_batch_time = []
+        for i, profile in enumerate(profiles):
+            buf = BufferState()
+            buf.add_batch(0.0, profile.initial_bits)
+            self.buffers.append(buf)
+            gap = _pareto_gap(traffic, next(self.streams.uniforms("traffic", i)))
+            self.next_batch_time.append(gap + traffic.accumulation_time)
+        self.frame_index = 0
+        self.completed: list = [[] for _ in profiles]
+        self.traces: Optional[list] = [] if traced else None
+
+    def stats(self) -> DelayStats:
+        """The trial's statistics from its completed batches and the
+        batches still pending."""
+        per_su_mean = tuple(
+            (sum(d for _, d in done) / len(done)) if done else math.nan
+            for done in self.completed
+        )
+        finite = [d for d in per_su_mean if not math.isnan(d)]
+        jain = jain_index(finite) if finite and any(d > 0 for d in finite) else math.nan
+        return DelayStats(
+            per_su_mean_delay=per_su_mean,
+            jain=jain,
+            completed_batches=tuple(len(done) for done in self.completed),
+            dropped_batches=tuple(len(buf.pending) for buf in self.buffers),
+        )
 
 
 def _step_frames(
-    episodes: Sequence[tuple],
+    trials: Sequence[_Trial],
     params: SystemParams,
     traffic: TrafficModel,
     profiles: Sequence[UserProfile],
     grid: DesignGrid,
-    traced: Sequence[bool],
-) -> list:
-    # One frame of every (state, streams) pair in ``episodes``, in
-    # lockstep: each trial draws its PU state and gains, every trial with
-    # a non-empty buffer is optimized in one stacked table built from the
-    # columns (gains, backlogs, the profiles' prices), and then each trial
-    # votes, drains and takes its traffic. The optimization reads the
-    # frame-start backlogs (its computation time is neglected), and on an
-    # idle declaration each selected user drains floor(rate * t) bits at
-    # the rate of the true hypothesis. Every draw comes from the trial's
-    # own streams, so each trace is the one the trial gives alone. A
-    # trial's trace is built only where its flag in ``traced`` is set,
-    # None elsewhere.
+) -> None:
+    # One frame of every trial in ``trials``, in lockstep: each trial
+    # draws its PU state and gains, every trial with a non-empty buffer is
+    # optimized in one stacked table built from the columns (gains,
+    # backlogs, the profiles' prices), and then each trial votes, drains
+    # and takes its traffic. The optimization reads the frame-start
+    # backlogs (its computation time is neglected), and on an idle
+    # declaration each selected user drains floor(rate * t) bits at the
+    # rate of the true hypothesis. Every draw comes from the trial's own
+    # streams, so each trace is the one the trial gives alone.
     n = len(profiles)
     means = [p.gain_mean for p in profiles]
     starts = []
     gains: list = []
     backlogs: list = []
-    for state, streams in episodes:
-        buffers_at_start = tuple([buf.bits for buf in state.buffers])
-        pu_active = next(streams.uniforms("pu")) < (1.0 - params.p_h0)
+    for trial in trials:
+        buffers_at_start = tuple([buf.bits for buf in trial.buffers])
+        pu_active = next(trial.streams.uniforms("pu")) < (1.0 - params.p_h0)
         # With every buffer empty there is nothing to sell: no user can be
         # selected (zero upper bounds), so the optimization is skipped whole.
         optimized = any(buffers_at_start)
         if optimized:
-            draws = [next(streams.uniforms("gain", i)) for i in range(n)]
+            draws = [next(trial.streams.uniforms("gain", i)) for i in range(n)]
             gains += _exponential_gains(means, draws)
             backlogs += buffers_at_start
         starts.append((buffers_at_start, pu_active, optimized))
@@ -280,44 +285,36 @@ def _step_frames(
         found = optimize_table(table, designs)
         # Each optimized trial's rates as priced: r0 (PU absent), r1 (present).
         rates = (table.r0[:, 0].tolist(), table.r1[:, 0].tolist())
-    traces = []
     j = 0
-    for (state, streams), (buffers_at_start, pu_active, optimized), keep in zip(
-        episodes, starts, traced
-    ):
+    for trial, (buffers_at_start, pu_active, optimized) in zip(trials, starts):
         outcome = None
         if optimized:
             outcome = found[j] + (rates[pu_active][j],)
             j += 1
-        traces.append(_finish_frame(
-            state, streams, params, traffic, designs, buffers_at_start, pu_active, outcome, keep
-        ))
-    return traces
+        _finish_frame(trial, params, traffic, designs, buffers_at_start, pu_active, outcome)
 
 
 def _finish_frame(
-    state: EpisodeState,
-    streams: StreamFactory,
+    trial: _Trial,
     params: SystemParams,
     traffic: TrafficModel,
     designs: DesignTable,
     buffers_at_start: tuple,
     pu_active: bool,
     outcome: Optional[tuple],
-    traced: bool,
-) -> Optional[FrameTrace]:
+) -> None:
     # The vote, drain and traffic half of one trial's frame, after its
     # optimization: ``outcome`` is (design row of ``designs`` or None,
     # allocation, each user's rate under the true hypothesis), None when
-    # every buffer was empty. Its trace where ``traced``, None elsewhere.
-    n = len(state.buffers)
-    frame_start = state.frame_index * params.frame_duration
+    # every buffer was empty. The trial's trace is built only where it
+    # keeps traces.
+    n = len(trial.buffers)
+    frame_start = trial.frame_index * params.frame_duration
     frame_end = frame_start + params.frame_duration
     votes: tuple = ()
     fc_busy = True
     selected: tuple = ()
     bits_out = [0] * n
-    completions: list = [()] * n
     realized = None
     chosen_pfa = None
     chosen_k = None
@@ -330,41 +327,39 @@ def _finish_frame(
             chosen_pfa, chosen_k = design.pfa_local, design.k_threshold
             selected = alloc.selected_ids
             p_vote = designs.pd.item(d) if pu_active else design.pfa_local
-            votes = tuple([next(streams.uniforms("vote", i)) < p_vote for i in selected])
+            votes = tuple([next(trial.streams.uniforms("vote", i)) < p_vote for i in selected])
             fc_busy = sum(votes) >= design.k_threshold
             if not fc_busy:
                 realized = 1 if pu_active else 0
                 for i in selected:
                     drained = min(buffers_at_start[i], math.floor(rates[i] * alloc.times[i]))
                     bits_out[i] = drained
-                    completions[i] = state.buffers[i].drain(drained, frame_end)
+                    trial.completed[i] += trial.buffers[i].drain(drained, frame_end)
 
     # Traffic: batches whose completion instant falls inside this frame.
-    arrivals = state.next_batch_time
+    arrivals = trial.next_batch_time
     for i in range(n):
         if arrivals[i] < frame_end:
-            draws = streams.uniforms("traffic", i)
+            draws = trial.streams.uniforms("traffic", i)
             while arrivals[i] < frame_end:
-                state.buffers[i].add_batch(arrivals[i], traffic.batch_bits)
+                trial.buffers[i].add_batch(arrivals[i], traffic.batch_bits)
                 gap = _pareto_gap(traffic, next(draws))
                 arrivals[i] += gap + traffic.accumulation_time
-    state.frame_index += 1
-    state.last_completions = completions
-    if not traced:
-        return None
-    return FrameTrace(
-        frame_index=state.frame_index - 1,
-        pu_active=pu_active,
-        local_votes=votes,
-        fc_decision_busy=fc_busy,
-        selected_set=selected,
-        allocation=alloc,
-        bits_out=tuple(bits_out),
-        realized_rate_hypothesis=realized,
-        chosen_pfa=chosen_pfa,
-        chosen_k=chosen_k,
-        buffers_at_start=buffers_at_start,
-    )
+    trial.frame_index += 1
+    if trial.traces is not None:
+        trial.traces.append(FrameTrace(
+            frame_index=trial.frame_index - 1,
+            pu_active=pu_active,
+            local_votes=votes,
+            fc_decision_busy=fc_busy,
+            selected_set=selected,
+            allocation=alloc,
+            bits_out=tuple(bits_out),
+            realized_rate_hypothesis=realized,
+            chosen_pfa=chosen_pfa,
+            chosen_k=chosen_k,
+            buffers_at_start=buffers_at_start,
+        ))
 
 
 def run_episode(
@@ -408,9 +403,10 @@ def run_episodes(
     traced_trials: Collection[int] = (),
 ) -> list:
     """:func:`run_episode` of every trial in ``trials``, in order, stepped
-    frame by frame in lockstep: each trial keeps its own
-    :class:`StreamFactory` and :class:`EpisodeState`, and each frame the
-    trials with a non-empty buffer are optimized together: one stacked
+    frame by frame in lockstep. Each trial is one object holding its own
+    :class:`StreamFactory`, buffers, next arrivals, completed batches and
+    traces, and each frame the trials with a non-empty buffer are
+    optimized together: one stacked
     :class:`~cogalloc.allocator.UserTable` built from their columns,
     searched by :func:`~cogalloc.optimizer.optimize_table`. So each trial's
     result is the one it gives alone, whichever trials run with it. Only
@@ -429,43 +425,10 @@ def run_episodes(
         raise ValueError("profiles must hold at least one user")
     if grid is None:
         grid = DesignGrid.uniform(n)
-    trials = list(trials)
-    episodes = []
-    for trial in trials:
-        streams = StreamFactory(rng_seed, trial)
-        episodes.append((init_state(profiles, traffic, streams), streams))
-    delays: list = [[[] for _ in range(n)] for _ in trials]
-    traces: list = [[] for _ in trials]
-    kept = [trial in traced_trials for trial in trials]
-
+    runs = [_Trial(profiles, traffic, rng_seed, t, t in traced_trials) for t in trials]
     for _ in range(n_frames):
-        frame = _step_frames(episodes, params, traffic, profiles, grid, kept)
-        for j, ((state, _), trace) in enumerate(zip(episodes, frame)):
-            for i, done in enumerate(state.last_completions):
-                if done:
-                    delays[j][i].extend([delay for _, delay in done])
-            if trace is not None:
-                traces[j].append(trace)
-
-    return [
-        (_delay_stats(waits, state), kept_traces)
-        for (state, _), waits, kept_traces in zip(episodes, delays, traces)
-    ]
-
-
-def _delay_stats(delays: list, state: EpisodeState) -> DelayStats:
-    # One trial's statistics from its per-user delays and final state.
-    per_su_mean = tuple(
-        (sum(d) / len(d)) if d else math.nan for d in delays
-    )
-    finite = [d for d in per_su_mean if not math.isnan(d)]
-    jain = jain_index(finite) if finite and any(d > 0 for d in finite) else math.nan
-    return DelayStats(
-        per_su_mean_delay=per_su_mean,
-        jain=jain,
-        completed_batches=tuple(len(d) for d in delays),
-        dropped_batches=tuple(len(buf.pending) for buf in state.buffers),
-    )
+        _step_frames(runs, params, traffic, profiles, grid)
+    return [(run.stats(), run.traces or []) for run in runs]
 
 
 def jain_index(values: Sequence[float]) -> float:

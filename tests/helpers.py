@@ -441,10 +441,11 @@ def exchange_search(kept, excluded, design, params) -> tuple:
     return tuple(pool[i] for i in idx), alloc
 
 
-def step_frame(state, params, traffic, streams, profiles, grid):
-    """One frame of one trial, traced: the one-trial case of the
-    simulator's lockstep frame."""
-    return _step_frames([(state, streams)], params, traffic, profiles, grid, (True,))[0]
+def step_frame(trial, params, traffic, profiles, grid):
+    """One frame of one traced trial (``simkit._Trial``): the one-trial
+    case of the simulator's lockstep frame. Returns the frame's trace."""
+    _step_frames([trial], params, traffic, profiles, grid)
+    return trial.traces[-1]
 
 
 def monte_carlo_average(instance_metric, n_trials: int) -> tuple:

@@ -73,6 +73,15 @@ class TestConfigParsing:
         message = str(err.value)
         assert "trials" in message and "experiment.values" in message
 
+    def test_values_without_a_sweep_rejected(self):
+        # They used to be ignored: one unswept point ran. A null still loads,
+        # as --emit-effective-config prints it.
+        for values in ([0.5, 0.9], []):
+            with pytest.raises(ConfigError, match="experiment.sweep"):
+                parse_config({"experiment": {"values": values}})
+        cfg = parse_config({"experiment": {"sweep": "none", "values": None}})
+        assert cfg.sweep_values == (None,)
+
     def test_effective_config_round_trip(self):
         eff = effective_config({"system": {"zeta": 0.75}, "trials": 4})
         again = effective_config(eff)
@@ -484,6 +493,13 @@ class TestMainEntry:
         code = main(["optimize", "--config", str(path), "--out", str(tmp_path)])
         assert code == EXIT_CONFIG
         assert "experiment.values" in capsys.readouterr().err
+
+    def test_values_without_a_sweep_exit_code(self, tmp_path, capsys):
+        path = _cfg(tmp_path, {"experiment": {"values": [0.5, 0.9]}, "users": {"count": 3}})
+        code = main(["optimize", "--config", str(path), "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert "experiment.sweep" in capsys.readouterr().err
+        assert not (tmp_path / "optimize.csv").exists()
 
     @pytest.mark.parametrize(
         "raw,field",

@@ -1,8 +1,9 @@
 """The public surface is what the library, the demos and the acceptance
 gate call.
 
-Every name in ``cogalloc.__all__`` must import from the package and be
-referenced in code (an ``ast.Name`` or ``ast.Attribute``, outside its own
+Every name in ``cogalloc.__all__`` must import from the package. It, and
+every public top-level ``def``/``class`` of a module in ``src/cogalloc``,
+must be referenced in code (an ``ast.Name`` or ``ast.Attribute``, outside its own
 ``def``/``class``) by a library module other than ``__init__``, by a demo,
 or by ``tests/test_acceptance.py``. Docstrings, comments and import rows
 are not references, so a name that only unit tests call fails here and
@@ -57,13 +58,29 @@ def _referenced() -> set:
     return refs.names
 
 
+def _defined() -> set:
+    # Every public top-level def/class of the library's modules.
+    names = set()
+    for path in (ROOT / "src" / "cogalloc").glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        names.update(
+            node.name
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")
+        )
+    return names
+
+
 REFERENCED = _referenced()
+DEFINED = _defined()
 
 
 def test_callers_found():
     names = {p.name for p in CALLERS}
     assert {"cli.py", "simkit.py", "test_acceptance.py"} <= names
     assert any(p.parent.name == "demos" for p in CALLERS)
+    assert {"run_episodes", "BufferState", "UserTable", "main"} <= DEFINED
 
 
 @pytest.mark.parametrize("name", sorted(cogalloc.__all__))
@@ -73,9 +90,9 @@ def test_name_imports(name):
     assert namespace[name] is getattr(cogalloc, name)
 
 
-@pytest.mark.parametrize("name", sorted(cogalloc.__all__))
+@pytest.mark.parametrize("name", sorted(set(cogalloc.__all__) | DEFINED))
 def test_name_has_a_caller(name):
     assert name in REFERENCED, (
-        f"cogalloc.{name} is exported but no library module, demo or "
-        "acceptance test refers to it"
+        f"{name} is exported or defined public but no library module, demo "
+        "or acceptance test refers to it"
     )

@@ -19,7 +19,7 @@ from cogalloc import (
 )
 from cogalloc.sensing import SensingDesign
 from cogalloc import simkit
-from cogalloc.simkit import BufferState, init_state
+from cogalloc.simkit import BufferState
 
 from helpers import monte_carlo_average, step_frame
 
@@ -159,27 +159,26 @@ def _episode_setup(p_h0=0.8, zeta=0.7, gamma_db=-7.0, n_users=3, seed=17):
     params = default_system_params(p_h0=p_h0, zeta=zeta, gamma_db=gamma_db)
     traffic = TrafficModel(shape=1.0, scale=7.0, batch_bits=10)
     profiles = [UserProfile() for _ in range(n_users)]
-    streams = StreamFactory(seed, trial=0)
-    state = init_state(profiles, traffic, streams)
+    trial = simkit._Trial(profiles, traffic, seed, 0, traced=True)
     grid = DesignGrid.uniform(n_users)
-    return params, traffic, profiles, streams, state, grid
+    return params, traffic, profiles, trial, grid
 
 
 class TestStepFrame:
     def test_busy_declaration_moves_no_bits(self):
-        params, traffic, profiles, streams, state, grid = _episode_setup()
+        params, traffic, profiles, trial, grid = _episode_setup()
         for _ in range(30):
-            trace = step_frame(state, params, traffic, streams, profiles, grid)
+            trace = step_frame(trial, params, traffic, profiles, grid)
             if trace.fc_decision_busy:
                 assert trace.bits_out == (0, 0, 0)
                 assert trace.realized_rate_hypothesis is None
 
     def test_drain_bounded_by_backlog(self):
-        params, traffic, profiles, streams, state, grid = _episode_setup(seed=23)
+        params, traffic, profiles, trial, grid = _episode_setup(seed=23)
         checked = 0
         for _ in range(40):
-            buffers = tuple(b.bits for b in state.buffers)
-            trace = step_frame(state, params, traffic, streams, profiles, grid)
+            buffers = tuple(b.bits for b in trial.buffers)
+            trace = step_frame(trial, params, traffic, profiles, grid)
             if trace.fc_decision_busy or not trace.selected_set:
                 continue
             for i in trace.selected_set:
@@ -193,13 +192,13 @@ class TestStepFrame:
         # bits_out = min(backlog, floor(rate_truth * t)).
         from cogalloc.economics import idle_rates, interfered_rates
 
-        params, traffic, profiles, streams, state, grid = _episode_setup(seed=47)
+        params, traffic, profiles, trial, grid = _episode_setup(seed=47)
         twin = StreamFactory(47, trial=0)
         n = len(profiles)
         checked = 0
         for _ in range(50):
-            buffers = tuple(b.bits for b in state.buffers)
-            trace = step_frame(state, params, traffic, streams, profiles, grid)
+            buffers = tuple(b.bits for b in trial.buffers)
+            trace = step_frame(trial, params, traffic, profiles, grid)
             if not any(buffers):
                 continue
             gains = simkit._exponential_gains(
@@ -221,19 +220,19 @@ class TestStepFrame:
         assert checked > 0
 
     def test_idle_frames_use_true_hypothesis_label(self):
-        params, traffic, profiles, streams, state, grid = _episode_setup(seed=29)
+        params, traffic, profiles, trial, grid = _episode_setup(seed=29)
         seen = set()
         for _ in range(60):
-            trace = step_frame(state, params, traffic, streams, profiles, grid)
+            trace = step_frame(trial, params, traffic, profiles, grid)
             if not trace.fc_decision_busy and trace.selected_set:
                 assert trace.realized_rate_hypothesis == (1 if trace.pu_active else 0)
                 seen.add(trace.realized_rate_hypothesis)
         assert 0 in seen
 
     def test_votes_only_from_selected_users(self):
-        params, traffic, profiles, streams, state, grid = _episode_setup(seed=31)
+        params, traffic, profiles, trial, grid = _episode_setup(seed=31)
         for _ in range(20):
-            trace = step_frame(state, params, traffic, streams, profiles, grid)
+            trace = step_frame(trial, params, traffic, profiles, grid)
             assert len(trace.local_votes) == len(trace.selected_set)
 
 
@@ -241,7 +240,7 @@ class TestBufferConservation:
     def test_recursion_with_replayed_arrivals(self):
         # Replay each user's arrival process from a twin stream factory and
         # check bits(n+1) = bits(n) - out(n) + in(n) exactly, frame by frame.
-        params, traffic, profiles, streams, state, grid = _episode_setup(seed=37)
+        params, traffic, profiles, trial, grid = _episode_setup(seed=37)
         n_users = len(profiles)
         twin = StreamFactory(37, trial=0)
         arrivals = {i: [] for i in range(n_users)}
@@ -252,17 +251,50 @@ class TestBufferConservation:
                 arrivals[i].append(t)
                 t += simkit._pareto_gap(traffic, twin.stream("traffic", i).random())
                 t += traffic.accumulation_time
-        prev_bits = tuple(b.bits for b in state.buffers)
+        prev_bits = tuple(b.bits for b in trial.buffers)
         for n in range(50):
-            trace = step_frame(state, params, traffic, streams, profiles, grid)
+            trace = step_frame(trial, params, traffic, profiles, grid)
             start, end = n * params.frame_duration, (n + 1) * params.frame_duration
             for i in range(n_users):
                 landed = sum(
                     traffic.batch_bits for t in arrivals[i] if start <= t < end
                 )
                 expected = prev_bits[i] - trace.bits_out[i] + landed
-                assert state.buffers[i].bits == expected
-            prev_bits = tuple(b.bits for b in state.buffers)
+                assert trial.buffers[i].bits == expected
+            prev_bits = tuple(b.bits for b in trial.buffers)
+
+    @pytest.mark.parametrize("scale", [0.002, 7.0])
+    def test_every_arrived_batch_completes_or_is_dropped(self, scale):
+        # Per user and trial of a lockstep chunk: the batches that arrived
+        # before the horizon (the t=0 batch where the backlog is positive,
+        # then each arrival replayed from a twin stream factory) are the
+        # completed ones plus those still pending.
+        params = default_system_params()
+        traffic = TrafficModel(scale=scale)
+        profiles = [
+            UserProfile(initial_bits=5),
+            UserProfile(gain_mean=0.4, initial_bits=40),
+            UserProfile(gain_mean=2.5, initial_bits=0),
+        ]
+        n_frames, seed, trials = 60, 19, tuple(range(6))
+        # The last frame's end, summed as the simulator sums it.
+        horizon = (n_frames - 1) * params.frame_duration + params.frame_duration
+        got = run_episodes(n_frames, params, traffic, seed, profiles, trials)
+        landed_in_all = 0
+        for trial, (stats, _) in zip(trials, got):
+            twin = StreamFactory(seed, trial)
+            for i, profile in enumerate(profiles):
+                rng = twin.stream("traffic", i)
+                landed = 0
+                t = simkit._pareto_gap(traffic, rng.random()) + traffic.accumulation_time
+                while t < horizon:
+                    landed += 1
+                    t += simkit._pareto_gap(traffic, rng.random()) + traffic.accumulation_time
+                landed_in_all += landed
+                at_start = 1 if profile.initial_bits > 0 else 0
+                assert stats.completed_batches[i] + stats.dropped_batches[i] == at_start + landed
+        # At 0.002 s traffic arrives within the horizon; at the shipped 7.0 s none does.
+        assert (landed_in_all > 0) == (scale < 1.0)
 
 
 def _nan_as_none(stats):
@@ -347,13 +379,11 @@ class TestRunEpisode:
         assert repr(a[1]) != repr(b[1])
 
     def test_delays_nonnegative_and_fifo_ordered(self):
-        params, traffic, profiles, streams, state, grid = _episode_setup(seed=41)
-        completions = {i: [] for i in range(len(profiles))}
+        params, traffic, profiles, trial, grid = _episode_setup(seed=41)
         for _ in range(80):
-            step_frame(state, params, traffic, streams, profiles, grid)
-            for i, done in enumerate(state.last_completions):
-                completions[i].extend(done)
-        for i, done in completions.items():
+            step_frame(trial, params, traffic, profiles, grid)
+        assert any(trial.completed)
+        for done in trial.completed:
             arrivals = [a for a, _ in done]
             assert arrivals == sorted(arrivals)
             assert all(d >= 0.0 for _, d in done)
