@@ -91,6 +91,12 @@ class AllocationResult:
         return sum(1 for flag in self.active if flag)
 
 
+def _effective_rates(q0, q1, r0, r1):
+    # The effective rates q0 r0 + q1 r1 under the opportunity weights
+    # (q0, q1), elementwise.
+    return q0 * r0 + q1 * r1
+
+
 def time_bound_arrays(rates, margin, buffers, cost: float) -> tuple:
     """Break-even lower and buffer-clearing upper time bounds, elementwise
     (any broadcastable shapes). A never-profitable user (margin <= 0)
@@ -120,8 +126,9 @@ class DesignTable:
     at one utility, the joint search and the oracle keep the one of
     lower rank. Per design and set size L the table gives the fused tails
     (:meth:`tails`, the shared binomial rows' values) and weights
-    (:meth:`weights`); per user count m, l_first (:meth:`at_users`); per
-    L, the designs meeting the floor (:meth:`admissible`).
+    (:meth:`weights`); per user count m, l_first (:meth:`at_users`) and
+    what every screen of m users reads, built once (:class:`_AtUsers`);
+    per L, the designs meeting the floor (:meth:`admissible`).
 
     A computed P_D falls in k bit for bit, so the thresholds meeting the
     floor at L are k <= K(L). P_D at K(L-1) + 0, 1 and 2 gives K(L) when
@@ -221,19 +228,13 @@ class DesignTable:
         entry per design, read-only: l_first (m + 1 when no L in [k, m]
         meets the floor), the weights at m and at l_first (nan where
         l_first > m), and T'(min(l_first, m)) + TIME_TOL."""
+        return self._at(m).public
+
+    def _at(self, m: int) -> "_AtUsers":
+        # The facts every screen of m users reads, built once per m.
         got = self._users.get(m)
         if got is None:
-            met = np.maximum.accumulate(self._reach_to(m), axis=0)[:, self._row] >= self.k
-            l_first = np.where(met.any(axis=0), met.argmax(axis=0), m + 1)
-            rows = np.flatnonzero(l_first <= m)
-            at_m = np.full((len(self.k), 2), np.nan)
-            at_first = at_m.copy()
-            at_m[rows] = self.weights(rows, m)
-            at_first[rows] = self.weights(rows, l_first[rows])
-            budgets = np.array([effective_time(self._params, l) for l in range(m + 1)])
-            budget_first = budgets[np.minimum(l_first, m)] + TIME_TOL
-            got = tuple(map(_read_only, (l_first, at_m, at_first, budget_first)))
-            self._users[m] = got
+            got = self._users[m] = _AtUsers(self, m)
         return got
 
     def admissible(self, size: int) -> tuple:
@@ -257,15 +258,79 @@ def design_table(params: SystemParams, pfas, ks) -> DesignTable:
     return DesignTable(params, pfas, ks)
 
 
+@lru_cache(maxsize=256)
+def _budgets(params: SystemParams, m: int) -> np.ndarray:
+    # T'(L) for L = 0..m, read-only: one array per (params, m), shared by
+    # every table of m users and the design tables' entries for m.
+    return _read_only(np.array([effective_time(params, l) for l in range(m + 1)]))
+
+
+class _AtUsers:
+    """What a :class:`DesignTable` gives every screen of ``m`` users, one
+    entry per m: :meth:`DesignTable.at_users`'s tuple (``public``), the
+    budgets T'(L) for L = 0..m, and the screen's columns.
+
+    The screen prices only the designs with some l_first <= m (a design
+    without one admits no feasible set), in grid order, and, when there
+    are others, one of them after them, which stands for them all: its
+    weights are nan, so it reduces to the empty set, and ``expand`` maps
+    every design to its column (None when every design has a column).
+    Per column: l_first, the weights at m (a pair of rows q0, q1) and
+    T'(min(l_first, m)) + TIME_TOL; and ``weights``, the weights of
+    column j at size L (rows 0 and 1, nan below l_first, filled one size
+    at a time by :meth:`fill`) and at l_first (rows 2 and 3) at L *
+    columns + j, 4 x (m + 1) columns."""
+
+    __slots__ = (
+        "public", "budgets", "rows", "expand", "l_first", "at_m", "budget_first",
+        "weights", "_filled",
+    )
+
+    def __init__(self, designs: "DesignTable", m: int):
+        reach = designs._reach_to(m)
+        met = np.maximum.accumulate(reach, axis=0)[:, designs._row] >= designs.k
+        l_first = np.where(met.any(axis=0), met.argmax(axis=0), m + 1)
+        live = np.flatnonzero(l_first <= m)
+        at_m = np.full((len(designs.k), 2), np.nan)
+        at_first = at_m.copy()
+        at_m[live] = designs.weights(live, m)
+        at_first[live] = designs.weights(live, l_first[live])
+        self.budgets = _budgets(designs._params, m)
+        budget_first = self.budgets[np.minimum(l_first, m)] + TIME_TOL
+        self.public = tuple(map(_read_only, (l_first, at_m, at_first, budget_first)))
+        dead = np.flatnonzero(l_first > m)
+        self.rows, self.expand = live, None
+        if dead.size:
+            self.rows = np.append(live, dead[0])
+            self.expand = np.full(len(designs.k), len(live))
+            self.expand[live] = np.arange(len(live))
+        self.l_first = l_first[self.rows]
+        self.at_m = tuple(at_m[self.rows].T.copy())
+        self.budget_first = budget_first[self.rows]
+        self.weights = np.full((4, (m + 1) * len(self.rows)), np.nan)
+        self.weights[2:] = np.tile(at_first[self.rows].T, m + 1)
+        self._filled = [False] * (m + 1)
+
+    def fill(self, designs: "DesignTable", sizes) -> None:
+        """Fill ``weights`` at each of ``sizes`` for every column with
+        l_first <= size (once per size)."""
+        for size in sizes:
+            if not self._filled[size]:
+                cols = np.flatnonzero(self.l_first <= size)
+                got = designs.weights(self.rows[cols], size)
+                self.weights[:2, size * len(self.rows) + cols] = got.T
+                self._filled[size] = True
+
+
 class UserTable:
     """One call's users and params, shared across designs.
 
     The design-independent columns (idle and interfered rates r0/r1,
-    margins b_i - a_i, backlogs in bits, pay rates a_i, ids) and the
-    budget T'(L) for every set size are built once. Each design's
-    effective rates, time bounds and priorities at a set size L are
-    computed for all users on first use and cached per (design table,
-    row, L).
+    margins b_i - a_i, backlogs in bits, pay rates a_i, ids) are built
+    once, and the budget T'(L) for every set size is shared by every
+    table of the same params and user count. Each design's effective
+    rates, time bounds and priorities at a set size L are computed for
+    all users on first use and cached per (design table, row, L).
 
     A table holds N instances of M users each, built from their columns
     or by :meth:`stack` of N user lists, for one batched :meth:`screen`;
@@ -275,7 +340,7 @@ class UserTable:
 
     __slots__ = (
         "params", "r0", "r1", "margin", "buffers", "pay", "ids",
-        "cost", "budgets", "_levels",
+        "cost", "budgets", "_flat", "_levels",
     )
 
     def __init__(self, params: SystemParams, shape: tuple, gains, buffers, pay, earn, ids):
@@ -285,17 +350,21 @@ class UserTable:
         ids. Every column is N x 1 x M, so that it broadcasts against one
         weight per design into instance x design x user; T'(L) is kept
         for L = 0..M."""
-        self.params = params
+        flat = np.array(
+            (idle_rates(gains, params), interfered_rates(gains, params), earn, buffers, pay),
+            dtype=float,
+        ).reshape(5, -1)
+        flat[2] -= flat[4]  # the margins b_i - a_i
         shape = (shape[0], 1, shape[1])
-        columns = (idle_rates(gains, params), interfered_rates(gains, params), earn, buffers, pay)
-        self.r0, self.r1, earn, self.buffers, self.pay = np.array(
-            columns, dtype=float
-        ).reshape((len(columns),) + shape)
-        self.margin = earn - self.pay
-        self.ids = np.array(ids).reshape(shape)
-        self.cost = params.sensing_cost
-        self.budgets = np.array([effective_time(params, l) for l in range(shape[-1] + 1)])
-        self._levels: dict = {}
+        self._set(params, _budgets(params, shape[-1]), flat, np.array(ids).reshape(shape), shape)
+
+    def _set(self, params, budgets, flat, ids, shape) -> None:
+        # The columns r0, r1, margin, buffers, pay are the rows of ``flat``
+        # (five rows of N M values, instance-major), in ``shape``.
+        self.params, self.cost, self.budgets = params, params.sensing_cost, budgets
+        self._flat, self.ids = flat, ids
+        self.r0, self.r1, self.margin, self.buffers, self.pay = flat.reshape((5,) + shape)
+        self._levels = {}
 
     @classmethod
     def stack(cls, instances: Sequence[Sequence[SecondaryUser]], params: SystemParams):
@@ -316,48 +385,31 @@ class UserTable:
     def instance(self, n: int) -> "UserTable":
         """Instance ``n`` as a table of its own: views of its row of every
         column (each of M users), sharing the params and budgets."""
-        return self._with(column[n, 0] for column in self._columns())
+        m = self.r0.shape[-1]
+        return self._view(self._flat[:, n * m : (n + 1) * m], self.ids[n, 0], (m,))
 
     def rows(self, start: int, stop: int) -> "UserTable":
         """Instances ``start`` to ``stop`` as a table of their own: views,
         sharing the params and budgets."""
-        return self._with(column[start:stop] for column in self._columns())
+        m = self.r0.shape[-1]
+        ids = self.ids[start:stop]
+        return self._view(self._flat[:, start * m : stop * m], ids, ids.shape)
 
-    def _instances(self, which: np.ndarray) -> "UserTable":
-        # A table whose row j holds the columns of instance which[j]
-        # (K x M), to price against K x 1 weight columns.
-        columns = (column[:, 0].take(which, axis=0) for column in self._columns())
-        return self._with(columns)
-
-    def _columns(self) -> tuple:
-        return self.r0, self.r1, self.margin, self.buffers, self.pay, self.ids
-
-    def _with(self, columns) -> "UserTable":
-        # A table over ``columns`` (in :meth:`_columns` order), with these
-        # params and budgets and no rate recomputed.
+    def _view(self, flat, ids, shape) -> "UserTable":
+        # A table over these columns, with these params and budgets and no
+        # rate recomputed.
         table = UserTable.__new__(UserTable)
-        table.params, table.cost, table.budgets = self.params, self.cost, self.budgets
-        table.r0, table.r1, table.margin, table.buffers, table.pay, table.ids = columns
-        table._levels = {}
+        table._set(self.params, self.budgets, flat, ids, shape)
         return table
-
-    def _rates(self, q0, q1):
-        # The effective rates q0 r0 + q1 r1.
-        return q0 * self.r0 + q1 * self.r1
 
     def price(self, q0, q1) -> tuple:
         """(rates, lowers, uppers, priorities) of every user under the
         opportunity weights (q0, q1): the effective rates q0 r0 + q1 r1,
         their time bounds, and the per-second payments R_i a_i. The
         weights may be scalars or columns with one row per design."""
-        rates = self._rates(q0, q1)
+        rates = _effective_rates(q0, q1, self.r0, self.r1)
         lowers, uppers = time_bound_arrays(rates, self.margin, self.buffers, self.cost)
         return rates, lowers, uppers, rates * self.pay
-
-    def priorities(self, q0, q1):
-        """The priorities R_i a_i of :meth:`price` alone, by the same
-        elementwise operations."""
-        return self._rates(q0, q1) * self.pay
 
     def level(self, designs: DesignTable, d: int, l_active: int) -> tuple:
         """:meth:`price` at row ``d`` of ``designs`` with ``l_active``
@@ -379,11 +431,11 @@ class UserTable:
     def screen(self, designs: DesignTable) -> "Screen":
         """Screen every (instance, design) pair of this stacked table
         and ``designs`` at its user count m in one pass, from the shared
-        weights, l_first and budgets (:meth:`DesignTable.at_users`, and
-        the weights at each |R|), and return the :class:`Screen`: each
-        pair's utility bound, -inf where the design admits no feasible
-        set, and its utility where the reduced set is in abundant time,
-        nan elsewhere.
+        weights, l_first and budgets (the entry of
+        :meth:`DesignTable.at_users`, and the weights at each |R|), and
+        return the :class:`Screen`: each pair's utility bound, -inf where
+        the design admits no feasible set, and its utility where the
+        reduced set is in abundant time, nan elsewhere.
 
         A design's reduced set R holds the users whose bounds are well
         ordered at m (lower < upper); never-profitable and zero-rate users
@@ -391,7 +443,15 @@ class UserTable:
         The design is feasible when l_first <= |R| (so k <= |R|), and its
         minimum viable set size l_lb is then l_first, where the scan over
         L up to |R| stops. A design with no l_first up to m has no weights
-        at m and no reduced set.
+        at m and no reduced set, and is not priced.
+
+        The reduced sets come from one pricing at m, user x instance x
+        design with the designs innermost, so that each set size is one
+        pass per user. The members of every feasible pair are then priced
+        at |R| in one pass, pairs ordered by |R|: the members of each pair
+        lie side by side in member order, and the pairs of one size form
+        one block, so that every sum below runs over one contiguous row of
+        |R| values.
 
         The bound is min(sum_{i in R} a_i B_i, (T'(l_lb) + TIME_TOL)
         max_{i in R} R_i(l_lb) a_i): every candidate set is a subset of R
@@ -401,180 +461,192 @@ class UserTable:
 
         A feasible design is settled when R is Case 1 at |R|: the
         selection serves all of R to its upper bounds and earns sum_{i in
-        R} a_i B_i, with no walk. The rates, bounds and sums are the same
-        floating-point operations :meth:`evaluate` and the scoring run on
-        R (each sum over the members in order, one contiguous row per
-        (instance, design)), so the case and utility are bit for bit the
+        R} a_i B_i, with no walk. The rates, bounds and sums at |R| are
+        the same floating-point operations :meth:`evaluate` and the
+        scoring run on R, so the case and utility are bit for bit the
         walk's, whatever the instances screened with it. The screen keeps
         each settled row's times (the upper bounds at |R|) and SU
         utilities, computed as :func:`_result` computes them, so that
         :func:`_allocate` places a settled row without pricing it again.
-        A design not settled cannot earn sum_{i in R} a_i B_i; where its
-        bound reaches the best utility its instance settled it is capped
-        below it (:meth:`_shortfall`), from each feasible row's lowest
-        member priority at |R|, which the screen also keeps.
+        A design not settled cannot earn sum_{i in R} a_i B_i: the same
+        pass gives it a cap below that (:func:`_shortfall`), which its
+        bound takes where it reaches the best utility its instance
+        settled.
         """
-        m = self.r0.shape[-1]
-        n_designs = len(designs.k)
-        l_first, at_m, at_first, budget_first = designs.at_users(m)
-        priced = self.price(at_m[:, :1], at_m[:, 1:])
+        n, m = self.r0.shape[0], self.r0.shape[-1]
+        at = designs._at(m)
+        width = len(at.rows)
+        # User x instance x 1 views of the columns, against one weight per
+        # priced design: user x instance x design.
+        r0, r1, margin, buffers = self._flat[:4].reshape(4, n, m).transpose(0, 2, 1)[..., None]
+        rates = _effective_rates(*at.at_m, r0, r1)
+        priced = rates, *time_bound_arrays(rates, margin, buffers, self.cost)
         reduced = priced[1] < priced[2]
-        sizes = reduced.sum(axis=-1)
-        feasible = l_first <= sizes
-        buffered = np.where(reduced, self.pay * self.buffers, 0.0).sum(axis=-1)
-        # Flat views of the instance x design arrays: row r is design
-        # r % n_designs of instance r // n_designs, one row per pair, so
-        # that each gather takes whole rows (``take``: a fancy index costs
-        # several times as much on arrays this small).
-        row_sizes, row_feasible = sizes.reshape(-1), feasible.reshape(-1)
-        row_members = reduced.reshape(sizes.size, m)
-        priced = [column.reshape(sizes.size, m) for column in priced]
-        at_first = self.priorities(at_first[:, :1], at_first[:, 1:]).reshape(sizes.size, m)
-        highest = _masked_reduce(np.maximum, at_first, row_members, 0.0).reshape(sizes.shape)
-        bounds = np.minimum(buffered, budget_first * highest)
-        bounds[~feasible] = -np.inf
-        settled, clearing, lowest = np.full((3, sizes.size), np.nan)
-        placed = []
-        for size in sorted(set(row_sizes[row_feasible].tolist())):
-            rows = (row_feasible & (row_sizes == size)).nonzero()[0]
-            # A boolean gather keeps each row's members in member order, as
-            # one contiguous row: the layout of a lone set's gather.
-            members = row_members.take(rows, axis=0)
-            if size == m:
-                # Priced at m above: gather only what is read.
-                uppers, prios = (priced[j].take(rows, axis=0) for j in (2, 3))
-            else:
-                users = self._instances(rows // n_designs)
-                w = designs.weights(rows % n_designs, size)
-                rates, lowers, uppers, prios = users.price(w[:, :1], w[:, 1:])
-            lowest[rows] = _masked_reduce(np.minimum, prios, members, np.inf)
-            sums = uppers[members].reshape(-1, size).sum(axis=1)
-            clearing[rows] = sums
-            abundant = _fits(sums, self.budgets[size])
-            done = rows[abundant]
-            if not done.size:
-                continue
-            if size == m:
-                users = self._instances(done // n_designs)
-                rates, lowers, uppers = (column.take(done, axis=0) for column in priced[:3])
-                served = members[abundant]
-            else:
-                served = members & abundant[:, None]
-            settled[done] = _buffered_value(
-                users.pay[served].reshape(-1, size), users.buffers[served].reshape(-1, size)
-            )
-            # Each settled row's members at their upper bounds, and their
-            # SU utilities as :func:`_result` computes them, row after row.
-            times = uppers[served]
-            utilities = rates[served] * users.margin[served] * (times - lowers[served])
-            placed.append((done, times, utilities))
-        # The settled rows' data back to back in placing order, and each
-        # settled row's offset into it.
-        first = np.zeros(sizes.size, dtype=np.intp)
+        sizes = reduced.sum(axis=0)
+        feasible = at.l_first <= sizes
+        # The mask by flat row (instance x design), a row of m users each.
+        reduced = np.ascontiguousarray(reduced.reshape(m, n * width).T)
+        # The bounds, settled utilities and caps, instance x design.
+        floats = np.full((3, n, width), np.nan)
+        bounds, settled, caps = floats
+        bounds[...] = -np.inf
+        first = np.zeros((n, width), dtype=np.intp)
         times = utilities = np.empty(0)
-        if placed:
-            done, times, utilities = (np.concatenate(column) for column in zip(*placed))
-            counts = row_sizes[done]
-            first[done] = counts.cumsum() - counts
-        shape = sizes.shape
-        screen = Screen(
-            designs, bounds, settled.reshape(shape), reduced, feasible, sizes,
-            clearing.reshape(shape), buffered, lowest.reshape(shape), first.reshape(shape),
-            times, utilities,
-        )
-        settled = screen.settled
-        if placed:
-            # Each instance's best settled utility (nan where it settled
-            # none, which no bound reaches).
-            best = np.fmax.reduce(settled, axis=1, keepdims=True)
-            reach = feasible & np.isnan(settled) & (bounds * (1.0 + BOUND_SLACK) >= best)
-            rows = reach.reshape(-1).nonzero()[0]
-            if rows.size:
-                row_bounds = bounds.reshape(-1)
-                row_bounds[rows] = np.minimum(row_bounds[rows], self._shortfall(screen, rows))
-        return screen
+        # Flat rows: row r is design column r % width of instance r //
+        # width; the feasible rows in order of |R|, each size's rows in
+        # row order.
+        row_sizes = np.where(feasible, sizes, 0).reshape(-1)
+        counts = np.bincount(row_sizes, minlength=m + 1).tolist()
+        blocks = [(size, count) for size, count in enumerate(counts) if size and count]
+        rows = np.flatnonzero(row_sizes)
+        if len(blocks) > 1:
+            rows = rows.take(np.argsort(row_sizes.take(rows), kind="stable"))
+        if rows.size:
+            row_sizes, cols = row_sizes.take(rows), rows % width
+            # Every member of every row, row after row, in member order: its
+            # columns (those of its row's instance, less the users the row
+            # drops), its rates and bounds at |R|, and its row's weights at
+            # l_first.
+            columns = self._flat.reshape(5, n, m).take(rows // width, axis=1).reshape(5, -1)
+            at.fill(designs, [size for size, _ in blocks])
+            if counts[m] == rows.size:
+                # No row drops a user: |R| = m throughout, priced at m above.
+                r0, r1, margin, buffers, pay = columns
+                rates, lowers, uppers = (
+                    np.ascontiguousarray(x.reshape(m, -1).T).take(rows, axis=0).reshape(-1)
+                    for x in priced
+                )
+                f0, f1 = np.repeat(at.weights[2:].take(cols, axis=1), m, axis=1)
+            else:
+                members = np.flatnonzero(reduced.take(rows, axis=0))
+                r0, r1, margin, buffers, pay = columns.take(members, axis=1)
+                weights = at.weights.take(row_sizes * width + cols, axis=1)
+                q0, q1, f0, f1 = np.repeat(weights, row_sizes, axis=1)
+                rates = _effective_rates(q0, q1, r0, r1)
+                lowers, uppers = time_bound_arrays(rates, margin, buffers, self.cost)
+            value = pay * buffers
+            # Per size, its rows and their members, one contiguous row of
+            # |R| values each: the clearing-time sums and buffered values.
+            spans, row, cell = [], 0, 0
+            for size, count in blocks:
+                span = slice(cell, cell + count * size)
+                spans.append((slice(row, row + count), span, (count, size)))
+                row, cell = row + count, span.stop
+            sums, buffered = np.empty((2, rows.size))
+            for block, span, shape in spans:
+                sums[block] = uppers[span].reshape(shape).sum(axis=1)
+                buffered[block] = value[span].reshape(shape).sum(axis=1)
+            starts = row_sizes.cumsum() - row_sizes
+            highest = np.maximum.reduceat(_effective_rates(f0, f1, r0, r1) * pay, starts)
+            bounds.reshape(-1)[rows] = np.minimum(buffered, at.budget_first.take(cols) * highest)
+            limits = at.budgets.take(row_sizes)
+            abundant = _fits(sums, limits)
+            done = rows[abundant]
+            first.reshape(-1)[rows] = starts
+            # A member whose rate is 0 at |R| makes inf x 0 in the cut
+            # (:func:`_shortfall`) and inf - inf in its utility; its row is
+            # Case 3, never settled.
+            with np.errstate(invalid="ignore"):
+                caps.reshape(-1)[rows] = _shortfall(
+                    sums - (limits + TIME_TOL),
+                    np.minimum.reduceat(rates * pay, starts),
+                    np.minimum.reduceat(value, starts),
+                    buffered,
+                )
+                if done.size:
+                    # Every member's time at its upper bound and SU utility,
+                    # as :func:`_result` computes them for a settled row, the
+                    # only rows read.
+                    times, utilities = uppers, rates * margin * (uppers - lowers)
+            if done.size:
+                values = np.empty(rows.size)
+                for block, span, shape in spans:
+                    values[block] = _buffered_value(
+                        pay[span].reshape(shape), buffers[span].reshape(shape)
+                    )
+                settled.reshape(-1)[done] = values[abundant]
+                # A design not settled whose bound reaches the best utility
+                # its instance settled takes its cap (nan, where the
+                # instance settled none, reaches no bound). A settled
+                # design's cap, (1 + BOUND_SLACK) sum_R a_i B_i less a cut
+                # of at most 0, lies above its bound and leaves it.
+                best = np.fmax.reduce(settled, axis=1, keepdims=True)
+                reach = bounds * (1.0 + BOUND_SLACK) >= best
+                np.minimum(bounds, caps, out=bounds, where=reach)
+        reduced = reduced.reshape(n, width, m)
+        if at.expand is not None:
+            # Back to every design of the table: the designs not priced take
+            # the values of the last column, one of them.
+            floats, first, feasible = (c.take(at.expand, axis=-1) for c in (floats, first, feasible))
+            reduced = reduced.take(at.expand, axis=1)
+        return Screen(designs, *floats, feasible, first, reduced, times, utilities)
 
-    def _shortfall(self, screen: "Screen", rows: np.ndarray) -> np.ndarray:
-        """A cap on the utility of each feasible design at flat rows
-        ``rows`` of ``screen`` (design r % designs of instance r //
-        designs, as :meth:`screen` numbers them) whose reduced set R is
-        not Case 1 at |R|: sum_{i in R} a_i B_i less a cut that is
-        positive when every member pays for a non-empty buffer (a_i B_i >
-        0).
 
-        Let e = sum_{i in R} u_i(|R|) - (T'(|R|) + TIME_TOL) > 0, the
-        overflow of the screen's Case-1 test, and p_i(|R|) = R_i(|R|)
-        a_i. The cap is sum_{i in R} a_i B_i - min(e min_R p_i(|R|),
-        min_R a_i B_i). Every candidate set S lies in R, and a_i, B_i
-        >= 0 (:class:`~cogalloc.economics.SecondaryUser` checks both).
-        If S = R, R is Case 2 or Case 3 at |R|, and Case 3 is never
-        scored. A Case-2 fill grants each member t_i <= u_i(|R|), in
-        total at most T'(|R|) + TIME_TOL, so at least e seconds of
-        clearing time go unsold, each worth at least min_R p_i(|R|);
-        in exact arithmetic p_i u_i = a_i B_i, so the utility sum p_i
-        t_i is at most sum_R a_i B_i - e min_R p_i(|R|). A proper
-        subset S misses a member, so its utility, at most sum_S a_i B_i,
-        is at most sum_R a_i B_i - min_R a_i B_i.
+def _shortfall(excess, lowest, least, buffered):
+    """A cap on the utility of each feasible design whose reduced set R
+    is not Case 1 at |R|: sum_{i in R} a_i B_i (``buffered``) less a cut
+    that is positive when every member pays for a non-empty buffer (a_i
+    B_i > 0), elementwise over designs.
 
-        The clearing-time sum and min_R p_i(|R|) are the screen's
-        ``clearing`` and ``lowest``, priced once, in its per-size pass.
+    Let e = sum_{i in R} u_i(|R|) - (T'(|R|) + TIME_TOL) > 0
+    (``excess``), the overflow of the screen's Case-1 test, and p_i(|R|)
+    = R_i(|R|) a_i. The cap is sum_{i in R} a_i B_i - min(e min_R
+    p_i(|R|), min_R a_i B_i) (``lowest`` and ``least`` the two minima).
+    Every candidate set S lies in R, and a_i, B_i >= 0
+    (:class:`~cogalloc.economics.SecondaryUser` checks both). If S = R,
+    R is Case 2 or Case 3 at |R|, and Case 3 is never scored. A Case-2
+    fill grants each member t_i <= u_i(|R|), in total at most T'(|R|) +
+    TIME_TOL, so at least e seconds of clearing time go unsold, each
+    worth at least min_R p_i(|R|); in exact arithmetic p_i u_i = a_i
+    B_i, so the utility sum p_i t_i is at most sum_R a_i B_i - e min_R
+    p_i(|R|). A proper subset S misses a member, so its utility, at most
+    sum_S a_i B_i, is at most sum_R a_i B_i - min_R a_i B_i.
 
-        A member whose rate is 0 at |R| has an infinite lower bound, so
-        R is then Case 3 and only the second term applies (e is inf
-        there, and inf times the member's zero priority is not taken). The
-        difference can cancel when the cut is close to the sum, so only
-        the part of the cut beyond BOUND_SLACK sum_R a_i B_i is taken:
-        the cap is (1 + BOUND_SLACK) sum_R a_i B_i minus the cut, and its
-        rounding error, a few ulps of the sum, stays inside that margin.
-        """
-        sizes = screen.sizes.reshape(-1)[rows]
-        by_row = screen.reduced.reshape(screen.sizes.size, self.r0.shape[-1])
-        members = by_row.take(rows, axis=0)
-        values = (self.pay * self.buffers)[:, 0].take(rows // len(screen.designs.k), axis=0)
-        excess = screen.clearing.reshape(-1)[rows] - (self.budgets[sizes] + TIME_TOL)
-        with np.errstate(invalid="ignore"):
-            cut = np.fmin(
-                excess * screen.lowest.reshape(-1)[rows],
-                _masked_reduce(np.minimum, values, members, np.inf),
-            )
-        return (1.0 + BOUND_SLACK) * screen.buffered.reshape(-1)[rows] - cut
+    The screen prices the clearing-time sum and min_R p_i(|R|) once, in
+    its pass at |R|.
+
+    A member whose rate is 0 at |R| has an infinite lower bound, so R is
+    then Case 3 and only the second term applies (e is inf there, and inf
+    times the member's zero priority, nan, is not taken; the caller
+    silences its warning). The difference can
+    cancel when the cut is close to the sum, so only the part of the cut
+    beyond BOUND_SLACK sum_R a_i B_i is taken: the cap is (1 +
+    BOUND_SLACK) sum_R a_i B_i minus the cut, and its rounding error, a
+    few ulps of the sum, stays inside that margin.
+    """
+    return (1.0 + BOUND_SLACK) * buffered - np.fmin(excess * lowest, least)
 
 
 class Screen:
     """What :meth:`UserTable.screen` finds for every instance and row d
-    of its design table ``designs``: the utility ``bounds`` and
-    ``settled`` utilities, the reduced-set mask ``reduced`` (instance x
-    design x user), ``feasible``, and per (instance, design) the reduced
-    set's size ``sizes``, its members' clearing-time sum ``clearing``
-    and lowest priority ``lowest`` at that size, and their buffered
-    value ``buffered``. A settled row's members' times and SU utilities
-    at |R| lie in member order at ``times[first:first + |R|]`` and
-    ``su_utilities[first:first + |R|]``, flat arrays holding the settled
-    rows alone. :meth:`instance` drops the instance axis for one
-    instance's walk."""
+    of its design table ``designs``: the utility ``bounds``, the
+    ``settled`` utilities, the shortfall ``caps`` of the feasible
+    designs (:func:`_shortfall`; nan where infeasible, and not read where
+    settled), ``feasible``, and the reduced-set mask ``reduced``
+    (instance x design x user). A feasible row's members' times and SU
+    utilities at |R|, read for a settled row alone, lie in member order
+    at ``times[first:first + |R|]`` and ``su_utilities[first:first +
+    |R|]``, flat arrays holding the feasible rows. :meth:`instance` drops
+    the instance axis for one instance's walk."""
 
     __slots__ = (
-        "designs", "bounds", "settled", "reduced", "feasible", "sizes", "clearing",
-        "buffered", "lowest", "first", "times", "su_utilities",
+        "designs", "bounds", "settled", "caps", "feasible", "first", "reduced", "times",
+        "su_utilities",
     )
 
     def __init__(
-        self, designs, bounds, settled, reduced, feasible, sizes, clearing, buffered,
-        lowest, first, times, su_utilities,
+        self, designs, bounds, settled, caps, feasible, first, reduced, times, su_utilities
     ):
-        self.designs, self.bounds, self.settled = designs, bounds, settled
-        self.reduced, self.feasible = reduced, feasible
-        self.sizes, self.clearing, self.buffered = sizes, clearing, buffered
-        self.lowest, self.first = lowest, first
+        self.designs, self.bounds, self.settled, self.caps = designs, bounds, settled, caps
+        self.feasible, self.first, self.reduced = feasible, first, reduced
         self.times, self.su_utilities = times, su_utilities
 
     def instance(self, n: int) -> "Screen":
         """Instance ``n`` of a stacked table's screen, as the screen of
         :meth:`UserTable.instance` of ``n``: views of its rows."""
         return Screen(
-            self.designs, self.bounds[n], self.settled[n], self.reduced[n],
-            self.feasible[n], self.sizes[n], self.clearing[n], self.buffered[n],
-            self.lowest[n], self.first[n], self.times, self.su_utilities,
+            self.designs, self.bounds[n], self.settled[n], self.caps[n], self.feasible[n],
+            self.first[n], self.reduced[n], self.times, self.su_utilities,
         )
 
     def start(self, d: int) -> Optional[tuple]:
@@ -594,15 +666,6 @@ def _fits(total, t_prime: float):
     # T' = ``t_prime``, with the TIME_TOL slack: applied to the upper
     # bounds it is the Case-1 test, to the lower bounds the Case-2 test.
     return total <= t_prime + TIME_TOL
-
-
-def _masked_reduce(extreme, values, mask, fill):
-    # ``extreme`` (np.minimum or np.maximum) of each row of the 2-D
-    # ``values`` where ``mask`` holds, ``fill`` where it never does. The
-    # reduction runs down the columns of a transposed copy: numpy reduces
-    # short rows one at a time, several times slower. Exact: neither ufunc
-    # rounds, so the order does not matter.
-    return extreme.reduce(np.where(mask, values, fill).T.copy(), axis=0, initial=fill)
 
 
 def _buffered_value(pay, buffers):
@@ -842,15 +905,17 @@ def _select(
 
 
 def _allocate(table: UserTable, screen: Screen, d: int) -> AllocationResult:
-    """Selection + allocation at row ``d`` of the design table that
-    ``screen`` covers. A settled row serves its reduced set R at the
-    upper bounds, placed from the times and SU utilities the screen
-    priced at |R|; any other feasible row is walked from R and its
-    minimum viable set size."""
+    """Selection + allocation at flat row ``d`` of ``screen`` (design d %
+    D of instance d // D of a stacked table's screen; design d of one
+    instance's, :meth:`Screen.instance`). A settled row serves its
+    reduced set R at the upper bounds, placed from the times and SU
+    utilities the screen priced at |R|, on the stacked table and screen
+    as on one instance's. Any other feasible row is walked from R and its
+    minimum viable set size, on one instance's own table and screen."""
     m = table.r0.shape[-1]
     utility = screen.settled.item(d)
     if utility == utility:  # settled (not nan)
-        members = screen.reduced[d].nonzero()[0].tolist()
+        members = np.flatnonzero(screen.reduced.reshape(-1, m)[d]).tolist()
         first = screen.first.item(d)
         served = slice(first, first + len(members))
         return _placed(

@@ -169,7 +169,8 @@ _SCHEMA = (
     ("user", "buffer_bits", _REQUIRED, _NATURAL),
     ("user", "pay_rate", _REQUIRED, _NON_NEGATIVE),
     ("user", "earn_rate", _REQUIRED, _NON_NEGATIVE),
-    ("grid", "levels", 10, ("an integer >= 2", lambda v: _is_int(v, 2))),
+    # Null takes the default, and must be null when pfa_values is set.
+    ("grid", "levels", 10, ("null or an integer >= 2", lambda v: v is None or _is_int(v, 2))),
     ("grid", "pfa_values", None, _PFA_LIST),
     ("grid", "k_max", None, _COUNT_OR_NULL),
     ("traffic", "shape", 1.0, _POSITIVE),
@@ -297,6 +298,16 @@ def effective_config(raw: dict) -> dict:
             f"{eff['experiment']['values']!r}"
         )
 
+    grid = eff.get("grid")
+    if grid is not None and grid["pfa_values"] is not None:
+        # The pfa values replace the uniform levels, which would go unused.
+        levels = raw["grid"].get("levels")
+        if levels is not None:
+            errors.append(f"grid.levels must be null when grid.pfa_values is set, got {levels!r}")
+        grid["levels"] = None
+    elif grid is not None and grid["levels"] is None:
+        grid["levels"] = _ROWS["grid"]["levels"][0]
+
     if errors:
         raise ConfigError("; ".join(errors))
     return eff
@@ -397,10 +408,9 @@ def load_config(path) -> RunConfig:
 
 def _grid_for(cfg: RunConfig, m: int) -> DesignGrid:
     spec = cfg.grid_spec
-    grid = DesignGrid.uniform(spec["k_max"] or m, spec["levels"])
-    if spec["pfa_values"]:
-        return DesignGrid(spec["pfa_values"], grid.k_values)
-    return grid
+    if spec["pfa_values"] is None:
+        return DesignGrid.uniform(spec["k_max"] or m, spec["levels"])
+    return DesignGrid(spec["pfa_values"], DesignGrid.uniform(spec["k_max"] or m).k_values)
 
 
 def _apply_sweep(cfg: RunConfig, value) -> tuple:

@@ -172,7 +172,7 @@ def _exp_scaled_e1(c: float) -> float:
         while True:
             term *= -c / k
             acc += term / k
-            if abs(term) < 1e-17:
+            if -1e-17 < term < 1e-17:
                 break
             k += 1
         return math.exp(c) * (-_EULER_GAMMA - math.log(c) - acc)

@@ -153,9 +153,11 @@ def optimize_table(table: UserTable, designs: DesignTable) -> list:
     rounding in the sums, and the strict comparison lets a tying design
     reach the (pfa, k) tie-break. An allocation is built per walked
     design and, when a settled design wins, for the winner alone, by
-    :func:`~cogalloc.allocator._allocate` on the instance's own table and
-    screen; a settled winner's times and SU utilities are those the
-    screen priced at |R|, placed without a walk.
+    :func:`~cogalloc.allocator._allocate`: a walked design's on the
+    instance's own table and screen, built only for an instance that
+    walks, and a settled winner's on the stacked table and screen, by
+    its flat row, placed without a walk from the times and SU utilities
+    the screen priced at |R|.
 
     The result is bit for bit that of searching every design in grid
     order: a design's allocation does not depend on when or whether it
@@ -178,6 +180,7 @@ def _search(table: UserTable, screen) -> list:
     # screen, (None, an infeasible allocation) where no design is feasible.
     m = table.r0.shape[-1]
     designs, bounds, settled = screen.designs, screen.bounds, screen.settled
+    width = len(designs.k)
     unsettled = np.isnan(settled)
     # Per instance, the ceiling of its best unsettled feasible design and
     # its best settled utility, -inf where it has none.
@@ -188,19 +191,20 @@ def _search(table: UserTable, screen) -> list:
     if max(utilities) > -np.inf:
         # The settled design maximizing (utility, -pfa, -k): the first
         # maximum with the designs in (pfa, k) order.
-        winners = designs.order[ranked[:, designs.order].argmax(axis=1)].tolist()
+        winners = designs.order.take(ranked.take(designs.order, axis=1).argmax(axis=1)).tolist()
     found = []
     for n, (ceiling, utility) in enumerate(zip(ceilings.tolist(), utilities)):
         best = None
         if utility > -np.inf:
             best = _incumbent(None, designs, winners[n], utility, None)
-        # The instance walks only where a ceiling reaches its incumbent's
-        # utility; a settled winner is then placed by _allocate from the
-        # screen's pricing, on the instance's own table and screen.
+        # The instance walks, on its own table and screen, only where a
+        # ceiling reaches its incumbent's utility. A settled winner is
+        # placed by _allocate from the stacked screen's pricing, by its
+        # flat row.
         if ceiling > -np.inf and ceiling >= utility:
             best = _walk(table.instance(n), screen.instance(n), best)
         if best is not None and best[2] is None:
-            best = best[:2] + (_allocate(table.instance(n), screen.instance(n), best[1]),)
+            best = best[:2] + (_allocate(table, screen, n * width + best[1]),)
         found.append((None, _infeasible(m, None)) if best is None else best[1:])
     return found
 

@@ -150,16 +150,20 @@ class StreamFactory:
         ``stream(purpose, su).random()`` calls, drawn ``_BLOCK`` at a time
         (PCG64's ``random(n)`` gives its next n scalar draws). One
         iterator per stream, shared by every caller; a stream read
-        through it is not also drawn from directly."""
+        through it is not also drawn from directly. The stream is created
+        at the iterator's first draw."""
         key = (purpose, su)
         got = self._uniforms.get(key)
         if got is None:
-            got = self._uniforms[key] = _blocks(self.stream(purpose, su))
+            got = self._uniforms[key] = _blocks(self, purpose, su)
         return got
 
 
-def _blocks(rng: np.random.Generator) -> Iterator[float]:
-    # ``rng``'s uniforms in order, one block of _BLOCK at a time.
+def _blocks(streams: StreamFactory, purpose: str, su: int) -> Iterator[float]:
+    # The uniforms of stream (purpose, su) of ``streams`` in order, one
+    # block of _BLOCK at a time; the body, and so the stream, starts at the
+    # first draw.
+    rng = streams.stream(purpose, su)
     while True:
         yield from rng.random(_BLOCK).tolist()
 
@@ -200,7 +204,9 @@ class UserProfile:
 
 
 class _Trial:
-    """One simulated trial: its streams, each user's buffer (holding the
+    """One simulated trial: the uniforms of each of its streams (the PU
+    state ``pu``, and per user ``gains``, ``votes`` and ``traffic``, each
+    stream created at its first draw), each user's buffer (holding the
     profile's initial batch at t=0) and next arrival instant (the first
     countdown already sampled), the index of its next frame, each user's
     (arrival, delay) pairs of fully drained batches, and its frame traces
@@ -210,14 +216,19 @@ class _Trial:
         self, profiles: Sequence[UserProfile], traffic: TrafficModel, seed: int,
         trial: int, traced: bool,
     ):
-        self.streams = StreamFactory(seed, trial)
+        streams = StreamFactory(seed, trial)
+        users = range(len(profiles))
+        self.pu = streams.uniforms("pu")
+        self.gains = [streams.uniforms("gain", i) for i in users]
+        self.votes = [streams.uniforms("vote", i) for i in users]
+        self.traffic = [streams.uniforms("traffic", i) for i in users]
         self.buffers = []
         self.next_batch_time = []
-        for i, profile in enumerate(profiles):
+        for profile, draws in zip(profiles, self.traffic):
             buf = BufferState()
             buf.add_batch(0.0, profile.initial_bits)
             self.buffers.append(buf)
-            gap = _pareto_gap(traffic, next(self.streams.uniforms("traffic", i)))
+            gap = _pareto_gap(traffic, next(draws))
             self.next_batch_time.append(gap + traffic.accumulation_time)
         self.frame_index = 0
         self.completed: list = [[] for _ in profiles]
@@ -263,13 +274,12 @@ def _step_frames(
     backlogs: list = []
     for trial in trials:
         buffers_at_start = tuple([buf.bits for buf in trial.buffers])
-        pu_active = next(trial.streams.uniforms("pu")) < (1.0 - params.p_h0)
+        pu_active = next(trial.pu) < (1.0 - params.p_h0)
         # With every buffer empty there is nothing to sell: no user can be
         # selected (zero upper bounds), so the optimization is skipped whole.
         optimized = any(buffers_at_start)
         if optimized:
-            draws = [next(trial.streams.uniforms("gain", i)) for i in range(n)]
-            gains += _exponential_gains(means, draws)
+            gains += _exponential_gains(means, [next(draws) for draws in trial.gains])
             backlogs += buffers_at_start
         starts.append((buffers_at_start, pu_active, optimized))
     designs = design_table(params, grid.pfa_values, grid.k_values)
@@ -327,7 +337,7 @@ def _finish_frame(
             chosen_pfa, chosen_k = design.pfa_local, design.k_threshold
             selected = alloc.selected_ids
             p_vote = designs.pd.item(d) if pu_active else design.pfa_local
-            votes = tuple([next(trial.streams.uniforms("vote", i)) < p_vote for i in selected])
+            votes = tuple([next(trial.votes[i]) < p_vote for i in selected])
             fc_busy = sum(votes) >= design.k_threshold
             if not fc_busy:
                 realized = 1 if pu_active else 0
@@ -340,7 +350,7 @@ def _finish_frame(
     arrivals = trial.next_batch_time
     for i in range(n):
         if arrivals[i] < frame_end:
-            draws = trial.streams.uniforms("traffic", i)
+            draws = trial.traffic[i]
             while arrivals[i] < frame_end:
                 trial.buffers[i].add_batch(arrivals[i], traffic.batch_bits)
                 gap = _pareto_gap(traffic, next(draws))

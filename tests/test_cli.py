@@ -82,6 +82,20 @@ class TestConfigParsing:
         cfg = parse_config({"experiment": {"sweep": "none", "values": None}})
         assert cfg.sweep_values == (None,)
 
+    def test_levels_with_pfa_values_rejected(self):
+        # The pfa values replace the uniform levels, which used to be
+        # ignored. A null, as --emit-effective-config prints it next to
+        # pfa_values, still loads, and alone takes the default.
+        for levels in (3, 10):
+            with pytest.raises(ConfigError) as err:
+                parse_config({"grid": {"levels": levels, "pfa_values": [0.1, 0.2]}})
+            assert "grid.levels" in str(err.value) and "grid.pfa_values" in str(err.value)
+        eff = effective_config({"grid": {"pfa_values": [0.1, 0.2]}})
+        assert eff["grid"]["levels"] is None
+        assert effective_config(eff) == eff
+        assert parse_config(eff).grid_spec == eff["grid"]
+        assert effective_config({"grid": {"levels": None}})["grid"]["levels"] == 10
+
     def test_effective_config_round_trip(self):
         eff = effective_config({"system": {"zeta": 0.75}, "trials": 4})
         again = effective_config(eff)
@@ -500,6 +514,31 @@ class TestMainEntry:
         assert code == EXIT_CONFIG
         assert "experiment.sweep" in capsys.readouterr().err
         assert not (tmp_path / "optimize.csv").exists()
+
+    def test_levels_with_pfa_values_exit_code(self, tmp_path, capsys):
+        grid = {"levels": 3, "pfa_values": [0.05, 0.1, 0.2]}
+        path = _cfg(tmp_path, {"grid": grid, "users": {"count": 4}, "trials": 3})
+        code = main(["optimize", "--config", str(path), "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "grid.levels" in err and "grid.pfa_values" in err
+        assert not (tmp_path / "optimize.csv").exists()
+
+    def test_pfa_values_emit_null_levels(self, tmp_path, capsys):
+        # The effective config of a pfa list prints levels as null, and
+        # runs as it reads.
+        path = _cfg(tmp_path, {"grid": {"pfa_values": [0.05, 0.1, 0.2]}, "users": {"count": 4}})
+        args = ["--config", str(path), "--out", str(tmp_path), "--emit-effective-config"]
+        assert main(["optimize", *args]) == EXIT_OK
+        emitted = capsys.readouterr().out
+        assert json.loads(emitted)["grid"] == {
+            "k_max": None, "levels": None, "pfa_values": [0.05, 0.1, 0.2]
+        }
+        again = tmp_path / "again.json"
+        again.write_text(emitted)
+        out = tmp_path / "out"
+        assert main(["optimize", "--config", str(again), "--out", str(out)]) == EXIT_OK
+        assert (out / "optimize.csv").exists()
 
     @pytest.mark.parametrize(
         "raw,field",

@@ -211,10 +211,13 @@ def _record_visits(monkeypatch) -> tuple:
     walked, settled = [], []
     walk = optimizer._allocate
 
-    def recording(table, screen, d):
-        design = screen.designs.design(d)
-        (walked if np.isnan(screen.settled[d]) else settled).append(design)
-        return walk(table, screen, d)
+    def recording(table, screen, row):
+        # ``row`` is a flat (instance, design) row: a settled winner is
+        # placed from the stacked screen, a walked design from its
+        # instance's own screen, where the row is the design's.
+        design = screen.designs.design(row % len(screen.designs.k))
+        (walked if np.isnan(screen.settled.item(row)) else settled).append(design)
+        return walk(table, screen, row)
 
     monkeypatch.setattr(optimizer, "_allocate", recording)
     return walked, settled
@@ -576,6 +579,55 @@ class TestOptimizeTableBatch:
             assert outcome.best_allocation == whole[i].best_allocation
         self._assert_each_alone(pool, params, grid, whole)
 
+    @staticmethod
+    def _kinds(m):
+        # Every instance kind at M users, each also with its backlogs cut
+        # 200-fold (which settles rows), and never-profitable users.
+        batch = [_mixed_instance(m * 10 + j, m, kind)[1] for j, kind in enumerate(KINDS)]
+        batch += [[replace(su, buffer_bits=su.buffer_bits // 200) for su in sus] for sus in batch]
+        return batch + [make_users(m + 60, m, pay_rate=1.0, earn_rate=0.5)]
+
+    @pytest.mark.parametrize("m", [1, 5, 9, 12, 20, 40])
+    def test_settled_rows_placed_from_the_stack(self, params, m):
+        # A settled row placed by its flat row on the stacked table and
+        # screen, as the search places a settled winner, is the
+        # allocation _allocate gives on its instance's own table and
+        # screen, which is the walk's.
+        batch = self._kinds(m)
+        designs = grid_table(params, DesignGrid.uniform(m))
+        table = UserTable.stack(batch, params)
+        screen = table.screen(designs)
+        width = len(designs.k)
+        placed = 0
+        for n in range(len(batch)):
+            own, alone = table.instance(n), screen.instance(n)
+            _assert_settled_as_walked(own, alone)
+            for d in np.flatnonzero(~np.isnan(alone.settled)).tolist():
+                got = _allocate(table, screen, n * width + d)
+                want = _allocate(own, alone, d)
+                assert got == want and got.times == want.times
+                assert got.su_utilities == want.su_utilities
+                placed += 1
+        assert placed
+
+    @pytest.mark.parametrize("m", [1, 5, 40])
+    def test_designs_without_l_first_are_infeasible(self, params, m):
+        # Designs with no l_first <= M (k above M, or a floor no size up to
+        # M meets) are not priced; every instance reads them as
+        # infeasible.
+        grid = DesignGrid(DesignGrid.uniform(max(m, 2)).pfa_values, tuple(range(1, m + 3)))
+        designs = grid_table(params, grid)
+        dead = np.flatnonzero(designs.at_users(m)[0] > m)
+        assert (designs.k[dead] <= m).any() and (designs.k[dead] > m).any()
+        batch = self._kinds(m)
+        screen = UserTable.stack(batch, params).screen(designs)
+        assert (screen.bounds[:, dead] == -np.inf).all()
+        assert np.isnan(screen.settled[:, dead]).all()
+        assert not screen.feasible[:, dead].any() and not screen.reduced[:, dead].any()
+        for n in range(len(batch)):
+            alone = screen.instance(n)
+            assert all(alone.start(d) is None for d in dead.tolist())
+
     def test_empty_batch(self, params):
         designs = grid_table(params, DesignGrid.uniform(3))
         assert optimizer.optimize_table(UserTable.stack([], params), designs) == []
@@ -590,9 +642,8 @@ def _screened(sus, params, weights) -> tuple:
 
 def _caps(sus, params, weights, rows):
     # The shortfall cap of each design row ``rows`` of the instance's
-    # screen (a stack of one instance numbers its rows as the designs).
-    stacked = UserTable.stack([sus], params)
-    return stacked._shortfall(stacked.screen(weights), rows)
+    # screen, as the screen priced it.
+    return UserTable.stack([sus], params).screen(weights).caps[0][rows]
 
 
 def _assert_settled_as_walked(table, screen):

@@ -1,5 +1,6 @@
 """Samplers, frame stepping, buffer/delay bookkeeping, and fairness."""
 
+import inspect
 import math
 
 import numpy as np
@@ -113,6 +114,15 @@ class TestStreamFactory:
             assert len(want) > 2 * simkit._BLOCK
             assert got[key] == want
         assert blocks.uniforms("gain", 0) is blocks.uniforms("gain", 0)
+
+    def test_trial_streams_start_at_their_first_draw(self):
+        # A trial holds every stream's uniforms from the start, but only
+        # its traffic streams (the first idle gaps) are drawn from, and so
+        # created, before its first frame.
+        trial = simkit._Trial([UserProfile()] * 3, TrafficModel(), 5, 0, False)
+        waiting = [trial.pu, *trial.gains, *trial.votes]
+        assert all(inspect.getgeneratorstate(g) == inspect.GEN_CREATED for g in waiting)
+        assert all(inspect.getgeneratorstate(g) == inspect.GEN_SUSPENDED for g in trial.traffic)
 
     def test_unknown_purpose_rejected(self):
         with pytest.raises(ValueError):
