@@ -93,8 +93,10 @@ class AllocationResult:
 
 def _effective_rates(q0, q1, r0, r1):
     # The effective rates q0 r0 + q1 r1 under the opportunity weights
-    # (q0, q1), elementwise.
-    return q0 * r0 + q1 * r1
+    # (q0, q1), elementwise (the sum taken in place: one array fewer).
+    rates = q0 * r0
+    rates += q1 * r1
+    return rates
 
 
 def time_bound_arrays(rates, margin, buffers, cost: float) -> tuple:
@@ -261,29 +263,29 @@ def design_table(params: SystemParams, pfas, ks) -> DesignTable:
 @lru_cache(maxsize=256)
 def _budgets(params: SystemParams, m: int) -> np.ndarray:
     # T'(L) for L = 0..m, read-only: one array per (params, m), shared by
-    # every table of m users and the design tables' entries for m.
+    # every table of m users and the design tables' entries for m (their
+    # budgets at l_first).
     return _read_only(np.array([effective_time(params, l) for l in range(m + 1)]))
 
 
 class _AtUsers:
     """What a :class:`DesignTable` gives every screen of ``m`` users, one
-    entry per m: :meth:`DesignTable.at_users`'s tuple (``public``), the
-    budgets T'(L) for L = 0..m, and the screen's columns.
+    entry per m: :meth:`DesignTable.at_users`'s tuple (``public``) and
+    the screen's columns.
 
     The screen prices only the designs with some l_first <= m (a design
     without one admits no feasible set), in grid order, and, when there
     are others, one of them after them, which stands for them all: its
     weights are nan, so it reduces to the empty set, and ``expand`` maps
     every design to its column (None when every design has a column).
-    Per column: l_first, the weights at m (a pair of rows q0, q1) and
-    T'(min(l_first, m)) + TIME_TOL; and ``weights``, the weights of
-    column j at size L (rows 0 and 1, nan below l_first, filled one size
-    at a time by :meth:`fill`) and at l_first (rows 2 and 3) at L *
-    columns + j, 4 x (m + 1) columns."""
+    Per column: l_first, the weights at m (a pair of rows q0, q1) and at
+    l_first (2 x columns), and T'(min(l_first, m)) + TIME_TOL. The
+    weights at the other sizes up to m come from the design table's
+    cache, one take for any columns and sizes (:meth:`weights`)."""
 
     __slots__ = (
-        "public", "budgets", "rows", "expand", "l_first", "at_m", "budget_first",
-        "weights", "_filled",
+        "public", "rows", "expand", "l_first", "at_m", "at_first",
+        "budget_first", "_filled",
     )
 
     def __init__(self, designs: "DesignTable", m: int):
@@ -295,8 +297,7 @@ class _AtUsers:
         at_first = at_m.copy()
         at_m[live] = designs.weights(live, m)
         at_first[live] = designs.weights(live, l_first[live])
-        self.budgets = _budgets(designs._params, m)
-        budget_first = self.budgets[np.minimum(l_first, m)] + TIME_TOL
+        budget_first = _budgets(designs._params, m)[np.minimum(l_first, m)] + TIME_TOL
         self.public = tuple(map(_read_only, (l_first, at_m, at_first, budget_first)))
         dead = np.flatnonzero(l_first > m)
         self.rows, self.expand = live, None
@@ -306,20 +307,22 @@ class _AtUsers:
             self.expand[live] = np.arange(len(live))
         self.l_first = l_first[self.rows]
         self.at_m = tuple(at_m[self.rows].T.copy())
+        self.at_first = at_first[self.rows].T.copy()
         self.budget_first = budget_first[self.rows]
-        self.weights = np.full((4, (m + 1) * len(self.rows)), np.nan)
-        self.weights[2:] = np.tile(at_first[self.rows].T, m + 1)
         self._filled = [False] * (m + 1)
 
-    def fill(self, designs: "DesignTable", sizes) -> None:
-        """Fill ``weights`` at each of ``sizes`` for every column with
-        l_first <= size (once per size)."""
-        for size in sizes:
+    def weights(self, designs: "DesignTable", cols, sizes, blocks) -> np.ndarray:
+        """The weights (q0, q1) of column ``cols[j]`` at ``sizes[j]``
+        users, 2 x len(cols), l_first <= sizes[j] <= m, read from the
+        cache of ``designs``. Each size of ``blocks`` ((size, count)
+        pairs) is filled there first for every column with l_first <=
+        size, once per size."""
+        for size, _ in blocks:
             if not self._filled[size]:
-                cols = np.flatnonzero(self.l_first <= size)
-                got = designs.weights(self.rows[cols], size)
-                self.weights[:2, size * len(self.rows) + cols] = got.T
+                designs.weights(self.rows[self.l_first <= size], size)
                 self._filled[size] = True
+        rows = sizes * len(designs.k) + self.rows.take(cols)
+        return designs._weights.reshape(-1, 2).take(rows, axis=0).T
 
 
 class UserTable:
@@ -479,8 +482,8 @@ class UserTable:
         # User x instance x 1 views of the columns, against one weight per
         # priced design: user x instance x design.
         r0, r1, margin, buffers = self._flat[:4].reshape(4, n, m).transpose(0, 2, 1)[..., None]
-        rates = _effective_rates(*at.at_m, r0, r1)
-        priced = rates, *time_bound_arrays(rates, margin, buffers, self.cost)
+        priced = [_effective_rates(*at.at_m, r0, r1)]
+        priced += time_bound_arrays(priced[0], margin, buffers, self.cost)
         reduced = priced[1] < priced[2]
         sizes = reduced.sum(axis=0)
         feasible = at.l_first <= sizes
@@ -507,23 +510,26 @@ class UserTable:
             # columns (those of its row's instance, less the users the row
             # drops), its rates and bounds at |R|, and its row's weights at
             # l_first.
+            # Where no row drops a user, |R| = m throughout: the pricing at m
+            # serves, row after row. Otherwise it is dropped here.
+            priced = [
+                np.ascontiguousarray(x.reshape(m, -1).T).take(rows, axis=0).reshape(-1)
+                for x in priced
+            ] if counts[m] == rows.size else None
             columns = self._flat.reshape(5, n, m).take(rows // width, axis=1).reshape(5, -1)
-            at.fill(designs, [size for size, _ in blocks])
-            if counts[m] == rows.size:
-                # No row drops a user: |R| = m throughout, priced at m above.
-                r0, r1, margin, buffers, pay = columns
-                rates, lowers, uppers = (
-                    np.ascontiguousarray(x.reshape(m, -1).T).take(rows, axis=0).reshape(-1)
-                    for x in priced
-                )
-                f0, f1 = np.repeat(at.weights[2:].take(cols, axis=1), m, axis=1)
-            else:
-                members = np.flatnonzero(reduced.take(rows, axis=0))
-                r0, r1, margin, buffers, pay = columns.take(members, axis=1)
-                weights = at.weights.take(row_sizes * width + cols, axis=1)
-                q0, q1, f0, f1 = np.repeat(weights, row_sizes, axis=1)
-                rates = _effective_rates(q0, q1, r0, r1)
+            if priced is None:
+                columns = columns.take(np.flatnonzero(reduced.take(rows, axis=0)), axis=1)
+            r0, r1, margin, buffers, pay = columns
+            if priced is None:
+                weights = at.weights(designs, cols, row_sizes, blocks)
+                rates = _effective_rates(*np.repeat(weights, row_sizes, axis=1), r0, r1)
                 lowers, uppers = time_bound_arrays(rates, margin, buffers, self.cost)
+            else:
+                rates, lowers, uppers = priced
+            starts = row_sizes.cumsum() - row_sizes
+            weights = np.repeat(at.at_first.take(cols, axis=1), row_sizes, axis=1)
+            highest = np.maximum.reduceat(_effective_rates(*weights, r0, r1) * pay, starts)
+            del weights
             value = pay * buffers
             # Per size, its rows and their members, one contiguous row of
             # |R| values each: the clearing-time sums and buffered values.
@@ -536,10 +542,8 @@ class UserTable:
             for block, span, shape in spans:
                 sums[block] = uppers[span].reshape(shape).sum(axis=1)
                 buffered[block] = value[span].reshape(shape).sum(axis=1)
-            starts = row_sizes.cumsum() - row_sizes
-            highest = np.maximum.reduceat(_effective_rates(f0, f1, r0, r1) * pay, starts)
             bounds.reshape(-1)[rows] = np.minimum(buffered, at.budget_first.take(cols) * highest)
-            limits = at.budgets.take(row_sizes)
+            limits = self.budgets.take(row_sizes)
             abundant = _fits(sums, limits)
             done = rows[abundant]
             first.reshape(-1)[rows] = starts

@@ -136,13 +136,12 @@ class TestDesignTable:
     @pytest.mark.parametrize("m", [1, 5, 9, 20, 40])
     def test_screen_entry_matches_the_table(self, m, gamma_db, zeta):
         # The screen's per-M entry: the designs with an l_first <= M in
-        # grid order, then one without (if any) standing for them all, the
-        # budgets T'(0..M), and each column's weights at every size from
-        # its l_first to M as the table gives them (nan elsewhere), beside
-        # its weights at l_first.
+        # grid order, then one without (if any) standing for them all,
+        # each column's weights at l_first, and its weights at every size
+        # from its l_first to M as the table gives them.
         params = default_system_params(gamma_db=gamma_db, zeta=zeta)
         table = DesignTable(params, GRID_PFAS, tuple(range(1, m + 3)))
-        l_first = table.at_users(m)[0]
+        l_first, _, at_first, _ = table.at_users(m)
         entry = table._at(m)
         live = np.flatnonzero(l_first <= m)
         rows = entry.rows.tolist()
@@ -150,26 +149,19 @@ class TestDesignTable:
         assert l_first[rows[-1]] > m
         assert [rows[c] for c in entry.expand[live].tolist()] == live.tolist()
         assert set(entry.expand[l_first > m].tolist()) == {live.size}
-        assert entry.budgets.tolist() == [effective_time(params, l) for l in range(m + 1)]
-        entry.fill(table, range(1, m + 1))
-        width = len(rows)
-        at_first = table.at_users(m)[2]
-        for j, d in enumerate(rows):
-            for size in range(m + 1):
-                got = entry.weights[:, size * width + j]
-                assert tuple(got[2:]) == tuple(at_first[d]) or np.isnan(got[2:]).all()
-                if l_first[d] <= size:
-                    assert tuple(got[:2]) == tuple(table.weights((d,), size)[0])
-                else:
-                    assert np.isnan(got[:2]).all()
+        np.testing.assert_array_equal(entry.at_first.T, at_first[rows])
+        pairs = [(j, size) for j, d in enumerate(rows) for size in range(l_first[d], m + 1)]
+        cols, sizes = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+        got = entry.weights(table, cols, sizes, [(size, 1) for size in range(1, m + 1)])
+        want = [table.weights((rows[j],), size)[0].tolist() for j, size in pairs]
+        assert got.T.tolist() == want
 
     def test_budgets_have_one_home(self):
-        # Every table of M users and the design table's entry for M share
-        # one array of T'(L).
+        # Every table of M users shares one array of T'(L), L = 0..M.
         params = default_system_params()
-        designs = grid_table(params, DesignGrid.uniform(5))
         tables = [UserTable.stack([make_users(s, 5)] * 2, params) for s in range(3)]
-        assert all(t.budgets is designs._at(5).budgets for t in tables)
+        assert all(t.budgets is tables[0].budgets for t in tables)
+        assert tables[0].budgets.tolist() == [effective_time(params, l) for l in range(6)]
         assert tables[0].instance(1).budgets is tables[0].budgets
 
     def test_request_order_does_not_matter(self):
