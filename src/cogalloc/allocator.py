@@ -13,8 +13,9 @@ payments (:meth:`UserTable.price`), the time bounds
 One :class:`DesignTable` per (params, grid) holds the user-independent
 half of every search, shared across calls; one :class:`UserTable` per
 call holds the columns of N instances of M users (built from the
-columns, or by :meth:`UserTable.stack` of user lists) and each design's
-rates, bounds and priorities per set size. Candidate sets are index
+columns, or by :meth:`UserTable.stack` of user lists), and prices a
+walked design once, at every set size its walk reaches
+(:class:`_Levels`). Candidate sets are index
 tuples into one instance's table (:meth:`UserTable.instance`),
 compared by utility alone; an :class:`AllocationResult` is built only
 for the set that is returned. The screen runs for every design of a
@@ -46,6 +47,7 @@ from .economics import (
 from .sensing import (
     SensingDesign,
     _read_only,
+    _row_block,
     binomial_tails,
     local_pd,
 )
@@ -114,6 +116,14 @@ def time_bound_arrays(rates, margin, buffers, cost: float) -> tuple:
     return lowers, uppers
 
 
+@lru_cache(maxsize=64)
+def _reaches(ps: tuple, zeta: float) -> list:
+    # K(L) per pfa for L = 0, 1, ... of the pfas and local P_d ``ps`` at
+    # the floor ``zeta``, grown by DesignTable._reach_to: one list for
+    # every design table of them, whatever its k grid.
+    return [np.zeros(len(ps) // 2, dtype=np.intp)]
+
+
 class DesignTable:
     """The user-independent half of every search over the designs
     ``pfas`` x ``ks`` under one :class:`SystemParams` (whose geometry
@@ -127,7 +137,8 @@ class DesignTable:
     designs in grid order, and ``rank`` is its inverse: of two designs
     at one utility, the joint search and the oracle keep the one of
     lower rank. Per design and set size L the table gives the fused tails
-    (:meth:`tails`, the shared binomial rows' values) and weights
+    (:meth:`tails`, read from the row block of its probabilities,
+    :func:`~cogalloc.sensing.binomial_tails`) and weights
     (:meth:`weights`); per user count m, l_first (:meth:`at_users`) and
     what every screen of m users reads, built once (:class:`_AtUsers`);
     per L, the designs meeting the floor (:meth:`admissible`).
@@ -135,9 +146,13 @@ class DesignTable:
     A computed P_D falls in k bit for bit, so the thresholds meeting the
     floor at L are k <= K(L). P_D at K(L-1) + 0, 1 and 2 gives K(L) when
     it moved by at most one (always, in exact arithmetic), a bisection
-    otherwise. So P_D(k, L) >= zeta exactly when k <= K(L), and l_first
-    is the first L with max_{L' <= L} K(L') >= k: the scan over L =
-    k..m, without assuming that P_D rises with L.
+    otherwise; every new size of the row block is built in one pass
+    first, so that each probe is a gather. So P_D(k, L) >= zeta exactly
+    when k <= K(L), and l_first is the first L with max_{L' <= L} K(L')
+    >= k: the scan over L = k..m, without assuming that P_D rises with L.
+    K(L) depends on the local P_d and zeta alone, so every table of the
+    same pfas, geometry and zeta shares it (:func:`_reaches`), whatever
+    its k grid.
     """
 
     __slots__ = (
@@ -155,9 +170,9 @@ class DesignTable:
         self.k = _read_only(np.repeat(np.array(ks, dtype=np.intp), len(pfas)))
         self.order = _read_only(np.lexsort((self.k, self.pfa)))
         self.rank = _read_only(np.argsort(self.order))
-        # K(L) per pfa for L = 0, 1, ...; the weights per L and design
-        # (nan until filled).
-        self._reach = [np.zeros(len(pfas), dtype=np.intp)]
+        # K(L) per pfa for L = 0, 1, ... (shared); the weights per L and
+        # design (nan until filled).
+        self._reach = _reaches(self._ps, params.zeta)
         self._weights = np.full((1, len(self.k), 2), np.nan)
         self._users, self._admissible, self._designs = {}, {}, {}
 
@@ -168,17 +183,21 @@ class DesignTable:
         return got
 
     def _reach_to(self, n: int) -> np.ndarray:
-        # K(L) for L = 0..n, one row per L (0 where no k meets the floor).
+        # K(L) for L = 0..n, one row per L (0 where no k meets the floor):
+        # the rows of every new size built at once, then probed size by size.
         count, zeta = len(self._reach[0]), self._params.zeta
+        if n >= len(self._reach):
+            _row_block(self._ps).grow(n)
         pd_rows = np.arange(count, 2 * count)
+        probed = np.tile(pd_rows, 3)
         for size in range(len(self._reach), n + 1):
             last = self._reach[-1]
             ks = np.add.outer((0, 1, 2), last).ravel()  # tail 0 for k > size
-            met = binomial_tails(self._ps, np.tile(pd_rows, 3), ks, size) >= zeta
+            met = binomial_tails(self._ps, probed, ks, size) >= zeta
             met = met.reshape(3, count).sum(axis=0)
-            lo, hi = last + met - 1, np.full(count, size)
+            lo = last + met - 1
             if not ((met == 1) | (met == 2)).all():
-                lo = np.zeros(count, dtype=np.intp)
+                lo, hi = np.zeros(count, dtype=np.intp), np.full(count, size)
                 while (lo < hi).any():
                     mid = (lo + hi + 1) // 2
                     ok = binomial_tails(self._ps, pd_rows, mid, size) >= zeta
@@ -201,29 +220,25 @@ class DesignTable:
 
     def weights(self, rows, sizes) -> np.ndarray:
         """The weights (q0, q1) of design ``rows[j]`` at ``sizes[j]`` (or
-        one shared size) reporting users, one row each."""
+        one shared design or size) reporting users, one row each."""
         rows = np.asarray(rows, dtype=np.intp)
         sizes = np.asarray(sizes, dtype=np.intp)
-        if sizes.size and sizes.max() >= len(self._weights):
+        try:
+            got = self._weights[sizes, rows]
+        except IndexError:
+            if sizes.max() < len(self._weights):  # a row out of range
+                raise
+            # A size past the cube's: grow the cube to the largest.
             more = np.full((sizes.max() + 1,) + self._weights.shape[1:], np.nan)
             more[: len(self._weights)] = self._weights
             self._weights = more
-        got = self._weights[sizes, rows]
+            got = self._weights[sizes, rows]
         missing = np.isnan(got[:, 0])
         if missing.any():
-            need, at = rows[missing], np.broadcast_to(sizes, rows.shape)[missing]
+            need, at = (a[missing] for a in np.broadcast_arrays(rows, sizes))
             scale = np.array([self._params.p_h0, self._params.p_h1])
             got[missing] = self._weights[at, need] = scale * (1.0 - self.tails(need, at))
         return got
-
-    def weight_pair(self, d: int, l_active: int) -> tuple:
-        """The weights of design ``d`` at ``l_active`` users as two floats.
-        A selection walk asks for a design at every size from its reduced
-        set's down, so a miss fills every size from k up at once."""
-        if l_active >= len(self._weights) or np.isnan(self._weights[l_active, d, 0]):
-            sizes = np.arange(min(int(self.k[d]), l_active), l_active + 1)
-            self.weights(np.full(len(sizes), d), sizes)
-        return tuple(self._weights[l_active, d].tolist())
 
     def at_users(self, m: int) -> tuple:
         """(l_first, at_m, at_first, budget_first) for ``m`` users, one
@@ -331,9 +346,9 @@ class UserTable:
     The design-independent columns (idle and interfered rates r0/r1,
     margins b_i - a_i, backlogs in bits, pay rates a_i, ids) are built
     once, and the budget T'(L) for every set size is shared by every
-    table of the same params and user count. Each design's effective
-    rates, time bounds and priorities at a set size L are computed for
-    all users on first use and cached per (design table, row, L).
+    table of the same params and user count. A design's effective
+    rates, time bounds and priorities are priced for all users at the
+    set sizes asked (:meth:`level`); nothing of a design is kept here.
 
     A table holds N instances of M users each, built from their columns
     or by :meth:`stack` of N user lists, for one batched :meth:`screen`;
@@ -343,7 +358,7 @@ class UserTable:
 
     __slots__ = (
         "params", "r0", "r1", "margin", "buffers", "pay", "ids",
-        "cost", "budgets", "_flat", "_levels",
+        "cost", "budgets", "_flat",
     )
 
     def __init__(self, params: SystemParams, shape: tuple, gains, buffers, pay, earn, ids):
@@ -367,7 +382,6 @@ class UserTable:
         self.params, self.cost, self.budgets = params, params.sensing_cost, budgets
         self._flat, self.ids = flat, ids
         self.r0, self.r1, self.margin, self.buffers, self.pay = flat.reshape((5,) + shape)
-        self._levels = {}
 
     @classmethod
     def stack(cls, instances: Sequence[Sequence[SecondaryUser]], params: SystemParams):
@@ -414,22 +428,25 @@ class UserTable:
         lowers, uppers = time_bound_arrays(rates, self.margin, self.buffers, self.cost)
         return rates, lowers, uppers, rates * self.pay
 
-    def level(self, designs: DesignTable, d: int, l_active: int) -> tuple:
-        """:meth:`price` at row ``d`` of ``designs`` with ``l_active``
-        reporting users, cached per (designs, d, l_active)."""
-        key = (designs, d, l_active)
-        got = self._levels.get(key)
-        if got is None:
-            got = self.price(*designs.weight_pair(d, l_active))
-            self._levels[key] = got
-        return got
+    def level(self, designs: DesignTable, d: int, sizes) -> tuple:
+        """:meth:`price` at row ``d`` of ``designs`` with ``sizes``
+        reporting users: one value per user at one size, one row per size
+        (size x user) at a sequence of them, from one
+        :meth:`DesignTable.weights` call and one :meth:`price`."""
+        sizes = np.asarray(sizes, dtype=np.intp)
+        weights = designs.weights(d, sizes.reshape(-1))
+        if sizes.size > 1:
+            q0, q1 = weights.T[:, :, None]
+            return self.price(q0, q1)
+        # One size: the same values from two floats, which numpy prices
+        # faster than a one-row block.
+        priced = self.price(*weights[0].tolist())
+        return priced if sizes.ndim == 0 else tuple(column[None] for column in priced)
 
     def evaluate(self, designs: DesignTable, d: int, idx: tuple) -> "_SetEval":
         """The candidate set ``idx`` (positions in this table) at row ``d``
         of ``designs`` and its own size."""
-        members = np.array(idx, dtype=np.intp)
-        level = [column[members] for column in self.level(designs, d, len(idx))]
-        return _SetEval(idx, members, *level, self.budgets.item(len(idx)))
+        return _Levels(self, designs, d, len(idx), len(idx)).evaluate(idx)
 
     def screen(self, designs: DesignTable) -> "Screen":
         """Screen every (instance, design) pair of this stacked table
@@ -704,6 +721,27 @@ class _SetEval:
             self.case = CaseLabel.CASE3
 
 
+class _Levels:
+    """One design's :meth:`UserTable.level` rows at every set size from
+    ``low`` to ``high``, priced at once: all that one walk reads."""
+
+    __slots__ = ("table", "low", "rows")
+
+    def __init__(self, table: UserTable, designs: DesignTable, d: int, low: int, high: int):
+        self.table, self.low = table, low
+        self.rows = table.level(designs, d, np.arange(low, high + 1))
+
+    def at(self, size: int) -> tuple:
+        """(rates, lowers, uppers, priorities) of every user at ``size``."""
+        return tuple(column[size - self.low] for column in self.rows)
+
+    def evaluate(self, idx: tuple) -> _SetEval:
+        """The candidate set ``idx`` (positions in the table) at its own size."""
+        members = np.array(idx, dtype=np.intp)
+        level = [column[members] for column in self.at(len(idx))]
+        return _SetEval(idx, members, *level, self.table.budgets.item(len(idx)))
+
+
 def greedy_topup(lowers, uppers, priorities, budget: float) -> list:
     """Water-filling core: hand everyone their lower bound, then grant the
     remaining budget in descending priority order, each member up to its
@@ -805,29 +843,28 @@ def _ordered_desc(table: UserTable, idx: Sequence[int], keys: np.ndarray) -> lis
     return members[np.lexsort((table.ids[members], -keys[members]))].tolist()
 
 
-def _exchange_core(
-    table: UserTable, designs: DesignTable, d: int, kept: tuple, excluded: tuple
-) -> Optional[tuple]:
-    # The best scored same-cardinality set at row d of ``designs``, the
-    # kept set included; None when no candidate is feasible. For each swap
-    # depth n the four bound-ordered extreme sets decide whether the whole
-    # depth can be short-circuited (all-Case-1: score the buffer-ordered
-    # swap and go deeper; all-Case-2: score the payment-ordered swap and
-    # stop; min-lower-bound set Case-3: stop); otherwise every n-for-n swap
-    # is enumerated.
-    best = _score(table, table.evaluate(designs, d, kept))
+def _exchange_core(levels: _Levels, kept: tuple, excluded: tuple) -> Optional[tuple]:
+    # The best scored same-cardinality set of the table at the design
+    # ``levels`` prices, the kept set included; None when no candidate is
+    # feasible. For each swap depth n the four bound-ordered extreme sets
+    # decide whether the whole depth can be short-circuited (all-Case-1:
+    # score the buffer-ordered swap and go deeper; all-Case-2: score the
+    # payment-ordered swap and stop; min-lower-bound set Case-3: stop);
+    # otherwise every n-for-n swap is enumerated.
+    table = levels.table
+    best = _score(table, levels.evaluate(kept))
     if not excluded or not kept:
         return best
 
     def consider(candidate: tuple) -> None:
         nonlocal best
-        best = _better(best, _score(table, table.evaluate(designs, d, candidate)))
+        best = _better(best, _score(table, levels.evaluate(candidate)))
 
     def case(candidate: tuple) -> CaseLabel:
-        return table.evaluate(designs, d, candidate).case
+        return levels.evaluate(candidate).case
 
     # Orderings are taken at the current candidate cardinality |kept|.
-    _, lb_keys, ub_keys, pay_keys = table.level(designs, d, len(kept))
+    _, lb_keys, ub_keys, pay_keys = levels.at(len(kept))
 
     def ordered(keys: np.ndarray) -> tuple:
         return (_ordered_desc(table, kept, keys), _ordered_desc(table, excluded, keys))
@@ -875,7 +912,11 @@ def _select(
     # The elimination walk at row d of ``designs`` with a global
     # best-so-far contested-time incumbent; the scored winner, or None
     # when every set it reaches at the minimum size overflows the budget.
-    ev = table.evaluate(designs, d, reduced)
+    # Every set it scores lies between l_lb and |R| users, so the design
+    # is priced once, at every size from l_lb to |R| (:class:`_Levels`),
+    # and each elimination and exchange step reads its own size's row.
+    levels = _Levels(table, designs, d, l_lb, len(reduced))
+    ev = levels.evaluate(reduced)
     if len(reduced) == l_lb:
         return _score(table, ev)
 
@@ -887,11 +928,11 @@ def _select(
         # Drop the user paying the least per second at this set size.
         j = int(np.lexsort((table.ids[ev.members], ev.priorities))[0])
         current = current[:j] + current[j + 1 :]
-        ev = table.evaluate(designs, d, current)
+        ev = levels.evaluate(current)
 
         if ev.case is CaseLabel.CASE1:
             excluded = tuple(i for i in reduced if i not in current)
-            star = _exchange_core(table, designs, d, current, excluded)
+            star = _exchange_core(levels, current, excluded)
             if star[1].case is CaseLabel.CASE1:
                 return _better(star, incumbent)
             # Contested-time winner: adopt it and keep eliminating.

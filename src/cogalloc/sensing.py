@@ -4,10 +4,13 @@ Local statistics are the standard large-N Gaussian approximations for an
 energy detector: a false-alarm probability fixes the detector threshold,
 and the detection probability follows from the sensing SNR.  Fused
 statistics are k-out-of-L binomial tails over independent, identical
-per-user hard decisions.
+per-user hard decisions, read from one block of binomial rows per
+probability tuple that holds every size built so far
+(:class:`_RowBlock`, :func:`binomial_tails`).
 
-All functions are pure; the value types are frozen dataclasses and safe
-to share across threads.
+All functions are pure (the row blocks are caches: a size, once built,
+never changes); the value types are frozen dataclasses and safe to
+share across threads.
 """
 
 from __future__ import annotations
@@ -156,8 +159,11 @@ def local_pd(pfa: float, geom: SensingGeometry) -> float:
     return q_function(arg)
 
 
-#: Elements (pairs x row length) in one working array of
-#: :func:`binomial_tails`: at most 256 kB of floats.
+#: Elements (pairs x row width) in one working array of
+#: :func:`binomial_tails`: at most 256 kB of floats. A step that grows a
+#: row block holds a quarter of that (sizes x probabilities x width), as
+#: its exponentials pass through Python floats, four times a float's
+#: bytes each.
 _TAIL_CHUNK = 1 << 15
 
 
@@ -177,64 +183,116 @@ def _log_comb_row(n: int) -> np.ndarray:
     return _read_only(np.array(logs))
 
 
-@lru_cache(maxsize=1 << 10)
-def binomial_rows(ps: tuple, n: int) -> tuple:
-    """The terms C(n, l) p^l (1-p)^(n-l), l = 0..n, of each p in ``ps``
-    in ascending order: (terms, their l), read-only P x (n+1) arrays.
-    Each term is ``math.exp`` of its log with the exact integer
-    coefficient; they are ordered by their logs (equal logs, equal
-    terms). A p <= 0 has every term 0, a p >= 1 the one term 1 at l = n.
+class _RowBlock:
+    """The binomial rows of one probability tuple ``ps`` at every size
+    0..n built so far, as ``rows`` = (terms, ls), each n + 1 sizes x P
+    probabilities x n + 1 terms: ``terms[n, i]`` holds the terms C(n, l)
+    p^l (1-p)^(n-l), l = 0..n, of p = ps[i] in ascending order, then 0.0
+    to the block's width, and ``ls[n, i]`` each term's l, then -1 (in the
+    smallest integer type that holds n). Each term is ``math.exp`` of its
+    log with the exact integer coefficient; they are ordered by their
+    logs (equal logs, equal terms). A p <= 0 has every term 0, a p >= 1
+    the one term 1 at l = n. :meth:`grow` appends sizes; a size once
+    built is never rebuilt.
     """
-    logs_pq = np.array(
-        [(math.log(p), math.log1p(-p)) if 0.0 < p < 1.0 else (0.0, 0.0) for p in ps]
-    )
-    l = np.arange(n + 1)
-    logs = _log_comb_row(n) + l * logs_pq[:, :1] + (n - l) * logs_pq[:, 1:]
-    exps = map(math.exp, logs.ravel().tolist())
-    terms = np.fromiter(exps, float, logs.size).reshape(logs.shape)
-    for i, p in enumerate(ps):
-        if not 0.0 < p < 1.0:
-            terms[i] = 0.0
-            terms[i, n] = float(p >= 1.0)
-    order = np.argsort(logs, axis=1, kind="stable")
-    rows = np.arange(len(ps))[:, None]
-    return _read_only(terms[rows, order]), _read_only(order)
+
+    __slots__ = ("ps", "rows", "_logs_pq", "_live")
+
+    def __init__(self, ps: tuple):
+        self.ps = ps
+        self._live = np.array([0.0 < p < 1.0 for p in ps], dtype=bool)
+        self._logs_pq = np.array(
+            [(math.log(p), math.log1p(-p)) if 0.0 < p < 1.0 else (0.0, 0.0) for p in ps]
+        ).reshape(-1, 2)
+        empty = np.zeros((0, len(ps), 0))
+        self.rows = (empty, empty.astype(np.int8))
+
+    def grow(self, n: int) -> tuple:
+        """``rows`` once every size up to ``n`` is built: the sizes not
+        built yet, a few a step (at most ``_TAIL_CHUNK`` // 4 elements a
+        working array, or one size), set in one assignment. A block that
+        grows adds at least half its sizes, so that a scan asking one
+        size more at a time copies it O(log n) times, not n times."""
+        old_terms, old_ls = self.rows
+        have, count = len(old_terms), len(self.ps)
+        if n < have:
+            return self.rows
+        n = max(n, have + have // 2)
+        terms = np.zeros((n + 1, count, n + 1))
+        ls = np.full(terms.shape, -1, dtype=np.min_scalar_type(-n - 1))
+        terms[:have, :, :have], ls[:have, :, :have] = old_terms, old_ls
+        step = max(1, _TAIL_CHUNK // (4 * max(count, 1) * (n + 1)))
+        for first in range(have, n + 1, step):
+            stop = min(first + step, n + 1)
+            terms[first:stop, :, :stop], ls[first:stop, :, :stop] = self._sizes(first, stop)
+        self.rows = _read_only(terms), _read_only(ls)
+        return self.rows
+
+    def _sizes(self, first: int, stop: int) -> tuple:
+        # The rows of sizes first..stop-1, each padded to ``stop`` terms:
+        # (terms, ls), sizes x P x stop. The logs are the same operations,
+        # in the same order, at every size and width.
+        sizes, l = np.arange(first, stop), np.arange(stop)
+        inside = l <= sizes[:, None]
+        comb = np.zeros(inside.shape)
+        for row, n in zip(comb, sizes.tolist()):
+            row[: n + 1] = _log_comb_row(n)
+        log_p, log_q = self._logs_pq.T[:, :, None]
+        logs = comb[:, None] + l * log_p + (sizes[:, None, None] - l) * log_q
+        taken = inside[:, None] & self._live[:, None]
+        terms = np.zeros(logs.shape)
+        exps = map(math.exp, logs[taken].tolist())
+        terms[taken] = np.fromiter(exps, float, np.count_nonzero(taken))
+        for i in np.flatnonzero(~self._live).tolist():
+            terms[np.arange(len(sizes)), i, sizes] = float(self.ps[i] >= 1.0)
+        # Past its row's end a log is inf, so the sort puts it last.
+        logs[~np.broadcast_to(inside[:, None], logs.shape)] = np.inf
+        order = np.argsort(logs, axis=-1, kind="stable")
+        ls = np.where(inside[:, None], order, -1)
+        return np.take_along_axis(terms, order, axis=-1), ls
+
+
+@lru_cache(maxsize=64)
+def _row_block(ps: tuple) -> _RowBlock:
+    # The one row block of ``ps``, shared by every tail of it.
+    return _RowBlock(ps)
 
 
 def binomial_tails(ps: tuple, rows, ks, ns) -> np.ndarray:
     """Upper tails P(X >= k), X ~ Binomial(n, p), for p = ``ps[rows[j]]``,
-    k = ``ks[j]``, n = ``ns[j]`` (or one shared n): the sequential sum of
-    the row's terms at l >= k, smallest first (:func:`binomial_rows`),
-    capped at 1, in one masked pass with 0.0 for each term at l < k or
-    past the row's end (adding 0.0 leaves a sum unchanged). Adding a
-    term >= 0 cannot lower such a sum, so the tail falls in k bit for bit.
+    k = ``ks[j]``, n = ``ns[j]`` (or one shared n), any mix of sizes:
+    the sequential sum of the row's terms at l >= k, smallest first,
+    capped at 1. The rows come from the one row block of ``ps``
+    (:class:`_RowBlock`, grown to the largest n asked), a chunk of pairs
+    at a time: one gather of the pairs' rows and one masked accumulate,
+    with 0.0 for each term at l < k or past the row's end (adding 0.0
+    leaves a sum unchanged), so every tail is the one its size alone
+    would give. Adding a term >= 0 cannot lower such a sum, so the tail
+    falls in k bit for bit.
     """
     rows = np.asarray(rows, dtype=np.intp)
     ks = np.asarray(ks, dtype=np.intp)[:, None]
     ns = np.asarray(ns, dtype=np.intp)
-    # Pairs in order of n, so that a chunk holds few distinct n.
-    order = np.arange(len(rows)) if ns.ndim == 0 else np.argsort(ns, kind="stable")
-    ns = np.broadcast_to(ns, rows.shape)
+    order = None
+    if ns.ndim:
+        # Pairs in order of n, so that a chunk's rows are about as wide.
+        order = np.argsort(ns, kind="stable")
+        rows, ks, ns = rows[order], ks[order], ns[order]
+    else:
+        ns = ns.repeat(len(rows))
+    top = int(ns.max(initial=0))
+    terms, ls = _row_block(ps).grow(top)
     out = np.empty(len(rows))
-    step = max(1, _TAIL_CHUNK // (int(ns.max(initial=0)) + 1))
+    step = max(1, _TAIL_CHUNK // (top + 1))
     for s in range(0, len(rows), step):
-        part = order[s : s + step]
-        sizes = ns[part]
-        if sizes[0] == sizes[-1]:
-            kept = _masked_row(ps, rows[part], ks[part], int(sizes[0]))
-        else:
-            kept = np.zeros((len(part), int(sizes[-1]) + 1))
-            for n in sorted(set(sizes.tolist())):
-                at = np.flatnonzero(sizes == n)
-                kept[at, : n + 1] = _masked_row(ps, rows[part[at]], ks[part[at]], n)
+        part = slice(s, s + step)
+        at = ns[part], rows[part], slice(0, int(ns[part][-1]) + 1)
+        kept = np.where(ls[at] >= ks[part], terms[at], 0.0)
         out[part] = np.add.accumulate(kept, axis=1)[:, -1]
-    return np.minimum(out, 1.0)
-
-
-def _masked_row(ps: tuple, rows, ks, n: int) -> np.ndarray:
-    # The ascending terms at n of each row, 0.0 where l < k.
-    terms, ls = binomial_rows(ps, n)
-    return np.where(ls[rows] >= ks, terms[rows], 0.0)
+    np.minimum(out, 1.0, out=out)
+    if order is not None:  # back to the order asked
+        out[order] = out.copy()
+    return out
 
 
 @lru_cache(maxsize=1 << 16)

@@ -51,6 +51,7 @@ from cogalloc.allocator import (
     UserTable,
     design_table,
     _exchange_core,
+    _Levels,
     _result,
     _score,
 )
@@ -432,8 +433,8 @@ def exchange_search(kept, excluded, design, params) -> tuple:
     table = user_table(pool, params)
     kept_idx = tuple(range(len(kept)))
     ex_idx = tuple(range(len(kept), len(pool)))
-    designs = one_design_table(params, design)
-    best = _exchange_core(table, designs, 0, kept_idx, ex_idx)
+    levels = _Levels(table, one_design_table(params, design), 0, len(kept), len(kept))
+    best = _exchange_core(levels, kept_idx, ex_idx)
     if best is None:
         return tuple(kept), None
     idx = best[1].idx

@@ -3,6 +3,9 @@
 :func:`helpers.reference_binom_tail`, and a scan over L for l_first.
 """
 
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,8 +16,8 @@ from cogalloc import (
     effective_time,
     local_pd,
 )
-from cogalloc.allocator import TIME_TOL, DesignTable, UserTable
-from cogalloc.sensing import binomial_tails
+from cogalloc.allocator import TIME_TOL, DesignTable, UserTable, _reaches
+from cogalloc.sensing import _RowBlock, _row_block, binomial_tails
 
 from helpers import grid_table, make_users, reference_binom_tail
 
@@ -81,6 +84,85 @@ class TestBinomialRows:
         assert got.tolist() == [
             reference_binom_tail(PS[r], k, n) for r, k in zip(rows.tolist(), ks.tolist())
         ]
+
+
+# Both ends of (0, 1) and just inside them, the subnormal 5e-324 among
+# them, and two values in between.
+EDGE_PS = (0.0, 5e-324, 1e-300, 0.3, 0.5, 1.0 - 2**-53, 1.0)
+
+
+def _every_size_and_k(count, top):
+    # (rows, ks, ns): every row, every n in 0..top and every k in 0..n+1.
+    pairs = [
+        (row, k, n) for n in range(top + 1) for row in range(count) for k in range(n + 2)
+    ]
+    return np.array(pairs, dtype=np.intp).T
+
+
+class TestRowBlock:
+    def test_mixed_sizes_equal_per_size_requests(self):
+        # One request over every size at once, its pairs shuffled, gives
+        # bit for bit what one request per size gives, and both give the
+        # one-tail-at-a-time reference wherever it applies (k <= n: the
+        # reference reads 1 at p >= 1 whatever k is).
+        rows, ks, ns = _every_size_and_k(len(EDGE_PS), 60)
+        shuffled = np.random.default_rng(3).permutation(len(rows))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mixed = np.empty(len(rows))
+            mixed[shuffled] = binomial_tails(EDGE_PS, rows[shuffled], ks[shuffled], ns[shuffled])
+            per_size = np.empty(len(rows))
+            for n in range(61):
+                at = np.flatnonzero(ns == n)
+                per_size[at] = binomial_tails(EDGE_PS, rows[at], ks[at], n)
+        assert mixed.tobytes() == per_size.tobytes()
+        inside = np.flatnonzero(ks <= ns)
+        want = [
+            reference_binom_tail(EDGE_PS[r], k, n)
+            for r, k, n in zip(rows[inside].tolist(), ks[inside].tolist(), ns[inside].tolist())
+        ]
+        assert mixed[inside].tolist() == want
+        assert (mixed[ks > ns] == 0.0).all()
+
+    def test_a_grown_block_equals_one_built_at_once(self):
+        rows, ks, ns = _every_size_and_k(len(EDGE_PS), 60)
+        _row_block.cache_clear()
+        for top in (5, 20, 60):
+            binomial_tails(EDGE_PS, (0,), (1,), top)
+        grown = binomial_tails(EDGE_PS, rows, ks, ns)
+        _row_block.cache_clear()
+        at_once = binomial_tails(EDGE_PS, rows, ks, ns)
+        assert grown.tobytes() == at_once.tobytes()
+        stepped, whole = _RowBlock(EDGE_PS), _RowBlock(EDGE_PS)
+        for top in (5, 20, 60):
+            stepped.grow(top)
+        whole.grow(60)
+        for got, want in zip(stepped.rows, whole.rows):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_a_scan_one_size_at_a_time_rebuilds_the_block_seldom(self):
+        # A scan over L (min_active_users) asks one size more each time;
+        # the block grows by at least half its sizes, so it is copied a
+        # few times, not once per size, and reads the same tails.
+        block = _RowBlock((0.3,))
+        grown = [block.grow(n) for n in range(200)]
+        assert len({id(terms) for terms, _ in grown}) < 20
+        _row_block.cache_clear()
+        scanned = [binomial_tails((0.3,), (0,), (3,), n)[0] for n in range(200)]
+        _row_block.cache_clear()
+        at_once = binomial_tails((0.3,), np.zeros(200, dtype=int), np.full(200, 3), range(200))
+        assert scanned == at_once.tolist()
+
+    @pytest.mark.parametrize("top,dtype", [(0, np.int8), (127, np.int8), (128, np.int16)])
+    def test_l_index_in_the_smallest_type(self, top, dtype):
+        terms, ls = _RowBlock((0.3,)).grow(top)
+        assert ls.dtype == dtype
+        assert terms.shape == ls.shape == (top + 1, 1, top + 1)
+        # Row n lists every l in 0..n once, then -1 to the block's width.
+        for n in (0, top // 2, top):
+            assert sorted(ls[n, 0, : n + 1].tolist()) == list(range(n + 1))
+            assert (ls[n, 0, n + 1 :] == -1).all()
+            assert (terms[n, 0, n + 1 :] == 0.0).all()
 
 
 def _scan_first(design, geom, zeta, m):
@@ -175,6 +257,24 @@ class TestDesignTable:
         for got, want in zip(first, second):
             for a, b in zip(got, want):
                 np.testing.assert_array_equal(a, b)
+
+    def test_tables_of_one_floor_share_k_of_l(self):
+        # K(L) depends on the local P_d and zeta alone: tables of one pfa
+        # grid, geometry and floor share it whatever their k grids, and
+        # what the larger table reads of it after the smaller one filled
+        # part of it is what a table filling it alone reads.
+        params = default_system_params()
+        small = DesignTable(params, GRID_PFAS, tuple(range(1, 21)))
+        large = DesignTable(params, GRID_PFAS, tuple(range(1, 41)))
+        other = DesignTable(replace(params, zeta=0.95), GRID_PFAS, tuple(range(1, 41)))
+        assert small._reach is large._reach is not other._reach
+        small.at_users(20)
+        shared = large.at_users(40)
+        _reaches.cache_clear()
+        alone = DesignTable(params, GRID_PFAS, tuple(range(1, 41)))
+        assert alone._reach is not large._reach
+        for got, want in zip(shared, alone.at_users(40)):
+            np.testing.assert_array_equal(got, want)
 
     def test_threshold_above_set_size_is_an_error(self):
         params = default_system_params()

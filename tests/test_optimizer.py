@@ -28,7 +28,7 @@ from cogalloc import (
     run_episode,
     select_and_allocate,
 )
-from cogalloc import optimizer
+from cogalloc import allocator, optimizer
 from cogalloc.allocator import TIME_TOL, CaseLabel, UserTable, _allocate, _result, _score
 from cogalloc.optimizer import (
     BOUND_SLACK,
@@ -457,6 +457,67 @@ class TestPrunedGridSearch:
                 assert (trace.chosen_pfa, trace.chosen_k) == (design.pfa_local, design.k_threshold)
             checked += 1
         assert checked > 5
+
+
+def _same_bytes(got, want) -> bool:
+    # Columns equal bit for bit (nan, inf and the sign of 0 included).
+    return all(a.tobytes() == b.tobytes() for a, b in zip(got, want, strict=True))
+
+
+class TestWalkPricing:
+    """A walked design is priced once per walk, at every size from its
+    l_lb to |R| (``allocator._Levels``), and each size's row is
+    :meth:`UserTable.price` at that size's weights, bit for bit."""
+
+    # The effective rates vanish from a few users on at pfa 0.99, and
+    # from 5 users on at 0.9999.
+    PFAS = (0.05, 0.3, 0.6, 0.99, 0.9999)
+
+    @pytest.mark.parametrize("m", [5, 20, 40])
+    def test_every_row_is_the_per_size_pricing(self, m):
+        # A third of the users have empty buffers (0/0 upper bounds at a
+        # zero rate).
+        params, sus = _mixed_instance(m + 900, m, "zero_buffers")
+        designs = grid_table(params, DesignGrid(self.PFAS, tuple(range(1, m + 1))))
+        table = user_table(sus, params)
+        zero_rates = 0
+        for d in range(len(designs.k)):
+            k = int(designs.k[d])
+            levels = allocator._Levels(table, designs, d, k, m)
+            for size in range(k, m + 1):
+                want = table.price(*designs.weights((d,), size)[0].tolist())
+                assert _same_bytes(levels.at(size), want), (d, size)
+                zero_rates += int((want[0] == 0.0).any())
+        assert zero_rates
+
+    @pytest.mark.parametrize("m", [5, 20, 40])
+    def test_each_walk_prices_its_design_once(self, monkeypatch, m):
+        # Instances whose one walk runs over several sizes.
+        params, sus = _mixed_instance(941, m, "zero_buffers")
+        grid = DesignGrid(self.PFAS, tuple(range(1, m + 1)))
+        walks, priced = [], []
+        select, price = allocator._select, UserTable.price
+
+        def counting(self, q0, q1):
+            priced.append(np.shape(q0))
+            return price(self, q0, q1)
+
+        def recording(table, designs, d, reduced, l_lb):
+            priced.clear()
+            got = select(table, designs, d, reduced, l_lb)
+            walks.append((d, len(reduced) - l_lb + 1, list(priced)))
+            return got
+
+        monkeypatch.setattr(UserTable, "price", counting)
+        monkeypatch.setattr(allocator, "_select", recording)
+        got = joint_optimize(sus, params, grid)
+        monkeypatch.undo()
+        assert walks
+        assert len({d for d, _, _ in walks}) == len(walks)
+        # One pricing per walk: one row per size from l_lb to |R|.
+        assert all(calls == [(sizes, 1)] for _, sizes, calls in walks)
+        assert any(sizes > 1 for _, sizes, _ in walks)
+        _assert_same_outcome(got, reference_joint_optimize(sus, params, grid))
 
 
 def _thin_margin_users(seed, m):

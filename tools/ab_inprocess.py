@@ -3,6 +3,7 @@
     python3 tools/ab_inprocess.py A_ROOT B_ROOT --mode cli --workload sim-traffic \
         --sets 24 25 --pairs 30
     python3 tools/ab_inprocess.py A_ROOT B_ROOT --mode lone --workload oracle-exact --m 5
+    python3 tools/ab_inprocess.py A_ROOT B_ROOT --mode cold --workload joint-large --m 40
     python3 tools/ab_inprocess.py A_ROOT B_ROOT --mode chunks --workload sim-traffic
     python3 tools/ab_inprocess.py A_ROOT B_ROOT --mode startup --workload joint-large \
         --pairs 30
@@ -26,6 +27,10 @@ Modes (the seconds each sample reports):
   0 of the config, with the user count set to ``--m``: one untimed call
   per instance, then ``--repeats`` timed passes; the sample is the
   median pass over the number of instances (seconds per call).
+* ``cold``: the first ``joint_optimize`` on each instance of sweep
+  point 0 of the config at ``--m`` users, one pass, the design table's
+  cold fill included (``lone`` hides it behind its untimed call); the
+  sample is the pass over the number of instances (seconds per call).
 * ``chunks``: the ``simulate`` work of ``--jobs`` >= trials without the
   process pool: each trial of sweep point 0 as its own chunk
   (``cli._sweep_chunk``), the sample one pass over all of them.
@@ -36,8 +41,8 @@ Modes (the seconds each sample reports):
   (CLOCK_MONOTONIC, shared by processes on Linux), as in perfbench's
   ``setup_s``.
 
-In ``lone`` and ``chunks`` the two sides' results must have equal
-``repr``, and in ``startup`` equal effective configs. The last line
+In ``lone``, ``cold`` and ``chunks`` the two sides' results must have
+equal ``repr``, and in ``startup`` equal effective configs. The last line
 printed is one JSON object with the medians, quartiles and per-pair
 ratios.
 """
@@ -118,21 +123,25 @@ def _child(args) -> None:
 
     cfg = cli.load_config(args.config)
     system, users = cli._apply_sweep(cfg, cfg.sweep_values[0])
-    if args.mode == "lone":
+    if args.mode in ("lone", "cold"):
         from cogalloc.optimizer import joint_optimize
 
         instances = [
             cli._instance(cfg, 0, trial, system, users) for trial in range(cfg.trials)
         ]
+        start = time.perf_counter()
         outcomes = [joint_optimize(sus, system, grid) for sus, grid in instances]
-        passes = []
-        for _ in range(args.repeats):
-            start = time.perf_counter()
-            for sus, grid in instances:
-                joint_optimize(sus, system, grid)
-            passes.append((time.perf_counter() - start) / len(instances))
+        seconds = (time.perf_counter() - start) / len(instances)
+        if args.mode == "lone":
+            passes = []
+            for _ in range(args.repeats):
+                start = time.perf_counter()
+                for sus, grid in instances:
+                    joint_optimize(sus, system, grid)
+                passes.append((time.perf_counter() - start) / len(instances))
+            seconds = statistics.median(passes)
         result = [(o.best_design, o.best_allocation) for o in outcomes]
-        print(json.dumps({"seconds": statistics.median(passes), "result": repr(result)}))
+        print(json.dumps({"seconds": seconds, "result": repr(result)}))
         return
 
     start = time.perf_counter()
@@ -195,11 +204,13 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("a_root", nargs="?")
     ap.add_argument("b_root", nargs="?")
-    ap.add_argument("--mode", choices=("cli", "lone", "chunks", "startup"), default="cli")
+    ap.add_argument(
+        "--mode", choices=("cli", "lone", "cold", "chunks", "startup"), default="cli"
+    )
     ap.add_argument("--workload", required=True)
     ap.add_argument("--sets", type=int, nargs="+", default=[24])
     ap.add_argument("--pairs", type=int, default=20)
-    ap.add_argument("--m", type=int, default=None, help="lone: users per instance")
+    ap.add_argument("--m", type=int, default=None, help="lone, cold: users per instance")
     ap.add_argument("--repeats", type=int, default=20, help="lone: timed passes")
     ap.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     ap.add_argument("--src", help=argparse.SUPPRESS)
